@@ -70,12 +70,12 @@ fn main() {
             println!("\n== Performance: evaluation latency vs population ==");
             println!(
                 "{:>10}{:>16}{:>16}{:>12}{:>12}{:>12}",
-                "objects", "evaluate", "preprocess", "candidates", "SIR iters", "sp hits"
+                "objects", "evaluate", "preprocess", "candidates", "SIR iters", "settled"
             );
             let rows = run_perf(scale);
             for r in &rows {
                 let sir = r.metrics.counters.get("pf.sir_iterations").copied();
-                let sp_hits = r.metrics.gauges.get("spcache.memo_hits").copied();
+                let settled = r.metrics.counters.get("distance.scan_settled").copied();
                 println!(
                     "{:>10}{:>16}{:>16}{:>12}{:>12}{:>12}",
                     r.objects,
@@ -83,7 +83,7 @@ fn main() {
                     format!("{:.2?}", r.preprocessing),
                     r.candidates,
                     sir.unwrap_or(0),
-                    sp_hits.unwrap_or(0),
+                    settled.unwrap_or(0),
                 );
             }
             if let Some(last) = rows.last() {

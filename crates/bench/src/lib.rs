@@ -21,7 +21,6 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod perf_json;
 
 use ripq_sim::{AccuracyReport, Experiment, ExperimentParams};
 use serde::{Deserialize, Serialize};

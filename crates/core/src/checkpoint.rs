@@ -1,7 +1,8 @@
 //! Crash-safe checkpointing of the [`crate::IndoorQuerySystem`].
 //!
 //! The system's recoverable state — collector timelines, particle cache,
-//! master RNG stream and cumulative metrics — serializes through the
+//! master RNG stream, cumulative metrics and the live `APtoObjHT` the
+//! next pass takes its deltas against — serializes through the
 //! canonical `ripq-persist` codec into one framed snapshot file,
 //! `system.ckpt`, written atomically on a configurable ingest cadence.
 //! On startup [`crate::IndoorQuerySystem::recover`] reloads it; damaged
@@ -13,26 +14,18 @@
 //! run bit for bit under [`crate::clock::TimingMode::Logical`].
 
 use crate::RipqError;
+use ripq_graph::{AnchorId, AnchorObjectIndex};
 use ripq_obs::{HistogramSnapshot, MetricsSnapshot, SpanStat};
 use ripq_persist::{ByteReader, ByteWriter, PersistError};
+use ripq_rfid::ObjectId;
 use std::path::{Path, PathBuf};
 
 /// File name of the system snapshot inside the checkpoint directory.
 pub const SNAPSHOT_FILE: &str = "system.ckpt";
 
-/// File name of the landmark distance-oracle snapshot (written alongside
-/// the system snapshot when the ALT backend is active, so a recovered —
-/// or freshly started — run skips the landmark precomputation).
-pub const ORACLE_FILE: &str = "oracle.ckpt";
-
 /// Full path of the snapshot file for a checkpoint directory.
 pub fn snapshot_path(dir: &Path) -> PathBuf {
     dir.join(SNAPSHOT_FILE)
-}
-
-/// Full path of the oracle snapshot for a checkpoint directory.
-pub fn oracle_path(dir: &Path) -> PathBuf {
-    dir.join(ORACLE_FILE)
 }
 
 /// What [`crate::IndoorQuerySystem::recover`] found on disk.
@@ -58,6 +51,47 @@ pub enum RecoveryOutcome {
 /// Maps a persistence failure into the engine's error currency.
 pub(crate) fn persist_io(err: &PersistError) -> RipqError {
     RipqError::Io(err.to_string())
+}
+
+/// Appends an `APtoObjHT` to `w` as object-ordered rows of
+/// `(anchor, probability)` pairs, each row in its stored order, so the
+/// decoded index compares bit-for-bit with the one written.
+pub fn encode_index(w: &mut ByteWriter, index: &AnchorObjectIndex<ObjectId>) {
+    w.put_seq_len(index.object_count());
+    for object in index.objects() {
+        let dist = index.distribution(object).unwrap_or(&[]);
+        w.put_u32(object.raw());
+        w.put_seq_len(dist.len());
+        for &(anchor, p) in dist {
+            w.put_u32(anchor.raw());
+            w.put_f64(p);
+        }
+    }
+}
+
+/// Reads an index written by [`encode_index`]. Anchor ids must lie below
+/// `anchor_count` and probabilities must be finite, so a decoded index
+/// can never send evaluation out of bounds.
+pub fn decode_index(
+    r: &mut ByteReader<'_>,
+    anchor_count: usize,
+) -> Result<AnchorObjectIndex<ObjectId>, PersistError> {
+    let mut index = AnchorObjectIndex::new();
+    for _ in 0..r.get_seq_len(8)? {
+        let object = ObjectId::new(r.get_u32()?);
+        let len = r.get_seq_len(12)?;
+        let mut dist = Vec::with_capacity(len);
+        for _ in 0..len {
+            let anchor = AnchorId::new(r.get_u32()?);
+            let p = r.get_f64()?;
+            if anchor.index() >= anchor_count || !p.is_finite() {
+                return Err(PersistError::Torn);
+            }
+            dist.push((anchor, p));
+        }
+        index.set_object(object, dist);
+    }
+    Ok(index)
 }
 
 /// Appends a [`MetricsSnapshot`] to `w` in the canonical encoding. All

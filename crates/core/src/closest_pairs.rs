@@ -10,7 +10,7 @@
 //! radius — the "are these two people together?" primitive that contact
 //! tracing and social applications need.
 
-use ripq_graph::{AnchorId, AnchorObjectIndex, AnchorSet, DistanceOracle, GraphPos, WalkingGraph};
+use ripq_graph::{AnchorId, AnchorObjectIndex, AnchorScan, AnchorSet, ScanCounts, WalkingGraph};
 use ripq_rfid::ObjectId;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
@@ -40,64 +40,50 @@ pub struct ClosestPairsQuery {
 
 /// Evaluates a closest-pairs query over the filtered index.
 ///
-/// Complexity: one Dijkstra per distinct *anchor* that carries probability
-/// (not per object), then O(pairs × support²) accumulation. With the
-/// default 64-particle distributions supports are small (≤ a few dozen
-/// anchors per object).
+/// Complexity: one ascending anchor scan per distinct *anchor* that
+/// carries probability (not per object), each stopped at the last such
+/// anchor, then O(pairs × support²) accumulation. With the default
+/// 64-particle distributions supports are small (≤ a few dozen anchors
+/// per object).
 pub fn evaluate_closest_pairs(
     graph: &WalkingGraph,
     anchors: &AnchorSet,
     index: &AnchorObjectIndex<ObjectId>,
     query: &ClosestPairsQuery,
 ) -> Vec<ObjectPair> {
-    let Some((objects, support, pos_of)) = resolve_support(index, anchors, query) else {
-        return Vec::new();
-    };
-    // Network distances between support anchors: Dijkstra from each.
-    let mut dist: HashMap<(AnchorId, AnchorId), f64> = HashMap::new();
-    for &a in &support {
-        let sp = graph.shortest_paths_from(pos_of[&a]);
-        for &b in &support {
-            dist.insert((a, b), sp.distance_to(graph, pos_of[&b]));
-        }
-    }
-    rank_pairs(&objects, index, &dist, query)
+    evaluate_closest_pairs_counted(graph, anchors, index, query, &mut ScanCounts::default())
 }
 
-/// [`evaluate_closest_pairs`] through the landmark distance oracle: the
-/// support-anchor distance matrix comes from one truncated ascending scan
-/// per source anchor ([`DistanceOracle::distances_to_anchors`]) instead of
-/// a full Dijkstra tree per source. Distances are bit-identical, so the
-/// ranked pairs are too.
-pub fn evaluate_closest_pairs_with_oracle(
+/// [`evaluate_closest_pairs`] that also adds the scans' search effort to
+/// `counts`.
+pub(crate) fn evaluate_closest_pairs_counted(
     graph: &WalkingGraph,
     anchors: &AnchorSet,
     index: &AnchorObjectIndex<ObjectId>,
     query: &ClosestPairsQuery,
-    oracle: &DistanceOracle,
+    counts: &mut ScanCounts,
 ) -> Vec<ObjectPair> {
-    let Some((objects, support, pos_of)) = resolve_support(index, anchors, query) else {
+    let Some((objects, support)) = resolve_support(index, query) else {
         return Vec::new();
     };
-    let needed: BTreeSet<AnchorId> = support.iter().copied().collect();
+    // Network distances between support anchors: one scan from each.
     let mut dist: HashMap<(AnchorId, AnchorId), f64> = HashMap::new();
     for &a in &support {
-        let row = oracle.distances_to_anchors(graph, anchors, pos_of[&a], &needed);
-        for &b in &support {
-            dist.insert((a, b), row[&b]);
+        let mut scan = AnchorScan::new(graph, anchors, anchors.anchor(a).pos);
+        for (b, d) in scan.distances_to(&support) {
+            dist.insert((a, b), d);
         }
+        *counts += scan.counts();
     }
     rank_pairs(&objects, index, &dist, query)
 }
 
-/// The sorted object list, the distinct anchors that carry probability,
-/// and their graph positions. `None` when the query is degenerate.
-#[allow(clippy::type_complexity)]
+/// The sorted object list and the distinct anchors that carry
+/// probability. `None` when the query is degenerate.
 fn resolve_support(
     index: &AnchorObjectIndex<ObjectId>,
-    anchors: &AnchorSet,
     query: &ClosestPairsQuery,
-) -> Option<(Vec<ObjectId>, Vec<AnchorId>, HashMap<AnchorId, GraphPos>)> {
+) -> Option<(Vec<ObjectId>, BTreeSet<AnchorId>)> {
     let mut objects: Vec<ObjectId> = index.objects().copied().collect();
     objects.sort_unstable();
     if objects.len() < 2 || query.m == 0 {
@@ -105,17 +91,11 @@ fn resolve_support(
     }
     // Distinct anchors used by any distribution (objects without one
     // simply contribute no anchors).
-    let mut support: Vec<AnchorId> = objects
+    let support = objects
         .iter()
         .flat_map(|o| index.distribution(o).into_iter().flatten().map(|&(a, _)| a))
         .collect();
-    support.sort_unstable();
-    support.dedup();
-    let pos_of: HashMap<AnchorId, GraphPos> = support
-        .iter()
-        .map(|&a| (a, anchors.anchor(a).pos))
-        .collect();
-    Some((objects, support, pos_of))
+    Some((objects, support))
 }
 
 /// Accumulates expected distance / contact probability per pair over the
@@ -276,44 +256,6 @@ mod tests {
         );
         // Contact (within 4 m) happens in the near branch only: ≈ 0.5.
         assert!((pairs[0].within_radius - 0.5).abs() < 0.05);
-    }
-
-    #[test]
-    fn oracle_backend_ranks_pairs_bit_for_bit() {
-        let (plan, graph, anchors) = setup();
-        let mut index = AnchorObjectIndex::new();
-        let base = plan.hallways()[0].footprint().center();
-        let a_near = anchors.nearest(graph.project(base + Point2::new(2.0, 0.0)));
-        let a_far = anchors.nearest(graph.project(plan.hallways()[2].footprint().center()));
-        index.set_object(o(0), vec![(a_near, 0.4), (a_far, 0.6)]);
-        for i in 1..5 {
-            place(
-                &graph,
-                &anchors,
-                &mut index,
-                o(i),
-                plan.rooms()[i as usize * 5].center(),
-            );
-        }
-        let oracle = ripq_graph::DistanceOracle::build(&graph, ripq_graph::DEFAULT_LANDMARKS);
-        let q = ClosestPairsQuery {
-            m: 10,
-            contact_radius: 8.0,
-        };
-        let eager = evaluate_closest_pairs(&graph, &anchors, &index, &q);
-        let lazy = evaluate_closest_pairs_with_oracle(&graph, &anchors, &index, &q, &oracle);
-        assert_eq!(eager.len(), lazy.len());
-        for (x, y) in eager.iter().zip(&lazy) {
-            assert_eq!((x.a, x.b), (y.a, y.b));
-            assert_eq!(
-                x.expected_distance.to_bits(),
-                y.expected_distance.to_bits(),
-                "pair ({}, {})",
-                x.a,
-                x.b
-            );
-            assert_eq!(x.within_radius.to_bits(), y.within_radius.to_bits());
-        }
     }
 
     #[test]

@@ -9,43 +9,15 @@
 //! `k` objects; `pᵢ` is the (statistical) probability of `oᵢ` being in the
 //! true kNN result.
 //!
-//! Our implementation visits anchors in exactly the same order as the
-//! paper's frontier expansion — ascending shortest network distance from
-//! `q` — using one Dijkstra pass plus a min-heap over anchors, and stops at
-//! the same Σp ≥ k criterion, so it returns the identical result set.
+//! Our implementation visits anchors in exactly the paper's frontier
+//! order — ascending shortest network distance from `q`, ties by anchor
+//! id — through the lazy [`AnchorScan`], and stops at the same Σp ≥ k
+//! criterion, so it returns the identical result set while settling only
+//! the part of the graph the stop required.
 
 use crate::{KnnQuery, ResultSet};
-use ripq_graph::{AnchorObjectIndex, AnchorSet, DistanceOracle, WalkingGraph};
+use ripq_graph::{AnchorObjectIndex, AnchorScan, AnchorSet, ScanCounts, WalkingGraph};
 use ripq_rfid::ObjectId;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-struct Entry {
-    dist: f64,
-    anchor: ripq_graph::AnchorId,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.dist == other.dist && self.anchor == other.anchor
-    }
-}
-impl Eq for Entry {}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap by distance; ties by anchor id for determinism.
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.anchor.cmp(&self.anchor))
-    }
-}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 /// Evaluates a probabilistic kNN query over the filtered `APtoObjHT`
 /// index.
@@ -59,36 +31,21 @@ pub fn evaluate_knn(
     index: &AnchorObjectIndex<ObjectId>,
     query: &KnnQuery,
 ) -> ResultSet {
-    let qpos = graph.project(query.point);
-    let sp = graph.shortest_paths_from(qpos);
-    evaluate_knn_with_paths(graph, anchors, index, query, &sp)
+    evaluate_knn_counted(graph, anchors, index, query, &mut ScanCounts::default())
 }
 
-/// [`evaluate_knn`] over a caller-provided Dijkstra result.
-///
-/// Registered (standing) kNN queries have a fixed query point, so the
-/// system facade computes each query's [`ripq_graph::ShortestPaths`] once and reuses
-/// it across evaluation passes instead of re-running Dijkstra per tick.
-pub fn evaluate_knn_with_paths(
+/// [`evaluate_knn`] that also adds the scan's search effort to `counts`.
+pub(crate) fn evaluate_knn_counted(
     graph: &WalkingGraph,
     anchors: &AnchorSet,
     index: &AnchorObjectIndex<ObjectId>,
     query: &KnnQuery,
-    sp: &ripq_graph::ShortestPaths,
+    counts: &mut ScanCounts,
 ) -> ResultSet {
-    // Seed the frontier with every anchor's network distance. (One
-    // distance lookup per anchor is O(1) after the Dijkstra pass.)
-    let mut heap = BinaryHeap::with_capacity(anchors.anchors().len());
-    for a in anchors.anchors() {
-        heap.push(Entry {
-            dist: sp.distance_to(graph, a.pos),
-            anchor: a.id,
-        });
-    }
-
+    let mut scan = AnchorScan::new(graph, anchors, graph.project(query.point));
     let mut result_set = ResultSet::new();
     let target = query.k as f64;
-    while let Some(Entry { anchor, .. }) = heap.pop() {
+    for (anchor, _) in scan.by_ref() {
         for &(o, p) in index.at_anchor(anchor) {
             result_set.add(o, p);
         }
@@ -96,35 +53,7 @@ pub fn evaluate_knn_with_paths(
             break;
         }
     }
-    result_set
-}
-
-/// [`evaluate_knn`] through the landmark distance oracle's lazy ascending
-/// anchor scan ([`DistanceOracle::scan`]).
-///
-/// The scan emits anchors in exactly the `(distance, anchor id)` order the
-/// eager heap above pops them, with bit-identical distance values — so the
-/// result set is byte-for-byte the same — but it only settles the graph
-/// region the Σp ≥ k stop actually required, instead of paying a full
-/// Dijkstra pass plus one heap entry per anchor up front.
-pub fn evaluate_knn_with_oracle(
-    graph: &WalkingGraph,
-    anchors: &AnchorSet,
-    index: &AnchorObjectIndex<ObjectId>,
-    query: &KnnQuery,
-    oracle: &DistanceOracle,
-) -> ResultSet {
-    let qpos = graph.project(query.point);
-    let mut result_set = ResultSet::new();
-    let target = query.k as f64;
-    for (anchor, _) in oracle.scan(graph, anchors, qpos) {
-        for &(o, p) in index.at_anchor(anchor) {
-            result_set.add(o, p);
-        }
-        if result_set.total_probability() >= target {
-            break;
-        }
-    }
+    *counts += scan.counts();
     result_set
 }
 
@@ -275,35 +204,21 @@ mod tests {
     }
 
     #[test]
-    fn oracle_backend_matches_dijkstra_bit_for_bit() {
+    fn scan_effort_accumulates_into_the_callers_counts() {
         let (plan, graph, anchors) = setup();
         let mut index = AnchorObjectIndex::new();
-        for i in 0..8 {
-            place(
-                &graph,
-                &anchors,
-                &mut index,
-                o(i),
-                plan.rooms()[i as usize * 3 + 1].center(),
-            );
-        }
-        let oracle = ripq_graph::DistanceOracle::build(&graph, ripq_graph::DEFAULT_LANDMARKS);
-        for (qp, k) in [
-            (plan.hallways()[0].footprint().center(), 1),
-            (plan.hallways()[1].footprint().center(), 3),
-            (plan.rooms()[7].center(), 5),
-        ] {
-            let q = KnnQuery::new(QueryId::new(0), qp, k).unwrap();
-            let eager = evaluate_knn(&graph, &anchors, &index, &q);
-            let lazy = evaluate_knn_with_oracle(&graph, &anchors, &index, &q, &oracle);
-            let bits = |rs: &ResultSet| -> Vec<(ObjectId, u64)> {
-                rs.iter().map(|(o, p)| (o, p.to_bits())).collect()
-            };
-            assert_eq!(bits(&eager), bits(&lazy), "k={k}");
-        }
-        let stats = oracle.stats();
-        assert_eq!(stats.scan_queries, 3);
-        assert!(stats.scan_settled > 0);
+        place(&graph, &anchors, &mut index, o(0), plan.rooms()[3].center());
+        let q = KnnQuery::new(QueryId::new(0), plan.rooms()[20].center(), 1).unwrap();
+        let mut counts = ScanCounts::default();
+        let first = evaluate_knn_counted(&graph, &anchors, &index, &q, &mut counts);
+        let once = counts;
+        assert!(once.settled > 0 && once.anchor_candidates > 0);
+        let second = evaluate_knn_counted(&graph, &anchors, &index, &q, &mut counts);
+        assert_eq!(counts.settled, 2 * once.settled, "counts accumulate");
+        assert_eq!(
+            first.iter().collect::<Vec<_>>(),
+            second.iter().collect::<Vec<_>>()
+        );
     }
 
     #[test]

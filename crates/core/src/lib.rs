@@ -45,21 +45,17 @@ mod system;
 
 pub use checkpoint::RecoveryOutcome;
 pub use clock::{Clock, ClockInstant, TimingMode};
-pub use closest_pairs::{
-    evaluate_closest_pairs, evaluate_closest_pairs_with_oracle, ClosestPairsQuery, ObjectPair,
-};
+pub use closest_pairs::{evaluate_closest_pairs, ClosestPairsQuery, ObjectPair};
 pub use error::{CoreError, RipqError};
-pub use knn_eval::{evaluate_knn, evaluate_knn_with_oracle, evaluate_knn_with_paths};
+pub use knn_eval::evaluate_knn;
 pub use occupancy::{room_occupancy, OccupancyReport, RoomOccupancy};
 pub use optimizer::{
-    prune_knn_candidates, prune_knn_candidates_with_oracle, prune_knn_candidates_with_paths,
-    prune_range_candidates, uncertain_region_radius,
+    prune_knn_candidates, prune_range_candidates, reader_distances, uncertain_region_radius,
 };
-pub use ptknn::{evaluate_ptknn, evaluate_ptknn_with_oracle, PtknnQuery};
+pub use ptknn::{evaluate_ptknn, PtknnQuery};
 pub use query::{KnnQuery, QueryId, RangeQuery};
 pub use range_eval::evaluate_range;
 pub use result::{ProbResult, ResultSet};
-pub use ripq_graph::{DistanceBackend, DistanceOracle, OracleError, OracleStats};
 pub use ripq_obs::{MetricsSnapshot, Recorder};
 pub use ripq_pf::DegradationLevel;
 pub use system::{EvaluationReport, EvaluationTimings, IndoorQuerySystem, SystemConfig};

@@ -14,8 +14,8 @@
 //!   `sᵢ > f` is pruned (Fig. 4).
 
 use crate::KnnQuery;
-use ripq_geom::Rect;
-use ripq_graph::{DistanceOracle, ShortestPaths, WalkingGraph};
+use ripq_geom::{Point2, Rect};
+use ripq_graph::{ShortestPaths, WalkingGraph};
 use ripq_rfid::{DataCollector, ObjectId, Reader};
 
 /// Radius of an object's uncertain region: how far it may have walked
@@ -56,83 +56,43 @@ pub fn prune_range_candidates(
     out
 }
 
+/// Network distance from `point` (snapped to the walking graph) to every
+/// reader, indexed like `readers` — one full Dijkstra pass. Query points
+/// are fixed, so the facade computes this row once when a kNN or PTkNN
+/// query registers and reuses it for [`prune_knn_candidates`] on every
+/// evaluation pass.
+pub fn reader_distances(graph: &WalkingGraph, readers: &[Reader], point: Point2) -> Vec<f64> {
+    let sp = ShortestPaths::from_pos(graph, graph.project(point));
+    readers
+        .iter()
+        .map(|r| sp.distance_to(graph, r.graph_pos()))
+        .collect()
+}
+
 /// kNN-query pruning: returns the objects that may be among the `k`
 /// nearest to the query point by indoor walking distance.
 ///
-/// `sᵢ = max(0, dist_net(q, d) − r_UR)` and `lᵢ = dist_net(q, d) + r_UR`
-/// bound the object's possible network distance to `q`; with `f` the k-th
-/// smallest `lᵢ`, any object with `sᵢ > f` is provably outside every
+/// `reader_dist[i]` is the network distance from the query point to
+/// `readers[i]` (see [`reader_distances`]). With `d` that distance for an
+/// object's last reader, `sᵢ = max(0, d − r_UR)` and `lᵢ = d + r_UR`
+/// bound the object's possible network distance to `q`; with `f` the
+/// k-th smallest `lᵢ`, any object with `sᵢ > f` is provably outside every
 /// possible kNN result.
 pub fn prune_knn_candidates(
-    graph: &WalkingGraph,
     collector: &DataCollector,
     readers: &[Reader],
     query: &KnnQuery,
     now: u64,
     max_speed: f64,
-) -> Vec<ObjectId> {
-    let qpos = graph.project(query.point);
-    let sp = graph.shortest_paths_from(qpos);
-    prune_knn_candidates_with_paths(graph, collector, readers, query, now, max_speed, &sp)
-}
-
-/// [`prune_knn_candidates`] with a precomputed Dijkstra tree for the
-/// query point. Registered queries have fixed points, so the facade
-/// memoizes the tree (see [`ripq_graph::ShortestPathCache`]) instead of
-/// re-running Dijkstra on every evaluation pass.
-pub fn prune_knn_candidates_with_paths(
-    graph: &WalkingGraph,
-    collector: &DataCollector,
-    readers: &[Reader],
-    query: &KnnQuery,
-    now: u64,
-    max_speed: f64,
-    sp: &ShortestPaths,
-) -> Vec<ObjectId> {
-    prune_knn_with_distance(collector, readers, query, now, max_speed, |reader| {
-        sp.distance_to(graph, reader.graph_pos())
-    })
-}
-
-/// [`prune_knn_candidates`] through the landmark distance oracle: each
-/// reader's network distance to the query point comes from a memoized,
-/// goal-directed [`DistanceOracle::distance`] query instead of a full
-/// Dijkstra tree. ALT point-to-point answers are bit-identical to
-/// Dijkstra's, so the `sᵢ / lᵢ / f` arithmetic — and the pruned set —
-/// match the [`prune_knn_candidates_with_paths`] path exactly.
-pub fn prune_knn_candidates_with_oracle(
-    graph: &WalkingGraph,
-    collector: &DataCollector,
-    readers: &[Reader],
-    query: &KnnQuery,
-    now: u64,
-    max_speed: f64,
-    oracle: &DistanceOracle,
-) -> Vec<ObjectId> {
-    let qpos = graph.project(query.point);
-    prune_knn_with_distance(collector, readers, query, now, max_speed, |reader| {
-        oracle.distance(graph, qpos, reader.graph_pos())
-    })
-}
-
-/// Shared body of the kNN pruning rule, generic over how the network
-/// distance from the query point to a reader is produced.
-fn prune_knn_with_distance(
-    collector: &DataCollector,
-    readers: &[Reader],
-    query: &KnnQuery,
-    now: u64,
-    max_speed: f64,
-    distance_to_reader: impl Fn(&Reader) -> f64,
+    reader_dist: &[f64],
 ) -> Vec<ObjectId> {
     let mut bounds: Vec<(ObjectId, f64, f64)> = Vec::new();
     for o in collector.objects() {
         let Some((rid, t_last)) = collector.last_detection(o) else {
             continue;
         };
-        let reader = &readers[rid.index()];
-        let r = uncertain_region_radius(reader, t_last, now, max_speed);
-        let d = distance_to_reader(reader);
+        let r = uncertain_region_radius(&readers[rid.index()], t_last, now, max_speed);
+        let d = reader_dist[rid.index()];
         let s_i = (d - r).max(0.0);
         let l_i = d + r;
         bounds.push((o, s_i, l_i));
@@ -173,6 +133,19 @@ mod tests {
 
     fn o(i: u32) -> ObjectId {
         ObjectId::new(i)
+    }
+
+    /// kNN pruning with the query's reader row computed on the spot.
+    fn prune(
+        graph: &WalkingGraph,
+        c: &DataCollector,
+        readers: &[Reader],
+        q: &KnnQuery,
+        now: u64,
+        max_speed: f64,
+    ) -> Vec<ObjectId> {
+        let row = reader_distances(graph, readers, q.point);
+        prune_knn_candidates(c, readers, q, now, max_speed, &row)
     }
 
     #[test]
@@ -236,7 +209,7 @@ mod tests {
             ],
         );
         let q = KnnQuery::new(QueryId::new(0), readers[0].position(), 2).unwrap();
-        let got = prune_knn_candidates(&graph, &c, &readers, &q, 50, 1.5);
+        let got = prune(&graph, &c, &readers, &q, 50, 1.5);
         assert!(got.contains(&o(0)));
         assert!(got.contains(&o(1)));
         assert!(!got.contains(&o(2)), "far object must be pruned");
@@ -247,33 +220,8 @@ mod tests {
         let (graph, readers, mut c) = setup();
         c.ingest_second(0, &[(o(0), ReaderId::new(0)), (o(1), ReaderId::new(18))]);
         let q = KnnQuery::new(QueryId::new(0), readers[0].position(), 5).unwrap();
-        let got = prune_knn_candidates(&graph, &c, &readers, &q, 0, 1.5);
+        let got = prune(&graph, &c, &readers, &q, 0, 1.5);
         assert_eq!(got.len(), 2, "fewer objects than k: keep everything");
-    }
-
-    #[test]
-    fn knn_pruning_via_oracle_matches_dijkstra_exactly() {
-        let (graph, readers, mut c) = setup();
-        c.ingest_second(
-            10,
-            &[
-                (o(0), ReaderId::new(0)),
-                (o(1), ReaderId::new(5)),
-                (o(2), ReaderId::new(11)),
-                (o(3), ReaderId::new(18)),
-            ],
-        );
-        for s in 11..=25 {
-            c.ingest_second(s, &[]);
-        }
-        let oracle = ripq_graph::DistanceOracle::build(&graph, ripq_graph::DEFAULT_LANDMARKS);
-        for (ri, k, now) in [(0usize, 1usize, 10u64), (9, 2, 18), (18, 1, 25)] {
-            let q = KnnQuery::new(QueryId::new(0), readers[ri].position(), k).unwrap();
-            let base = prune_knn_candidates(&graph, &c, &readers, &q, now, 1.5);
-            let alt = prune_knn_candidates_with_oracle(&graph, &c, &readers, &q, now, 1.5, &oracle);
-            assert_eq!(base, alt, "reader {ri}, k={k}, now={now}");
-        }
-        assert!(oracle.stats().p2p_queries >= 12, "one p2p query per reader");
     }
 
     #[test]
@@ -293,7 +241,7 @@ mod tests {
             c.ingest_second(s, &[]);
         }
         let q = KnnQuery::new(QueryId::new(0), readers[0].position(), 1).unwrap();
-        let got = prune_knn_candidates(&graph, &c, &readers, &q, 200, 1.5);
+        let got = prune(&graph, &c, &readers, &q, 200, 1.5);
         assert_eq!(got.len(), 3);
     }
 }

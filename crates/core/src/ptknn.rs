@@ -18,7 +18,7 @@
 use crate::{CoreError, ResultSet};
 use rand::Rng;
 use ripq_geom::Point2;
-use ripq_graph::{AnchorId, AnchorObjectIndex, AnchorSet, DistanceOracle, WalkingGraph};
+use ripq_graph::{AnchorId, AnchorObjectIndex, AnchorScan, AnchorSet, ScanCounts, WalkingGraph};
 use ripq_rfid::ObjectId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -57,7 +57,9 @@ impl PtknnQuery {
 /// `rounds` controls the Monte-Carlo effort (the estimate's standard error
 /// is ≈ √(p(1−p)/rounds); 200 rounds resolve probabilities to ~±0.035).
 /// Returns the objects whose estimated kNN-membership probability is
-/// `≥ query.threshold`, with those probabilities.
+/// `≥ query.threshold`, with those probabilities. Anchor distances come
+/// from one ascending [`AnchorScan`] from the query point, stopped at the
+/// last anchor any distribution touches.
 pub fn evaluate_ptknn<R: Rng>(
     rng: &mut R,
     graph: &WalkingGraph,
@@ -66,29 +68,20 @@ pub fn evaluate_ptknn<R: Rng>(
     query: &PtknnQuery,
     rounds: usize,
 ) -> ResultSet {
-    let qpos = graph.project(query.point);
-    let sp = graph.shortest_paths_from(qpos);
-    evaluate_ptknn_with(rng, index, query, rounds, |a| {
-        sp.distance_to(graph, anchors.anchor(a).pos)
-    })
+    let mut counts = ScanCounts::default();
+    evaluate_ptknn_counted(rng, graph, anchors, index, query, rounds, &mut counts)
 }
 
-/// [`evaluate_ptknn`] through the landmark distance oracle: the anchor
-/// distances come from one truncated ascending scan
-/// ([`DistanceOracle::distances_to_anchors`]) over exactly the anchors
-/// that carry probability, instead of a full Dijkstra tree. The distance
-/// values — and therefore every Monte-Carlo draw and the result set —
-/// are bit-identical to the Dijkstra path.
-pub fn evaluate_ptknn_with_oracle<R: Rng>(
+/// [`evaluate_ptknn`] that also adds the scan's search effort to `counts`.
+pub(crate) fn evaluate_ptknn_counted<R: Rng>(
     rng: &mut R,
     graph: &WalkingGraph,
     anchors: &AnchorSet,
     index: &AnchorObjectIndex<ObjectId>,
     query: &PtknnQuery,
     rounds: usize,
-    oracle: &DistanceOracle,
+    counts: &mut ScanCounts,
 ) -> ResultSet {
-    let qpos = graph.project(query.point);
     // Union of anchors any distribution touches — the only distances the
     // sampler can ask for.
     let needed: BTreeSet<AnchorId> = index
@@ -97,12 +90,14 @@ pub fn evaluate_ptknn_with_oracle<R: Rng>(
         .flatten()
         .map(|&(a, _)| a)
         .collect();
-    let dist = oracle.distances_to_anchors(graph, anchors, qpos, &needed);
+    let mut scan = AnchorScan::new(graph, anchors, graph.project(query.point));
+    let dist = scan.distances_to(&needed);
+    *counts += scan.counts();
     evaluate_ptknn_with(rng, index, query, rounds, |a| dist[&a])
 }
 
-/// Shared Monte-Carlo body, generic over how an anchor's network distance
-/// from the query point is produced.
+/// The Monte-Carlo body over the anchor distances `distance_to_anchor`
+/// reports.
 fn evaluate_ptknn_with<R: Rng>(
     rng: &mut R,
     index: &AnchorObjectIndex<ObjectId>,
@@ -289,37 +284,6 @@ mod tests {
         let rs = evaluate_ptknn(&mut rng, &graph, &anchors, &index, &q, 1000);
         assert!(rs.probability(o(0)) > 0.05);
         assert_eq!(rs.len(), 2);
-    }
-
-    #[test]
-    fn oracle_backend_reproduces_dijkstra_sampling_bit_for_bit() {
-        let (plan, graph, anchors) = setup();
-        let mut index = AnchorObjectIndex::new();
-        let q_point = plan.hallways()[0].footprint().center();
-        let near = anchors.nearest(graph.project(q_point + Point2::new(2.0, 0.0)));
-        let far = anchors.nearest(graph.project(plan.hallways()[2].footprint().center()));
-        index.set_object(o(0), vec![(near, 0.5), (far, 0.5)]);
-        for i in 1..4 {
-            place(
-                &graph,
-                &anchors,
-                &mut index,
-                o(i),
-                q_point + Point2::new(3.0 * i as f64, 0.0),
-            );
-        }
-        let oracle = ripq_graph::DistanceOracle::build(&graph, ripq_graph::DEFAULT_LANDMARKS);
-        let q = PtknnQuery::new(q_point, 2, 0.05).unwrap();
-        // Identical RNG streams: same draw sequence ⇒ same estimates, to
-        // the bit, iff every anchor distance matches to the bit.
-        let mut rng_a = StdRng::seed_from_u64(9);
-        let a = evaluate_ptknn(&mut rng_a, &graph, &anchors, &index, &q, 400);
-        let mut rng_b = StdRng::seed_from_u64(9);
-        let b = evaluate_ptknn_with_oracle(&mut rng_b, &graph, &anchors, &index, &q, 400, &oracle);
-        let bits = |rs: &ResultSet| -> Vec<(ObjectId, u64)> {
-            rs.iter().map(|(o, p)| (o, p.to_bits())).collect()
-        };
-        assert_eq!(bits(&a), bits(&b));
     }
 
     #[test]

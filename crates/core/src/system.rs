@@ -2,10 +2,11 @@
 
 use crate::checkpoint::{self, RecoveryOutcome};
 use crate::clock::{Clock, TimingMode};
+use crate::closest_pairs::evaluate_closest_pairs_counted;
+use crate::knn_eval::evaluate_knn_counted;
+use crate::ptknn::evaluate_ptknn_counted;
 use crate::{
-    evaluate_closest_pairs, evaluate_closest_pairs_with_oracle, evaluate_knn_with_oracle,
-    evaluate_knn_with_paths, evaluate_ptknn, evaluate_ptknn_with_oracle, evaluate_range,
-    prune_knn_candidates_with_oracle, prune_knn_candidates_with_paths, prune_range_candidates,
+    evaluate_range, prune_knn_candidates, prune_range_candidates, reader_distances,
     ClosestPairsQuery, CoreError, KnnQuery, ObjectPair, PtknnQuery, QueryId, RangeQuery, ResultSet,
     RipqError,
 };
@@ -13,10 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ripq_floorplan::FloorPlan;
 use ripq_geom::{Point2, Rect};
-use ripq_graph::{
-    build_walking_graph, AnchorObjectIndex, AnchorSet, DistanceBackend, DistanceOracle,
-    OracleError, ShortestPathCache, ShortestPaths, WalkingGraph, DEFAULT_LANDMARKS,
-};
+use ripq_graph::{build_walking_graph, AnchorObjectIndex, AnchorSet, ScanCounts, WalkingGraph};
 use ripq_obs::{MetricsSnapshot, Recorder};
 use ripq_persist::{
     load_snapshot, quarantine, seal_snapshot, write_atomic, ByteReader, ByteWriter, PersistError,
@@ -29,7 +27,6 @@ use ripq_rfid::{deploy_uniform, DataCollector, ObjectId, RawReading, Reader, Rea
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Configuration of an [`IndoorQuerySystem`]. Defaults match Table 2 of
@@ -83,15 +80,6 @@ pub struct SystemConfig {
     /// automatic checkpointing; [`IndoorQuerySystem::checkpoint_now`]
     /// still works.
     pub checkpoint_every: u64,
-    /// How network distances are produced during candidate pruning and
-    /// query evaluation. [`DistanceBackend::Dijkstra`] (default) runs the
-    /// original memoized full-tree searches;  [`DistanceBackend::Alt`]
-    /// routes them through the landmark [`DistanceOracle`] — goal-directed
-    /// ALT point-to-point queries and truncated ascending anchor scans —
-    /// with bit-identical answers (the differential suite in
-    /// `tests/oracle.rs` pins this). The backend never changes results,
-    /// only how much graph is searched to produce them.
-    pub distance_backend: DistanceBackend,
     /// Per-evaluation deadline budget in deterministic logical cost units
     /// (`coast seconds × particle count` per object). When the remaining
     /// budget cannot afford an object's full particle filter, evaluation
@@ -116,7 +104,6 @@ impl Default for SystemConfig {
             reorder_window: 0,
             timing: TimingMode::Wall,
             observability: false,
-            distance_backend: DistanceBackend::Dijkstra,
             checkpoint_every: 0,
             query_budget: None,
         }
@@ -193,13 +180,6 @@ pub struct IndoorQuerySystem {
     config: SystemConfig,
     recorder: Recorder,
     rng: StdRng,
-    /// Memoized Dijkstra trees keyed by source position, shared by query
-    /// registration and per-pass candidate pruning.
-    sp_cache: ShortestPathCache,
-    /// Landmark distance oracle, built lazily on the first evaluation
-    /// under [`DistanceBackend::Alt`] (or restored from `oracle.ckpt` by
-    /// recovery) and shared read-only across the pass.
-    oracle: Option<Arc<DistanceOracle>>,
     /// The *incrementally maintained* `APtoObjHT`: each evaluation pass
     /// retracts objects that left the answered candidate set and applies
     /// fresh distributions as deltas, instead of rebuilding from scratch.
@@ -211,9 +191,10 @@ pub struct IndoorQuerySystem {
     // the same sequence every run.
     range_queries: BTreeMap<QueryId, RangeQuery>,
     knn_queries: BTreeMap<QueryId, KnnQuery>,
-    /// Dijkstra results for registered kNN queries' fixed points, computed
-    /// once at registration and reused every evaluation pass.
-    knn_paths: BTreeMap<QueryId, Arc<ShortestPaths>>,
+    /// Network distance from each registered kNN/PTkNN query point to
+    /// every reader (indexed like `readers`): filled by one Dijkstra pass
+    /// at registration, read by candidate pruning on every pass.
+    reader_rows: BTreeMap<QueryId, Vec<f64>>,
     ptknn_queries: BTreeMap<QueryId, PtknnQuery>,
     closest_pairs_queries: BTreeMap<QueryId, ClosestPairsQuery>,
     next_query: u32,
@@ -255,12 +236,10 @@ impl IndoorQuerySystem {
             config,
             recorder,
             rng: StdRng::seed_from_u64(seed),
-            sp_cache: ShortestPathCache::new(),
-            oracle: None,
             live_index: AnchorObjectIndex::new(),
             range_queries: BTreeMap::new(),
             knn_queries: BTreeMap::new(),
-            knn_paths: BTreeMap::new(),
+            reader_rows: BTreeMap::new(),
             ptknn_queries: BTreeMap::new(),
             closest_pairs_queries: BTreeMap::new(),
             next_query: 0,
@@ -300,26 +279,6 @@ impl IndoorQuerySystem {
     /// The configuration.
     pub fn config(&self) -> &SystemConfig {
         &self.config
-    }
-
-    /// The landmark distance oracle, if one has been built or restored —
-    /// `None` until the first evaluation under [`DistanceBackend::Alt`].
-    pub fn distance_oracle(&self) -> Option<&DistanceOracle> {
-        self.oracle.as_deref()
-    }
-
-    /// The oracle for this graph, building (and memoizing) it on first
-    /// use. Precomputation is [`DEFAULT_LANDMARKS`] Dijkstra passes — paid
-    /// once per system (or restored from a checkpoint), then amortized by
-    /// every truncated search.
-    fn ensure_oracle(&mut self) -> Arc<DistanceOracle> {
-        if let Some(oracle) = &self.oracle {
-            return Arc::clone(oracle);
-        }
-        let oracle = Arc::new(DistanceOracle::build(&self.graph, DEFAULT_LANDMARKS));
-        self.recorder.add("oracle.builds", 1);
-        self.oracle = Some(Arc::clone(&oracle));
-        oracle
     }
 
     /// Ingests pre-aggregated detections for one second.
@@ -376,24 +335,22 @@ impl IndoorQuerySystem {
         Ok(id)
     }
 
-    /// Registers a kNN query. Under the Dijkstra backend the query
-    /// point's Dijkstra pass is computed now and reused on every
-    /// [`IndoorQuerySystem::evaluate`]; under ALT the oracle's lazy scan
-    /// serves the point directly and no tree is built.
+    /// Registers a kNN query. The query point's network distance to every
+    /// reader is computed now (one Dijkstra pass) and reused by candidate
+    /// pruning on every [`IndoorQuerySystem::evaluate`].
     pub fn register_knn(&mut self, point: Point2, k: usize) -> Result<QueryId, CoreError> {
         let id = QueryId::new(self.next_query);
         let q = KnnQuery::new(id, point, k)?;
         self.next_query += 1;
-        if self.config.distance_backend == DistanceBackend::Dijkstra {
-            let sp = self.sp_cache.paths(&self.graph, self.graph.project(point));
-            self.knn_paths.insert(id, sp);
-        }
+        self.reader_rows
+            .insert(id, reader_distances(&self.graph, &self.readers, point));
         self.knn_queries.insert(id, q);
         Ok(id)
     }
 
     /// Registers a probabilistic-threshold kNN query (Yang et al.'s
-    /// PTkNN, evaluated by possible-worlds sampling).
+    /// PTkNN, evaluated by possible-worlds sampling). Like a kNN query, it
+    /// gets its reader-distance row for candidate pruning now.
     pub fn register_ptknn(
         &mut self,
         point: Point2,
@@ -403,6 +360,8 @@ impl IndoorQuerySystem {
         let q = PtknnQuery::new(point, k, threshold)?;
         let id = QueryId::new(self.next_query);
         self.next_query += 1;
+        self.reader_rows
+            .insert(id, reader_distances(&self.graph, &self.readers, point));
         self.ptknn_queries.insert(id, q);
         Ok(id)
     }
@@ -422,7 +381,7 @@ impl IndoorQuerySystem {
 
     /// Removes a registered query.
     pub fn deregister(&mut self, id: QueryId) -> Result<(), CoreError> {
-        self.knn_paths.remove(&id);
+        self.reader_rows.remove(&id);
         if self.range_queries.remove(&id).is_some()
             || self.knn_queries.remove(&id).is_some()
             || self.ptknn_queries.remove(&id).is_some()
@@ -458,11 +417,6 @@ impl IndoorQuerySystem {
         let clock = Clock::new(self.config.timing);
         let t_start = clock.now();
         let objects_known = self.collector.objects().count();
-        // Under the ALT backend every network-distance consumer below goes
-        // through the oracle; answers are bit-identical either way.
-        let oracle: Option<Arc<DistanceOracle>> =
-            (self.config.distance_backend == DistanceBackend::Alt).then(|| self.ensure_oracle());
-
         // 1. Query-aware optimization (§4.3). Per-rule counters record
         // how many candidates each pruning rule admitted (pre-dedup).
         let t_prune = clock.now();
@@ -479,66 +433,35 @@ impl IndoorQuerySystem {
                 .add("optimizer.candidates_rule_range", c.len() as u64);
             let mut from_knn = 0u64;
             for (id, q) in &self.knn_queries {
-                let picked = match &oracle {
-                    Some(or) => prune_knn_candidates_with_oracle(
-                        &self.graph,
-                        &self.collector,
-                        &self.readers,
-                        q,
-                        now,
-                        self.config.max_speed,
-                        or,
-                    ),
-                    None => prune_knn_candidates_with_paths(
-                        &self.graph,
-                        &self.collector,
-                        &self.readers,
-                        q,
-                        now,
-                        self.config.max_speed,
-                        &self.knn_paths[id],
-                    ),
-                };
+                let picked = prune_knn_candidates(
+                    &self.collector,
+                    &self.readers,
+                    q,
+                    now,
+                    self.config.max_speed,
+                    &self.reader_rows[id],
+                );
                 from_knn += picked.len() as u64;
                 c.extend(picked);
             }
             self.recorder.add("optimizer.candidates_rule_knn", from_knn);
             // PTkNN pruning reuses the kNN bound; closest-pairs queries
-            // are global and keep every object. The Dijkstra tree of each
-            // fixed query point is memoized across passes (the oracle
-            // memoizes per (source, reader) pair instead).
+            // are global and keep every object.
             let mut from_ptknn = 0u64;
-            for q in self.ptknn_queries.values() {
+            for (id, q) in &self.ptknn_queries {
                 let as_knn = KnnQuery {
-                    id: QueryId::new(u32::MAX),
+                    id: *id,
                     point: q.point,
                     k: q.k,
                 };
-                let picked = match &oracle {
-                    Some(or) => prune_knn_candidates_with_oracle(
-                        &self.graph,
-                        &self.collector,
-                        &self.readers,
-                        &as_knn,
-                        now,
-                        self.config.max_speed,
-                        or,
-                    ),
-                    None => {
-                        let sp = self
-                            .sp_cache
-                            .paths(&self.graph, self.graph.project(q.point));
-                        prune_knn_candidates_with_paths(
-                            &self.graph,
-                            &self.collector,
-                            &self.readers,
-                            &as_knn,
-                            now,
-                            self.config.max_speed,
-                            &sp,
-                        )
-                    }
-                };
+                let picked = prune_knn_candidates(
+                    &self.collector,
+                    &self.readers,
+                    &as_knn,
+                    now,
+                    self.config.max_speed,
+                    &self.reader_rows[id],
+                );
                 from_ptknn += picked.len() as u64;
                 c.extend(picked);
             }
@@ -630,16 +553,12 @@ impl IndoorQuerySystem {
                     .record_span("evaluate/queries/range", clock.since(t_q));
             }
         }
+        // Search effort of every distance scan in this pass.
+        let mut scans = ScanCounts::default();
         let mut knn_results = BTreeMap::new();
         for (id, q) in &self.knn_queries {
             let t_q = obs_on.then(|| clock.now());
-            let rs = match &oracle {
-                Some(or) => evaluate_knn_with_oracle(&self.graph, &self.anchors, &index, q, or),
-                None => {
-                    let sp = &self.knn_paths[id];
-                    evaluate_knn_with_paths(&self.graph, &self.anchors, &index, q, sp)
-                }
-            };
+            let rs = evaluate_knn_counted(&self.graph, &self.anchors, &index, q, &mut scans);
             knn_results.insert(*id, rs);
             if let Some(t_q) = t_q {
                 self.recorder
@@ -649,25 +568,15 @@ impl IndoorQuerySystem {
         let mut ptknn_results = BTreeMap::new();
         for (id, q) in &self.ptknn_queries {
             let t_q = obs_on.then(|| clock.now());
-            let rs = match &oracle {
-                Some(or) => evaluate_ptknn_with_oracle(
-                    &mut self.rng,
-                    &self.graph,
-                    &self.anchors,
-                    &index,
-                    q,
-                    self.config.ptknn_rounds,
-                    or,
-                ),
-                None => evaluate_ptknn(
-                    &mut self.rng,
-                    &self.graph,
-                    &self.anchors,
-                    &index,
-                    q,
-                    self.config.ptknn_rounds,
-                ),
-            };
+            let rs = evaluate_ptknn_counted(
+                &mut self.rng,
+                &self.graph,
+                &self.anchors,
+                &index,
+                q,
+                self.config.ptknn_rounds,
+                &mut scans,
+            );
             ptknn_results.insert(*id, rs);
             if let Some(t_q) = t_q {
                 self.recorder
@@ -677,12 +586,8 @@ impl IndoorQuerySystem {
         let mut closest_pairs_results = BTreeMap::new();
         for (id, q) in &self.closest_pairs_queries {
             let t_q = obs_on.then(|| clock.now());
-            let pairs = match &oracle {
-                Some(or) => {
-                    evaluate_closest_pairs_with_oracle(&self.graph, &self.anchors, &index, q, or)
-                }
-                None => evaluate_closest_pairs(&self.graph, &self.anchors, &index, q),
-            };
+            let pairs =
+                evaluate_closest_pairs_counted(&self.graph, &self.anchors, &index, q, &mut scans);
             closest_pairs_results.insert(*id, pairs);
             if let Some(t_q) = t_q {
                 self.recorder
@@ -692,9 +597,12 @@ impl IndoorQuerySystem {
 
         let evaluation = clock.since(t_eval);
         self.recorder.record_span("evaluate/queries", evaluation);
+        self.recorder.add("distance.scan_settled", scans.settled);
+        self.recorder
+            .add("distance.scan_anchor_candidates", scans.anchor_candidates);
 
-        // Cache-manager and shortest-path-cache levels, mirrored as
-        // gauges from this single-threaded point.
+        // Cache-manager levels, mirrored as gauges from this
+        // single-threaded point.
         let cache_stats = self.cache.stats();
         if obs_on {
             self.recorder.set_gauge("cache.hits", cache_stats.hits);
@@ -703,28 +611,6 @@ impl IndoorQuerySystem {
                 .set_gauge("cache.invalidations", cache_stats.invalidations);
             self.recorder
                 .set_gauge("cache.entries", self.cache.len() as u64);
-            let sp = self.sp_cache.stats();
-            self.recorder.set_gauge("spcache.memo_hits", sp.hits);
-            self.recorder.set_gauge("spcache.misses", sp.misses);
-            self.recorder
-                .set_gauge("spcache.entries", self.sp_cache.len() as u64);
-            if let Some(or) = &oracle {
-                let os = or.stats();
-                self.recorder
-                    .set_gauge("oracle.p2p_queries", os.p2p_queries);
-                self.recorder
-                    .set_gauge("oracle.p2p_memo_hits", os.p2p_memo_hits);
-                self.recorder
-                    .set_gauge("oracle.p2p_settled", os.p2p_settled);
-                self.recorder
-                    .set_gauge("oracle.scan_queries", os.scan_queries);
-                self.recorder
-                    .set_gauge("oracle.scan_settled", os.scan_settled);
-                self.recorder
-                    .set_gauge("oracle.scan_anchor_candidates", os.scan_anchor_candidates);
-                self.recorder
-                    .set_gauge("oracle.landmarks", or.landmarks().len() as u64);
-            }
         }
 
         let total = clock.since(t_start);
@@ -809,8 +695,9 @@ impl IndoorQuerySystem {
     }
 
     /// Writes a durable snapshot of the recoverable system state —
-    /// collector, particle cache, master RNG stream, cumulative metrics
-    /// and the ingest watermark — to `<dir>/system.ckpt`, atomically
+    /// collector, particle cache, master RNG stream, cumulative metrics,
+    /// the live `APtoObjHT` and the ingest watermark — to
+    /// `<dir>/system.ckpt`, atomically
     /// (sibling temp file, fsync, rename). Requires a checkpoint
     /// directory; creates it if missing.
     pub fn checkpoint_now(&mut self) -> Result<(), RipqError> {
@@ -826,18 +713,6 @@ impl IndoorQuerySystem {
         let framed = seal_snapshot(&w.into_bytes());
         write_atomic(&checkpoint::snapshot_path(&dir), &framed)
             .map_err(|e| checkpoint::persist_io(&e))?;
-        // Under the ALT backend the landmark tables ride along, so the
-        // next life (or a CLI run pointed at the same directory) restores
-        // them instead of re-running the landmark Dijkstra passes. The
-        // tables are pure precomputation over the immutable graph —
-        // losing this file costs a rebuild, never correctness.
-        if self.config.distance_backend == DistanceBackend::Alt {
-            let oracle = self.ensure_oracle();
-            oracle
-                .save(&checkpoint::oracle_path(&dir))
-                .map_err(|e| checkpoint::persist_io(&e))?;
-            self.recorder.add("oracle.checkpoints_written", 1);
-        }
         self.recorder.add("recovery.checkpoints_written", 1);
         Ok(())
     }
@@ -846,8 +721,8 @@ impl IndoorQuerySystem {
     /// `dir` the checkpoint directory for this run.
     ///
     /// * A missing snapshot is a clean [`RecoveryOutcome::ColdStart`].
-    /// * A valid snapshot restores collector, cache, RNG and metrics
-    ///   exactly; the caller then replays its reading store from
+    /// * A valid snapshot restores collector, cache, RNG, metrics and the
+    ///   live index exactly; the caller then replays its reading store from
     ///   [`RecoveryOutcome::Resumed::replay_from`]. Under
     ///   [`TimingMode::Logical`] the replayed run is bit-identical to an
     ///   uninterrupted one.
@@ -862,7 +737,6 @@ impl IndoorQuerySystem {
     pub fn recover(&mut self, dir: impl Into<PathBuf>) -> Result<RecoveryOutcome, RipqError> {
         let dir = dir.into();
         let path = checkpoint::snapshot_path(&dir);
-        self.restore_oracle(&dir);
         self.checkpoint_dir = Some(dir);
         let payload = match load_snapshot(&path) {
             Ok(p) => p,
@@ -883,29 +757,6 @@ impl IndoorQuerySystem {
         }
     }
 
-    /// Best-effort restore of the landmark oracle from `oracle.ckpt`.
-    /// A missing file is normal (Dijkstra backend, or no checkpoint yet);
-    /// a damaged or graph-mismatched one is quarantined and the oracle is
-    /// rebuilt lazily — oracle trouble never fails recovery, because the
-    /// tables are rederivable precomputation, not state.
-    fn restore_oracle(&mut self, dir: &Path) {
-        if self.config.distance_backend != DistanceBackend::Alt {
-            return;
-        }
-        let path = checkpoint::oracle_path(dir);
-        match DistanceOracle::load(&path, &self.graph) {
-            Ok(oracle) => {
-                self.oracle = Some(Arc::new(oracle));
-                self.recorder.add("oracle.restored", 1);
-            }
-            Err(OracleError::Persist(PersistError::Missing)) => {}
-            Err(_damaged) => {
-                let _ = quarantine(&path);
-                self.recorder.add("oracle.quarantined", 1);
-            }
-        }
-    }
-
     /// Moves a damaged snapshot aside and reports the quarantine.
     fn quarantine_snapshot(&mut self, path: &Path) -> Result<RecoveryOutcome, RipqError> {
         let moved = quarantine(path).map_err(|e| checkpoint::persist_io(&e))?;
@@ -914,7 +765,8 @@ impl IndoorQuerySystem {
     }
 
     /// Serializes the recoverable state in the canonical snapshot layout:
-    /// watermark, cadence base, collector, cache, RNG words, metrics.
+    /// watermark, cadence base, collector, cache, RNG words, metrics, and
+    /// the live index the next pass takes its deltas against.
     fn encode_snapshot_payload(&self, w: &mut ByteWriter) {
         w.put_opt_u64(self.last_ingest_second);
         w.put_opt_u64(self.last_checkpoint_second);
@@ -924,6 +776,7 @@ impl IndoorQuerySystem {
             w.put_u64(word);
         }
         checkpoint::encode_metrics(w, &self.recorder.snapshot());
+        checkpoint::encode_index(w, &self.live_index);
     }
 
     /// Decodes and commits a snapshot payload. Everything is decoded into
@@ -936,6 +789,7 @@ impl IndoorQuerySystem {
         let cache = SharedParticleCache::decode_state(r)?;
         let rng_state = [r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?];
         let metrics = checkpoint::decode_metrics(r)?;
+        let live_index = checkpoint::decode_index(r, self.anchors.anchors().len())?;
         if r.remaining() != 0 {
             return Err(PersistError::Torn);
         }
@@ -944,6 +798,7 @@ impl IndoorQuerySystem {
         self.cache = ParticleCache::from_shared(cache);
         self.rng = StdRng::from_state(rng_state);
         self.recorder.restore(&metrics);
+        self.live_index = live_index;
         self.last_ingest_second = last_ingest;
         self.last_checkpoint_second = last_checkpoint;
         Ok(last_ingest.map_or(0, |s| s + 1))
@@ -1020,6 +875,24 @@ mod tests {
         // Validation errors propagate.
         assert!(sys.register_knn(Point2::new(0.0, 0.0), 0).is_err());
         assert!(sys.register_range(Rect::new(0.0, 0.0, 0.0, 0.0)).is_err());
+    }
+
+    #[test]
+    fn reader_rows_live_exactly_as_long_as_their_queries() {
+        let mut sys = system();
+        sys.register_range(Rect::new(0.0, 9.0, 10.0, 2.0)).unwrap();
+        let k = sys.register_knn(sys.readers()[0].position(), 2).unwrap();
+        let p = sys
+            .register_ptknn(sys.readers()[4].position(), 1, 0.5)
+            .unwrap();
+        assert_eq!(
+            sys.reader_rows.keys().copied().collect::<Vec<_>>(),
+            vec![k, p]
+        );
+        assert_eq!(sys.reader_rows[&k].len(), sys.readers().len());
+        sys.deregister(k).unwrap();
+        sys.deregister(p).unwrap();
+        assert!(sys.reader_rows.is_empty());
     }
 
     #[test]
@@ -1192,7 +1065,7 @@ mod tests {
             "optimizer",
             "pf",
             "cache",
-            "spcache",
+            "distance",
             "evaluate",
         ] {
             assert!(

@@ -48,8 +48,8 @@ mod graph;
 mod ids;
 mod index;
 mod node;
-mod oracle;
 mod path;
+mod scan;
 mod shortest;
 
 pub use anchor::{AnchorPoint, AnchorSet};
@@ -59,9 +59,6 @@ pub use graph::{GraphPos, WalkingGraph};
 pub use ids::{AnchorId, EdgeId, NodeId};
 pub use index::{AnchorObjectIndex, DeltaOutcome, IndexDeltaStats};
 pub use node::{Node, NodeKind};
-pub use oracle::{
-    graph_fingerprint, AnchorScan, DistanceBackend, DistanceOracle, OracleError, OracleStats,
-    DEFAULT_LANDMARKS,
-};
 pub use path::Path;
-pub use shortest::{ShortestPathCache, ShortestPaths, SpCacheStats};
+pub use scan::{AnchorScan, ScanCounts};
+pub use shortest::ShortestPaths;

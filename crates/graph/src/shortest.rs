@@ -8,11 +8,8 @@
 //! generator.
 
 use crate::{EdgeId, GraphPos, NodeId, Path, WalkingGraph};
-use parking_lot::RwLock;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::Arc;
+use std::collections::BinaryHeap;
 
 /// Max-heap entry ordered so the smallest distance pops first.
 #[derive(PartialEq)]
@@ -58,35 +55,10 @@ pub struct ShortestPaths {
 impl ShortestPaths {
     /// Runs Dijkstra from `from`.
     pub fn from_pos(graph: &WalkingGraph, from: GraphPos) -> Self {
-        Self::run(graph, from, None).0
-    }
-
-    /// Runs Dijkstra from `from` but stops as soon as both endpoints of
-    /// `target` are settled (label-setting makes a settled node's
-    /// distance and predecessor final, so [`Self::distance_to`] and
-    /// [`Self::path_to`] for positions **on `target`** are bit-identical
-    /// to the full-tree answers). Distances to other nodes may still be
-    /// tentative. Returns the tree together with the number of settled
-    /// nodes, the truncation's logical-cost measure.
-    pub fn from_pos_until_edge(
-        graph: &WalkingGraph,
-        from: GraphPos,
-        target: EdgeId,
-    ) -> (Self, u64) {
-        Self::run(graph, from, Some(target))
-    }
-
-    fn run(graph: &WalkingGraph, from: GraphPos, stop_edge: Option<EdgeId>) -> (Self, u64) {
         let n = graph.nodes().len();
         let mut node_dist = vec![f64::INFINITY; n];
         let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
         let mut heap = BinaryHeap::new();
-        let mut settled = 0u64;
-        let stop_nodes = stop_edge.map(|eid| {
-            let e = graph.edge(eid);
-            (e.a, e.b)
-        });
-        let mut stop_left = 2u8;
 
         let src_edge = graph.edge(from.edge);
         let len = src_edge.length();
@@ -105,7 +77,6 @@ impl ShortestPaths {
             if dist > node_dist[node.index()] {
                 continue; // stale entry
             }
-            settled += 1;
             for &eid in graph.edges_at(node) {
                 let e = graph.edge(eid);
                 let other = e.other_end(node).expect("incident edge");
@@ -119,27 +90,13 @@ impl ShortestPaths {
                     });
                 }
             }
-            if let Some((a, b)) = stop_nodes {
-                if node == a || node == b {
-                    // A node settles at most once (label-setting), so two
-                    // hits mean both target endpoints are final. A self-loop
-                    // target (a == b) is final after its single settle.
-                    stop_left = stop_left.saturating_sub(if a == b { 2 } else { 1 });
-                    if stop_left == 0 {
-                        break;
-                    }
-                }
-            }
         }
 
-        (
-            ShortestPaths {
-                source: from,
-                node_dist,
-                prev,
-            },
-            settled,
-        )
+        ShortestPaths {
+            source: from,
+            node_dist,
+            prev,
+        }
     }
 
     /// The source position this instance was computed from.
@@ -223,84 +180,6 @@ impl ShortestPaths {
         }
         legs_rev.reverse();
         Some(Path::from_legs(graph, self.source, to, legs_rev))
-    }
-}
-
-/// A source position as a hashable key: the edge plus the *bit pattern*
-/// of the offset, so two sources compare equal exactly when Dijkstra
-/// would produce identical results.
-type SourceKey = (EdgeId, u64);
-
-/// A concurrent memoization cache for [`ShortestPaths`].
-///
-/// Query evaluation and candidate pruning re-run Dijkstra from the same
-/// fixed query points on every evaluation pass; this cache computes each
-/// source once and hands out shared [`Arc`]s. All methods take `&self`
-/// (reader-writer lock inside), so preprocessing/pruning threads can
-/// share one instance. The cached result is the plain
-/// [`ShortestPaths::from_pos`] output, so cached and fresh lookups are
-/// bit-identical.
-#[derive(Debug, Default)]
-pub struct ShortestPathCache {
-    entries: RwLock<HashMap<SourceKey, Arc<ShortestPaths>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Memoization counters of a [`ShortestPathCache`]. Counter updates are
-/// atomic adds, so totals are independent of thread interleaving.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpCacheStats {
-    /// Lookups served from a memoized Dijkstra tree.
-    pub hits: u64,
-    /// Lookups that ran Dijkstra.
-    pub misses: u64,
-}
-
-impl ShortestPathCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The shortest-path tree from `from`, computed on first use.
-    pub fn paths(&self, graph: &WalkingGraph, from: GraphPos) -> Arc<ShortestPaths> {
-        let key: SourceKey = (from.edge, from.offset.to_bits());
-        if let Some(sp) = self.entries.read().get(&key) {
-            self.hits.fetch_add(1, AtomicOrdering::Relaxed);
-            return Arc::clone(sp);
-        }
-        self.misses.fetch_add(1, AtomicOrdering::Relaxed);
-        // Compute outside the write lock; racing computations of the same
-        // source produce identical trees, and the entry API keeps the
-        // first one inserted.
-        let sp = Arc::new(ShortestPaths::from_pos(graph, from));
-        let mut entries = self.entries.write();
-        Arc::clone(entries.entry(key).or_insert(sp))
-    }
-
-    /// Number of distinct memoized sources.
-    pub fn len(&self) -> usize {
-        self.entries.read().len()
-    }
-
-    /// `true` when nothing is memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
-    }
-
-    /// Drops all memoized trees (e.g. after the graph changes). The
-    /// hit/miss counters keep accumulating across clears.
-    pub fn clear(&self) {
-        self.entries.write().clear();
-    }
-
-    /// Memoization counters accumulated since construction.
-    pub fn stats(&self) -> SpCacheStats {
-        SpCacheStats {
-            hits: self.hits.load(AtomicOrdering::Relaxed),
-            misses: self.misses.load(AtomicOrdering::Relaxed),
-        }
     }
 }
 
@@ -499,65 +378,6 @@ mod tests {
             Ordering::Greater,
             "smaller id sorts greater (pops first)"
         );
-    }
-
-    #[test]
-    fn truncated_dijkstra_matches_full_tree_on_target_edge() {
-        let (plan, g) = office();
-        let from = g.project(plan.rooms()[1].center());
-        let full = ShortestPaths::from_pos(&g, from);
-        for target in [0usize, 8, 19, 27] {
-            let to = g.project(plan.rooms()[target].center());
-            let (trunc, settled) = ShortestPaths::from_pos_until_edge(&g, from, to.edge);
-            assert!(settled as usize <= g.nodes().len());
-            assert_eq!(
-                trunc.distance_to(&g, to).to_bits(),
-                full.distance_to(&g, to).to_bits(),
-                "truncated distance must be bit-identical"
-            );
-            let pf = full.path_to(&g, to).expect("reachable");
-            let pt = trunc.path_to(&g, to).expect("reachable");
-            assert_eq!(pf.legs(), pt.legs(), "truncated path must be identical");
-        }
-    }
-
-    #[test]
-    fn cache_memoizes_and_matches_fresh_dijkstra() {
-        let (plan, g) = office();
-        let cache = ShortestPathCache::new();
-        let from = g.project(plan.rooms()[3].center());
-        let to = g.project(plan.rooms()[21].center());
-        assert!(cache.is_empty());
-        let first = cache.paths(&g, from);
-        let second = cache.paths(&g, from);
-        assert!(Arc::ptr_eq(&first, &second), "second lookup is memoized");
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats(), SpCacheStats { hits: 1, misses: 1 });
-        let fresh = ShortestPaths::from_pos(&g, from);
-        assert_eq!(first.distance_to(&g, to), fresh.distance_to(&g, to));
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn cache_is_shareable_across_threads() {
-        let (plan, g) = office();
-        let cache = ShortestPathCache::new();
-        let sources: Vec<GraphPos> = (0..8)
-            .map(|i| g.project(plan.rooms()[i * 3].center()))
-            .collect();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let (cache, g, sources) = (&cache, &g, &sources);
-                scope.spawn(move || {
-                    for &s in sources {
-                        let sp = cache.paths(g, s);
-                        assert!(sp.node_distance(g.nodes()[0].id).is_finite());
-                    }
-                });
-            }
-        });
-        assert!(cache.len() <= sources.len());
     }
 
     #[test]

@@ -628,9 +628,9 @@ impl ServerCore {
             }
         }
         // Silence detection: one alert per silent episode, re-armed by
-        // any re-detection. Collector iteration is id-ordered, so event
-        // order is stable.
-        let silent: Vec<(ObjectId, u64)> = self
+        // any re-detection. The collector iterates a hash map, so the
+        // silent list is sorted by object id to keep event order stable.
+        let mut silent: Vec<(ObjectId, u64)> = self
             .system
             .collector()
             .objects()
@@ -641,6 +641,7 @@ impl ServerCore {
                     .map(|(_, last)| (o, last))
             })
             .collect();
+        silent.sort_unstable_by_key(|&(object, _)| object);
         for (object, last_seen) in silent {
             if second.saturating_sub(last_seen) > self.config.unseen_after {
                 if self.unseen_alerted.insert(object) {
@@ -792,6 +793,38 @@ mod tests {
             !again.iter().any(|l| l.contains("object_unseen")),
             "one alert per silent episode: {again:?}"
         );
+    }
+
+    #[test]
+    fn unseen_events_come_out_in_object_id_order() {
+        // Sixteen objects fall silent in the same tick. The collector
+        // iterates a hash map, so two fresh servers only agree on the
+        // event order because the silent list is sorted.
+        let readings: Vec<String> = (0..16u32).map(|o| format!("[{o},{}]", o % 19)).collect();
+        let frames = [
+            format!(
+                "{{\"op\":\"reading\",\"second\":0,\"readings\":[{}]}}",
+                readings.join(",")
+            ),
+            "{\"op\":\"tick\",\"second\":70}".to_string(),
+        ];
+        let run = || -> Vec<String> {
+            let mut core = core();
+            frames
+                .iter()
+                .flat_map(|f| core.handle_frame(f.as_bytes()))
+                .collect()
+        };
+        let first = run();
+        assert_eq!(first, run(), "same frames, same lines");
+        let unseen: Vec<u32> = first
+            .iter()
+            .filter_map(|l| {
+                let rest = l.split("\"event\":\"object_unseen\",\"object\":").nth(1)?;
+                rest.split(',').next()?.parse().ok()
+            })
+            .collect();
+        assert_eq!(unseen, (0..16).collect::<Vec<_>>());
     }
 
     #[test]

@@ -411,7 +411,6 @@ mod tests {
                 parallelism: Some(4),
                 checkpoint_every: 7,
                 observability: true,
-                distance_backend: ripq_graph::DistanceBackend::Alt,
                 ..base
             })
         );

@@ -14,10 +14,7 @@ use crate::{
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use ripq_core::{
-    evaluate_knn, evaluate_knn_with_oracle, evaluate_range, DistanceBackend, DistanceOracle,
-    KnnQuery, QueryId, RecoveryOutcome,
-};
+use ripq_core::{evaluate_knn, evaluate_range, KnnQuery, QueryId, RecoveryOutcome};
 use ripq_geom::{Point2, Rect};
 use ripq_obs::{MetricsSnapshot, Recorder};
 use ripq_pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
@@ -245,24 +242,18 @@ impl Experiment {
         let t_run = obs_on.then(Instant::now);
         let p = &self.params;
         let w = &self.world;
-        // The ALT oracle, when selected. Pure precomputation over the
-        // immutable world graph — built before the loop, never part of
-        // the checkpoint (a resumed run rebuilds it identically).
-        let oracle = (p.distance_backend == DistanceBackend::Alt)
-            .then(|| DistanceOracle::build(&w.graph, ripq_graph::DEFAULT_LANDMARKS));
         let mut rng_trace = StdRng::seed_from_u64(p.seed.wrapping_add(1));
         let mut rng_sense = StdRng::seed_from_u64(p.seed.wrapping_add(2));
         let mut rng_pf = StdRng::seed_from_u64(p.seed.wrapping_add(3));
         let mut rng_query = StdRng::seed_from_u64(p.seed.wrapping_add(4));
 
         // 1. True traces and noisy detections.
-        let traces = TraceGenerator::new(p.room_dwell_mean).generate_routed(
+        let traces = TraceGenerator::new(p.room_dwell_mean).generate(
             &mut rng_trace,
             &w.graph,
             w.plan.rooms().len(),
             p.num_objects,
             p.duration,
-            oracle.as_ref(),
         );
         let reading_gen = ReadingGenerator::new(&w.graph, &w.readers, p.sensing);
         let ground_truth = GroundTruth::new(&w.graph, &traces);
@@ -491,16 +482,8 @@ impl Experiment {
                 for (qi, &point) in knn_points.iter().enumerate() {
                     let truth = ground_truth.knn(point, p.k, now);
                     let query = KnnQuery::new(QueryId::new(qi as u32), point, p.k).expect("k >= 1");
-                    let (pf_rs, sm_rs) = match &oracle {
-                        Some(or) => (
-                            evaluate_knn_with_oracle(&w.graph, &w.anchors, &pf_index, &query, or),
-                            evaluate_knn_with_oracle(&w.graph, &w.anchors, &sm_index, &query, or),
-                        ),
-                        None => (
-                            evaluate_knn(&w.graph, &w.anchors, &pf_index, &query),
-                            evaluate_knn(&w.graph, &w.anchors, &sm_index, &query),
-                        ),
-                    };
+                    let pf_rs = evaluate_knn(&w.graph, &w.anchors, &pf_index, &query);
+                    let sm_rs = evaluate_knn(&w.graph, &w.anchors, &sm_index, &query);
                     hit_pf.push(metrics::knn_hit_rate(pf_rs.objects(), &truth, p.k));
                     // SM: only the maximum-probability k-set counts.
                     hit_sm.push(metrics::knn_hit_rate(
@@ -544,22 +527,6 @@ impl Experiment {
         if let Some(t) = t_run {
             recorder.record_span("run", t.elapsed());
         }
-        // Mirror the facade's oracle effort gauges so `--metrics-json`
-        // shows how much graph the ALT backend searched. Deterministic
-        // cumulative counts — answers never depend on them.
-        if let Some(or) = &oracle {
-            let os = or.stats();
-            recorder.set_gauge("oracle.p2p_queries", os.p2p_queries);
-            recorder.set_gauge("oracle.p2p_memo_hits", os.p2p_memo_hits);
-            recorder.set_gauge("oracle.p2p_settled", os.p2p_settled);
-            recorder.set_gauge("oracle.scan_queries", os.scan_queries);
-            recorder.set_gauge("oracle.scan_settled", os.scan_settled);
-            recorder.set_gauge("oracle.scan_anchor_candidates", os.scan_anchor_candidates);
-            recorder.set_gauge("oracle.path_queries", os.path_queries);
-            recorder.set_gauge("oracle.path_settled", os.path_settled);
-            recorder.set_gauge("oracle.landmarks", or.landmarks().len() as u64);
-        }
-
         AccuracyReport {
             range_kl_pf: kl_pf.value(),
             range_kl_sm: kl_sm.value(),
@@ -682,51 +649,6 @@ mod tests {
         assert!(s1.counters.contains_key("pf.sir_iterations"));
         assert!(s1.counters.contains_key("sim.timestamps_evaluated"));
         assert!(s1.histograms.contains_key("pf.ess"));
-    }
-
-    #[test]
-    fn alt_backend_reproduces_dijkstra_run_bit_for_bit() {
-        let base = ExperimentParams::smoke();
-        let dijkstra = Experiment::new(base).run();
-        let alt = Experiment::new(ExperimentParams {
-            distance_backend: DistanceBackend::Alt,
-            ..base
-        })
-        .run();
-        // AccuracyReport is Copy/PartialEq over f64 fields — every trace,
-        // reading, inference and answer must match bit for bit; the
-        // backend only changes how much graph each query settles.
-        assert_eq!(dijkstra, alt);
-    }
-
-    #[test]
-    fn run_checkpointed_under_dijkstra_resumes_under_alt() {
-        // The backend is excluded from the params fingerprint (like
-        // `parallelism`): a snapshot written mid-run under one backend
-        // must resume under the other and still match the golden run.
-        let params = ExperimentParams {
-            checkpoint_every: 20,
-            ..ExperimentParams::smoke()
-        };
-        let golden = Experiment::new(params).run();
-
-        let dir = ckpt_dir("alt_resume");
-        let _ = Experiment::new(params)
-            .with_checkpoint_dir(&dir)
-            .with_kill_after(90)
-            .run();
-        let life2 = Experiment::new(ExperimentParams {
-            distance_backend: DistanceBackend::Alt,
-            ..params
-        })
-        .with_checkpoint_dir(&dir);
-        let report = life2.run();
-        assert_eq!(
-            life2.last_recovery(),
-            Some(RecoveryOutcome::Resumed { replay_from: 80 })
-        );
-        assert_eq!(report, golden);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

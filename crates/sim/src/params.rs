@@ -1,7 +1,6 @@
 //! Experiment parameters — Table 2 of the paper plus simulation knobs.
 
 use crate::FaultPlan;
-use ripq_graph::DistanceBackend;
 use ripq_rfid::{DeploymentStrategy, SensingModel};
 use serde::{Deserialize, Serialize};
 
@@ -90,13 +89,6 @@ pub struct ExperimentParams {
     /// fallback) once the budget is spent. Deterministic: the cost model
     /// counts logical work, never wall-clock time.
     pub query_budget: Option<u64>,
-    /// Distance-computation backend for trace routing and kNN
-    /// evaluation: memoized full-tree Dijkstra (the paper's pipeline) or
-    /// the goal-directed landmark/ALT oracle. Result-neutral by
-    /// construction — the oracle is bit-identical to Dijkstra — so,
-    /// like `parallelism`, it is excluded from the checkpoint
-    /// fingerprint and a run may resume under either backend.
-    pub distance_backend: DistanceBackend,
     /// Collect pipeline metrics during the run (see
     /// [`Experiment::run_with_metrics`](crate::Experiment::run_with_metrics)).
     /// Off by default: the disabled recorder reduces every instrument
@@ -135,7 +127,6 @@ impl Default for ExperimentParams {
             faults: FaultPlan::none(),
             checkpoint_every: 0,
             query_budget: None,
-            distance_backend: DistanceBackend::Dijkstra,
             observability: false,
             seed: 0xED8_2013,
         }

@@ -13,7 +13,7 @@ use rand::Rng;
 use rand_distr::{Distribution, Normal};
 use ripq_floorplan::RoomId;
 use ripq_geom::Point2;
-use ripq_graph::{DistanceOracle, GraphPos, Path, WalkingGraph};
+use ripq_graph::{GraphPos, Path, WalkingGraph};
 use ripq_rfid::ObjectId;
 
 /// The per-second true positions of one object.
@@ -97,29 +97,11 @@ impl TraceGenerator {
         count: usize,
         duration: u64,
     ) -> Vec<TrueTrace> {
-        self.generate_routed(rng, graph, room_count, count, duration, None)
-    }
-
-    /// Like [`TraceGenerator::generate`], but routing each trip through
-    /// the distance oracle's truncated path planner when one is given.
-    /// Routes are leg-identical to full Dijkstra (the oracle's planner
-    /// is plain Dijkstra truncated at the target edge), so traces — and
-    /// therefore every downstream reading and answer — are the same
-    /// under both; only the search effort differs.
-    pub fn generate_routed<R: Rng>(
-        &self,
-        rng: &mut R,
-        graph: &WalkingGraph,
-        room_count: usize,
-        count: usize,
-        duration: u64,
-        router: Option<&DistanceOracle>,
-    ) -> Vec<TrueTrace> {
         assert!(room_count > 1, "need at least two rooms for destinations");
         (0..count)
             .map(|i| {
                 let object = ObjectId::new(i as u32);
-                let positions = self.walk(rng, graph, room_count, duration, router);
+                let positions = self.walk(rng, graph, room_count, duration);
                 TrueTrace { object, positions }
             })
             .collect()
@@ -132,7 +114,6 @@ impl TraceGenerator {
         graph: &WalkingGraph,
         room_count: usize,
         duration: u64,
-        router: Option<&DistanceOracle>,
     ) -> Vec<GraphPos> {
         // Start at a random room's node.
         let mut current_room = rng.random_range(0..room_count);
@@ -175,11 +156,10 @@ impl TraceGenerator {
                     .offset_of(dest_node)
                     .expect("room node is an endpoint");
                 let target = GraphPos::new(dest_edge, dest_offset);
-                let route = match router {
-                    Some(oracle) => oracle.plan_path(graph, pos, target),
-                    None => graph.shortest_paths_from(pos).path_to(graph, target),
-                }
-                .expect("office graph is connected");
+                let route = graph
+                    .shortest_paths_from(pos)
+                    .path_to(graph, target)
+                    .expect("office graph is connected");
                 let speed = self.sample_speed(rng);
                 if route.is_empty() {
                     dwell_left = self.sample_dwell(rng).max(1);
@@ -304,33 +284,6 @@ mod tests {
                 t.len()
             );
         }
-    }
-
-    #[test]
-    fn oracle_routing_reproduces_dijkstra_traces_exactly() {
-        let w = world();
-        let oracle = DistanceOracle::build(&w.graph, 4);
-        let gen = TraceGenerator::new(8.0);
-        let plain = gen.generate(
-            &mut StdRng::seed_from_u64(77),
-            &w.graph,
-            w.plan.rooms().len(),
-            4,
-            150,
-        );
-        let routed = gen.generate_routed(
-            &mut StdRng::seed_from_u64(77),
-            &w.graph,
-            w.plan.rooms().len(),
-            4,
-            150,
-            Some(&oracle),
-        );
-        for (a, b) in plain.iter().zip(&routed) {
-            assert_eq!(a.object, b.object);
-            assert_eq!(a.positions, b.positions, "routes must be leg-identical");
-        }
-        assert!(oracle.stats().path_queries > 0, "planner was exercised");
     }
 
     #[test]

@@ -49,7 +49,6 @@ fn main() {
                  \n\
                  plan [office|mall|subway|tower] [--svg FILE]\n\
                  simulate [--objects N] [--duration S] [--seed N] [--parallelism N]\n\
-                 \x20        [--distance-backend dijkstra|alt]\n\
                  \x20        [--metrics-json FILE] [--trace]\n\
                  \x20        [--checkpoint-dir DIR] [--checkpoint-every S] [--query-budget N]\n\
                  \x20        [--fault-drop P] [--fault-dup P] [--fault-delay S]\n\
@@ -159,16 +158,6 @@ fn cmd_simulate(args: &[String]) {
     let checkpoint_dir = flag(args, "--checkpoint-dir");
     let checkpoint_every: u64 = parse_or(flag(args, "--checkpoint-every"), 30);
     let query_budget: Option<u64> = flag(args, "--query-budget").and_then(|s| s.parse().ok());
-    let distance_backend = match flag(args, "--distance-backend") {
-        None => ripq::core::DistanceBackend::Dijkstra,
-        Some(s) => match s.parse() {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        },
-    };
     let params = ExperimentParams {
         num_objects: parse_or(flag(args, "--objects"), 60),
         duration: parse_or(flag(args, "--duration"), 240),
@@ -187,16 +176,14 @@ fn cmd_simulate(args: &[String]) {
             0
         },
         query_budget,
-        distance_backend,
         ..Default::default()
     };
     println!(
-        "simulating {} objects for {} s (seed {}, {} preprocessing thread(s), {} distances)...",
+        "simulating {} objects for {} s (seed {}, {} preprocessing thread(s))...",
         params.num_objects,
         params.duration,
         params.seed,
-        params.parallelism.unwrap_or(1).max(1),
-        params.distance_backend
+        params.parallelism.unwrap_or(1).max(1)
     );
     if faults.is_active() {
         println!(

@@ -18,9 +18,7 @@
 //! — must leave query answers *byte-identical* to the committed
 //! fault-free golden fixture `tests/fixtures/expected_queries.txt`.
 
-use ripq::core::{
-    DistanceBackend, EvaluationReport, IndoorQuerySystem, QueryId, SystemConfig, TimingMode,
-};
+use ripq::core::{EvaluationReport, IndoorQuerySystem, QueryId, SystemConfig, TimingMode};
 use ripq::floorplan::{office_building, FloorPlan, FloorPlanBuilder, OfficeParams};
 use ripq::geom::{Point2, Rect};
 use ripq::rfid::{ObjectId, ReaderId};
@@ -320,11 +318,7 @@ fn faulted_pipeline_is_worker_count_invariant() {
 /// perturb which objects have fresh readings. Returns one rendered
 /// transcript per pass — query bits, index masses, final stripped
 /// metrics — plus the last report for invariant checks.
-fn run_scenario_passes(
-    plan: FaultPlan,
-    workers: Option<usize>,
-    backend: DistanceBackend,
-) -> (Vec<String>, ScenarioRun) {
+fn run_scenario_passes(plan: FaultPlan, workers: Option<usize>) -> (Vec<String>, ScenarioRun) {
     let floor = office_building(&OfficeParams::default()).expect("valid office");
     let config = SystemConfig {
         reader_count: 8,
@@ -333,7 +327,6 @@ fn run_scenario_passes(
         reorder_window: plan.max_delay_seconds,
         timing: TimingMode::Logical,
         observability: true,
-        distance_backend: backend,
         ..SystemConfig::default()
     };
     let mut sys = IndoorQuerySystem::new(floor, config, 0xC4A05);
@@ -375,7 +368,7 @@ fn run_scenario_passes(
                 range_q,
                 knn_q,
             };
-            renders.push(render_run_portable(&run));
+            renders.push(render_run(&run));
             last = Some(run);
         }
     }
@@ -383,42 +376,6 @@ fn run_scenario_passes(
         renders,
         last.expect("60-second stream evaluates at least once"),
     )
-}
-
-/// [`render_run`] minus the backend-local effort metrics (`oracle.*`
-/// gauges exist only under ALT; `spcache.*` legitimately differs), so
-/// transcripts compare across distance backends.
-fn render_run_portable(run: &ScenarioRun) -> String {
-    let mut out = String::new();
-    for (kind, rs) in [
-        ("range", &run.report.range_results[&run.range_q]),
-        ("knn", &run.report.knn_results[&run.knn_q]),
-    ] {
-        for r in rs.sorted() {
-            writeln!(
-                out,
-                "{kind} {} {:016x}",
-                r.object.raw(),
-                r.probability.to_bits()
-            )
-            .expect("string write");
-        }
-    }
-    for o in run.report.index.objects() {
-        writeln!(
-            out,
-            "mass {} {:016x}",
-            o.raw(),
-            run.report.index.total_probability(o).to_bits()
-        )
-        .expect("string write");
-    }
-    let mut snapshot = run.report.metrics.clone().expect("observability on");
-    let local = |k: &str| k.starts_with("oracle.") || k.starts_with("spcache.");
-    snapshot.counters.retain(|k, _| !local(k));
-    snapshot.gauges.retain(|k, _| !local(k));
-    out.push_str(&snapshot.to_json());
-    out
 }
 
 #[test]
@@ -429,7 +386,7 @@ fn incremental_index_survives_the_chaos_grid_across_passes() {
         .delay_up_to(3)
         .outages(0.004, 8.0);
 
-    let (base, last) = run_scenario_passes(severe.plan, None, DistanceBackend::Dijkstra);
+    let (base, last) = run_scenario_passes(severe.plan, None);
     assert!(base.len() >= 3, "stream yields at least three passes");
     assert_invariants(&last, &severe.name);
 
@@ -444,15 +401,13 @@ fn incremental_index_survives_the_chaos_grid_across_passes() {
         assert!(snap.counters.contains_key(key), "missing counter {key}");
     }
 
-    // Reproducible, worker-count invariant, and distance-backend
-    // invariant — pass by pass, byte for byte.
-    let (repeat, _) = run_scenario_passes(severe.plan, None, DistanceBackend::Dijkstra);
+    // Reproducible and worker-count invariant — pass by pass, byte for
+    // byte.
+    let (repeat, _) = run_scenario_passes(severe.plan, None);
     assert_eq!(base, repeat, "multi-pass cell is not reproducible");
-    let (workers, _) = run_scenario_passes(severe.plan, Some(4), DistanceBackend::Dijkstra);
+    let (workers, workers_last) = run_scenario_passes(severe.plan, Some(4));
     assert_eq!(base, workers, "worker count leaked into a pass transcript");
-    let (alt, alt_last) = run_scenario_passes(severe.plan, Some(2), DistanceBackend::Alt);
-    assert_eq!(base, alt, "distance backend leaked into a pass transcript");
-    assert_invariants(&alt_last, "severe-multipass-alt");
+    assert_invariants(&workers_last, "severe-multipass-w4");
 }
 
 // ---------------------------------------------------------------------

@@ -220,37 +220,6 @@ fn query_budget_flag_is_echoed_and_deterministic() {
 }
 
 #[test]
-fn distance_backend_flag_changes_nothing_but_the_banner() {
-    let base = ["simulate", "--objects", "6", "--duration", "80"];
-    let dijkstra = ripq(&base);
-    assert!(dijkstra.status.success());
-    let dijkstra = String::from_utf8(dijkstra.stdout).unwrap();
-    assert!(dijkstra.contains("dijkstra distances"), "{dijkstra}");
-
-    let mut alt_args = base.to_vec();
-    alt_args.extend(["--distance-backend", "alt"]);
-    let alt = ripq(&alt_args);
-    assert!(alt.status.success());
-    let alt = String::from_utf8(alt.stdout).unwrap();
-    assert!(alt.contains("alt distances"), "{alt}");
-
-    // Identical output apart from the banner line: the ALT oracle is
-    // bit-identical to Dijkstra on every reported number.
-    let body = |s: &str| {
-        s.lines()
-            .filter(|l| !l.starts_with("simulating"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(body(&dijkstra), body(&alt));
-
-    let bad = ripq(&["simulate", "--distance-backend", "bogus"]);
-    assert!(!bad.status.success(), "unknown backend must be rejected");
-    let err = String::from_utf8(bad.stderr).unwrap();
-    assert!(err.contains("unknown distance backend"), "{err}");
-}
-
-#[test]
 fn unknown_subcommand_fails_with_usage() {
     let out = ripq(&["bogus"]);
     assert!(!out.status.success());

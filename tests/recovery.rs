@@ -6,7 +6,7 @@
 //! the recovered run be **byte-identical** to an uninterrupted one —
 //! query answers and the full metrics snapshot (minus the `recovery.*`
 //! bookkeeping counters, which by design differ) — across worker counts
-//! 1/2/4, arbitrary checkpoint cadences, and proptest-chosen kill
+//! 1/2/4 with candidate pruning off and on, arbitrary checkpoint cadences, and proptest-chosen kill
 //! points. Damaged snapshots (bit flips anywhere in the file) must
 //! never panic: they quarantine to `*.corrupt` and rebuild cold.
 //!
@@ -54,11 +54,11 @@ fn detections(second: u64, readers: &[ReaderId]) -> Vec<(ObjectId, ReaderId)> {
     out
 }
 
-fn new_system(workers: Option<usize>, checkpoint_every: u64) -> IndoorQuerySystem {
+fn new_system(workers: Option<usize>, checkpoint_every: u64, prune: bool) -> IndoorQuerySystem {
     let floor = office_building(&OfficeParams::default()).expect("valid office");
     let config = SystemConfig {
         reader_count: 8,
-        prune_candidates: false,
+        prune_candidates: prune,
         parallelism: workers,
         timing: TimingMode::Logical,
         observability: true,
@@ -128,8 +128,8 @@ fn final_render(sys: &IndoorQuerySystem, transcript: &str) -> String {
 }
 
 /// One uninterrupted reference life, checkpointing disabled.
-fn golden_run(workers: Option<usize>) -> String {
-    let mut sys = new_system(workers, 0);
+fn golden_run(workers: Option<usize>, prune: bool) -> String {
+    let mut sys = new_system(workers, 0, prune);
     let queries = register_queries(&mut sys);
     let mut transcript = String::new();
     drive(&mut sys, queries, 0, STREAM_SECONDS, &mut transcript);
@@ -139,8 +139,14 @@ fn golden_run(workers: Option<usize>) -> String {
 /// Life 1: run with checkpointing until the crash at `kill_at` (the
 /// kill second itself is never ingested). Returns the second recovery
 /// replayed from, plus life 2's rendered suffix transcript.
-fn kill_and_recover(workers: Option<usize>, every: u64, kill_at: u64, dir: &Path) -> (u64, String) {
-    let mut life1 = new_system(workers, every);
+fn kill_and_recover(
+    workers: Option<usize>,
+    prune: bool,
+    every: u64,
+    kill_at: u64,
+    dir: &Path,
+) -> (u64, String) {
+    let mut life1 = new_system(workers, every, prune);
     life1.set_checkpoint_dir(dir);
     let q1 = register_queries(&mut life1);
     let mut discarded = String::new();
@@ -150,7 +156,7 @@ fn kill_and_recover(workers: Option<usize>, every: u64, kill_at: u64, dir: &Path
     assert_eq!(life1.last_checkpoint_error(), None, "checkpoints healthy");
     drop(life1); // the crash: everything in memory is gone
 
-    let mut life2 = new_system(workers, every);
+    let mut life2 = new_system(workers, every, prune);
     life2.set_checkpoint_dir(dir);
     let outcome = life2.recover(dir).expect("recover succeeds");
     let replay_from = match outcome {
@@ -197,19 +203,29 @@ fn golden_suffix(golden: &str, replay_from: u64) -> String {
 
 #[test]
 fn kill_and_recover_is_byte_identical_across_worker_counts() {
-    for workers in [Some(1), Some(2), Some(4)] {
-        let golden = golden_run(workers);
-        let dir = temp_dir(&format!("grid_w{}", workers.unwrap_or(0)));
-        // Kill at 29 with cadence 8: snapshots at 8/16/24, so recovery
-        // replays 24..=48 and re-runs the evaluations at 30 and 48.
-        let (replay_from, recovered) = kill_and_recover(workers, 8, 29, &dir);
-        assert_eq!(replay_from, 24, "cadence 8 kill 29 resumes at 24");
-        assert_eq!(
-            golden_suffix(&golden, 24),
-            golden_suffix(&recovered, 0),
-            "workers {workers:?}: recovered life diverged from uninterrupted run"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+    // Pruning on adds the per-reader distance rows (rebuilt when the
+    // recovered life re-registers its queries) and the distance-scan
+    // counters (restored from the snapshot) to what must match.
+    for prune in [false, true] {
+        for workers in [Some(1), Some(2), Some(4)] {
+            let golden = golden_run(workers, prune);
+            let dir = temp_dir(&format!(
+                "grid_w{}_p{}",
+                workers.unwrap_or(0),
+                u8::from(prune)
+            ));
+            // Kill at 29 with cadence 8: snapshots at 8/16/24, so recovery
+            // replays 24..=48 and re-runs the evaluations at 30 and 48.
+            let (replay_from, recovered) = kill_and_recover(workers, prune, 8, 29, &dir);
+            assert_eq!(replay_from, 24, "cadence 8 kill 29 resumes at 24");
+            assert_eq!(
+                golden_suffix(&golden, 24),
+                golden_suffix(&recovered, 0),
+                "workers {workers:?}, pruning {prune}: recovered life diverged from \
+                 uninterrupted run"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
 
@@ -217,16 +233,16 @@ fn kill_and_recover_is_byte_identical_across_worker_counts() {
 fn worker_count_may_change_across_the_crash() {
     // Snapshot written by a sequential life, resumed by a 4-worker life:
     // per-object RNG streams make the answers bit-identical anyway.
-    let golden = golden_run(Some(4));
+    let golden = golden_run(Some(4), false);
     let dir = temp_dir("cross_workers");
-    let mut life1 = new_system(Some(1), 10);
+    let mut life1 = new_system(Some(1), 10, false);
     life1.set_checkpoint_dir(&dir);
     let q1 = register_queries(&mut life1);
     let mut discarded = String::new();
     drive(&mut life1, q1, 0, 33, &mut discarded);
     drop(life1);
 
-    let mut life2 = new_system(Some(4), 10);
+    let mut life2 = new_system(Some(4), 10, false);
     life2.set_checkpoint_dir(&dir);
     let outcome = life2.recover(&dir).expect("recover succeeds");
     assert_eq!(outcome, RecoveryOutcome::Resumed { replay_from: 30 });
@@ -246,9 +262,9 @@ fn worker_count_may_change_across_the_crash() {
 
 #[test]
 fn bit_flipped_snapshot_is_quarantined_and_rebuilt_cold() {
-    let golden = golden_run(Some(2));
+    let golden = golden_run(Some(2), false);
     let dir = temp_dir("bitflip");
-    let mut life1 = new_system(Some(2), 8);
+    let mut life1 = new_system(Some(2), 8, false);
     life1.set_checkpoint_dir(&dir);
     let q1 = register_queries(&mut life1);
     let mut discarded = String::new();
@@ -261,7 +277,7 @@ fn bit_flipped_snapshot_is_quarantined_and_rebuilt_cold() {
     bytes[mid] ^= 0x10;
     std::fs::write(&path, &bytes).expect("plant corruption");
 
-    let mut life2 = new_system(Some(2), 8);
+    let mut life2 = new_system(Some(2), 8, false);
     life2.set_checkpoint_dir(&dir);
     match life2.recover(&dir).expect("recover never errors on damage") {
         RecoveryOutcome::Quarantined { path: moved } => {
@@ -308,9 +324,9 @@ proptest! {
         every in 1u64..16,
     ) {
         static GOLDEN: std::sync::OnceLock<String> = std::sync::OnceLock::new();
-        let golden = GOLDEN.get_or_init(|| golden_run(Some(2)));
+        let golden = GOLDEN.get_or_init(|| golden_run(Some(2), false));
         let dir = temp_dir(&format!("prop_{kill_at}_{every}"));
-        let (replay_from, recovered) = kill_and_recover(Some(2), every, kill_at, &dir);
+        let (replay_from, recovered) = kill_and_recover(Some(2), false, every, kill_at, &dir);
         // The snapshot cadence is exact: recovery resumes from the last
         // grid point strictly before the kill.
         let expected_replay = if kill_at > every {
@@ -335,7 +351,7 @@ proptest! {
         mask in 1u8..=255,
     ) {
         let dir = temp_dir(&format!("corrupt_{:.3}_{mask}", pos_fraction));
-        let mut life1 = new_system(Some(1), 8);
+        let mut life1 = new_system(Some(1), 8, false);
         life1.set_checkpoint_dir(&dir);
         let q1 = register_queries(&mut life1);
         let mut discarded = String::new();
@@ -348,7 +364,7 @@ proptest! {
         bytes[pos] ^= mask;
         std::fs::write(&path, &bytes).expect("plant corruption");
 
-        let mut life2 = new_system(Some(1), 8);
+        let mut life2 = new_system(Some(1), 8, false);
         life2.set_checkpoint_dir(&dir);
         let outcome = life2.recover(&dir).expect("damage is not an error");
         prop_assert!(
@@ -398,7 +414,7 @@ fn snapshot_format_matches_golden_header_spec() {
 #[test]
 fn written_snapshot_carries_the_pinned_magic_and_version() {
     let dir = temp_dir("header_bytes");
-    let mut sys = new_system(Some(1), 0);
+    let mut sys = new_system(Some(1), 0, false);
     sys.set_checkpoint_dir(&dir);
     let readers: Vec<ReaderId> = sys.readers().iter().map(|r| r.id()).collect();
     for s in 0..=5 {

@@ -4,7 +4,6 @@
 //! cargo xtask lint [--json] [--root <path>]   run the static-analysis gate
 //! cargo xtask audit [flags]                   run the workspace audit (A1–A4)
 //! cargo xtask rules                           list the rule/analysis catalogue
-//! cargo xtask bench-json [--out <path>]       emit the BENCH_10.json perf snapshot
 //! ```
 
 use std::path::PathBuf;
@@ -21,9 +20,7 @@ fn usage() -> ExitCode {
          [--check] [--write-docs] [--update-baseline]\n                                  \
          run the workspace audit: layering DAG, metrics\n                                  \
          registry, determinism taint, panic ratchet\n  \
-         rules                           list lint rules and audit analyses\n  \
-         bench-json [--out <path>]       write the BENCH_10.json perf snapshot (default: \n  \
-                                         BENCH_10.json at the workspace root)"
+         rules                           list lint rules and audit analyses"
     );
     ExitCode::from(2)
 }
@@ -164,51 +161,6 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             } else {
                 ExitCode::SUCCESS
-            }
-        }
-        Some("bench-json") => {
-            let mut out: Option<PathBuf> = None;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--out" => match it.next() {
-                        Some(p) => out = Some(PathBuf::from(p)),
-                        None => return usage(),
-                    },
-                    _ => return usage(),
-                }
-            }
-            let out = out.or_else(|| {
-                let cwd = std::env::current_dir().ok()?;
-                Some(lint::find_workspace_root(&cwd)?.join("BENCH_10.json"))
-            });
-            let Some(out) = out else {
-                eprintln!("error: could not locate the workspace root (try --out <path>)");
-                return ExitCode::FAILURE;
-            };
-            let status = std::process::Command::new(env!("CARGO"))
-                .args([
-                    "run",
-                    "--release",
-                    "-p",
-                    "ripq-bench",
-                    "--bin",
-                    "bench_json",
-                    "--",
-                ])
-                .arg("--out")
-                .arg(&out)
-                .status();
-            match status {
-                Ok(s) if s.success() => ExitCode::SUCCESS,
-                Ok(s) => {
-                    eprintln!("error: bench_json exited with {s}");
-                    ExitCode::FAILURE
-                }
-                Err(e) => {
-                    eprintln!("error: failed to launch cargo: {e}");
-                    ExitCode::FAILURE
-                }
             }
         }
         Some("rules") => {

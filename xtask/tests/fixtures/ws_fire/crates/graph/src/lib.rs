@@ -1,9 +1,8 @@
-//! Fire fixture: a graph-style landmark selector that iterates its
+//! Fire fixture: a graph-style pivot selector that iterates its
 //! `HashMap` distance table directly. Farthest-point selection breaks
 //! argmax ties by visit order, so hash-ordered iteration would pick
-//! different landmarks run to run — the oracle's distance tables (and
-//! with them every ALT search) would stop being reproducible. Expected:
-//! R2 ×1, nothing else.
+//! different pivots run to run — and with them every distance row
+//! derived from the pivots. Expected: R2 ×1, nothing else.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,16 +10,16 @@
 use std::collections::HashMap;
 
 /// Per-candidate distance rows keyed by node id.
-pub struct LandmarkTables {
+pub struct PivotTables {
     tables: HashMap<u32, Vec<f64>>,
 }
 
-impl LandmarkTables {
+impl PivotTables {
     /// Farthest-point step: returns the node whose minimum distance to
-    /// the already-chosen landmarks is largest. Iterating the hash map
+    /// the already-chosen pivots is largest. Iterating the hash map
     /// makes the tie-break nondeterministic — the exact pattern R2 must
-    /// catch (the real oracle walks node ids in index order instead).
-    pub fn next_landmark(&self) -> Option<u32> {
+    /// catch (deterministic code walks node ids in index order instead).
+    pub fn next_pivot(&self) -> Option<u32> {
         let mut best: Option<(u32, f64)> = None;
         for (&node, row) in self.tables.iter() {
             let score = row.iter().copied().fold(f64::INFINITY, f64::min);

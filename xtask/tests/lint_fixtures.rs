@@ -23,8 +23,8 @@ fn every_rule_fires_on_the_fire_workspace() {
     // R1: thread_rng + Instant::now (core) + Instant::now in the
     // obs-style span recorder + the ambient-RNG draw in the sim-style
     // fault injector. R2: for-loop over a HashMap field + .keys() +
-    // the hash-ordered landmark-selection loop in the graph-style
-    // oracle fixture. R3: reasonless-suppressed unwrap + expect +
+    // the hash-ordered pivot-selection loop in the graph-style
+    // fixture. R3: reasonless-suppressed unwrap + expect +
     // panic!. R4: virtual root manifest (2 problems) + core crate
     // manifest (2); the obs, sim, ckpt and graph fixture crates carry
     // their hygiene attrs so they add none. R5: exact == against a
@@ -53,15 +53,14 @@ fn every_rule_fires_on_the_fire_workspace() {
             .any(|d| d.rule_id == "R1" && d.file.contains("crates/sim/")),
         "an ambient-RNG draw in a fault-injection site must fire R1"
     );
-    // Landmark selection pins the oracle's distance tables for the
-    // lifetime of a floorplan, so a hash-ordered argmax there would make
-    // every downstream ALT search irreproducible: R2 must catch it in
-    // graph-style oracle code.
+    // Pivot selection fixes which distance rows a graph precomputes, so
+    // a hash-ordered argmax there would make every downstream search
+    // irreproducible: R2 must catch it in graph-style code.
     assert!(
         report
             .active()
             .any(|d| d.rule_id == "R2" && d.file.contains("crates/graph/")),
-        "a hash-ordered landmark loop in oracle-style code must fire R2"
+        "a hash-ordered pivot loop in graph-style code must fire R2"
     );
     // A checkpoint writer that overwrites its snapshot in place (raw
     // `std::fs::write`) tears on crash — the new atomic-persistence rule
