@@ -13,6 +13,7 @@ use ripq_graph::{build_walking_graph, AnchorObjectIndex, AnchorSet};
 use ripq_obs::Recorder;
 use ripq_pf::{
     resample_indices, Heading, IndoorState, MotionModel, ParticlePreprocessor, PreprocessorConfig,
+    SupervisionOptions,
 };
 use ripq_rfid::{deploy_uniform, DataCollector, ObjectId};
 use std::hint::black_box;
@@ -133,15 +134,47 @@ fn bench_preprocess(c: &mut Criterion) {
             collector.ingest_second(s, &[]);
         }
     }
-    let mut rng = StdRng::seed_from_u64(4);
-    c.bench_function("preprocess_object_30s_64p", |b| {
+    let opts = SupervisionOptions::default();
+    let mut pass_seed = 4u64;
+    c.bench_function("preprocess_one_object_30s_64p", |b| {
         b.iter(|| {
-            black_box(
-                pre.process_object(&mut rng, &collector, o, 30, None)
-                    .expect("object known"),
-            )
+            pass_seed += 1;
+            let mut index = AnchorObjectIndex::new();
+            pre.process(
+                pass_seed,
+                &collector,
+                &[o],
+                30,
+                None,
+                None,
+                &opts,
+                &mut index,
+            );
+            black_box(index)
         })
     });
+}
+
+/// One preprocessing pass over `objects` into a fresh index.
+fn pass(
+    pre: &ParticlePreprocessor<'_>,
+    collector: &DataCollector,
+    objects: &[ObjectId],
+    parallelism: Option<usize>,
+) -> AnchorObjectIndex<ObjectId> {
+    let mut index = AnchorObjectIndex::new();
+    let opts = SupervisionOptions::default();
+    pre.process(
+        0x5eed,
+        collector,
+        objects,
+        30,
+        None,
+        parallelism,
+        &opts,
+        &mut index,
+    );
+    index
 }
 
 /// Sequential vs. parallel Algorithm 2 over a 200-object workload, with
@@ -183,34 +216,12 @@ fn bench_preprocess_parallel(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("obs-off", workers),
             &parallelism,
-            |b, &par| {
-                b.iter(|| {
-                    black_box(pre.process_streamed(
-                        0x5eed,
-                        &collector,
-                        black_box(&objects),
-                        30,
-                        None,
-                        par,
-                    ))
-                })
-            },
+            |b, &par| b.iter(|| black_box(pass(&pre, &collector, black_box(&objects), par))),
         );
         group.bench_with_input(
             BenchmarkId::new("obs-on", workers),
             &parallelism,
-            |b, &par| {
-                b.iter(|| {
-                    black_box(pre_obs.process_streamed(
-                        0x5eed,
-                        &collector,
-                        black_box(&objects),
-                        30,
-                        None,
-                        par,
-                    ))
-                })
-            },
+            |b, &par| b.iter(|| black_box(pass(&pre_obs, &collector, black_box(&objects), par))),
         );
     }
     group.finish();
@@ -220,12 +231,12 @@ fn bench_preprocess_parallel(c: &mut Criterion) {
     let reps = 5u32;
     let t0 = std::time::Instant::now();
     for _ in 0..reps {
-        black_box(pre.process_streamed(0x5eed, &collector, &objects, 30, None, None));
+        black_box(pass(&pre, &collector, &objects, None));
     }
     let off = t0.elapsed() / reps;
     let t1 = std::time::Instant::now();
     for _ in 0..reps {
-        black_box(pre_obs.process_streamed(0x5eed, &collector, &objects, 30, None, None));
+        black_box(pass(&pre_obs, &collector, &objects, None));
     }
     let on = t1.elapsed() / reps;
     let delta = (on.as_secs_f64() - off.as_secs_f64()) / off.as_secs_f64() * 100.0;

@@ -259,19 +259,17 @@ pub fn fault_severity(scale: Scale) -> Vec<FigureRow> {
     .collect()
 }
 
-/// Wall-clock effect of the particle cache (§4.5): total experiment time
-/// with the cache on vs. off. Returns `(with_cache, without_cache)`
-/// durations; accuracy differences between the two runs are expected to be
-/// statistical noise only.
+/// Wall-clock effect of the particle cache (§4.5): the evaluation passes
+/// of the base experiment through the system facade, with
+/// [`ripq_core::SystemConfig::use_cache`] on vs. off. Returns `(with_cache,
+/// without_cache)` durations; accuracy differences between the two runs
+/// are expected to be statistical noise only.
 pub fn cache(scale: Scale) -> (std::time::Duration, std::time::Duration) {
-    // The Experiment always uses the cache internally; emulate "off" by
-    // clearing reuse through disjoint seeds per timestamp — instead we
-    // time the underlying preprocessing directly.
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use ripq_pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig};
-    use ripq_rfid::DataCollector;
-    use ripq_sim::{ReadingGenerator, SimWorld, TraceGenerator};
+    use ripq_core::{IndoorQuerySystem, SystemConfig};
+    use ripq_pf::PreprocessorConfig;
+    use ripq_sim::{ReadingGenerator, TraceGenerator};
 
     let p = scale.base_params();
     let w = SimWorld::build(&p);
@@ -285,31 +283,28 @@ pub fn cache(scale: Scale) -> (std::time::Duration, std::time::Duration) {
         p.duration,
     );
     let gen = ReadingGenerator::new(&w.graph, &w.readers, p.sensing);
-    let objects: Vec<_> = traces.iter().map(|t| t.object).collect();
     let detections = gen.detections_all(&mut rng_sense, &traces, p.duration);
-    let pre = ParticlePreprocessor::new(
-        &w.graph,
-        &w.anchors,
-        &w.readers,
-        PreprocessorConfig {
-            num_particles: p.num_particles,
-            ..Default::default()
-        },
-    );
     let timestamps = p.timestamps();
 
     let run = |use_cache: bool| {
-        let mut collector = DataCollector::new();
-        let mut cache = ParticleCache::new();
-        let mut rng = StdRng::seed_from_u64(p.seed + 3);
+        let config = SystemConfig {
+            preprocess: PreprocessorConfig {
+                num_particles: p.num_particles,
+                ..Default::default()
+            },
+            use_cache,
+            prune_candidates: false,
+            ..SystemConfig::default()
+        };
+        let mut sys =
+            IndoorQuerySystem::with_readers(w.plan.clone(), w.readers.clone(), config, p.seed + 3);
         let t0 = Instant::now();
         let mut ti = 0;
         for second in 0..=p.duration {
-            collector.ingest_second(second, &detections[second as usize]);
+            sys.ingest_detections(second, &detections[second as usize]);
             while ti < timestamps.len() && timestamps[ti] == second {
                 ti += 1;
-                let cache_opt = use_cache.then_some(&mut cache);
-                let _ = pre.process(&mut rng, &collector, &objects, second, cache_opt);
+                let _ = sys.evaluate(second);
             }
         }
         t0.elapsed()

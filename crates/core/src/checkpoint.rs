@@ -5,8 +5,10 @@
 //! next pass takes its deltas against — serializes through the
 //! canonical `ripq-persist` codec into one framed snapshot file,
 //! `system.ckpt`, written atomically on a configurable ingest cadence.
-//! On startup [`crate::IndoorQuerySystem::recover`] reloads it; damaged
-//! files (torn, bit-flipped, stale version) are quarantined to
+//! The payload opens with a CRC32 of the world (walking graph, anchors,
+//! readers) it was taken in. On startup
+//! [`crate::IndoorQuerySystem::recover`] reloads it; damaged files (torn,
+//! bit-flipped, stale version, another world) are quarantined to
 //! `system.ckpt.corrupt` and the run cold-starts instead of trusting
 //! them. Because the snapshot captures state *before* the due second is
 //! ingested, replaying the reading-store suffix from
@@ -56,7 +58,7 @@ pub(crate) fn persist_io(err: &PersistError) -> RipqError {
 /// Appends an `APtoObjHT` to `w` as object-ordered rows of
 /// `(anchor, probability)` pairs, each row in its stored order, so the
 /// decoded index compares bit-for-bit with the one written.
-pub fn encode_index(w: &mut ByteWriter, index: &AnchorObjectIndex<ObjectId>) {
+pub(crate) fn encode_index(w: &mut ByteWriter, index: &AnchorObjectIndex<ObjectId>) {
     w.put_seq_len(index.object_count());
     for object in index.objects() {
         let dist = index.distribution(object).unwrap_or(&[]);
@@ -72,7 +74,7 @@ pub fn encode_index(w: &mut ByteWriter, index: &AnchorObjectIndex<ObjectId>) {
 /// Reads an index written by [`encode_index`]. Anchor ids must lie below
 /// `anchor_count` and probabilities must be finite, so a decoded index
 /// can never send evaluation out of bounds.
-pub fn decode_index(
+pub(crate) fn decode_index(
     r: &mut ByteReader<'_>,
     anchor_count: usize,
 ) -> Result<AnchorObjectIndex<ObjectId>, PersistError> {
@@ -97,7 +99,7 @@ pub fn decode_index(
 /// Appends a [`MetricsSnapshot`] to `w` in the canonical encoding. All
 /// four families are `BTreeMap`s, so iteration (and therefore the byte
 /// stream) is name-ordered and canonical.
-pub fn encode_metrics(w: &mut ByteWriter, snap: &MetricsSnapshot) {
+pub(crate) fn encode_metrics(w: &mut ByteWriter, snap: &MetricsSnapshot) {
     w.put_seq_len(snap.counters.len());
     for (name, value) in &snap.counters {
         w.put_str(name);
@@ -131,7 +133,7 @@ pub fn encode_metrics(w: &mut ByteWriter, snap: &MetricsSnapshot) {
 
 /// Decodes a [`MetricsSnapshot`] written by [`encode_metrics`]. Any
 /// truncation is [`PersistError::Torn`], never a panic.
-pub fn decode_metrics(r: &mut ByteReader<'_>) -> Result<MetricsSnapshot, PersistError> {
+pub(crate) fn decode_metrics(r: &mut ByteReader<'_>) -> Result<MetricsSnapshot, PersistError> {
     let mut snap = MetricsSnapshot::default();
     let n = r.get_seq_len(12)?;
     for _ in 0..n {

@@ -17,11 +17,12 @@ use ripq_geom::{Point2, Rect};
 use ripq_graph::{build_walking_graph, AnchorObjectIndex, AnchorSet, ScanCounts, WalkingGraph};
 use ripq_obs::{MetricsSnapshot, Recorder};
 use ripq_persist::{
-    load_snapshot, quarantine, seal_snapshot, write_atomic, ByteReader, ByteWriter, PersistError,
+    crc32, load_snapshot, quarantine, seal_snapshot, write_atomic, ByteReader, ByteWriter,
+    PersistError,
 };
 use ripq_pf::{
     CacheStats, DegradationLevel, ParticleCache, ParticlePreprocessor, PreprocessorConfig,
-    SharedParticleCache, SupervisionOptions,
+    SupervisionOptions,
 };
 use ripq_rfid::{deploy_uniform, DataCollector, ObjectId, RawReading, Reader, ReaderId};
 use serde::{Deserialize, Serialize};
@@ -166,7 +167,8 @@ pub struct EvaluationReport {
 ///
 /// Owns the full pipeline of Fig. 3. Typical use:
 ///
-/// 1. build with [`IndoorQuerySystem::new`];
+/// 1. build with [`IndoorQuerySystem::new`] (or
+///    [`IndoorQuerySystem::with_readers`] for a given deployment);
 /// 2. feed readings each second via [`IndoorQuerySystem::ingest_detections`]
 ///    (pre-aggregated) or [`IndoorQuerySystem::ingest_raw`] (sample level);
 /// 3. register queries; call [`IndoorQuerySystem::evaluate`].
@@ -175,6 +177,10 @@ pub struct IndoorQuerySystem {
     graph: WalkingGraph,
     anchors: AnchorSet,
     readers: Vec<Reader>,
+    /// CRC32 of the deployment (see [`world_fingerprint`]), written at the
+    /// front of every snapshot so a snapshot is only ever restored into
+    /// the world it was taken in.
+    world_crc: u32,
     collector: DataCollector,
     cache: ParticleCache,
     config: SystemConfig,
@@ -220,8 +226,34 @@ impl IndoorQuerySystem {
     /// behavior (particle filtering) for reproducibility.
     pub fn new(plan: FloorPlan, config: SystemConfig, seed: u64) -> Self {
         let graph = build_walking_graph(&plan);
-        let anchors = AnchorSet::generate(&graph, &plan, config.anchor_spacing);
         let readers = deploy_uniform(&plan, &graph, config.reader_count, config.activation_range);
+        Self::assemble(plan, graph, readers, config, seed)
+    }
+
+    /// Builds the system over a given reader deployment instead of the
+    /// uniform one — e.g. door-side or random placements. `readers` must
+    /// be dense (`readers[i].id().index() == i`) and placed on the walking
+    /// graph of `plan`; `config.reader_count` and
+    /// `config.activation_range` are ignored.
+    pub fn with_readers(
+        plan: FloorPlan,
+        readers: Vec<Reader>,
+        config: SystemConfig,
+        seed: u64,
+    ) -> Self {
+        let graph = build_walking_graph(&plan);
+        Self::assemble(plan, graph, readers, config, seed)
+    }
+
+    fn assemble(
+        plan: FloorPlan,
+        graph: WalkingGraph,
+        readers: Vec<Reader>,
+        config: SystemConfig,
+        seed: u64,
+    ) -> Self {
+        let anchors = AnchorSet::generate(&graph, &plan, config.anchor_spacing);
+        let world_crc = world_fingerprint(&graph, &anchors, &readers);
         let recorder = Recorder::from_flag(config.observability);
         let mut collector = DataCollector::new();
         collector.set_recorder(&recorder);
@@ -231,6 +263,7 @@ impl IndoorQuerySystem {
             graph,
             anchors,
             readers,
+            world_crc,
             collector,
             cache: ParticleCache::new(),
             config,
@@ -509,14 +542,14 @@ impl IndoorQuerySystem {
             self.config.preprocess,
         )
         .with_recorder(&self.recorder);
-        let cache = self.config.use_cache.then(|| self.cache.shared());
+        let cache = self.config.use_cache.then_some(&self.cache);
         let supervision = SupervisionOptions {
             budget,
             panic_object: self.injected_fault.map(|(o, _)| o),
             panic_attempts: self.injected_fault.map_or(1, |(_, a)| a),
             ..SupervisionOptions::default()
         };
-        let (object_degradation, delta) = preprocessor.process_supervised_into(
+        let (object_degradation, delta) = preprocessor.process(
             pass_seed,
             &self.collector,
             &candidates,
@@ -694,9 +727,8 @@ impl IndoorQuerySystem {
         self.injected_fault = Some((object, attempts));
     }
 
-    /// Writes a durable snapshot of the recoverable system state —
-    /// collector, particle cache, master RNG stream, cumulative metrics,
-    /// the live `APtoObjHT` and the ingest watermark — to
+    /// Writes a durable snapshot of the recoverable system state — see
+    /// [`IndoorQuerySystem::encode_state`] — to
     /// `<dir>/system.ckpt`, atomically
     /// (sibling temp file, fsync, rename). Requires a checkpoint
     /// directory; creates it if missing.
@@ -709,7 +741,7 @@ impl IndoorQuerySystem {
         std::fs::create_dir_all(&dir)
             .map_err(|e| RipqError::Io(format!("{}: {e}", dir.display())))?;
         let mut w = ByteWriter::new();
-        self.encode_snapshot_payload(&mut w);
+        self.encode_state(&mut w);
         let framed = seal_snapshot(&w.into_bytes());
         write_atomic(&checkpoint::snapshot_path(&dir), &framed)
             .map_err(|e| checkpoint::persist_io(&e))?;
@@ -726,8 +758,9 @@ impl IndoorQuerySystem {
     ///   [`RecoveryOutcome::Resumed::replay_from`]. Under
     ///   [`TimingMode::Logical`] the replayed run is bit-identical to an
     ///   uninterrupted one.
-    /// * A damaged snapshot (torn write, bit rot, stale format version)
-    ///   is moved aside to `system.ckpt.corrupt` and reported as
+    /// * A damaged snapshot (torn write, bit rot, stale format version,
+    ///   or one taken in a different world — floor plan, anchors or
+    ///   readers) is moved aside to `system.ckpt.corrupt` and reported as
     ///   [`RecoveryOutcome::Quarantined`]; the system state is left
     ///   untouched for a cold rebuild.
     ///
@@ -748,7 +781,7 @@ impl IndoorQuerySystem {
             Err(_damaged) => return self.quarantine_snapshot(&path),
         };
         let mut r = ByteReader::new(&payload);
-        match self.restore_snapshot_payload(&mut r) {
+        match self.restore_state(&mut r) {
             Ok(replay_from) => {
                 self.recorder.add("recovery.resumed", 1);
                 Ok(RecoveryOutcome::Resumed { replay_from })
@@ -764,14 +797,19 @@ impl IndoorQuerySystem {
         Ok(RecoveryOutcome::Quarantined { path: moved })
     }
 
-    /// Serializes the recoverable state in the canonical snapshot layout:
-    /// watermark, cadence base, collector, cache, RNG words, metrics, and
-    /// the live index the next pass takes its deltas against.
-    fn encode_snapshot_payload(&self, w: &mut ByteWriter) {
+    /// Appends the recoverable state to `w` in the canonical snapshot
+    /// layout: world fingerprint, watermark, cadence base, collector,
+    /// cache, RNG words, metrics, and the live index the next pass takes
+    /// its deltas against. This is the payload of `system.ckpt`; a caller
+    /// embedding it in a frame of its own must put it last, because
+    /// [`IndoorQuerySystem::restore_state`] consumes the rest of the
+    /// reader.
+    pub fn encode_state(&self, w: &mut ByteWriter) {
+        w.put_u32(self.world_crc);
         w.put_opt_u64(self.last_ingest_second);
         w.put_opt_u64(self.last_checkpoint_second);
         self.collector.encode_state(w);
-        self.cache.shared().encode_state(w);
+        self.cache.encode_state(w);
         for word in self.rng.state() {
             w.put_u64(word);
         }
@@ -779,14 +817,24 @@ impl IndoorQuerySystem {
         checkpoint::encode_index(w, &self.live_index);
     }
 
-    /// Decodes and commits a snapshot payload. Everything is decoded into
-    /// temporaries before any field is touched, so a torn payload leaves
-    /// the system exactly as it was. Returns the replay start second.
-    fn restore_snapshot_payload(&mut self, r: &mut ByteReader<'_>) -> Result<u64, PersistError> {
+    /// Decodes and commits state written by
+    /// [`IndoorQuerySystem::encode_state`], which must fill the rest of
+    /// `r`. A snapshot of a different world is
+    /// [`PersistError::StaleVersion`]; everything is decoded into
+    /// temporaries before any field is touched, so any error leaves the
+    /// system exactly as it was. Returns the replay start second.
+    pub fn restore_state(&mut self, r: &mut ByteReader<'_>) -> Result<u64, PersistError> {
+        let world = r.get_u32()?;
+        if world != self.world_crc {
+            return Err(PersistError::StaleVersion {
+                found: world,
+                supported: self.world_crc,
+            });
+        }
         let last_ingest = r.get_opt_u64()?;
         let last_checkpoint = r.get_opt_u64()?;
         let mut collector = DataCollector::decode_state(r)?;
-        let cache = SharedParticleCache::decode_state(r)?;
+        let cache = ParticleCache::decode_state(r)?;
         let rng_state = [r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?];
         let metrics = checkpoint::decode_metrics(r)?;
         let live_index = checkpoint::decode_index(r, self.anchors.anchors().len())?;
@@ -795,7 +843,7 @@ impl IndoorQuerySystem {
         }
         collector.set_recorder(&self.recorder);
         self.collector = collector;
-        self.cache = ParticleCache::from_shared(cache);
+        self.cache = cache;
         self.rng = StdRng::from_state(rng_state);
         self.recorder.restore(&metrics);
         self.live_index = live_index;
@@ -834,6 +882,28 @@ impl IndoorQuerySystem {
             self.last_checkpoint_error = Some(e.to_string());
         }
     }
+}
+
+/// CRC32 over what a snapshot's contents are only meaningful against:
+/// the walking graph's node and edge counts and edge lengths, the anchor
+/// count, and each reader's id, position and activation range. Worker
+/// count, checkpoint cadence and budget stay outside it.
+fn world_fingerprint(graph: &WalkingGraph, anchors: &AnchorSet, readers: &[Reader]) -> u32 {
+    let mut w = ByteWriter::new();
+    w.put_seq_len(graph.nodes().len());
+    w.put_seq_len(graph.edges().len());
+    for edge in graph.edges() {
+        w.put_f64(edge.length());
+    }
+    w.put_seq_len(anchors.anchors().len());
+    w.put_seq_len(readers.len());
+    for reader in readers {
+        w.put_u32(reader.id().raw());
+        w.put_f64(reader.position().x);
+        w.put_f64(reader.position().y);
+        w.put_f64(reader.activation_range());
+    }
+    crc32(&w.into_bytes())
 }
 
 #[cfg(test)]

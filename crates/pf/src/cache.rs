@@ -12,15 +12,11 @@
 //! device" — implemented by keying each entry with the identity of the
 //! detection episode it was filtered under.
 //!
-//! Two front ends share one implementation:
-//!
-//! * [`SharedParticleCache`] — sharded, internally synchronized (`&self`
-//!   throughout), usable concurrently from the parallel preprocessing
-//!   workers. Each object maps to exactly one shard, and the hit/miss/
-//!   invalidation counters are atomics, so the statistics are the same
-//!   whatever order objects are processed in.
-//! * [`ParticleCache`] — the original single-threaded `&mut self` API,
-//!   now a thin veneer over a [`SharedParticleCache`].
+//! [`ParticleCache`] is sharded and internally synchronized (`&self`
+//! throughout), so the parallel preprocessing workers use it
+//! concurrently. Each object maps to exactly one shard, and the hit/miss/
+//! invalidation counters are atomics, so the statistics are the same
+//! whatever order objects are processed in.
 
 use crate::{Heading, IndoorState};
 use parking_lot::Mutex;
@@ -72,23 +68,23 @@ const SHARDS: usize = 16;
 
 /// A concurrently usable particle-state cache, one entry per object.
 ///
-/// All methods take `&self`: the entry map is split into [`SHARDS`]
+/// All methods take `&self`: the entry map is split into 16 (`SHARDS`)
 /// mutex-protected shards and the statistics are atomic counters. Because
 /// every lookup/store touches only the shard of its own object, and the
 /// counters commute, the observable state after preprocessing a candidate
 /// set is independent of the order (or thread) the objects were processed
 /// on.
 #[derive(Debug)]
-pub struct SharedParticleCache {
+pub struct ParticleCache {
     shards: Vec<Mutex<HashMap<ObjectId, CacheEntry>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
 }
 
-impl Default for SharedParticleCache {
+impl Default for ParticleCache {
     fn default() -> Self {
-        SharedParticleCache {
+        ParticleCache {
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -97,7 +93,7 @@ impl Default for SharedParticleCache {
     }
 }
 
-impl SharedParticleCache {
+impl ParticleCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
@@ -229,10 +225,10 @@ impl SharedParticleCache {
     }
 
     /// Rebuilds a cache from bytes written by
-    /// [`SharedParticleCache::encode_state`]. Any truncation or invalid
+    /// [`ParticleCache::encode_state`]. Any truncation or invalid
     /// tag is [`PersistError::Torn`].
-    pub fn decode_state(r: &mut ByteReader<'_>) -> Result<SharedParticleCache, PersistError> {
-        let cache = SharedParticleCache::new();
+    pub fn decode_state(r: &mut ByteReader<'_>) -> Result<ParticleCache, PersistError> {
+        let cache = ParticleCache::new();
         let n_entries = r.get_seq_len(28)?;
         for _ in 0..n_entries {
             let object = ObjectId::new(r.get_u32()?);
@@ -264,87 +260,6 @@ impl SharedParticleCache {
     }
 }
 
-/// Particle-state cache, one entry per object — the single-owner API.
-#[derive(Debug, Default)]
-pub struct ParticleCache {
-    inner: SharedParticleCache,
-}
-
-impl ParticleCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Wraps an already-populated shared cache — e.g. one decoded from a
-    /// checkpoint via [`SharedParticleCache::decode_state`] — in the
-    /// single-owner API.
-    pub fn from_shared(inner: SharedParticleCache) -> Self {
-        ParticleCache { inner }
-    }
-
-    /// The internally synchronized cache backing this one, for handing to
-    /// the parallel preprocessing path.
-    pub fn shared(&self) -> &SharedParticleCache {
-        &self.inner
-    }
-
-    /// Looks up reusable particles for `object`, valid only if they were
-    /// filtered under the same detection episode `current_episode`.
-    /// Returns the cached states and their timestamp on a hit.
-    pub fn lookup(
-        &mut self,
-        object: ObjectId,
-        current_episode: EpisodeKey,
-    ) -> Option<(Vec<IndoorState>, u64)> {
-        self.inner.lookup(object, current_episode)
-    }
-
-    /// Stores the post-filtering particle states of `object` at simulated
-    /// second `timestamp`, tagged with the episode they were filtered
-    /// under.
-    pub fn store(
-        &mut self,
-        object: ObjectId,
-        particles: Vec<IndoorState>,
-        timestamp: u64,
-        episode: EpisodeKey,
-    ) {
-        self.inner.store(object, particles, timestamp, episode);
-    }
-
-    /// The episode a cached entry (if any) was filtered under, without
-    /// touching the hit/miss statistics.
-    pub fn cached_episode(&self, object: ObjectId) -> Option<EpisodeKey> {
-        self.inner.cached_episode(object)
-    }
-
-    /// Drops an object's entry.
-    pub fn invalidate(&mut self, object: ObjectId) {
-        self.inner.invalidate(object);
-    }
-
-    /// Number of cached objects.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// `true` when no entries are cached.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        self.inner.stats()
-    }
-
-    /// Clears all entries (keeps statistics).
-    pub fn clear(&mut self) {
-        self.inner.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,18 +280,21 @@ mod tests {
 
     #[test]
     fn store_then_hit() {
-        let mut c = ParticleCache::new();
+        let c = ParticleCache::new();
         c.store(O, vec![particle(1.0)], 110, EP1);
         let (states, t) = c.lookup(O, EP1).expect("hit");
         assert_eq!(states.len(), 1);
         assert_eq!(t, 110);
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 0);
+        c.clear();
+        assert!(c.is_empty());
+        assert_eq!(c.stats().hits, 1, "clear keeps statistics");
     }
 
     #[test]
     fn new_episode_invalidates() {
-        let mut c = ParticleCache::new();
+        let c = ParticleCache::new();
         c.store(O, vec![particle(1.0)], 110, EP1);
         assert!(c.lookup(O, EP2).is_none());
         assert_eq!(c.stats().invalidations, 1);
@@ -388,7 +306,7 @@ mod tests {
 
     #[test]
     fn unknown_object_misses() {
-        let mut c = ParticleCache::new();
+        let c = ParticleCache::new();
         assert!(c.lookup(O, EP1).is_none());
         assert_eq!(c.stats().misses, 1);
         assert_eq!(c.stats().hit_rate(), 0.0);
@@ -396,7 +314,7 @@ mod tests {
 
     #[test]
     fn hit_rate_math() {
-        let mut c = ParticleCache::new();
+        let c = ParticleCache::new();
         c.store(O, vec![particle(0.0)], 5, EP1);
         let _ = c.lookup(O, EP1);
         let _ = c.lookup(O, EP1);
@@ -406,7 +324,7 @@ mod tests {
 
     #[test]
     fn explicit_invalidation() {
-        let mut c = ParticleCache::new();
+        let c = ParticleCache::new();
         c.store(O, vec![particle(0.0)], 5, EP1);
         c.invalidate(O);
         assert!(c.is_empty());
@@ -418,7 +336,7 @@ mod tests {
 
     #[test]
     fn store_overwrites() {
-        let mut c = ParticleCache::new();
+        let c = ParticleCache::new();
         c.store(O, vec![particle(0.0)], 5, EP1);
         c.store(O, vec![particle(9.0), particle(8.0)], 7, EP1);
         let (states, t) = c.lookup(O, EP1).unwrap();
@@ -429,7 +347,7 @@ mod tests {
 
     #[test]
     fn shared_cache_is_usable_from_many_threads() {
-        let c = SharedParticleCache::new();
+        let c = ParticleCache::new();
         std::thread::scope(|scope| {
             for w in 0..4u32 {
                 let c = &c;
@@ -455,7 +373,7 @@ mod tests {
     #[test]
     fn state_codec_round_trips_and_is_canonical() {
         let build = || {
-            let c = SharedParticleCache::new();
+            let c = ParticleCache::new();
             // Objects across different shards, some traffic for counters.
             for i in [0u32, 3, 16, 17, 40] {
                 let o = ObjectId::new(i);
@@ -481,7 +399,7 @@ mod tests {
         assert_eq!(bytes, w2.into_bytes(), "encoding is not canonical");
 
         let mut r = ByteReader::new(&bytes);
-        let d = SharedParticleCache::decode_state(&mut r).unwrap();
+        let d = ParticleCache::decode_state(&mut r).unwrap();
         r.finish().unwrap();
 
         assert_eq!(d.stats(), c.stats());
@@ -501,7 +419,7 @@ mod tests {
 
     #[test]
     fn truncated_cache_state_is_torn_not_a_panic() {
-        let c = SharedParticleCache::new();
+        let c = ParticleCache::new();
         c.store(O, vec![particle(1.0), particle(2.0)], 9, EP1);
         let mut w = ByteWriter::new();
         c.encode_state(&mut w);
@@ -509,23 +427,10 @@ mod tests {
         for cut in [0, 3, 11, bytes.len() / 2, bytes.len() - 1] {
             let mut r = ByteReader::new(&bytes[..cut]);
             assert_eq!(
-                SharedParticleCache::decode_state(&mut r).unwrap_err(),
+                ParticleCache::decode_state(&mut r).unwrap_err(),
                 PersistError::Torn,
                 "cut at {cut} not detected"
             );
         }
-    }
-
-    #[test]
-    fn veneer_and_shared_views_agree() {
-        let mut c = ParticleCache::new();
-        c.store(O, vec![particle(2.0)], 8, EP1);
-        assert_eq!(c.shared().len(), 1);
-        assert!(c.shared().lookup(O, EP1).is_some());
-        // The shared view's traffic is visible through the veneer.
-        assert_eq!(c.stats().hits, 1);
-        c.clear();
-        assert!(c.shared().is_empty());
-        assert_eq!(c.stats().hits, 1, "clear keeps statistics");
     }
 }

@@ -56,12 +56,12 @@ mod state;
 mod trajectory;
 
 pub use adaptive::KldConfig;
-pub use cache::{CacheStats, EpisodeKey, ParticleCache, SharedParticleCache};
+pub use cache::{CacheStats, EpisodeKey, ParticleCache};
 pub use measurement::MeasurementModel;
 pub use motion::MotionModel;
 pub use preprocess::{
-    derive_stream_seed, DegradationLevel, ParticlePreprocessor, PreprocessOutcome,
-    PreprocessorConfig, SupervisedOutput, SupervisionOptions,
+    derive_stream_seed, DegradationLevel, ParticlePreprocessor, PreprocessorConfig,
+    SupervisionOptions,
 };
 pub use seed::{seed_intervals, seed_particles};
 pub use sir::{resample_indices, resample_indices_n, ParticleFilter};

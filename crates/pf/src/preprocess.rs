@@ -12,8 +12,8 @@
 //!
 //! Objects are independent once the shared world state (graph, anchors,
 //! readers, cache) is read-only or internally synchronized, so
-//! [`ParticlePreprocessor::process_streamed`] can fan candidates out over
-//! worker threads. To keep the output *bit-identical* regardless of the
+//! [`ParticlePreprocessor::process`] can fan candidates out over worker
+//! threads. To keep the output *bit-identical* regardless of the
 //! worker count, each object draws from its own RNG stream, derived
 //! deterministically from `(pass_seed, object id, resume timestamp)` by
 //! [`derive_stream_seed`] — no draw ever depends on which objects were
@@ -22,7 +22,7 @@
 use crate::cache::EpisodeKey;
 use crate::{
     seed_particles, IndoorState, KldConfig, MeasurementModel, MotionModel, ParticleCache,
-    ParticleFilter, SharedParticleCache,
+    ParticleFilter,
 };
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -109,22 +109,6 @@ impl Default for PreprocessorConfig {
     }
 }
 
-/// Result of preprocessing one object.
-#[derive(Debug, Clone)]
-pub struct PreprocessOutcome {
-    /// The object's inferred location distribution over anchor points
-    /// (sums to 1).
-    pub distribution: Vec<(AnchorId, f64)>,
-    /// Final particle states (what the cache stores).
-    pub particles: Vec<IndoorState>,
-    /// Second the final states correspond to.
-    pub timestamp: u64,
-    /// Whether cached particles were resumed instead of reseeding.
-    pub resumed_from_cache: bool,
-    /// Number of filter seconds actually simulated.
-    pub seconds_simulated: u64,
-}
-
 /// How much of the full particle-filter pipeline produced an object's
 /// answer distribution, ordered from best to worst. A query's overall
 /// level is the maximum over the objects it touched.
@@ -156,8 +140,8 @@ impl fmt::Display for DegradationLevel {
     }
 }
 
-/// Knobs of [`ParticlePreprocessor::process_supervised`]: worker
-/// isolation, bounded retry and the per-pass evaluation budget.
+/// Knobs of [`ParticlePreprocessor::process`]: worker isolation, bounded
+/// retry and the per-pass evaluation budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisionOptions {
     /// Panicking filter runs are retried (from a fresh reseed, cache
@@ -185,23 +169,11 @@ impl Default for SupervisionOptions {
     }
 }
 
-/// Output of [`ParticlePreprocessor::process_supervised`]: the assembled
-/// `APtoObjHT` index plus the degradation level each candidate's answer
-/// was produced at.
-#[derive(Debug)]
-pub struct SupervisedOutput {
-    /// Anchor→object index over all answered candidates.
-    pub index: AnchorObjectIndex<ObjectId>,
-    /// Per-object degradation level (objects the collector has never
-    /// seen are absent, exactly as they are absent from the index).
-    pub degradation: BTreeMap<ObjectId, DegradationLevel>,
-}
-
 /// Everything [`ParticlePreprocessor::filter_object`] needs that was
 /// decided *before* any random draw: the episode identity, the simulation
 /// window, and the (already consumed) cache-lookup result. Splitting this
-/// out lets the streamed path derive the per-object RNG from the resume
-/// timestamp before the filter body runs.
+/// out lets the pass derive the per-object RNG from the resume timestamp
+/// before the filter body runs.
 struct ObjectPlan {
     episode_key: EpisodeKey,
     /// `tmin = min(td + coast, now)` — Algorithm 2 line 6.
@@ -325,7 +297,7 @@ impl<'a> ParticlePreprocessor<'a> {
         collector: &S,
         object: ObjectId,
         now: u64,
-        cache: Option<&SharedParticleCache>,
+        cache: Option<&ParticleCache>,
     ) -> Option<ObjectPlan> {
         let agg = collector.aggregated(object)?;
         let (_, td) = collector.last_detection(object)?;
@@ -369,35 +341,21 @@ impl<'a> ParticlePreprocessor<'a> {
 
     /// Lines 7–36 of Algorithm 2: seed or resume the filter, replay the
     /// aggregated readings up to `tmin`, store back into the cache, snap
-    /// to anchors. All random draws of the pass happen here, in a fixed
-    /// order independent of other objects.
+    /// to anchors. All random draws of the object happen here, in a fixed
+    /// order independent of other objects. `particles_override` runs the
+    /// same filter with fewer particles on the degraded-evaluation path.
     ///
     /// Returns `None` only if the object vanished from the collector
-    /// between planning and filtering (impossible for the sequential
-    /// callers, unobservable but handled for the supervised fan-out).
+    /// between planning and filtering (unobservable, but handled).
     fn filter_object<R: Rng, S: ReadingStore + ?Sized>(
         &self,
         rng: &mut R,
         collector: &S,
         object: ObjectId,
-        plan: ObjectPlan,
-        cache: Option<&SharedParticleCache>,
-    ) -> Option<PreprocessOutcome> {
-        self.filter_object_sized(rng, collector, object, plan, cache, None)
-    }
-
-    /// [`ParticlePreprocessor::filter_object`] with an optional particle
-    /// count override — the degraded-evaluation path runs the same filter
-    /// with fewer particles instead of a different algorithm.
-    fn filter_object_sized<R: Rng, S: ReadingStore + ?Sized>(
-        &self,
-        rng: &mut R,
-        collector: &S,
-        object: ObjectId,
         mut plan: ObjectPlan,
-        cache: Option<&SharedParticleCache>,
+        cache: Option<&ParticleCache>,
         particles_override: Option<usize>,
-    ) -> Option<PreprocessOutcome> {
+    ) -> Option<Vec<(AnchorId, f64)>> {
         let agg = collector.aggregated(object)?;
         let num_particles = particles_override.unwrap_or(self.config.num_particles);
         if let (Some(n), Some((states, _))) = (particles_override, plan.cached.as_mut()) {
@@ -412,14 +370,11 @@ impl<'a> ParticlePreprocessor<'a> {
                 .resume_depth
                 .observe(plan.resume_timestamp.saturating_sub(plan.agg_start));
         }
-        let (mut filter, start, resumed) = match plan.cached {
-            Some((states, t)) if t <= plan.tmin => {
-                (ParticleFilter::from_states(states), t + 1, true)
-            }
-            Some((states, t)) => {
+        let (mut filter, start) = match plan.cached {
+            Some((states, t)) if t <= plan.tmin => (ParticleFilter::from_states(states), t + 1),
+            Some((states, _)) => {
                 // Cached states are already at/after tmin: reuse directly.
-                let filter = ParticleFilter::from_states(states);
-                return Some(self.finish(filter, t, true, 0));
+                return Some(self.finish(ParticleFilter::from_states(states), 0));
             }
             None => {
                 // Fresh start: seed within the second-most-recent device's
@@ -431,11 +386,7 @@ impl<'a> ParticlePreprocessor<'a> {
                     &self.config.motion,
                     num_particles,
                 );
-                (
-                    ParticleFilter::from_states(seeds),
-                    plan.agg_start + 1,
-                    false,
-                )
+                (ParticleFilter::from_states(seeds), plan.agg_start + 1)
             }
         };
 
@@ -512,53 +463,7 @@ impl<'a> ParticlePreprocessor<'a> {
                 plan.episode_key,
             );
         }
-        Some(self.finish(filter, timestamp, resumed, simulated))
-    }
-
-    /// Runs Algorithm 2 for one object. Returns `None` when the collector
-    /// has never seen the object (no readings → no inference possible).
-    pub fn process_object<R: Rng, S: ReadingStore + ?Sized>(
-        &self,
-        rng: &mut R,
-        collector: &S,
-        object: ObjectId,
-        now: u64,
-        cache: Option<&mut ParticleCache>,
-    ) -> Option<PreprocessOutcome> {
-        let shared = cache.map(|c| c.shared());
-        self.process_object_shared(rng, collector, object, now, shared)
-    }
-
-    /// [`ParticlePreprocessor::process_object`] against the internally
-    /// synchronized cache, with a caller-supplied RNG.
-    pub fn process_object_shared<R: Rng, S: ReadingStore + ?Sized>(
-        &self,
-        rng: &mut R,
-        collector: &S,
-        object: ObjectId,
-        now: u64,
-        cache: Option<&SharedParticleCache>,
-    ) -> Option<PreprocessOutcome> {
-        let plan = self.plan_object(collector, object, now, cache)?;
-        self.filter_object(rng, collector, object, plan, cache)
-    }
-
-    /// Runs Algorithm 2 for one object on its own deterministic RNG
-    /// stream, derived from `(pass_seed, object, resume timestamp)` — see
-    /// [`derive_stream_seed`]. The result does not depend on what other
-    /// objects were processed in the same pass.
-    pub fn process_object_streamed<S: ReadingStore + ?Sized>(
-        &self,
-        pass_seed: u64,
-        collector: &S,
-        object: ObjectId,
-        now: u64,
-        cache: Option<&SharedParticleCache>,
-    ) -> Option<PreprocessOutcome> {
-        let plan = self.plan_object(collector, object, now, cache)?;
-        let mut rng =
-            StdRng::seed_from_u64(derive_stream_seed(pass_seed, object, plan.resume_timestamp));
-        self.filter_object(&mut rng, collector, object, plan, cache)
+        Some(self.finish(filter, simulated))
     }
 
     /// Resamples, adapting the output size per KLD-sampling when enabled.
@@ -572,88 +477,17 @@ impl<'a> ParticlePreprocessor<'a> {
         }
     }
 
-    fn finish(
-        &self,
-        filter: ParticleFilter<IndoorState>,
-        timestamp: u64,
-        resumed: bool,
-        simulated: u64,
-    ) -> PreprocessOutcome {
+    /// Lines 32–36: snaps each particle to its nearest anchor point,
+    /// `p(o at ap) = n/Ns`, smoothed by the configured kernel.
+    fn finish(&self, filter: ParticleFilter<IndoorState>, simulated: u64) -> Vec<(AnchorId, f64)> {
         self.metrics.objects.inc();
         self.metrics.sir_iterations.add(simulated);
         self.metrics.final_particles.observe(filter.len() as u64);
-        // Lines 32–36: snap each particle to its nearest anchor point;
-        // p(o at ap) = n/Ns.
         let n = filter.len() as f64;
-        let particles = filter.into_states();
-        let distribution = self.anchors.kde_distribution(
-            particles.iter().map(|s| (s.pos, 1.0 / n)),
+        self.anchors.kde_distribution(
+            filter.states().iter().map(|s| (s.pos, 1.0 / n)),
             self.config.kde_bandwidth,
-        );
-        PreprocessOutcome {
-            distribution,
-            particles,
-            timestamp,
-            resumed_from_cache: resumed,
-            seconds_simulated: simulated,
-        }
-    }
-
-    /// Runs Algorithm 2 for every candidate and assembles the `APtoObjHT`
-    /// index consumed by query evaluation.
-    ///
-    /// Sequential, single-RNG-stream variant: every object consumes draws
-    /// from the shared `rng`, so results depend on the candidate order.
-    /// Kept for callers that thread one generator through everything; the
-    /// facade and experiment harness use
-    /// [`ParticlePreprocessor::process_streamed`].
-    pub fn process<R: Rng, S: ReadingStore + ?Sized>(
-        &self,
-        rng: &mut R,
-        collector: &S,
-        candidates: &[ObjectId],
-        now: u64,
-        mut cache: Option<&mut ParticleCache>,
-    ) -> AnchorObjectIndex<ObjectId> {
-        let mut index = AnchorObjectIndex::new();
-        for &o in candidates {
-            if let Some(outcome) = self.process_object(rng, collector, o, now, cache.as_deref_mut())
-            {
-                index.set_object(o, outcome.distribution);
-            }
-        }
-        index
-    }
-
-    /// Runs Algorithm 2 for every candidate on per-object RNG streams and
-    /// assembles the `APtoObjHT` index, optionally fanning the candidates
-    /// out over `parallelism` worker threads.
-    ///
-    /// `parallelism` of `None` (or `Some(0|1)`) runs on the calling
-    /// thread. Any worker count produces bit-identical output: each
-    /// object's draws come from its own stream (see
-    /// [`derive_stream_seed`]), the shared cache is sharded per object
-    /// with commutative statistics, and results are merged back in
-    /// candidate order.
-    pub fn process_streamed<S: ReadingStore + Sync + ?Sized>(
-        &self,
-        pass_seed: u64,
-        collector: &S,
-        candidates: &[ObjectId],
-        now: u64,
-        cache: Option<&SharedParticleCache>,
-        parallelism: Option<usize>,
-    ) -> AnchorObjectIndex<ObjectId> {
-        self.process_supervised(
-            pass_seed,
-            collector,
-            candidates,
-            now,
-            cache,
-            parallelism,
-            &SupervisionOptions::default(),
         )
-        .index
     }
 
     /// The weakest answer the readings still support: a uniform
@@ -706,7 +540,7 @@ impl<'a> ParticlePreprocessor<'a> {
         mut plan: Option<ObjectPlan>,
         level: DegradationLevel,
         now: u64,
-        cache: Option<&SharedParticleCache>,
+        cache: Option<&ParticleCache>,
         options: &SupervisionOptions,
     ) -> Option<(Vec<(AnchorId, f64)>, DegradationLevel)> {
         if matches!(level, DegradationLevel::UniformFallback) {
@@ -747,10 +581,10 @@ impl<'a> ParticlePreprocessor<'a> {
                     panic!("injected particle-filter fault (attempt {attempt})");
                 }
                 let mut rng = StdRng::seed_from_u64(derive_stream_seed(pass_seed, object, resume));
-                self.filter_object_sized(&mut rng, collector, object, p, cache, particles_override)
+                self.filter_object(&mut rng, collector, object, p, cache, particles_override)
             }));
             match result {
-                Ok(out) => return out.map(|o| (o.distribution, level)),
+                Ok(out) => return out.map(|d| (d, level)),
                 Err(_) => {
                     self.recorder.add("degrade.pf_panics", 1);
                     // Whatever half-updated states the panicking attempt
@@ -771,71 +605,48 @@ impl<'a> ParticlePreprocessor<'a> {
         }
     }
 
-    /// [`ParticlePreprocessor::process_streamed`] with worker supervision
-    /// and deadline budgeting — the crash-safe evaluation path.
+    /// Runs Algorithm 2 for every candidate — the one preprocessing pass —
+    /// and applies the answers to the caller-owned `APtoObjHT` `index`.
     ///
-    /// Three deterministic phases:
+    /// Each object draws from its own RNG stream, derived from
+    /// `(pass_seed, object, resume timestamp)` by [`derive_stream_seed`],
+    /// so the answers do not depend on the candidate order or on the
+    /// worker count. The pass runs in three deterministic phases:
     ///
     /// 1. **Plan** (sequential, candidate order): lines 1–6 of Algorithm 2
-    ///    plus the cache lookup for every candidate. All metric updates
-    ///    commute, so planning everything up front is bit-identical to the
-    ///    previous plan/filter interleaving.
+    ///    plus the cache lookup for every candidate. Every metric update
+    ///    commutes, so planning everything up front changes no total.
     /// 2. **Budget** (sequential, candidate order): each object's filter
     ///    cost is `simulated seconds × particle count` — a logical-clock
     ///    model, so the ladder decisions are reproducible. Objects run
-    ///    full-size while the budget lasts, then at the KLD floor, then
-    ///    degrade to the uniform pruning-circle fallback.
-    /// 3. **Filter** (fan-out over `parallelism` workers): each object
-    ///    runs under `catch_unwind` isolation with bounded retry; a
-    ///    persistently panicking object is quarantined with a fallback
-    ///    answer instead of aborting the pass. Results merge in candidate
-    ///    order, so any worker count stays bit-identical.
-    #[allow(clippy::too_many_arguments)]
-    pub fn process_supervised<S: ReadingStore + Sync + ?Sized>(
-        &self,
-        pass_seed: u64,
-        collector: &S,
-        candidates: &[ObjectId],
-        now: u64,
-        cache: Option<&SharedParticleCache>,
-        parallelism: Option<usize>,
-        options: &SupervisionOptions,
-    ) -> SupervisedOutput {
-        let mut index = AnchorObjectIndex::new();
-        let (degradation, _) = self.process_supervised_into(
-            pass_seed,
-            collector,
-            candidates,
-            now,
-            cache,
-            parallelism,
-            options,
-            &mut index,
-        );
-        SupervisedOutput { index, degradation }
-    }
-
-    /// [`ParticlePreprocessor::process_supervised`] applied as an
-    /// *incremental* maintenance pass over a caller-owned `APtoObjHT`:
-    /// objects that left the answered set are retracted, answered objects
-    /// are applied as deltas ([`AnchorObjectIndex::apply_object`]), and a
-    /// bit-identical stored distribution costs no structural work at all.
-    /// Because per-anchor lists are kept sorted by object key, the index
-    /// after any delta sequence equals a from-scratch rebuild of the same
-    /// answer set — so this path returns exactly what
-    /// [`ParticlePreprocessor::process_supervised`] would have built.
+    ///    full-size while [`SupervisionOptions::budget`] lasts, then at the
+    ///    KLD floor, then degrade to the uniform pruning-circle fallback.
+    /// 3. **Filter** (fan-out over `parallelism` workers; `None` or
+    ///    `Some(0|1)` stays on the calling thread): each object runs under
+    ///    `catch_unwind` isolation with bounded retry; a persistently
+    ///    panicking object is quarantined with a fallback answer instead
+    ///    of aborting the pass. The sharded `cache` keeps commutative
+    ///    statistics, and results merge in candidate order.
     ///
-    /// Returns the per-object degradation levels plus the
-    /// [`IndexDeltaStats`] of this pass (the `index.delta_*`
+    /// The index is maintained *incrementally*: objects that left the
+    /// answered set are retracted, answered objects are applied as deltas
+    /// ([`AnchorObjectIndex::apply_object`]), and a bit-identical stored
+    /// distribution costs no structural work. Per-anchor lists stay sorted
+    /// by object key, so the index after any delta sequence equals a
+    /// rebuild of the same answer set on an empty index.
+    ///
+    /// Returns the degradation level of every answered object (objects the
+    /// collector has never seen are absent, as they are from the index)
+    /// plus the [`IndexDeltaStats`] of this pass (the `index.delta_*`
     /// observability family).
     #[allow(clippy::too_many_arguments)]
-    pub fn process_supervised_into<S: ReadingStore + Sync + ?Sized>(
+    pub fn process<S: ReadingStore + Sync + ?Sized>(
         &self,
         pass_seed: u64,
         collector: &S,
         candidates: &[ObjectId],
         now: u64,
-        cache: Option<&SharedParticleCache>,
+        cache: Option<&ParticleCache>,
         parallelism: Option<usize>,
         options: &SupervisionOptions,
         index: &mut AnchorObjectIndex<ObjectId>,
@@ -968,10 +779,9 @@ impl<'a> ParticlePreprocessor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use ripq_floorplan::{office_building, OfficeParams};
     use ripq_graph::build_walking_graph;
+    use ripq_obs::MetricsSnapshot;
     use ripq_rfid::{deploy_uniform, DataCollector};
 
     struct World {
@@ -985,7 +795,6 @@ mod tests {
         let graph = build_walking_graph(&plan);
         let anchors = AnchorSet::generate(&graph, &plan, 1.0);
         let readers = deploy_uniform(&plan, &graph, 19, 2.0);
-        let _ = &plan;
         World {
             graph,
             anchors,
@@ -994,6 +803,74 @@ mod tests {
     }
 
     const O: ObjectId = ObjectId::new(0);
+
+    fn preprocessor(w: &World) -> ParticlePreprocessor<'_> {
+        ParticlePreprocessor::new(
+            &w.graph,
+            &w.anchors,
+            &w.readers,
+            PreprocessorConfig::default(),
+        )
+    }
+
+    /// A preprocessor recording into a fresh enabled recorder.
+    fn observed(w: &World, config: PreprocessorConfig) -> (ParticlePreprocessor<'_>, Recorder) {
+        let recorder = Recorder::enabled();
+        let pre = ParticlePreprocessor::new(&w.graph, &w.anchors, &w.readers, config)
+            .with_recorder(&recorder);
+        (pre, recorder)
+    }
+
+    /// Runs one pass into an empty index; returns it with the levels.
+    #[allow(clippy::too_many_arguments)]
+    fn fresh<S: ReadingStore + Sync + ?Sized>(
+        pre: &ParticlePreprocessor<'_>,
+        pass_seed: u64,
+        c: &S,
+        candidates: &[ObjectId],
+        now: u64,
+        cache: Option<&ParticleCache>,
+        parallelism: Option<usize>,
+        options: &SupervisionOptions,
+    ) -> (
+        AnchorObjectIndex<ObjectId>,
+        BTreeMap<ObjectId, DegradationLevel>,
+    ) {
+        let mut index = AnchorObjectIndex::new();
+        let (levels, _) = pre.process(
+            pass_seed,
+            c,
+            candidates,
+            now,
+            cache,
+            parallelism,
+            options,
+            &mut index,
+        );
+        (index, levels)
+    }
+
+    /// [`fresh`] on the calling thread with default supervision.
+    fn pass<S: ReadingStore + Sync + ?Sized>(
+        pre: &ParticlePreprocessor<'_>,
+        pass_seed: u64,
+        c: &S,
+        candidates: &[ObjectId],
+        now: u64,
+        cache: Option<&ParticleCache>,
+    ) -> AnchorObjectIndex<ObjectId> {
+        let opts = SupervisionOptions::default();
+        fresh(pre, pass_seed, c, candidates, now, cache, None, &opts).0
+    }
+
+    fn counter(snap: &MetricsSnapshot, name: &str) -> u64 {
+        snap.counters.get(name).copied().unwrap_or(0)
+    }
+
+    fn distribution_total(index: &AnchorObjectIndex<ObjectId>, o: ObjectId) -> f64 {
+        let dist = index.distribution(&o).expect("object answered");
+        dist.iter().map(|(_, p)| p).sum()
+    }
 
     /// Feeds the collector a synthetic walk past two adjacent readers on
     /// the same hallway, left to right.
@@ -1034,20 +911,14 @@ mod tests {
         let w = world();
         let mut c = DataCollector::new();
         let (_, _, now) = feed_two_reader_walk(&w, &mut c);
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        );
-        let mut rng = StdRng::seed_from_u64(20);
-        let out = pre
-            .process_object(&mut rng, &c, O, now, None)
-            .expect("object known");
-        let total: f64 = out.distribution.iter().map(|(_, p)| p).sum();
+        let (pre, recorder) = observed(&w, PreprocessorConfig::default());
+        let index = pass(&pre, 20, &c, &[O], now, None);
+        let total = distribution_total(&index, O);
         assert!((total - 1.0).abs() < 1e-9, "total {total}");
-        assert!(!out.resumed_from_cache);
-        assert_eq!(out.particles.len(), 64);
+        let snap = recorder.snapshot();
+        assert_eq!(counter(&snap, "pf.cache_resumes"), 0);
+        let kept = &snap.histograms["pf.final_particles"];
+        assert_eq!((kept.count, kept.min, kept.max), (1, 64, 64));
     }
 
     #[test]
@@ -1057,19 +928,13 @@ mod tests {
         let w = world();
         let mut c = DataCollector::new();
         let (r1, r2, now) = feed_two_reader_walk(&w, &mut c);
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        );
-        let mut rng = StdRng::seed_from_u64(21);
-        let out = pre.process_object(&mut rng, &c, O, now, None).unwrap();
+        let pre = preprocessor(&w);
+        let index = pass(&pre, 21, &c, &[O], now, None);
         let p1 = w.readers[r1.index()].position();
         let p2 = w.readers[r2.index()].position();
         // Probability mass closer to r2 than to r1:
         let mut near_r2 = 0.0;
-        for &(a, p) in &out.distribution {
+        for &(a, p) in index.distribution(&O).unwrap() {
             let pt = w.anchors.anchor(a).point;
             if pt.distance(p2) < pt.distance(p1) {
                 near_r2 += p;
@@ -1086,21 +951,23 @@ mod tests {
         let w = world();
         let mut c = DataCollector::new();
         // One short detection, then a very long silence.
-        c.ingest_second(0, &[(O, w.readers[0].id())]);
+        let r0 = w.readers[0].id();
+        c.ingest_second(0, &[(O, r0)]);
         for s in 1..=500 {
             c.ingest_second(s, &[]);
         }
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        );
-        let mut rng = StdRng::seed_from_u64(22);
-        let out = pre.process_object(&mut rng, &c, O, 500, None).unwrap();
+        let (pre, recorder) = observed(&w, PreprocessorConfig::default());
+        let cache = ParticleCache::new();
+        pass(&pre, 22, &c, &[O], 500, Some(&cache));
         // td = 0, coast = 60 → at most 60 simulated seconds.
-        assert!(out.seconds_simulated <= 60, "{}", out.seconds_simulated);
-        assert_eq!(out.timestamp, 60);
+        let snap = recorder.snapshot();
+        let simulated = counter(&snap, "pf.sir_iterations");
+        assert!(simulated <= 60, "{simulated}");
+        assert_eq!(counter(&snap, "pf.coast_cutoff_hits"), 1);
+        assert_eq!(counter(&snap, "pf.coast_seconds_skipped"), 440);
+        // The cached states sit at the cutoff second.
+        let (_, t) = cache.lookup(O, (r0, 0)).expect("states cached");
+        assert_eq!(t, 60);
     }
 
     #[test]
@@ -1108,31 +975,24 @@ mod tests {
         let w = world();
         let mut c = DataCollector::new();
         let (_, _, now) = feed_two_reader_walk(&w, &mut c);
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        );
-        let mut cache = ParticleCache::new();
-        let mut rng = StdRng::seed_from_u64(23);
-        let first = pre
-            .process_object(&mut rng, &c, O, now, Some(&mut cache))
-            .unwrap();
-        assert!(!first.resumed_from_cache);
+        let (pre, recorder) = observed(&w, PreprocessorConfig::default());
+        let cache = ParticleCache::new();
+        pass(&pre, 23, &c, &[O], now, Some(&cache));
+        let first = recorder.snapshot();
+        assert_eq!(counter(&first, "pf.cache_resumes"), 0);
         // Advance the world a little with no new readings.
         let later = now + 5;
         for s in now + 1..=later {
             c.ingest_second(s, &[]);
         }
-        let second = pre
-            .process_object(&mut rng, &c, O, later, Some(&mut cache))
-            .unwrap();
-        assert!(second.resumed_from_cache);
+        pass(&pre, 24, &c, &[O], later, Some(&cache));
+        let second = recorder.snapshot();
+        assert_eq!(counter(&second, "pf.cache_resumes"), 1);
+        let simulated =
+            counter(&second, "pf.sir_iterations") - counter(&first, "pf.sir_iterations");
         assert!(
-            second.seconds_simulated <= 5,
-            "resume should only simulate the delta, got {}",
-            second.seconds_simulated
+            simulated <= 5,
+            "resume should only simulate the delta, got {simulated}"
         );
         assert_eq!(cache.stats().hits, 1);
     }
@@ -1142,28 +1002,23 @@ mod tests {
         let w = world();
         let mut c = DataCollector::new();
         let (_, _, now) = feed_two_reader_walk(&w, &mut c);
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        );
-        let mut cache = ParticleCache::new();
-        let mut rng = StdRng::seed_from_u64(24);
-        pre.process_object(&mut rng, &c, O, now, Some(&mut cache))
-            .unwrap();
+        let (pre, recorder) = observed(&w, PreprocessorConfig::default());
+        let cache = ParticleCache::new();
+        pass(&pre, 24, &c, &[O], now, Some(&cache));
         // A brand-new reader episode starts.
         let other = w.readers[10].id();
         c.ingest_second(now + 1, &[(O, other)]);
-        let out = pre
-            .process_object(&mut rng, &c, O, now + 1, Some(&mut cache))
-            .unwrap();
-        assert!(!out.resumed_from_cache, "new device must invalidate");
+        pass(&pre, 25, &c, &[O], now + 1, Some(&cache));
+        assert_eq!(
+            counter(&recorder.snapshot(), "pf.cache_resumes"),
+            0,
+            "new device must invalidate"
+        );
         assert_eq!(cache.stats().invalidations, 1);
     }
 
     #[test]
-    fn shared_cache_invalidated_when_new_device_detects_mid_resume() {
+    fn cache_invalidated_when_new_device_detects_mid_resume() {
         // The §4.5 contract under a device handoff that happens *between*
         // cache resumes: fill the cache, resume it once (hit), then let a
         // brand-new device detect the object — the next pass must discard
@@ -1171,37 +1026,25 @@ mod tests {
         let w = world();
         let mut c = DataCollector::new();
         let (_, _, now) = feed_two_reader_walk(&w, &mut c);
-        let recorder = ripq_obs::Recorder::enabled();
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        )
-        .with_recorder(&recorder);
-        let cache = SharedParticleCache::new();
+        let (pre, recorder) = observed(&w, PreprocessorConfig::default());
+        let cache = ParticleCache::new();
+        let resumes = || counter(&recorder.snapshot(), "pf.cache_resumes");
 
-        let first = pre
-            .process_object_streamed(11, &c, O, now, Some(&cache))
-            .unwrap();
-        assert!(!first.resumed_from_cache);
+        pass(&pre, 11, &c, &[O], now, Some(&cache));
+        assert_eq!(resumes(), 0);
 
         // Mid-stream resume: silent seconds, same episode → cache hit.
         for s in now + 1..=now + 4 {
             c.ingest_second(s, &[]);
         }
-        let resumed = pre
-            .process_object_streamed(12, &c, O, now + 4, Some(&cache))
-            .unwrap();
-        assert!(resumed.resumed_from_cache);
+        pass(&pre, 12, &c, &[O], now + 4, Some(&cache));
+        assert_eq!(resumes(), 1);
 
         // A new device detects the object before the next resume.
         let other = w.readers[10].id();
         c.ingest_second(now + 5, &[(O, other)]);
-        let after = pre
-            .process_object_streamed(13, &c, O, now + 5, Some(&cache))
-            .unwrap();
-        assert!(!after.resumed_from_cache, "new device must invalidate");
+        pass(&pre, 13, &c, &[O], now + 5, Some(&cache));
+        assert_eq!(resumes(), 1, "new device must invalidate");
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().invalidations, 1);
         // A handoff to a *different* device is not an outage reset.
@@ -1217,17 +1060,9 @@ mod tests {
         for s in 0..3u64 {
             c.ingest_second(s, &[(O, r)]);
         }
-        let recorder = ripq_obs::Recorder::enabled();
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        )
-        .with_recorder(&recorder);
-        let cache = SharedParticleCache::new();
-        pre.process_object_streamed(21, &c, O, 3, Some(&cache))
-            .unwrap();
+        let (pre, recorder) = observed(&w, PreprocessorConfig::default());
+        let cache = ParticleCache::new();
+        pass(&pre, 21, &c, &[O], 3, Some(&cache));
 
         // Dark stream past the gap tolerance, then the *same* reader
         // re-detects: a new episode of the same device.
@@ -1235,32 +1070,26 @@ mod tests {
             c.ingest_second(s, &[]);
         }
         c.ingest_second(10, &[(O, r)]);
-        let out = pre
-            .process_object_streamed(22, &c, O, 10, Some(&cache))
-            .unwrap();
-        assert!(!out.resumed_from_cache, "episode split must invalidate");
+        pass(&pre, 22, &c, &[O], 10, Some(&cache));
         let counters = recorder.snapshot().counters;
+        assert_eq!(
+            counters.get("pf.cache_resumes"),
+            Some(&0),
+            "episode split must invalidate"
+        );
         assert_eq!(counters.get("pf.outage_resets"), Some(&1));
         assert_eq!(cache.stats().invalidations, 1);
     }
 
     #[test]
-    fn unknown_object_yields_none() {
+    fn unknown_object_yields_no_answer() {
         let w = world();
         let c = DataCollector::new();
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        );
-        let mut rng = StdRng::seed_from_u64(25);
-        assert!(pre
-            .process_object(&mut rng, &c, ObjectId::new(42), 10, None)
-            .is_none());
-        assert!(pre
-            .process_object_streamed(7, &c, ObjectId::new(42), 10, None)
-            .is_none());
+        let pre = preprocessor(&w);
+        let opts = SupervisionOptions::default();
+        let (index, levels) = fresh(&pre, 7, &c, &[ObjectId::new(42)], 10, None, None, &opts);
+        assert_eq!(index.object_count(), 0);
+        assert!(levels.is_empty());
     }
 
     #[test]
@@ -1270,14 +1099,8 @@ mod tests {
         let o2 = ObjectId::new(7);
         c.ingest_second(0, &[(O, w.readers[0].id()), (o2, w.readers[5].id())]);
         c.ingest_second(1, &[(O, w.readers[0].id()), (o2, w.readers[5].id())]);
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        );
-        let mut rng = StdRng::seed_from_u64(26);
-        let index = pre.process(&mut rng, &c, &[O, o2, ObjectId::new(99)], 5, None);
+        let pre = preprocessor(&w);
+        let index = pass(&pre, 26, &c, &[O, o2, ObjectId::new(99)], 5, None);
         assert_eq!(index.object_count(), 2, "unknown candidate skipped");
         assert!((index.total_probability(&O) - 1.0).abs() < 1e-9);
         assert!((index.total_probability(&o2) - 1.0).abs() < 1e-9);
@@ -1291,19 +1114,13 @@ mod tests {
         let w = world();
         let mut c = DataCollector::new();
         c.ingest_second(0, &[(O, w.readers[3].id())]);
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        );
-        let mut rng = StdRng::seed_from_u64(27);
-        let out = pre.process_object(&mut rng, &c, O, 3, None).unwrap();
-        let total: f64 = out.distribution.iter().map(|(_, p)| p).sum();
+        let pre = preprocessor(&w);
+        let index = pass(&pre, 27, &c, &[O], 3, None);
+        let total = distribution_total(&index, O);
         assert!((total - 1.0).abs() < 1e-9);
         // Mass is spread around reader 3 within ~3 s of walking.
         let rp = w.readers[3].position();
-        for &(a, _) in &out.distribution {
+        for &(a, _) in index.distribution(&O).unwrap() {
             let d = w.anchors.anchor(a).point.distance(rp);
             assert!(d < 2.0 + 3.0 * 1.5 + 3.0, "anchor too far: {d}");
         }
@@ -1323,15 +1140,11 @@ mod tests {
             adaptive: Some(crate::KldConfig::default()),
             ..Default::default()
         };
-        let pre = ParticlePreprocessor::new(&w.graph, &w.anchors, &w.readers, cfg);
-        let mut rng = StdRng::seed_from_u64(30);
-        let out = pre.process_object(&mut rng, &c, O, 6, None).unwrap();
-        assert!(
-            out.particles.len() < 64,
-            "confined cloud should shrink, kept {}",
-            out.particles.len()
-        );
-        let total: f64 = out.distribution.iter().map(|(_, p)| p).sum();
+        let (pre, recorder) = observed(&w, cfg);
+        let index = pass(&pre, 30, &c, &[O], 6, None);
+        let kept = recorder.snapshot().histograms["pf.final_particles"].max;
+        assert!(kept < 64, "confined cloud should shrink, kept {kept}");
+        let total = distribution_total(&index, O);
         assert!((total - 1.0).abs() < 1e-9);
     }
 
@@ -1340,19 +1153,10 @@ mod tests {
         let w = world();
         let mut c = DataCollector::new();
         let (_, _, now) = feed_two_reader_walk(&w, &mut c);
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        );
-        let out1 = pre
-            .process_object(&mut StdRng::seed_from_u64(42), &c, O, now, None)
-            .unwrap();
-        let out2 = pre
-            .process_object(&mut StdRng::seed_from_u64(42), &c, O, now, None)
-            .unwrap();
-        assert_eq!(out1.distribution, out2.distribution);
+        let pre = preprocessor(&w);
+        let out1 = pass(&pre, 42, &c, &[O], now, None);
+        let out2 = pass(&pre, 42, &c, &[O], now, None);
+        assert_eq!(out1.distribution(&O), out2.distribution(&O));
     }
 
     #[test]
@@ -1366,21 +1170,16 @@ mod tests {
     }
 
     #[test]
-    fn streamed_result_is_independent_of_candidate_order() {
+    fn result_is_independent_of_candidate_order() {
         let w = world();
         let mut c = DataCollector::new();
         let o2 = ObjectId::new(7);
         for s in 0..4u64 {
             c.ingest_second(s, &[(O, w.readers[0].id()), (o2, w.readers[5].id())]);
         }
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        );
-        let fwd = pre.process_streamed(99, &c, &[O, o2], 6, None, None);
-        let rev = pre.process_streamed(99, &c, &[o2, O], 6, None, None);
+        let pre = preprocessor(&w);
+        let fwd = pass(&pre, 99, &c, &[O, o2], 6, None);
+        let rev = pass(&pre, 99, &c, &[o2, O], 6, None);
         assert_eq!(fwd.distribution(&O), rev.distribution(&O));
         assert_eq!(fwd.distribution(&o2), rev.distribution(&o2));
     }
@@ -1403,31 +1202,19 @@ mod tests {
     }
 
     #[test]
-    fn supervised_default_matches_streamed_bit_for_bit() {
+    fn default_supervision_answers_every_object_in_full() {
         let w = world();
         let c = populated_collector(&w, 10);
         let objects: Vec<ObjectId> = (0..10u32).map(ObjectId::new).collect();
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        );
-        let a_cache = SharedParticleCache::new();
-        let a = pre.process_streamed(77, &c, &objects, 8, Some(&a_cache), Some(2));
-        let b_cache = SharedParticleCache::new();
-        let b = pre.process_supervised(
-            77,
-            &c,
-            &objects,
-            8,
-            Some(&b_cache),
-            Some(2),
-            &SupervisionOptions::default(),
-        );
+        let pre = preprocessor(&w);
+        let opts = SupervisionOptions::default();
+        let a_cache = ParticleCache::new();
+        let (a, _) = fresh(&pre, 77, &c, &objects, 8, Some(&a_cache), None, &opts);
+        let b_cache = ParticleCache::new();
+        let (b, levels) = fresh(&pre, 77, &c, &objects, 8, Some(&b_cache), Some(2), &opts);
         for o in &objects {
-            assert_eq!(a.distribution(o), b.index.distribution(o));
-            assert_eq!(b.degradation.get(o), Some(&DegradationLevel::Full));
+            assert_eq!(a.distribution(o), b.distribution(o));
+            assert_eq!(levels.get(o), Some(&DegradationLevel::Full));
         }
         assert_eq!(a_cache.stats(), b_cache.stats());
     }
@@ -1437,39 +1224,29 @@ mod tests {
         let w = world();
         let c = populated_collector(&w, 5);
         let objects: Vec<ObjectId> = (0..5u32).map(ObjectId::new).collect();
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        );
+        let pre = preprocessor(&w);
         let opts = SupervisionOptions::default();
 
         // Pass 1 on an empty live index: everything is an insert.
         let mut live = AnchorObjectIndex::new();
-        let (_, s1) =
-            pre.process_supervised_into(31, &c, &objects, 8, None, None, &opts, &mut live);
+        let (_, s1) = pre.process(31, &c, &objects, 8, None, None, &opts, &mut live);
         assert_eq!(s1.applied, 5);
         assert_eq!(s1.retracted, 0);
-        let fresh1 = pre
-            .process_supervised(31, &c, &objects, 8, None, None, &opts)
-            .index;
+        let fresh1 = pass(&pre, 31, &c, &objects, 8, None);
         assert_eq!(live, fresh1, "first pass equals a rebuild");
 
         // Pass 2 with a shrunk candidate set and a different seed: the two
         // dropped objects are retracted, the rest are updated in place —
         // and the maintained index still equals the fresh build.
         let keep = &objects[..3];
-        let (_, s2) = pre.process_supervised_into(32, &c, keep, 9, None, None, &opts, &mut live);
+        let (_, s2) = pre.process(32, &c, keep, 9, None, None, &opts, &mut live);
         assert_eq!(s2.retracted, 2);
         assert_eq!(s2.applied + s2.unchanged, 3);
-        let fresh2 = pre
-            .process_supervised(32, &c, keep, 9, None, None, &opts)
-            .index;
+        let fresh2 = pass(&pre, 32, &c, keep, 9, None);
         assert_eq!(live, fresh2, "incremental pass equals a rebuild");
 
         // Replaying the identical pass is all no-ops.
-        let (_, s3) = pre.process_supervised_into(32, &c, keep, 9, None, None, &opts, &mut live);
+        let (_, s3) = pre.process(32, &c, keep, 9, None, None, &opts, &mut live);
         assert_eq!(s3.unchanged, 3);
         assert_eq!(s3.applied, 0);
         assert_eq!(s3.retracted, 0);
@@ -1481,32 +1258,18 @@ mod tests {
         let w = world();
         let c = populated_collector(&w, 4);
         let objects: Vec<ObjectId> = (0..4u32).map(ObjectId::new).collect();
-        let recorder = ripq_obs::Recorder::enabled();
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        )
-        .with_recorder(&recorder);
+        let (pre, recorder) = observed(&w, PreprocessorConfig::default());
         let victim = ObjectId::new(2);
-        let out = pre.process_supervised(
-            5,
-            &c,
-            &objects,
-            8,
-            None,
-            None,
-            &SupervisionOptions {
-                panic_object: Some(victim),
-                panic_attempts: 1,
-                ..Default::default()
-            },
-        );
+        let opts = SupervisionOptions {
+            panic_object: Some(victim),
+            panic_attempts: 1,
+            ..Default::default()
+        };
+        let (index, levels) = fresh(&pre, 5, &c, &objects, 8, None, None, &opts);
         // One panic, one successful retry: the object still gets a full
         // answer and nobody else is affected.
-        assert_eq!(out.degradation.get(&victim), Some(&DegradationLevel::Full));
-        assert_eq!(out.index.object_count(), 4);
+        assert_eq!(levels.get(&victim), Some(&DegradationLevel::Full));
+        assert_eq!(index.object_count(), 4);
         let counters = recorder.snapshot().counters;
         assert_eq!(counters.get("degrade.pf_panics"), Some(&1));
         assert_eq!(counters.get("degrade.retries"), Some(&1));
@@ -1518,40 +1281,28 @@ mod tests {
         let w = world();
         let c = populated_collector(&w, 4);
         let objects: Vec<ObjectId> = (0..4u32).map(ObjectId::new).collect();
-        let recorder = ripq_obs::Recorder::enabled();
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        )
-        .with_recorder(&recorder);
+        let (pre, recorder) = observed(&w, PreprocessorConfig::default());
         let victim = ObjectId::new(1);
+        let opts = SupervisionOptions {
+            panic_object: Some(victim),
+            panic_attempts: usize::MAX,
+            ..Default::default()
+        };
         for workers in [1usize, 3] {
-            let out = pre.process_supervised(
-                6,
-                &c,
-                &objects,
-                8,
-                Some(&SharedParticleCache::new()),
-                Some(workers),
-                &SupervisionOptions {
-                    panic_object: Some(victim),
-                    panic_attempts: usize::MAX,
-                    ..Default::default()
-                },
-            );
+            let cache = ParticleCache::new();
+            let (index, levels) =
+                fresh(&pre, 6, &c, &objects, 8, Some(&cache), Some(workers), &opts);
             assert_eq!(
-                out.degradation.get(&victim),
+                levels.get(&victim),
                 Some(&DegradationLevel::Quarantined),
                 "at {workers} workers"
             );
             // The quarantined answer is still a proper distribution...
-            let total: f64 = out.index.total_probability(&victim);
+            let total: f64 = index.total_probability(&victim);
             assert!((total - 1.0).abs() < 1e-9, "total {total}");
             // ...and the healthy objects got full answers.
             for o in objects.iter().filter(|&&o| o != victim) {
-                assert_eq!(out.degradation.get(o), Some(&DegradationLevel::Full));
+                assert_eq!(levels.get(o), Some(&DegradationLevel::Full));
             }
         }
         let counters = recorder.snapshot().counters;
@@ -1563,38 +1314,31 @@ mod tests {
         let w = world();
         let c = populated_collector(&w, 6);
         let objects: Vec<ObjectId> = (0..6u32).map(ObjectId::new).collect();
-        let recorder = ripq_obs::Recorder::enabled();
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        )
-        .with_recorder(&recorder);
+        let (pre, recorder) = observed(&w, PreprocessorConfig::default());
         // Each object costs ~(8-0)·64 = 512 full / 8·16 = 128 reduced.
         // 700 buys one full run, one reduced run, then fallbacks.
         let opts = SupervisionOptions {
             budget: Some(700),
             ..Default::default()
         };
-        let run = |workers| pre.process_supervised(9, &c, &objects, 8, None, Some(workers), &opts);
-        let out = run(1);
-        let levels: Vec<DegradationLevel> = objects.iter().map(|o| out.degradation[o]).collect();
-        assert_eq!(levels[0], DegradationLevel::Full);
-        assert_eq!(levels[1], DegradationLevel::ReducedParticles);
-        assert!(levels[2..]
+        let run = |workers| fresh(&pre, 9, &c, &objects, 8, None, Some(workers), &opts);
+        let (index, levels) = run(1);
+        let ladder: Vec<DegradationLevel> = objects.iter().map(|o| levels[o]).collect();
+        assert_eq!(ladder[0], DegradationLevel::Full);
+        assert_eq!(ladder[1], DegradationLevel::ReducedParticles);
+        assert!(ladder[2..]
             .iter()
             .all(|&l| l == DegradationLevel::UniformFallback));
         // Every answer is still a distribution.
         for o in &objects {
-            let total: f64 = out.index.total_probability(o);
+            let total: f64 = index.total_probability(o);
             assert!((total - 1.0).abs() < 1e-9);
         }
         // Same budget, more workers: identical ladder and answers.
-        let par = run(4);
+        let (par_index, par_levels) = run(4);
         for o in &objects {
-            assert_eq!(out.degradation.get(o), par.degradation.get(o));
-            assert_eq!(out.index.distribution(o), par.index.distribution(o));
+            assert_eq!(levels.get(o), par_levels.get(o));
+            assert_eq!(index.distribution(o), par_index.distribution(o));
         }
         let counters = recorder.snapshot().counters;
         assert_eq!(counters.get("degrade.reduced"), Some(&2));
@@ -1621,33 +1365,17 @@ mod tests {
         for s in 0..3u64 {
             c.ingest_second(s, &[(O, r.id())]);
         }
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        );
-        let out = pre.process_supervised(
-            3,
-            &c,
-            &[O],
-            4,
-            None,
-            None,
-            &SupervisionOptions {
-                budget: Some(0),
-                ..Default::default()
-            },
-        );
-        assert_eq!(
-            out.degradation.get(&O),
-            Some(&DegradationLevel::UniformFallback)
-        );
-        let dist = out.index.distribution(&O).unwrap();
-        let total: f64 = dist.iter().map(|(_, p)| p).sum();
+        let pre = preprocessor(&w);
+        let opts = SupervisionOptions {
+            budget: Some(0),
+            ..Default::default()
+        };
+        let (index, levels) = fresh(&pre, 3, &c, &[O], 4, None, None, &opts);
+        assert_eq!(levels.get(&O), Some(&DegradationLevel::UniformFallback));
+        let total = distribution_total(&index, O);
         assert!((total - 1.0).abs() < 1e-9);
         // now=4, t_last=2 → radius = 2.0 + (1.0+0.3)·2 = 4.6.
-        for &(a, _) in dist {
+        for &(a, _) in index.distribution(&O).unwrap() {
             let d = w.anchors.anchor(a).point.distance(r.position());
             assert!(d <= 4.6 + 1e-9, "anchor {a} at distance {d} outside circle");
         }
@@ -1666,18 +1394,22 @@ mod tests {
                 .collect();
             c.ingest_second(s, &det);
         }
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        );
-        let seq_cache = SharedParticleCache::new();
-        let sequential = pre.process_streamed(1234, &c, &objects, 8, Some(&seq_cache), None);
+        let pre = preprocessor(&w);
+        let opts = SupervisionOptions::default();
+        let seq_cache = ParticleCache::new();
+        let (sequential, _) = fresh(&pre, 1234, &c, &objects, 8, Some(&seq_cache), None, &opts);
         for workers in [1usize, 2, 4] {
-            let par_cache = SharedParticleCache::new();
-            let parallel =
-                pre.process_streamed(1234, &c, &objects, 8, Some(&par_cache), Some(workers));
+            let par_cache = ParticleCache::new();
+            let (parallel, _) = fresh(
+                &pre,
+                1234,
+                &c,
+                &objects,
+                8,
+                Some(&par_cache),
+                Some(workers),
+                &opts,
+            );
             for o in &objects {
                 assert_eq!(
                     sequential.distribution(o),

@@ -1,31 +1,29 @@
 //! Crash-safe checkpointing of a running [`crate::Experiment`].
 //!
-//! A simulation checkpoint freezes everything the per-second loop of
-//! `Experiment::run` mutates — the collector timelines, the shared
-//! particle cache, the three in-loop RNG streams, the accuracy
-//! accumulators, the fault injector's jitter buffer and the cumulative
-//! metrics — into one `experiment.ckpt` frame written atomically through
-//! `ripq-persist`. Everything *else* (true traces, reader deployment,
-//! kNN query points, the outage schedule) is a pure function of
-//! [`ExperimentParams`] and is regenerated on resume; a CRC32
-//! fingerprint of the result-relevant parameters is embedded in the
-//! payload so a snapshot can never be resumed into a different
-//! experiment.
+//! `experiment.ckpt` is one frame written atomically through
+//! `ripq-persist`. Its payload holds, in order: a CRC32 fingerprint of the
+//! result-relevant parameters, the harness's own loop state (the
+//! evaluation-timestamp cursor, the sensing and query RNG streams, the
+//! accuracy accumulators and the fault injector's jitter buffer) and,
+//! last, the system facade's own snapshot payload
+//! ([`IndoorQuerySystem::encode_state`]: collector, particle cache,
+//! pass-seed RNG, metrics, live index, all behind the facade's world
+//! fingerprint). Everything *else* (true traces, reader deployment, kNN
+//! query points, the outage schedule) is a pure function of
+//! [`ExperimentParams`] and the world, and is regenerated on resume.
 //!
-//! Damaged files — torn, bit-flipped, wrong format version, or written
-//! by a different parameter set — are quarantined to
+//! Damaged files — torn, bit-flipped, wrong format version, written by a
+//! different parameter set or in a different world — are quarantined to
 //! `experiment.ckpt.corrupt` and the run cold-starts; a resumed run is
 //! bit-for-bit identical to an uninterrupted one.
 
 use crate::{ExperimentParams, TaggedReading};
-use ripq_core::checkpoint::{decode_metrics, encode_metrics};
-use ripq_obs::{MetricsSnapshot, Recorder};
+use ripq_core::IndoorQuerySystem;
 use ripq_persist::{
     crc32, load_snapshot, quarantine, seal_snapshot, write_atomic, ByteReader, ByteWriter,
     PersistError,
 };
-use ripq_pf::SharedParticleCache;
-use ripq_rfid::{DataCollector, DeploymentStrategy, ObjectId, ReaderId};
+use ripq_rfid::{DeploymentStrategy, ObjectId, ReaderId};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -45,45 +43,26 @@ pub fn snapshot_path(dir: &Path) -> PathBuf {
 /// carries (KL ×2, hit rate ×2, top-k ×2, mean error ×2).
 pub(crate) const MEAN_SLOTS: usize = 8;
 
-/// Everything the per-second loop mutates, decoded back into owned form.
-pub(crate) struct SimCheckpoint {
-    /// First second the resumed loop must process.
-    pub next_second: u64,
+/// The harness's own loop state: everything the per-second loop of
+/// `Experiment::run` mutates outside the system facade.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct HarnessState {
     /// Index into the evaluation-timestamp list.
     pub next_ts: u64,
-    pub collector: DataCollector,
-    pub cache: SharedParticleCache,
     pub rng_sense: [u64; 4],
-    pub rng_pf: [u64; 4],
     pub rng_query: [u64; 4],
     pub means: [(f64, u64); MEAN_SLOTS],
     /// The fault injector's in-flight jitter buffer (empty when the run
     /// has no active fault plan).
     pub pending: BTreeMap<u64, Vec<TaggedReading>>,
-    pub metrics: MetricsSnapshot,
-}
-
-/// Borrowed view of the loop state for encoding, so taking a checkpoint
-/// never clones the collector or cache.
-pub(crate) struct CheckpointView<'a> {
-    pub fingerprint: u32,
-    pub next_second: u64,
-    pub next_ts: u64,
-    pub collector: &'a DataCollector,
-    pub cache: &'a SharedParticleCache,
-    pub rng_sense: [u64; 4],
-    pub rng_pf: [u64; 4],
-    pub rng_query: [u64; 4],
-    pub means: [(f64, u64); MEAN_SLOTS],
-    pub pending: Option<&'a BTreeMap<u64, Vec<TaggedReading>>>,
-    pub metrics: &'a MetricsSnapshot,
 }
 
 /// CRC32 fingerprint over the canonical encoding of every parameter that
 /// influences the numbers. Knobs that provably cannot change results —
 /// `parallelism` (bit-identical by construction), `checkpoint_every` and
 /// `observability` — are excluded, so a snapshot survives resuming under
-/// a different worker count or cadence.
+/// a different worker count or cadence. The world itself is fingerprinted
+/// by the facade payload.
 pub(crate) fn params_fingerprint(p: &ExperimentParams) -> u32 {
     let mut w = ByteWriter::new();
     w.put_u64(p.num_particles as u64);
@@ -128,45 +107,43 @@ pub(crate) fn params_fingerprint(p: &ExperimentParams) -> u32 {
     crc32(&w.into_bytes())
 }
 
-fn encode(view: &CheckpointView<'_>) -> Vec<u8> {
+fn encode(fingerprint: u32, harness: &HarnessState, sys: &IndoorQuerySystem) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_u32(view.fingerprint);
-    w.put_u64(view.next_second);
-    w.put_u64(view.next_ts);
-    view.collector.encode_state(&mut w);
-    view.cache.encode_state(&mut w);
-    for word in view
-        .rng_sense
-        .iter()
-        .chain(&view.rng_pf)
-        .chain(&view.rng_query)
-    {
+    w.put_u32(fingerprint);
+    w.put_u64(harness.next_ts);
+    for word in harness.rng_sense.iter().chain(&harness.rng_query) {
         w.put_u64(*word);
     }
-    for (sum, n) in view.means {
+    for (sum, n) in harness.means {
         w.put_f64(sum);
         w.put_u64(n);
     }
-    match view.pending {
-        None => w.put_seq_len(0),
-        Some(pending) => {
-            w.put_seq_len(pending.len());
-            for (&delivery, bucket) in pending {
-                w.put_u64(delivery);
-                w.put_seq_len(bucket.len());
-                for &(logical, object, reader) in bucket {
-                    w.put_u64(logical);
-                    w.put_u32(object.raw());
-                    w.put_u32(reader.raw());
-                }
-            }
+    w.put_seq_len(harness.pending.len());
+    for (&delivery, bucket) in &harness.pending {
+        w.put_u64(delivery);
+        w.put_seq_len(bucket.len());
+        for &(logical, object, reader) in bucket {
+            w.put_u64(logical);
+            w.put_u32(object.raw());
+            w.put_u32(reader.raw());
         }
     }
-    encode_metrics(&mut w, view.metrics);
+    sys.encode_state(&mut w);
     w.into_bytes()
 }
 
-fn decode(payload: &[u8], expected_fingerprint: u32) -> Result<SimCheckpoint, PersistError> {
+fn get_words(r: &mut ByteReader<'_>) -> Result<[u64; 4], PersistError> {
+    Ok([r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?])
+}
+
+/// Decodes the harness state, then commits the facade section into
+/// `sys` (which consumes the rest of the payload). Nothing is committed
+/// on error. Returns the first second the resumed loop must process.
+fn decode(
+    payload: &[u8],
+    expected_fingerprint: u32,
+    sys: &mut IndoorQuerySystem,
+) -> Result<(u64, HarnessState), PersistError> {
     let mut r = ByteReader::new(payload);
     let fingerprint = r.get_u32()?;
     if fingerprint != expected_fingerprint {
@@ -177,14 +154,9 @@ fn decode(payload: &[u8], expected_fingerprint: u32) -> Result<SimCheckpoint, Pe
             supported: expected_fingerprint,
         });
     }
-    let next_second = r.get_u64()?;
     let next_ts = r.get_u64()?;
-    let collector = DataCollector::decode_state(&mut r)?;
-    let cache = SharedParticleCache::decode_state(&mut r)?;
-    let mut words = [0u64; 12];
-    for word in &mut words {
-        *word = r.get_u64()?;
-    }
+    let rng_sense = get_words(&mut r)?;
+    let rng_query = get_words(&mut r)?;
     let mut means = [(0.0, 0u64); MEAN_SLOTS];
     for slot in &mut means {
         *slot = (r.get_f64()?, r.get_u64()?);
@@ -203,67 +175,62 @@ fn decode(payload: &[u8], expected_fingerprint: u32) -> Result<SimCheckpoint, Pe
         }
         pending.insert(delivery, bucket);
     }
-    let metrics = decode_metrics(&mut r)?;
-    if r.remaining() != 0 {
-        return Err(PersistError::Torn);
-    }
-    Ok(SimCheckpoint {
-        next_second,
+    let replay_from = sys.restore_state(&mut r)?;
+    let harness = HarnessState {
         next_ts,
-        collector,
-        cache,
-        rng_sense: words[0..4].try_into().expect("slice of 4"),
-        rng_pf: words[4..8].try_into().expect("slice of 4"),
-        rng_query: words[8..12].try_into().expect("slice of 4"),
+        rng_sense,
+        rng_query,
         means,
         pending,
-        metrics,
-    })
+    };
+    Ok((replay_from, harness))
 }
 
 /// Atomically writes one sealed checkpoint frame to `path`.
-pub(crate) fn save(path: &Path, view: &CheckpointView<'_>) -> Result<(), PersistError> {
+pub(crate) fn save(
+    path: &Path,
+    fingerprint: u32,
+    harness: &HarnessState,
+    sys: &IndoorQuerySystem,
+) -> Result<(), PersistError> {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir).map_err(|e| PersistError::Io(e.to_string()))?;
     }
-    write_atomic(path, &seal_snapshot(&encode(view)))
+    write_atomic(path, &seal_snapshot(&encode(fingerprint, harness, sys)))
 }
 
-/// Loads the snapshot at `path`, quarantining anything unusable.
+/// Loads the snapshot at `path` into `sys`, quarantining anything
+/// unusable.
 ///
-/// Returns the outcome plus the decoded state on a successful resume.
-/// Counters: `recovery.cold_start`, `recovery.resumed` or
+/// Returns the outcome plus the harness state on a successful resume; on
+/// any other outcome `sys` is untouched. Counters on the system's
+/// recorder: `recovery.cold_start`, `recovery.resumed` or
 /// `recovery.quarantined` tick accordingly (they are *not* part of any
 /// golden — harnesses strip the `recovery.*` prefix before comparing).
 pub(crate) fn load_or_quarantine(
     path: &Path,
     expected_fingerprint: u32,
-    recorder: &Recorder,
-) -> (RecoveryOutcome, Option<SimCheckpoint>) {
+    sys: &mut IndoorQuerySystem,
+) -> (RecoveryOutcome, Option<HarnessState>) {
     let payload = match load_snapshot(path) {
         Ok(p) => p,
         Err(PersistError::Missing) => {
-            recorder.add("recovery.cold_start", 1);
+            sys.recorder().add("recovery.cold_start", 1);
             return (RecoveryOutcome::ColdStart, None);
         }
-        Err(_damaged) => return (quarantine_damaged(path, recorder), None),
+        Err(_damaged) => return (quarantine_damaged(path, sys), None),
     };
-    match decode(&payload, expected_fingerprint) {
-        Ok(ck) => {
-            recorder.add("recovery.resumed", 1);
-            (
-                RecoveryOutcome::Resumed {
-                    replay_from: ck.next_second,
-                },
-                Some(ck),
-            )
+    match decode(&payload, expected_fingerprint, sys) {
+        Ok((replay_from, harness)) => {
+            sys.recorder().add("recovery.resumed", 1);
+            (RecoveryOutcome::Resumed { replay_from }, Some(harness))
         }
-        Err(_damaged) => (quarantine_damaged(path, recorder), None),
+        Err(_damaged) => (quarantine_damaged(path, sys), None),
     }
 }
 
-fn quarantine_damaged(path: &Path, recorder: &Recorder) -> RecoveryOutcome {
-    recorder.add("recovery.quarantined", 1);
+fn quarantine_damaged(path: &Path, sys: &IndoorQuerySystem) -> RecoveryOutcome {
+    sys.recorder().add("recovery.quarantined", 1);
     match quarantine(path) {
         Ok(moved) => RecoveryOutcome::Quarantined { path: moved },
         // The move itself failed (e.g. the file vanished); the run still
@@ -279,21 +246,23 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use ripq_core::SystemConfig;
+    use ripq_floorplan::{office_building, OfficeParams};
 
-    fn view_fixture<'a>(
-        collector: &'a DataCollector,
-        cache: &'a SharedParticleCache,
-        pending: &'a BTreeMap<u64, Vec<TaggedReading>>,
-        metrics: &'a MetricsSnapshot,
-    ) -> CheckpointView<'a> {
-        CheckpointView {
-            fingerprint: 0xABCD_1234,
-            next_second: 42,
+    const FINGERPRINT: u32 = 0xABCD_1234;
+
+    fn harness_fixture() -> HarnessState {
+        let mut pending = BTreeMap::new();
+        pending.insert(
+            7,
+            vec![
+                (5, ObjectId::new(1), ReaderId::new(2)),
+                (6, ObjectId::new(3), ReaderId::new(0)),
+            ],
+        );
+        HarnessState {
             next_ts: 3,
-            collector,
-            cache,
             rng_sense: StdRng::seed_from_u64(1).state(),
-            rng_pf: StdRng::seed_from_u64(2).state(),
             rng_query: StdRng::seed_from_u64(3).state(),
             means: [
                 (1.5, 2),
@@ -305,83 +274,87 @@ mod tests {
                 (9.0, 2),
                 (11.0, 2),
             ],
-            pending: Some(pending),
-            metrics,
+            pending,
         }
     }
 
-    fn fixture_state() -> (
-        DataCollector,
-        SharedParticleCache,
-        BTreeMap<u64, Vec<TaggedReading>>,
-        MetricsSnapshot,
-    ) {
-        let mut collector = DataCollector::new();
-        collector.ingest_second(
-            5,
-            &[
-                (ObjectId::new(1), ReaderId::new(2)),
-                (ObjectId::new(3), ReaderId::new(0)),
-            ],
-        );
-        let cache = SharedParticleCache::new();
-        let mut pending = BTreeMap::new();
-        pending.insert(
-            7,
-            vec![
-                (5, ObjectId::new(1), ReaderId::new(2)),
-                (6, ObjectId::new(3), ReaderId::new(0)),
-            ],
-        );
-        let recorder = Recorder::enabled();
-        recorder.add("sim.timestamps_evaluated", 4);
-        (collector, cache, pending, recorder.snapshot())
+    fn system(readers: u32) -> IndoorQuerySystem {
+        let plan = office_building(&OfficeParams::default()).unwrap();
+        let config = SystemConfig {
+            reader_count: readers,
+            observability: true,
+            ..SystemConfig::default()
+        };
+        IndoorQuerySystem::new(plan, config, 9)
+    }
+
+    /// A system that has ingested seconds `0..=41`, so it resumes at 42.
+    fn fed_system() -> IndoorQuerySystem {
+        let mut sys = system(19);
+        let r = sys.readers()[2].id();
+        for s in 0..=41u64 {
+            sys.ingest_detections(s, &[(ObjectId::new(1), r)]);
+        }
+        sys.recorder().add("sim.timestamps_evaluated", 4);
+        sys
+    }
+
+    fn state_bytes(sys: &IndoorQuerySystem) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        sys.encode_state(&mut w);
+        w.into_bytes()
     }
 
     #[test]
     fn checkpoint_codec_round_trips() {
-        let (collector, cache, pending, metrics) = fixture_state();
-        let view = view_fixture(&collector, &cache, &pending, &metrics);
-        let bytes = encode(&view);
-        let ck = decode(&bytes, view.fingerprint).unwrap();
-        assert_eq!(ck.next_second, 42);
-        assert_eq!(ck.next_ts, 3);
-        assert_eq!(ck.rng_sense, view.rng_sense);
-        assert_eq!(ck.rng_pf, view.rng_pf);
-        assert_eq!(ck.rng_query, view.rng_query);
-        assert_eq!(ck.means, view.means);
-        assert_eq!(ck.pending, pending);
-        assert_eq!(ck.metrics, metrics);
-        // Collector round-trip: re-encoding reproduces identical bytes.
-        let mut w1 = ByteWriter::new();
-        collector.encode_state(&mut w1);
-        let mut w2 = ByteWriter::new();
-        ck.collector.encode_state(&mut w2);
-        assert_eq!(w1.into_bytes(), w2.into_bytes());
+        let source = fed_system();
+        let harness = harness_fixture();
+        let bytes = encode(FINGERPRINT, &harness, &source);
+        let mut target = system(19);
+        let (replay_from, decoded) = decode(&bytes, FINGERPRINT, &mut target).unwrap();
+        assert_eq!(replay_from, 42);
+        assert_eq!(decoded, harness);
+        // The facade section round-trips byte for byte.
+        assert_eq!(state_bytes(&target), state_bytes(&source));
     }
 
     #[test]
     fn fingerprint_mismatch_is_stale_not_a_resume() {
-        let (collector, cache, pending, metrics) = fixture_state();
-        let view = view_fixture(&collector, &cache, &pending, &metrics);
-        let bytes = encode(&view);
+        let bytes = encode(FINGERPRINT, &harness_fixture(), &fed_system());
+        let mut target = system(19);
+        let before = state_bytes(&target);
         assert!(matches!(
-            decode(&bytes, view.fingerprint ^ 1),
+            decode(&bytes, FINGERPRINT ^ 1, &mut target),
             Err(PersistError::StaleVersion { .. })
         ));
+        assert_eq!(state_bytes(&target), before, "nothing committed");
+    }
+
+    #[test]
+    fn snapshot_of_another_world_is_stale_and_commits_nothing() {
+        let bytes = encode(FINGERPRINT, &harness_fixture(), &fed_system());
+        let mut target = system(6);
+        let before = state_bytes(&target);
+        assert!(matches!(
+            decode(&bytes, FINGERPRINT, &mut target),
+            Err(PersistError::StaleVersion { .. })
+        ));
+        assert_eq!(state_bytes(&target), before, "nothing committed");
     }
 
     #[test]
     fn truncation_anywhere_is_torn_never_a_panic() {
-        let (collector, cache, pending, metrics) = fixture_state();
-        let view = view_fixture(&collector, &cache, &pending, &metrics);
-        let bytes = encode(&view);
+        let source = fed_system();
+        let bytes = encode(FINGERPRINT, &harness_fixture(), &source);
+        let mut target = system(19);
+        let before = state_bytes(&target);
         for cut in 0..bytes.len() {
             assert!(
-                decode(&bytes[..cut], view.fingerprint).is_err(),
+                decode(&bytes[..cut], FINGERPRINT, &mut target).is_err(),
                 "cut at {cut} decoded successfully"
             );
         }
+        assert_eq!(state_bytes(&target), before, "nothing committed");
     }
 
     #[test]
@@ -421,15 +394,18 @@ mod tests {
         let dir = std::env::temp_dir().join("ripq_sim_ckpt_roundtrip");
         let _ = std::fs::remove_dir_all(&dir);
         let path = snapshot_path(&dir);
-        let (collector, cache, pending, metrics) = fixture_state();
-        let view = view_fixture(&collector, &cache, &pending, &metrics);
-        save(&path, &view).unwrap();
-        let recorder = Recorder::enabled();
-        let (outcome, ck) = load_or_quarantine(&path, view.fingerprint, &recorder);
+        let harness = harness_fixture();
+        save(&path, FINGERPRINT, &harness, &fed_system()).unwrap();
+        let mut target = system(19);
+        let (outcome, restored) = load_or_quarantine(&path, FINGERPRINT, &mut target);
         assert_eq!(outcome, RecoveryOutcome::Resumed { replay_from: 42 });
-        assert_eq!(ck.unwrap().pending, pending);
+        assert_eq!(restored, Some(harness));
         assert_eq!(
-            recorder.snapshot().counters.get("recovery.resumed"),
+            target
+                .recorder()
+                .snapshot()
+                .counters
+                .get("recovery.resumed"),
             Some(&1)
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -443,9 +419,9 @@ mod tests {
         let path = snapshot_path(&dir);
         // ripq-lint: allow(atomic-persistence) -- test deliberately writes a torn non-atomic file
         std::fs::write(&path, b"RIPQSNAPgarbage").unwrap();
-        let recorder = Recorder::enabled();
-        let (outcome, ck) = load_or_quarantine(&path, 0, &recorder);
-        assert!(ck.is_none());
+        let mut sys = system(19);
+        let (outcome, restored) = load_or_quarantine(&path, 0, &mut sys);
+        assert!(restored.is_none());
         match outcome {
             RecoveryOutcome::Quarantined { path: moved } => {
                 assert!(moved.to_string_lossy().ends_with(".corrupt"));
@@ -455,7 +431,10 @@ mod tests {
             other => panic!("expected quarantine, got {other:?}"),
         }
         assert_eq!(
-            recorder.snapshot().counters.get("recovery.quarantined"),
+            sys.recorder()
+                .snapshot()
+                .counters
+                .get("recovery.quarantined"),
             Some(&1)
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -2,10 +2,12 @@
 //! §5.
 //!
 //! One [`Experiment::run`] reproduces the paper's measurement procedure:
-//! generate true traces, stream noisy readings into the collector, and at
+//! generate true traces, stream noisy readings into the system, and at
 //! each evaluation timestamp compare the particle-filter method (PF) and
 //! the symbolic-model baseline (SM) against ground truth on randomly
-//! generated range and kNN queries.
+//! generated range and kNN queries. The PF side is the
+//! [`IndoorQuerySystem`] facade itself; the SM side reads the facade's
+//! collector.
 
 use crate::{
     checkpoint,
@@ -14,11 +16,14 @@ use crate::{
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use ripq_core::{evaluate_knn, evaluate_range, KnnQuery, QueryId, RecoveryOutcome};
+use ripq_core::{
+    evaluate_knn, evaluate_range, DegradationLevel, IndoorQuerySystem, KnnQuery, QueryId,
+    RecoveryOutcome, SystemConfig,
+};
 use ripq_geom::{Point2, Rect};
-use ripq_obs::{MetricsSnapshot, Recorder};
-use ripq_pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
-use ripq_rfid::{DataCollector, ObjectId};
+use ripq_obs::MetricsSnapshot;
+use ripq_pf::PreprocessorConfig;
+use ripq_rfid::ObjectId;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -211,7 +216,7 @@ impl Experiment {
 
     /// Runs the experiment and returns the averaged accuracy metrics.
     pub fn run(&self) -> AccuracyReport {
-        self.run_inner(&Recorder::disabled())
+        self.run_inner(false).0
     }
 
     /// Runs the experiment with pipeline observability controlled by
@@ -219,32 +224,28 @@ impl Experiment {
     /// together with the metrics snapshot (`None` when observability is
     /// off).
     ///
-    /// The snapshot covers every instrumented stage the run exercises —
-    /// collector ingestion, particle-filter preprocessing, plus the
-    /// harness's own `sim.*` counters — and is deterministic: same
-    /// params, same snapshot, regardless of `parallelism`.
+    /// The snapshot is the system facade's: every instrumented stage the
+    /// run exercises — collector ingestion, the evaluation pass, particle
+    /// filter and cache — plus the harness's own `sim.*` and `faults.*`
+    /// counters. Counters, gauges, histograms and span counts are
+    /// deterministic: same params, same values, regardless of
+    /// `parallelism`.
     pub fn run_with_metrics(&self) -> (AccuracyReport, Option<MetricsSnapshot>) {
-        let recorder = Recorder::from_flag(self.params.observability);
-        let report = self.run_inner(&recorder);
-        let snapshot = recorder.is_enabled().then(|| recorder.snapshot());
-        (report, snapshot)
+        self.run_inner(self.params.observability)
     }
 
-    fn run_inner(&self, recorder: &Recorder) -> AccuracyReport {
+    fn run_inner(&self, observability: bool) -> (AccuracyReport, Option<MetricsSnapshot>) {
         // Wall-clock spans are only taken when the recorder is live, so an
-        // observability-off run never touches the clock. Span *durations*
-        // are the one non-deterministic part of a sim snapshot (span
-        // counts and every counter/gauge/histogram are exact); the core
-        // system facade offers fully logical timing instead.
+        // observability-off run never records them. Span *durations* are
+        // the one non-deterministic part of a sim snapshot (span counts
+        // and every counter/gauge/histogram are exact).
         use std::time::Instant;
-        let obs_on = recorder.is_enabled();
         // ripq-lint: allow(no-nondeterminism) -- wall-clock span timing, only taken when the recorder is live; accuracy results never read it
-        let t_run = obs_on.then(Instant::now);
+        let t_run = observability.then(Instant::now);
         let p = &self.params;
         let w = &self.world;
         let mut rng_trace = StdRng::seed_from_u64(p.seed.wrapping_add(1));
         let mut rng_sense = StdRng::seed_from_u64(p.seed.wrapping_add(2));
-        let mut rng_pf = StdRng::seed_from_u64(p.seed.wrapping_add(3));
         let mut rng_query = StdRng::seed_from_u64(p.seed.wrapping_add(4));
 
         // 1. True traces and noisy detections.
@@ -260,45 +261,63 @@ impl Experiment {
         let objects: Vec<ObjectId> = traces.iter().map(|t| t.object).collect();
         let knn_points = self.knn_points(&mut rng_query);
 
-        // 2. Stream seconds into the collector; evaluate at timestamps.
-        let mut collector = DataCollector::new();
-        collector.set_recorder(recorder);
-
+        // 2. The system under test: the facade over this world's plan and
+        // readers. Its master RNG is seeded `seed + 3`; with no PTkNN
+        // query registered, its only draw is the per-timestamp pass seed,
+        // and every object then filters on its own stream derived from
+        // it, so `parallelism` never changes the numbers. Pruning is off:
+        // every known object is preprocessed, in id order.
+        //
         // Fault layer (off by default). When active, readings pass through
-        // the injector and the collector ingests delivery-tagged batches
+        // the injector and the system ingests delivery-tagged batches
         // behind a reorder window matching the injector's jitter bound;
         // evaluation then happens at the *watermark* (delivery second
         // minus the window), the moment a logical second is final. With
         // `W = 0` faults the watermark equals the second, and an inactive
         // plan takes the exact classic path.
-        let mut injector = p.faults.is_active().then(|| {
-            let mut inj = FaultInjector::new(p.faults, w.readers.len(), p.duration);
-            inj.set_recorder(recorder);
-            inj
-        });
         let jitter = p.faults.max_delay_seconds;
-        if let Some(inj) = &injector {
-            collector.set_reorder_window(jitter);
-            for o in inj.outages() {
-                collector.note_outage(o.reader, o.from, o.until);
-            }
-        }
-        let mut cache = ParticleCache::new();
-        let pf_config = PreprocessorConfig {
-            num_particles: p.num_particles,
-            negative_evidence: p.negative_evidence,
-            resample_threshold: p.resample_threshold,
-            coast_seconds: p.coast_seconds,
-            kde_bandwidth: p.kde_bandwidth,
-            adaptive: p.kld_adaptive.then(ripq_pf::KldConfig::default),
-            motion: ripq_pf::MotionModel {
-                room_enter_probability: p.room_enter_probability,
+        let config = SystemConfig {
+            anchor_spacing: p.anchor_spacing,
+            max_speed: p.max_speed,
+            preprocess: PreprocessorConfig {
+                num_particles: p.num_particles,
+                negative_evidence: p.negative_evidence,
+                resample_threshold: p.resample_threshold,
+                coast_seconds: p.coast_seconds,
+                kde_bandwidth: p.kde_bandwidth,
+                adaptive: p.kld_adaptive.then(ripq_pf::KldConfig::default),
+                motion: ripq_pf::MotionModel {
+                    room_enter_probability: p.room_enter_probability,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
-            ..Default::default()
+            use_cache: true,
+            prune_candidates: false,
+            parallelism: p.parallelism,
+            reorder_window: if p.faults.is_active() { jitter } else { 0 },
+            observability,
+            checkpoint_every: 0,
+            query_budget: p.query_budget,
+            ..SystemConfig::default()
         };
-        let preprocessor = ParticlePreprocessor::new(&w.graph, &w.anchors, &w.readers, pf_config)
-            .with_recorder(recorder);
+        let mut sys = IndoorQuerySystem::with_readers(
+            w.plan.clone(),
+            w.readers.clone(),
+            config,
+            p.seed.wrapping_add(3),
+        );
+        let recorder = sys.recorder().clone();
+        let mut injector = p
+            .faults
+            .is_active()
+            .then(|| FaultInjector::new(p.faults, w.readers.len(), p.duration));
+        if let Some(inj) = injector.as_mut() {
+            inj.set_recorder(&recorder);
+            for o in inj.outages() {
+                sys.note_reader_outage(o.reader, o.from, o.until);
+            }
+        }
 
         let timestamps = p.timestamps();
         let mut next_ts = 0usize;
@@ -314,11 +333,11 @@ impl Experiment {
 
         // Crash recovery. Everything above this point — traces, readers,
         // ground truth, query points, the outage schedule — is a pure
-        // function of the params and was regenerated identically; the
-        // snapshot restores only what the loop below mutates, then the
-        // loop re-enters at the checkpointed second. A fingerprint check
-        // inside the decoder quarantines snapshots from other parameter
-        // sets.
+        // function of the params and the world and was regenerated
+        // identically; the snapshot restores only what the loop below
+        // mutates (the facade's state included), then the loop re-enters
+        // at the checkpointed second. Fingerprint checks quarantine
+        // snapshots from other parameter sets and other worlds.
         let fingerprint = checkpoint::params_fingerprint(p);
         let ckpt_path = self
             .checkpoint_dir
@@ -326,34 +345,22 @@ impl Experiment {
             .map(checkpoint::snapshot_path);
         let mut start_second = 0u64;
         if let Some(path) = &ckpt_path {
-            let (outcome, restored) = checkpoint::load_or_quarantine(path, fingerprint, recorder);
-            if let Some(ck) = restored {
-                collector = ck.collector;
-                collector.set_recorder(recorder);
-                cache = ParticleCache::from_shared(ck.cache);
-                rng_sense = StdRng::from_state(ck.rng_sense);
-                rng_pf = StdRng::from_state(ck.rng_pf);
-                rng_query = StdRng::from_state(ck.rng_query);
-                next_ts = ck.next_ts as usize;
+            let (outcome, restored) = checkpoint::load_or_quarantine(path, fingerprint, &mut sys);
+            if let (RecoveryOutcome::Resumed { replay_from }, Some(h)) = (&outcome, restored) {
+                rng_sense = StdRng::from_state(h.rng_sense);
+                rng_query = StdRng::from_state(h.rng_query);
+                next_ts = h.next_ts as usize;
                 [kl_pf, kl_sm, hit_pf, hit_sm, top1, top2, err_pf, err_sm] =
-                    ck.means.map(Mean::from_state);
+                    h.means.map(Mean::from_state);
                 if let Some(inj) = injector.as_mut() {
-                    inj.restore_pending(ck.pending);
+                    inj.restore_pending(h.pending);
                 }
-                // Update-in-place: handles resolved above (collector,
-                // injector, preprocessor) stay live across the restore.
-                recorder.restore(&ck.metrics);
-                start_second = ck.next_second;
+                start_second = *replay_from;
             }
             if let Ok(mut slot) = self.last_recovery.lock() {
                 *slot = Some(outcome);
             }
         }
-
-        let supervision = SupervisionOptions {
-            budget: p.query_budget,
-            ..SupervisionOptions::default()
-        };
 
         let horizon = if injector.is_some() {
             p.duration + jitter
@@ -369,22 +376,18 @@ impl Experiment {
             if let Some(path) = &ckpt_path {
                 if p.checkpoint_every > 0 && second > 0 && second.is_multiple_of(p.checkpoint_every)
                 {
-                    let metrics = recorder.snapshot();
-                    let view = checkpoint::CheckpointView {
-                        fingerprint,
-                        next_second: second,
+                    let harness = checkpoint::HarnessState {
                         next_ts: next_ts as u64,
-                        collector: &collector,
-                        cache: cache.shared(),
                         rng_sense: rng_sense.state(),
-                        rng_pf: rng_pf.state(),
                         rng_query: rng_query.state(),
                         means: [kl_pf, kl_sm, hit_pf, hit_sm, top1, top2, err_pf, err_sm]
                             .map(|m| m.state()),
-                        pending: injector.as_ref().map(|inj| inj.pending()),
-                        metrics: &metrics,
+                        pending: injector
+                            .as_ref()
+                            .map(|inj| inj.pending().clone())
+                            .unwrap_or_default(),
                     };
-                    match checkpoint::save(path, &view) {
+                    match checkpoint::save(path, fingerprint, &harness, &sys) {
                         Ok(()) => recorder.add("recovery.checkpoints_written", 1),
                         // Best effort: a full disk must degrade durability,
                         // not kill the run.
@@ -395,7 +398,7 @@ impl Experiment {
             match injector.as_mut() {
                 None => {
                     let detections = reading_gen.detections_at(&mut rng_sense, &traces, second);
-                    collector.ingest_second(second, &detections);
+                    sys.ingest_detections(second, &detections);
                 }
                 Some(inj) => {
                     // Past `duration` nothing new is generated; the extra
@@ -406,7 +409,7 @@ impl Experiment {
                         Vec::new()
                     };
                     let delivered = inj.step(second, &detections);
-                    collector.ingest_delivery(second, &delivered);
+                    sys.ingest_delivery(second, &delivered);
                 }
             }
             let watermark = if injector.is_some() {
@@ -420,41 +423,34 @@ impl Experiment {
                 let now = watermark;
                 recorder.add("sim.timestamps_evaluated", 1);
 
-                // Both probabilistic indexes over all objects. One pass
-                // seed per timestamp; each object then filters on its own
-                // derived RNG stream, so `parallelism` never changes the
-                // numbers.
-                let pass_seed: u64 = rng_pf.random();
+                // Both probabilistic indexes over all objects: the
+                // facade's evaluation pass for PF (panic isolation and the
+                // deadline-budget ladder included), the symbolic model
+                // over the same collector for SM.
                 // ripq-lint: allow(no-nondeterminism) -- wall-clock span timing, recorder-gated, never feeds results
-                let t_pf = obs_on.then(Instant::now);
-                // The supervised path adds panic isolation and the
-                // deadline-budget degradation ladder; with the default
-                // budget (`None`) it is the exact streamed pass.
-                let supervised = preprocessor.process_supervised(
-                    pass_seed,
-                    &collector,
-                    &objects,
-                    now,
-                    Some(cache.shared()),
-                    p.parallelism,
-                    &supervision,
-                );
-                // Lazily counted so fault-free goldens never see the name.
-                if !supervised.degradation.is_empty() {
-                    recorder.add("sim.objects_degraded", supervised.degradation.len() as u64);
+                let t_pf = observability.then(Instant::now);
+                let report = sys.evaluate(now);
+                // Lazily counted so budget-free runs never see the name.
+                let degraded = report
+                    .object_degradation
+                    .values()
+                    .filter(|&&level| level > DegradationLevel::Full)
+                    .count();
+                if degraded > 0 {
+                    recorder.add("sim.objects_degraded", degraded as u64);
                 }
-                let pf_index = supervised.index;
+                let pf_index = report.index;
                 if let Some(t) = t_pf {
                     recorder.record_span("run/pf_index", t.elapsed());
                 }
                 // ripq-lint: allow(no-nondeterminism) -- wall-clock span timing, recorder-gated, never feeds results
-                let t_sm = obs_on.then(Instant::now);
-                let sm_index = w.symbolic.build_index(&collector, &objects, now);
+                let t_sm = observability.then(Instant::now);
+                let sm_index = w.symbolic.build_index(sys.collector(), &objects, now);
                 if let Some(t) = t_sm {
                     recorder.record_span("run/sm_index", t.elapsed());
                 }
                 // ripq-lint: allow(no-nondeterminism) -- wall-clock span timing, recorder-gated, never feeds results
-                let t_queries = obs_on.then(Instant::now);
+                let t_queries = observability.then(Instant::now);
 
                 // Range queries.
                 recorder.add(
@@ -527,7 +523,7 @@ impl Experiment {
         if let Some(t) = t_run {
             recorder.record_span("run", t.elapsed());
         }
-        AccuracyReport {
+        let report = AccuracyReport {
             range_kl_pf: kl_pf.value(),
             range_kl_sm: kl_sm.value(),
             knn_hit_pf: hit_pf.value(),
@@ -538,7 +534,8 @@ impl Experiment {
             mean_error_sm: err_sm.value(),
             range_queries_evaluated: kl_pf.count(),
             knn_queries_evaluated: hit_pf.count(),
-        }
+        };
+        (report, observability.then(|| recorder.snapshot()))
     }
 }
 
@@ -867,26 +864,41 @@ mod tests {
             checkpoint_every: 20,
             ..ExperimentParams::smoke()
         };
-        let dir = ckpt_dir("stale_params");
-        let _ = Experiment::new(params)
-            .with_checkpoint_dir(&dir)
-            .with_kill_after(100)
-            .run();
-
-        // Same directory, different seed: the fingerprint must refuse it.
-        let other = ExperimentParams {
+        // Same directory, a different experiment: another seed (the
+        // params fingerprint must refuse it) or the same params over a
+        // mall (the facade's world fingerprint must).
+        let other_seed = ExperimentParams {
             seed: params.seed + 1,
             ..params
         };
-        let golden = Experiment::new(other).run();
-        let life2 = Experiment::new(other).with_checkpoint_dir(&dir);
-        let report = life2.run();
-        assert!(matches!(
-            life2.last_recovery(),
-            Some(RecoveryOutcome::Quarantined { .. })
-        ));
-        assert_eq!(report, golden);
-        let _ = std::fs::remove_dir_all(&dir);
+        for (tag, kill_at) in [("stale_params", 100), ("other_world", 90)] {
+            let other = || match tag {
+                "stale_params" => Experiment::new(other_seed),
+                _ => {
+                    let plan =
+                        ripq_floorplan::shopping_mall(&Default::default()).expect("valid mall");
+                    Experiment::with_world(params, SimWorld::build_with_plan(plan, &params))
+                }
+            };
+            let dir = ckpt_dir(tag);
+            let _ = Experiment::new(params)
+                .with_checkpoint_dir(&dir)
+                .with_kill_after(kill_at)
+                .run();
+            let golden = other().run();
+            let life2 = other().with_checkpoint_dir(&dir);
+            let report = life2.run();
+            assert!(
+                matches!(
+                    life2.last_recovery(),
+                    Some(RecoveryOutcome::Quarantined { .. })
+                ),
+                "{tag}: {:?}",
+                life2.last_recovery()
+            );
+            assert_eq!(report, golden, "{tag}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -933,6 +945,16 @@ mod tests {
         // Degraded answers are still answers.
         assert!(r1.range_queries_evaluated > 0);
         assert!((0.0..=1.0).contains(&r1.knn_hit_pf));
+        // Without a budget every object is answered in full, so the
+        // counter is never registered.
+        let (_, free) = Experiment::new(ExperimentParams {
+            query_budget: None,
+            ..params
+        })
+        .run_with_metrics();
+        let free = free.unwrap();
+        assert!(free.counters["pf.objects_processed"] > 0);
+        assert_eq!(free.counters.get("sim.objects_degraded"), None);
     }
 
     #[test]

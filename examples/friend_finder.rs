@@ -13,9 +13,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ripq::core::{evaluate_knn, KnnQuery, QueryId};
-use ripq::pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig};
-use ripq::rfid::DataCollector;
+use ripq::core::{evaluate_knn, IndoorQuerySystem, KnnQuery, QueryId, SystemConfig};
 use ripq::sim::metrics;
 use ripq::sim::{ExperimentParams, GroundTruth, ReadingGenerator, SimWorld, TraceGenerator};
 
@@ -35,7 +33,6 @@ fn main() {
 
     let mut rng_trace = StdRng::seed_from_u64(11);
     let mut rng_sense = StdRng::seed_from_u64(12);
-    let mut rng_pf = StdRng::seed_from_u64(13);
     let traces = TraceGenerator::new(params.room_dwell_mean).generate(
         &mut rng_trace,
         &world.graph,
@@ -46,30 +43,33 @@ fn main() {
     let readings = ReadingGenerator::new(&world.graph, &world.readers, params.sensing);
     let ground_truth = GroundTruth::new(&world.graph, &traces);
     let objects: Vec<_> = traces.iter().map(|t| t.object).collect();
-    let preprocessor = ParticlePreprocessor::new(
-        &world.graph,
-        &world.anchors,
-        &world.readers,
-        PreprocessorConfig::default(),
-    );
-    let mut collector = DataCollector::new();
-    let mut cache = ParticleCache::new();
+    // The particle-filter side is the system itself, answering the same
+    // kNN query; pruning is off so its index covers every friend, like
+    // the symbolic baseline's.
+    let config = SystemConfig {
+        prune_candidates: false,
+        ..SystemConfig::default()
+    };
+    let mut system =
+        IndoorQuerySystem::with_readers(world.plan.clone(), world.readers.clone(), config, 13);
+    let pf_query = system.register_knn(me, params.k).expect("k >= 1");
 
     let mut pf_hits = metrics::Mean::default();
     let mut sm_hits = metrics::Mean::default();
     for second in 0..=params.duration {
         let detections = readings.detections_at(&mut rng_sense, &traces, second);
-        collector.ingest_second(second, &detections);
+        system.ingest_detections(second, &detections);
         if second % 25 != 0 || second < 50 {
             continue;
         }
 
-        let pf_index =
-            preprocessor.process(&mut rng_pf, &collector, &objects, second, Some(&mut cache));
-        let sm_index = world.symbolic.build_index(&collector, &objects, second);
+        let report = system.evaluate(second);
+        let sm_index = world
+            .symbolic
+            .build_index(system.collector(), &objects, second);
 
         let truth = ground_truth.knn(me, params.k, second);
-        let pf = evaluate_knn(&world.graph, &world.anchors, &pf_index, &query);
+        let pf = &report.knn_results[&pf_query];
         let sm = evaluate_knn(&world.graph, &world.anchors, &sm_index, &query);
         let sm_top = metrics::top_k_objects(&sm, params.k);
 

@@ -13,9 +13,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ripq::core::continuous::ContinuousRangeQuery;
-use ripq::core::{QueryId, RangeQuery};
-use ripq::pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig};
-use ripq::rfid::DataCollector;
+use ripq::core::{IndoorQuerySystem, QueryId, RangeQuery, SystemConfig};
 use ripq::sim::{ExperimentParams, ReadingGenerator, SimWorld, TraceGenerator};
 
 fn main() {
@@ -40,7 +38,6 @@ fn main() {
     // Simulation state.
     let mut rng_trace = StdRng::seed_from_u64(7);
     let mut rng_sense = StdRng::seed_from_u64(8);
-    let mut rng_pf = StdRng::seed_from_u64(9);
     let traces = TraceGenerator::new(params.room_dwell_mean).generate(
         &mut rng_trace,
         &world.graph,
@@ -49,27 +46,27 @@ fn main() {
         params.duration,
     );
     let readings = ReadingGenerator::new(&world.graph, &world.readers, params.sensing);
-    let objects: Vec<_> = traces.iter().map(|t| t.object).collect();
-    let preprocessor = ParticlePreprocessor::new(
-        &world.graph,
-        &world.anchors,
-        &world.readers,
-        PreprocessorConfig::default(),
-    );
-    let mut collector = DataCollector::new();
-    let mut cache = ParticleCache::new();
+    // The system over the simulated deployment; every known object is
+    // preprocessed, since the monitor reads the whole index.
+    let config = SystemConfig {
+        prune_candidates: false,
+        ..SystemConfig::default()
+    };
+    let mut system =
+        IndoorQuerySystem::with_readers(world.plan.clone(), world.readers.clone(), config, 9);
 
     // Stream the day; refresh the monitor every 20 simulated seconds.
     let mut events = 0u32;
+    let mut cache_stats = Default::default();
     for second in 0..=params.duration {
         let detections = readings.detections_at(&mut rng_sense, &traces, second);
-        collector.ingest_second(second, &detections);
+        system.ingest_detections(second, &detections);
         if second % 20 != 0 || second < 40 {
             continue;
         }
-        let index =
-            preprocessor.process(&mut rng_pf, &collector, &objects, second, Some(&mut cache));
-        let delta = monitor.update(&world.plan, &world.anchors, &index);
+        let report = system.evaluate(second);
+        cache_stats = report.cache_stats;
+        let delta = monitor.update(&world.plan, &world.anchors, &report.index);
         for (o, p) in &delta.appeared {
             println!("t={second:>3}s  {o} likely entered the room (p = {p:.2})");
             events += 1;
@@ -96,6 +93,6 @@ fn main() {
             .map(|r| r.object.to_string())
             .collect::<Vec<_>>()
     );
-    println!("cache stats: {:?}", cache.stats());
+    println!("cache stats: {cache_stats:?}");
     assert!(events > 0, "240 s of 40 walkers produces room traffic");
 }

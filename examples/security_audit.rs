@@ -13,7 +13,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ripq::core::{evaluate_closest_pairs, evaluate_range, ClosestPairsQuery};
-use ripq::pf::{ParticlePreprocessor, PreprocessorConfig};
+use ripq::graph::AnchorObjectIndex;
+use ripq::pf::{ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
 use ripq::rfid::{HistoryCollector, ReadingStore};
 use ripq::sim::{ExperimentParams, ReadingGenerator, SimWorld, TraceGenerator};
 
@@ -65,8 +66,18 @@ fn main() {
     for &t in &[120u64, 180, 240] {
         let view = log.view_at(t);
         let objects = view.object_ids();
-        let mut rng = StdRng::seed_from_u64(63 ^ t);
-        let index = preprocessor.process(&mut rng, &view, &objects, t, None);
+        let mut index = AnchorObjectIndex::new();
+        let supervision = SupervisionOptions::default();
+        preprocessor.process(
+            63 ^ t,
+            &view,
+            &objects,
+            t,
+            None,
+            None,
+            &supervision,
+            &mut index,
+        );
 
         // Who was (probably) in or near the server room at time t?
         let window = server_room.footprint().inflate(3.0);

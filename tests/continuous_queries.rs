@@ -14,8 +14,6 @@ use ripq::core::{
 use ripq::floorplan::{office_building, OfficeParams};
 use ripq::geom::Rect;
 use ripq::graph::build_walking_graph;
-use ripq::pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig};
-use ripq::rfid::DataCollector;
 use ripq::sim::{ExperimentParams, ReadingGenerator, SimWorld, TraceGenerator};
 use std::collections::BTreeMap;
 
@@ -25,19 +23,14 @@ fn continuous_results_match_fresh_evaluation() {
     let w = SimWorld::build(&params);
     let mut rng_trace = StdRng::seed_from_u64(21);
     let mut rng_sense = StdRng::seed_from_u64(22);
-    let mut rng_pf = StdRng::seed_from_u64(23);
     let traces =
         TraceGenerator::new(6.0).generate(&mut rng_trace, &w.graph, w.plan.rooms().len(), 25, 150);
     let gen = ReadingGenerator::new(&w.graph, &w.readers, params.sensing);
-    let objects: Vec<_> = traces.iter().map(|t| t.object).collect();
-    let pre = ParticlePreprocessor::new(
-        &w.graph,
-        &w.anchors,
-        &w.readers,
-        PreprocessorConfig::default(),
-    );
-    let mut collector = DataCollector::new();
-    let mut cache = ParticleCache::new();
+    let config = SystemConfig {
+        prune_candidates: false,
+        ..SystemConfig::default()
+    };
+    let mut system = IndoorQuerySystem::with_readers(w.plan.clone(), w.readers.clone(), config, 23);
 
     let room = &w.plan.rooms()[8];
     let range_query = RangeQuery::new(QueryId::new(0), *room.footprint()).unwrap();
@@ -53,11 +46,11 @@ fn continuous_results_match_fresh_evaluation() {
     let mut deltas_seen = 0u32;
     for s in 0..=150u64 {
         let det = gen.detections_at(&mut rng_sense, &traces, s);
-        collector.ingest_second(s, &det);
+        system.ingest_detections(s, &det);
         if s < 40 || s % 25 != 0 {
             continue;
         }
-        let index = pre.process(&mut rng_pf, &collector, &objects, s, Some(&mut cache));
+        let index = system.evaluate(s).index;
 
         let d1 = c_range.update(&w.plan, &w.anchors, &index);
         let d2 = c_knn.update(&w.graph, &w.anchors, &index);

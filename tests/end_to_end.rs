@@ -7,11 +7,20 @@ use ripq::core::{
     evaluate_knn, evaluate_range, IndoorQuerySystem, KnnQuery, QueryId, SystemConfig,
 };
 use ripq::geom::Rect;
-use ripq::pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig};
-use ripq::rfid::{DataCollector, ObjectId};
+use ripq::rfid::ObjectId;
 use ripq::sim::{
     metrics, Experiment, ExperimentParams, GroundTruth, ReadingGenerator, SimWorld, TraceGenerator,
 };
+
+/// The system over a simulated world's plan and readers, preprocessing
+/// every known object on each evaluation.
+fn system_over(w: &SimWorld, seed: u64) -> IndoorQuerySystem {
+    let config = SystemConfig {
+        prune_candidates: false,
+        ..SystemConfig::default()
+    };
+    IndoorQuerySystem::with_readers(w.plan.clone(), w.readers.clone(), config, seed)
+}
 
 /// The headline result (§5): the particle-filter method beats the symbolic
 /// baseline on both range-KL and kNN hit rate at (reduced-scale) Table-2
@@ -52,23 +61,16 @@ fn range_probabilities_are_calibrated() {
     let w = SimWorld::build(&params);
     let mut rng_trace = StdRng::seed_from_u64(1);
     let mut rng_sense = StdRng::seed_from_u64(2);
-    let mut rng_pf = StdRng::seed_from_u64(3);
     let traces =
         TraceGenerator::new(8.0).generate(&mut rng_trace, &w.graph, w.plan.rooms().len(), 20, 150);
     let gen = ReadingGenerator::new(&w.graph, &w.readers, params.sensing);
     let objects: Vec<_> = traces.iter().map(|t| t.object).collect();
-    let mut collector = DataCollector::new();
+    let mut system = system_over(&w, 3);
     for s in 0..=150u64 {
         let det = gen.detections_at(&mut rng_sense, &traces, s);
-        collector.ingest_second(s, &det);
+        system.ingest_detections(s, &det);
     }
-    let pre = ParticlePreprocessor::new(
-        &w.graph,
-        &w.anchors,
-        &w.readers,
-        PreprocessorConfig::default(),
-    );
-    let index = pre.process(&mut rng_pf, &collector, &objects, 150, None);
+    let index = system.evaluate(150).index;
 
     let whole = evaluate_range(&w.plan, &w.anchors, &index, &w.plan.bounds());
     for (o, p) in whole.iter() {
@@ -99,23 +101,15 @@ fn knn_total_probability_reaches_k() {
     let w = SimWorld::build(&params);
     let mut rng_trace = StdRng::seed_from_u64(4);
     let mut rng_sense = StdRng::seed_from_u64(5);
-    let mut rng_pf = StdRng::seed_from_u64(6);
     let traces =
         TraceGenerator::new(8.0).generate(&mut rng_trace, &w.graph, w.plan.rooms().len(), 15, 120);
     let gen = ReadingGenerator::new(&w.graph, &w.readers, params.sensing);
-    let objects: Vec<_> = traces.iter().map(|t| t.object).collect();
-    let mut collector = DataCollector::new();
+    let mut system = system_over(&w, 6);
     for s in 0..=120u64 {
         let det = gen.detections_at(&mut rng_sense, &traces, s);
-        collector.ingest_second(s, &det);
+        system.ingest_detections(s, &det);
     }
-    let pre = ParticlePreprocessor::new(
-        &w.graph,
-        &w.anchors,
-        &w.readers,
-        PreprocessorConfig::default(),
-    );
-    let index = pre.process(&mut rng_pf, &collector, &objects, 120, None);
+    let index = system.evaluate(120).index;
     let processed = index.object_count();
     assert!(processed >= 5, "need a populated index, got {processed}");
 
@@ -143,7 +137,6 @@ fn knn_matches_truth_on_fresh_readings() {
     let w = SimWorld::build(&params);
     let mut rng_trace = StdRng::seed_from_u64(7);
     let mut rng_sense = StdRng::seed_from_u64(8);
-    let mut rng_pf = StdRng::seed_from_u64(9);
     let traces = TraceGenerator::new(5.0).generate(
         &mut rng_trace,
         &w.graph,
@@ -153,23 +146,15 @@ fn knn_matches_truth_on_fresh_readings() {
     );
     let gen = ReadingGenerator::new(&w.graph, &w.readers, params.sensing);
     let gt = GroundTruth::new(&w.graph, &traces);
-    let objects: Vec<_> = traces.iter().map(|t| t.object).collect();
-    let mut collector = DataCollector::new();
-    let mut cache = ParticleCache::new();
-    let pre = ParticlePreprocessor::new(
-        &w.graph,
-        &w.anchors,
-        &w.readers,
-        PreprocessorConfig::default(),
-    );
+    let mut system = system_over(&w, 9);
     let mut hits = metrics::Mean::default();
     for s in 0..=params.duration {
         let det = gen.detections_at(&mut rng_sense, &traces, s);
-        collector.ingest_second(s, &det);
+        system.ingest_detections(s, &det);
         if s < 60 || s % 30 != 0 {
             continue;
         }
-        let index = pre.process(&mut rng_pf, &collector, &objects, s, Some(&mut cache));
+        let index = system.evaluate(s).index;
         let q_point = w.plan.hallways()[1].footprint().center();
         let truth = gt.knn(q_point, 3, s);
         let q = KnnQuery::new(QueryId::new(0), q_point, 3).unwrap();

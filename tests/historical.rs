@@ -4,9 +4,33 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ripq::core::{evaluate_range, KnnQuery, QueryId};
-use ripq::pf::{ParticlePreprocessor, PreprocessorConfig};
-use ripq::rfid::{HistoryCollector, ReadingStore};
+use ripq::graph::AnchorObjectIndex;
+use ripq::pf::{ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
+use ripq::rfid::{HistoryCollector, HistoryView, ObjectId, ReadingStore};
 use ripq::sim::{ExperimentParams, GroundTruth, ReadingGenerator, SimWorld, TraceGenerator};
+
+/// One preprocessing pass over a history view into a fresh index.
+fn process_view(
+    pre: &ParticlePreprocessor<'_>,
+    pass_seed: u64,
+    view: &HistoryView<'_>,
+    objects: &[ObjectId],
+    t: u64,
+) -> AnchorObjectIndex<ObjectId> {
+    let mut index = AnchorObjectIndex::new();
+    let supervision = SupervisionOptions::default();
+    pre.process(
+        pass_seed,
+        view,
+        objects,
+        t,
+        None,
+        None,
+        &supervision,
+        &mut index,
+    );
+    index
+}
 
 #[test]
 fn historical_inference_reflects_only_past_readings() {
@@ -34,8 +58,7 @@ fn historical_inference_reflects_only_past_readings() {
     let view = history.view_at(t);
     let objects = view.object_ids();
     assert!(!objects.is_empty());
-    let mut rng_pf = StdRng::seed_from_u64(33);
-    let index = pre.process(&mut rng_pf, &view, &objects, t, None);
+    let index = process_view(&pre, 33, &view, &objects, t);
 
     // Mass must be consistent with the *then-current* positions: for each
     // processed object, some probability within plausible reach of the
@@ -120,8 +143,7 @@ fn historical_range_and_knn_queries_run() {
     for t in [60u64, 90, 120] {
         let view = history.view_at(t);
         let objects = view.object_ids();
-        let mut rng = StdRng::seed_from_u64(53 + t);
-        let index = pre.process(&mut rng, &view, &objects, t, None);
+        let index = process_view(&pre, 53 + t, &view, &objects, t);
         // Historical range query over the whole building finds everyone.
         let rs = evaluate_range(&w.plan, &w.anchors, &index, &w.plan.bounds());
         assert_eq!(rs.len(), index.object_count());

@@ -7,7 +7,8 @@
 //! query answers and the full metrics snapshot (minus the `recovery.*`
 //! bookkeeping counters, which by design differ) — across worker counts
 //! 1/2/4 with candidate pruning off and on, arbitrary checkpoint cadences, and proptest-chosen kill
-//! points. Damaged snapshots (bit flips anywhere in the file) must
+//! points. Damaged snapshots (bit flips anywhere in the file) and
+//! snapshots taken in another world (another reader deployment) must
 //! never panic: they quarantine to `*.corrupt` and rebuild cold.
 //!
 //! The on-disk frame layout itself is pinned by the
@@ -54,10 +55,27 @@ fn detections(second: u64, readers: &[ReaderId]) -> Vec<(ObjectId, ReaderId)> {
     out
 }
 
+/// A reader deployment on the office plan: reader count and activation
+/// range.
+type World = (u32, f64);
+
+/// The deployment every harness life runs in unless a test says otherwise.
+const WORLD: World = (8, 2.0);
+
 fn new_system(workers: Option<usize>, checkpoint_every: u64, prune: bool) -> IndoorQuerySystem {
+    system_in(WORLD, workers, checkpoint_every, prune)
+}
+
+fn system_in(
+    world: World,
+    workers: Option<usize>,
+    checkpoint_every: u64,
+    prune: bool,
+) -> IndoorQuerySystem {
     let floor = office_building(&OfficeParams::default()).expect("valid office");
     let config = SystemConfig {
-        reader_count: 8,
+        reader_count: world.0,
+        activation_range: world.1,
         prune_candidates: prune,
         parallelism: workers,
         timing: TimingMode::Logical,
@@ -306,6 +324,46 @@ fn bit_flipped_snapshot_is_quarantined_and_rebuilt_cold() {
         golden_suffix(&final_render(&life2, &transcript), 0)
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn snapshot_from_another_world_is_quarantined_and_rebuilt_cold() {
+    // (world the snapshot was taken in, world that recovers it). A valid
+    // frame from another deployment must never resume: its reader ids
+    // and cached particles mean nothing here.
+    for (written_in, read_in) in [((19, 2.0), (6, 2.0)), (WORLD, (8, 1.5))] {
+        let tag = format!("world_{}_{}", written_in.0, read_in.0);
+        let dir = temp_dir(&tag);
+        let mut life1 = system_in(written_in, Some(1), 10, false);
+        life1.set_checkpoint_dir(&dir);
+        let q1 = register_queries(&mut life1);
+        let mut discarded = String::new();
+        drive(&mut life1, q1, 0, 12, &mut discarded);
+        drop(life1);
+
+        let mut cold = system_in(read_in, Some(1), 0, false);
+        let q = register_queries(&mut cold);
+        let mut transcript = String::new();
+        drive(&mut cold, q, 0, STREAM_SECONDS, &mut transcript);
+        let golden = final_render(&cold, &transcript);
+
+        let mut life2 = system_in(read_in, Some(1), 10, false);
+        life2.set_checkpoint_dir(&dir);
+        let outcome = life2.recover(&dir).expect("recover never errors on damage");
+        assert!(
+            matches!(outcome, RecoveryOutcome::Quarantined { .. }),
+            "{tag}: a snapshot of another world must not resume, got {outcome:?}"
+        );
+        let q2 = register_queries(&mut life2);
+        let mut transcript = String::new();
+        drive(&mut life2, q2, 0, STREAM_SECONDS, &mut transcript);
+        assert_eq!(
+            golden_suffix(&golden, 0),
+            golden_suffix(&final_render(&life2, &transcript), 0),
+            "{tag}: cold rebuild must match a run that never saw the snapshot"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 // ---------------------------------------------------------------------
