@@ -15,7 +15,7 @@ use ripq_pf::{
     resample_indices, Heading, IndoorState, MotionModel, ParticlePreprocessor, PreprocessorConfig,
     SupervisionOptions,
 };
-use ripq_rfid::{deploy_uniform, DataCollector, ObjectId};
+use ripq_rfid::{deploy_uniform, DataCollector, ObjectId, ReaderId};
 use std::hint::black_box;
 
 fn bench_resampling(c: &mut Criterion) {
@@ -315,37 +315,39 @@ fn bench_system_evaluate(c: &mut Criterion) {
 /// Durable-checkpoint tax on the streaming ingest path: a cadence sweep
 /// against a no-checkpoint baseline over the same 50-object workload.
 ///
-/// Each measured iteration ingests one second of detections with
-/// automatic checkpointing at the given cadence (`every = 0` is the
-/// baseline: no snapshot is ever due, so the checkpoint branch costs one
-/// predicted-false comparison). The explicit delta lines under the group
-/// price each cadence against the baseline the same way the
-/// observability-tax line does, so "what does `--checkpoint-every N`
-/// cost per ingested second" is visible at a glance.
+/// Each measured iteration ingests one second of detections, after a
+/// `checkpoint_now` when the second is a multiple of the cadence (`every
+/// = 0` is the baseline: no snapshot is ever due). The explicit delta
+/// lines under the group price each cadence against the baseline the
+/// same way the observability-tax line does, so "what does a checkpoint
+/// every N seconds cost per ingested second" is visible at a glance.
 fn bench_checkpoint_overhead(c: &mut Criterion) {
-    use ripq_core::{IndoorQuerySystem, SystemConfig};
+    use ripq_core::IndoorQuerySystem;
 
     let dir = std::env::temp_dir().join("ripq-bench-checkpoint");
     std::fs::create_dir_all(&dir).expect("bench checkpoint dir");
 
+    // One second of the drive: the due checkpoint, then the detections.
+    let step = |system: &mut IndoorQuerySystem, reader_ids: &[ReaderId], every: u64, s: u64| {
+        if every > 0 && s > 0 && s.is_multiple_of(every) {
+            system
+                .checkpoint_now()
+                .expect("bench snapshots must write cleanly");
+        }
+        let det: Vec<_> = (0..50u32)
+            .map(|i| (ObjectId::new(i), reader_ids[((i + s as u32) % 19) as usize]))
+            .collect();
+        system.ingest_detections(s, &det);
+    };
     // Fresh system per cadence with a 20-second warm history, so every
     // snapshot carries a realistic cache and collector watermark.
     let build = |every: u64, dir: &std::path::Path| {
         let plan = office_building(&OfficeParams::default()).unwrap();
-        let cfg = SystemConfig {
-            checkpoint_every: every,
-            ..SystemConfig::default()
-        };
-        let mut system = IndoorQuerySystem::new(plan, cfg, 11);
-        if every > 0 {
-            system.set_checkpoint_dir(dir);
-        }
+        let mut system = IndoorQuerySystem::new(plan, Default::default(), 11);
+        system.set_checkpoint_dir(dir);
         let reader_ids: Vec<_> = system.readers().iter().map(|r| r.id()).collect();
         for s in 0..20u64 {
-            let det: Vec<_> = (0..50u32)
-                .map(|i| (ObjectId::new(i), reader_ids[((i + s as u32) % 19) as usize]))
-                .collect();
-            system.ingest_detections(s, &det);
+            step(&mut system, &reader_ids, every, s);
         }
         (system, reader_ids)
     };
@@ -357,24 +359,11 @@ fn bench_checkpoint_overhead(c: &mut Criterion) {
         let mut now = 20u64;
         group.bench_with_input(BenchmarkId::from_parameter(every), &every, |b, _| {
             b.iter(|| {
-                let det: Vec<_> = (0..50u32)
-                    .map(|i| {
-                        (
-                            ObjectId::new(i),
-                            reader_ids[((i + now as u32) % 19) as usize],
-                        )
-                    })
-                    .collect();
-                system.ingest_detections(now, &det);
+                step(&mut system, &reader_ids, every, now);
                 now += 1;
                 black_box(now)
             })
         });
-        assert!(
-            system.last_checkpoint_error().is_none(),
-            "bench snapshots must write cleanly: {:?}",
-            system.last_checkpoint_error()
-        );
     }
     group.finish();
 
@@ -386,10 +375,7 @@ fn bench_checkpoint_overhead(c: &mut Criterion) {
         let (mut system, reader_ids) = build(every, &dir);
         let t = std::time::Instant::now();
         for s in 20..20 + reps {
-            let det: Vec<_> = (0..50u32)
-                .map(|i| (ObjectId::new(i), reader_ids[((i + s as u32) % 19) as usize]))
-                .collect();
-            system.ingest_detections(s, &det);
+            step(&mut system, &reader_ids, every, s);
         }
         costs.push((every, t.elapsed() / reps as u32));
     }

@@ -11,7 +11,7 @@ use std::fmt;
 pub enum RipqError {
     /// A kNN query was registered with `k = 0`.
     ZeroK,
-    /// A range query window has zero area.
+    /// A range query window has no positive area.
     EmptyWindow,
     /// A query id was not found among registered queries.
     UnknownQuery(u32),

@@ -40,9 +40,12 @@ pub struct RangeQuery {
 }
 
 impl RangeQuery {
-    /// Creates a range query, validating the window.
+    /// Creates a range query, validating the window: its area must be
+    /// positive, so a window whose area is NaN (an infinite side times a
+    /// zero one) is refused too.
     pub fn new(id: QueryId, window: Rect) -> Result<Self, CoreError> {
-        if window.area() <= 0.0 {
+        let area = window.area();
+        if area.is_nan() || area <= 0.0 {
             return Err(CoreError::EmptyWindow);
         }
         Ok(RangeQuery { id, window })
@@ -79,6 +82,9 @@ mod tests {
     #[test]
     fn range_query_rejects_empty_window() {
         let err = RangeQuery::new(QueryId::new(0), Rect::new(0.0, 0.0, 0.0, 5.0));
+        assert_eq!(err.unwrap_err(), CoreError::EmptyWindow);
+        // 1e308 + 1e308 overflows: width inf, height 0, area NaN.
+        let err = RangeQuery::new(QueryId::new(0), Rect::new(1e308, 0.0, 1e308, 0.0));
         assert_eq!(err.unwrap_err(), CoreError::EmptyWindow);
         assert!(RangeQuery::new(QueryId::new(0), Rect::new(0.0, 0.0, 2.0, 5.0)).is_ok());
     }

@@ -16,10 +16,7 @@ use ripq_floorplan::FloorPlan;
 use ripq_geom::{Point2, Rect};
 use ripq_graph::{build_walking_graph, AnchorObjectIndex, AnchorSet, ScanCounts, WalkingGraph};
 use ripq_obs::{MetricsSnapshot, Recorder};
-use ripq_persist::{
-    crc32, load_snapshot, quarantine, seal_snapshot, write_atomic, ByteReader, ByteWriter,
-    PersistError,
-};
+use ripq_persist::{crc32, ByteReader, ByteWriter, PersistError};
 use ripq_pf::{
     CacheStats, DegradationLevel, ParticleCache, ParticlePreprocessor, PreprocessorConfig,
     SupervisionOptions,
@@ -73,14 +70,6 @@ pub struct SystemConfig {
     /// across runs and worker counts. Off (default) the recorder is
     /// disabled and every instrument point is a no-op branch.
     pub observability: bool,
-    /// Durable-checkpoint cadence in ingested seconds: when non-zero and
-    /// a checkpoint directory is configured (see
-    /// [`IndoorQuerySystem::set_checkpoint_dir`]), a snapshot is written
-    /// atomically at the *start* of ingesting every due second, so it
-    /// covers exactly the seconds before it. `0` (default) disables
-    /// automatic checkpointing; [`IndoorQuerySystem::checkpoint_now`]
-    /// still works.
-    pub checkpoint_every: u64,
     /// Per-evaluation deadline budget in deterministic logical cost units
     /// (`coast seconds × particle count` per object). When the remaining
     /// budget cannot afford an object's full particle filter, evaluation
@@ -105,7 +94,6 @@ impl Default for SystemConfig {
             reorder_window: 0,
             timing: TimingMode::Wall,
             observability: false,
-            checkpoint_every: 0,
             query_budget: None,
         }
     }
@@ -204,17 +192,11 @@ pub struct IndoorQuerySystem {
     ptknn_queries: BTreeMap<QueryId, PtknnQuery>,
     closest_pairs_queries: BTreeMap<QueryId, ClosestPairsQuery>,
     next_query: u32,
-    /// Where durable snapshots go; `None` disables all checkpoint IO.
+    /// Where [`IndoorQuerySystem::checkpoint_now`] writes `system.ckpt`.
     checkpoint_dir: Option<PathBuf>,
     /// Latest second any ingest entry point has seen, i.e. the recovery
     /// watermark a snapshot covers through.
     last_ingest_second: Option<u64>,
-    /// Base of the checkpoint cadence: the due second of the most recent
-    /// automatic checkpoint (restored on recovery so the cadence
-    /// continues exactly where the previous life left it).
-    last_checkpoint_second: Option<u64>,
-    /// Rendered error of the most recent failed best-effort checkpoint.
-    last_checkpoint_error: Option<String>,
     /// Test-support fault injection: panic the particle filter of this
     /// object for its first N attempts per pass.
     injected_fault: Option<(ObjectId, usize)>,
@@ -278,8 +260,6 @@ impl IndoorQuerySystem {
             next_query: 0,
             checkpoint_dir: None,
             last_ingest_second: None,
-            last_checkpoint_second: None,
-            last_checkpoint_error: None,
             injected_fault: None,
         }
     }
@@ -316,14 +296,12 @@ impl IndoorQuerySystem {
 
     /// Ingests pre-aggregated detections for one second.
     pub fn ingest_detections(&mut self, second: u64, detections: &[(ObjectId, ReaderId)]) {
-        self.maybe_checkpoint(second);
         self.collector.ingest_second(second, detections);
         self.note_ingest(second);
     }
 
     /// Ingests raw sample-level readings for one second.
     pub fn ingest_raw(&mut self, second: u64, raw: &[RawReading]) {
-        self.maybe_checkpoint(second);
         self.collector.ingest_raw_second(second, raw);
         self.note_ingest(second);
     }
@@ -339,7 +317,6 @@ impl IndoorQuerySystem {
         delivery_second: u64,
         readings: &[(u64, ObjectId, ReaderId)],
     ) {
-        self.maybe_checkpoint(delivery_second);
         self.collector.ingest_delivery(delivery_second, readings);
         self.note_ingest(delivery_second);
     }
@@ -698,11 +675,8 @@ impl IndoorQuerySystem {
         &self.recorder
     }
 
-    /// Configures where durable snapshots are written. Automatic
-    /// checkpointing additionally needs
-    /// [`SystemConfig::checkpoint_every`] > 0; explicit
-    /// [`IndoorQuerySystem::checkpoint_now`] calls only need the
-    /// directory.
+    /// Configures where [`IndoorQuerySystem::checkpoint_now`] writes its
+    /// snapshot.
     pub fn set_checkpoint_dir(&mut self, dir: impl Into<PathBuf>) {
         self.checkpoint_dir = Some(dir.into());
     }
@@ -710,13 +684,6 @@ impl IndoorQuerySystem {
     /// The configured checkpoint directory, if any.
     pub fn checkpoint_dir(&self) -> Option<&Path> {
         self.checkpoint_dir.as_deref()
-    }
-
-    /// The rendered error of the most recent failed best-effort automatic
-    /// checkpoint, if any. Automatic checkpoints never abort ingestion;
-    /// they count `recovery.checkpoint_errors` and park the message here.
-    pub fn last_checkpoint_error(&self) -> Option<&str> {
-        self.last_checkpoint_error.as_deref()
     }
 
     /// Test support: make the particle filter of `object` panic on its
@@ -727,30 +694,23 @@ impl IndoorQuerySystem {
         self.injected_fault = Some((object, attempts));
     }
 
-    /// Writes a durable snapshot of the recoverable system state — see
-    /// [`IndoorQuerySystem::encode_state`] — to
-    /// `<dir>/system.ckpt`, atomically
-    /// (sibling temp file, fsync, rename). Requires a checkpoint
-    /// directory; creates it if missing.
+    /// Writes a durable snapshot of the recoverable system state to
+    /// `<dir>/system.ckpt` through [`checkpoint::save`], with no section
+    /// of its own. Requires a checkpoint directory; creates it if
+    /// missing. Call it between seconds: the snapshot covers every second
+    /// ingested so far.
     pub fn checkpoint_now(&mut self) -> Result<(), RipqError> {
-        let Some(dir) = self.checkpoint_dir.clone() else {
+        let Some(dir) = &self.checkpoint_dir else {
             return Err(RipqError::Io(
                 "no checkpoint directory configured".to_string(),
             ));
         };
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| RipqError::Io(format!("{}: {e}", dir.display())))?;
-        let mut w = ByteWriter::new();
-        self.encode_state(&mut w);
-        let framed = seal_snapshot(&w.into_bytes());
-        write_atomic(&checkpoint::snapshot_path(&dir), &framed)
-            .map_err(|e| checkpoint::persist_io(&e))?;
-        self.recorder.add("recovery.checkpoints_written", 1);
-        Ok(())
+        checkpoint::save(self, &checkpoint::snapshot_path(dir), |_| {})
     }
 
-    /// Attempts to restore the system from `<dir>/system.ckpt` and makes
-    /// `dir` the checkpoint directory for this run.
+    /// Attempts to restore the system from `<dir>/system.ckpt` through
+    /// [`checkpoint::recover`] and makes `dir` the checkpoint directory
+    /// for this run.
     ///
     /// * A missing snapshot is a clean [`RecoveryOutcome::ColdStart`].
     /// * A valid snapshot restores collector, cache, RNG, metrics and the
@@ -763,6 +723,7 @@ impl IndoorQuerySystem {
     ///   readers) is moved aside to `system.ckpt.corrupt` and reported as
     ///   [`RecoveryOutcome::Quarantined`]; the system state is left
     ///   untouched for a cold rebuild.
+    /// * An unreadable snapshot is an error and stays in place.
     ///
     /// Registered queries are deliberately *not* part of the snapshot:
     /// re-register them (in the same order) before or after recovering,
@@ -771,43 +732,18 @@ impl IndoorQuerySystem {
         let dir = dir.into();
         let path = checkpoint::snapshot_path(&dir);
         self.checkpoint_dir = Some(dir);
-        let payload = match load_snapshot(&path) {
-            Ok(p) => p,
-            Err(PersistError::Missing) => {
-                self.recorder.add("recovery.cold_start", 1);
-                return Ok(RecoveryOutcome::ColdStart);
-            }
-            Err(PersistError::Io(msg)) => return Err(RipqError::Io(msg)),
-            Err(_damaged) => return self.quarantine_snapshot(&path),
-        };
-        let mut r = ByteReader::new(&payload);
-        match self.restore_state(&mut r) {
-            Ok(replay_from) => {
-                self.recorder.add("recovery.resumed", 1);
-                Ok(RecoveryOutcome::Resumed { replay_from })
-            }
-            Err(_damaged) => self.quarantine_snapshot(&path),
-        }
-    }
-
-    /// Moves a damaged snapshot aside and reports the quarantine.
-    fn quarantine_snapshot(&mut self, path: &Path) -> Result<RecoveryOutcome, RipqError> {
-        let moved = quarantine(path).map_err(|e| checkpoint::persist_io(&e))?;
-        self.recorder.add("recovery.quarantined", 1);
-        Ok(RecoveryOutcome::Quarantined { path: moved })
+        Ok(checkpoint::recover(self, &path, |_| Ok(()))?.outcome())
     }
 
     /// Appends the recoverable state to `w` in the canonical snapshot
-    /// layout: world fingerprint, watermark, cadence base, collector,
-    /// cache, RNG words, metrics, and the live index the next pass takes
-    /// its deltas against. This is the payload of `system.ckpt`; a caller
-    /// embedding it in a frame of its own must put it last, because
-    /// [`IndoorQuerySystem::restore_state`] consumes the rest of the
-    /// reader.
-    pub fn encode_state(&self, w: &mut ByteWriter) {
+    /// layout: world fingerprint, watermark, collector, cache, RNG words,
+    /// metrics, and the live index the next pass takes its deltas
+    /// against. [`checkpoint::save`] puts it after the caller's section,
+    /// because [`IndoorQuerySystem::restore_state`] consumes the rest of
+    /// the reader.
+    pub(crate) fn encode_state(&self, w: &mut ByteWriter) {
         w.put_u32(self.world_crc);
         w.put_opt_u64(self.last_ingest_second);
-        w.put_opt_u64(self.last_checkpoint_second);
         self.collector.encode_state(w);
         self.cache.encode_state(w);
         for word in self.rng.state() {
@@ -823,7 +759,7 @@ impl IndoorQuerySystem {
     /// [`PersistError::StaleVersion`]; everything is decoded into
     /// temporaries before any field is touched, so any error leaves the
     /// system exactly as it was. Returns the replay start second.
-    pub fn restore_state(&mut self, r: &mut ByteReader<'_>) -> Result<u64, PersistError> {
+    pub(crate) fn restore_state(&mut self, r: &mut ByteReader<'_>) -> Result<u64, PersistError> {
         let world = r.get_u32()?;
         if world != self.world_crc {
             return Err(PersistError::StaleVersion {
@@ -832,7 +768,6 @@ impl IndoorQuerySystem {
             });
         }
         let last_ingest = r.get_opt_u64()?;
-        let last_checkpoint = r.get_opt_u64()?;
         let mut collector = DataCollector::decode_state(r)?;
         let cache = ParticleCache::decode_state(r)?;
         let rng_state = [r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?];
@@ -848,7 +783,6 @@ impl IndoorQuerySystem {
         self.recorder.restore(&metrics);
         self.live_index = live_index;
         self.last_ingest_second = last_ingest;
-        self.last_checkpoint_second = last_checkpoint;
         Ok(last_ingest.map_or(0, |s| s + 1))
     }
 
@@ -856,38 +790,12 @@ impl IndoorQuerySystem {
     fn note_ingest(&mut self, second: u64) {
         self.last_ingest_second = Some(self.last_ingest_second.map_or(second, |l| l.max(second)));
     }
-
-    /// Best-effort automatic checkpoint, called at the start of every
-    /// ingest entry point: fires when the cadence is due for `second`,
-    /// *before* that second's readings apply, so the snapshot covers
-    /// exactly the seconds preceding it and replay resumes at
-    /// `last_ingest_second + 1`. Failures never abort ingestion — they
-    /// count `recovery.checkpoint_errors` and are surfaced via
-    /// [`IndoorQuerySystem::last_checkpoint_error`].
-    fn maybe_checkpoint(&mut self, second: u64) {
-        if self.config.checkpoint_every == 0 || self.checkpoint_dir.is_none() || second == 0 {
-            return;
-        }
-        // Only the first ingest call of a new second can be due.
-        if self.last_ingest_second.is_some_and(|l| second <= l) {
-            return;
-        }
-        let base = self.last_checkpoint_second.unwrap_or(0);
-        if second.saturating_sub(base) < self.config.checkpoint_every {
-            return;
-        }
-        self.last_checkpoint_second = Some(second);
-        if let Err(e) = self.checkpoint_now() {
-            self.recorder.add("recovery.checkpoint_errors", 1);
-            self.last_checkpoint_error = Some(e.to_string());
-        }
-    }
 }
 
 /// CRC32 over what a snapshot's contents are only meaningful against:
 /// the walking graph's node and edge counts and edge lengths, the anchor
 /// count, and each reader's id, position and activation range. Worker
-/// count, checkpoint cadence and budget stay outside it.
+/// count and budget stay outside it.
 fn world_fingerprint(graph: &WalkingGraph, anchors: &AnchorSet, readers: &[Reader]) -> u32 {
     let mut w = ByteWriter::new();
     w.put_seq_len(graph.nodes().len());
@@ -1220,7 +1128,6 @@ mod tests {
         SystemConfig {
             timing: TimingMode::Logical,
             observability: true,
-            checkpoint_every: 4,
             ..Default::default()
         }
     }
@@ -1240,14 +1147,15 @@ mod tests {
         register_recovery_queries(&mut base);
         let golden = render(&drive(&mut base, 0, 12).unwrap());
 
-        // Life 1: checkpoint at the start of second 4 (covers 0..=3),
-        // then die after ingesting second 6.
+        // Life 1: checkpoint before second 4 (covers 0..=3), then die
+        // after ingesting second 6.
         let plan = office_building(&OfficeParams::default()).unwrap();
         let mut life1 = IndoorQuerySystem::new(plan, ckpt_cfg(), 7);
         life1.set_checkpoint_dir(&dir);
         register_recovery_queries(&mut life1);
-        drive(&mut life1, 0, 6);
-        assert!(life1.last_checkpoint_error().is_none());
+        drive(&mut life1, 0, 3);
+        life1.checkpoint_now().unwrap();
+        drive(&mut life1, 4, 6);
         drop(life1);
 
         // Life 2: recover and replay the reading-store suffix.
@@ -1276,7 +1184,9 @@ mod tests {
         let mut life1 = IndoorQuerySystem::new(plan, ckpt_cfg(), 7);
         life1.set_checkpoint_dir(&dir);
         register_recovery_queries(&mut life1);
-        drive(&mut life1, 0, 6);
+        drive(&mut life1, 0, 3);
+        life1.checkpoint_now().unwrap();
+        drive(&mut life1, 4, 6);
         drop(life1);
 
         // Flip one payload bit in the snapshot.

@@ -1,39 +1,37 @@
-//! The server's durable sidecar snapshot, `server.ckpt`.
+//! The server's own section of `server.ckpt`.
 //!
-//! `system.ckpt` (written by `ripq-core`) restores the pipeline —
-//! collector, cache, RNG, metrics — but deliberately not queries. The
-//! daemon's own continuity lives here: how many transcript frames were
-//! fully processed, how many response lines were emitted, the open
-//! subscriptions with their maintained results (exact f64 bit patterns),
-//! and the unseen-alert arming state. Together the two files let a
-//! restarted server resume the delta stream byte-exactly where the
-//! previous life checkpointed.
+//! `server.ckpt` is the daemon's only snapshot file: one frame written
+//! and recovered through [`ripq_core::checkpoint`], this section first,
+//! then the engine's recoverable state (collector, cache, RNG, metrics,
+//! live index). Queries are not part of the engine state, so the
+//! section carries the daemon's own continuity: how many transcript
+//! frames were fully processed, how many response lines were emitted,
+//! the last tick, the unseen-alert arming state, the open subscriptions
+//! with their maintained results (exact f64 bit patterns), and the
+//! executor supervision state (breakers and dead letters). A restarted
+//! server resumes the delta stream byte-exactly where the previous life
+//! checkpointed.
+//!
+//! Decoding rejects what re-registering a subscription would: it runs
+//! each subscription through the engine's query constructors, as a live
+//! `subscribe` does, and requires unique subscription ids. So once the
+//! engine state restored, applying a decoded section cannot fail.
 
 use crate::executor::ServerEvent;
 use crate::supervisor::{BreakerState, DeadLetter};
 use ripq_core::continuous::{SubscriptionKind, SubscriptionRegistry};
-use ripq_core::ResultSet;
+use ripq_core::{KnnQuery, QueryId, RangeQuery, ResultSet};
 use ripq_geom::{Point2, Rect};
-use ripq_persist::{
-    load_snapshot, quarantine, seal_snapshot, write_atomic, ByteReader, ByteWriter, PersistError,
-};
+use ripq_persist::{ByteReader, ByteWriter, PersistError};
 use ripq_rfid::ObjectId;
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
 
-/// Sidecar format version. v2 appends the executor supervision section
-/// (circuit-breaker states + dead-letter queue); v1 files still decode,
-/// with those sections empty.
-const VERSION: u8 = 2;
+/// File name of the server snapshot inside the checkpoint directory.
+pub(crate) const SNAPSHOT_FILE: &str = "server.ckpt";
 
-/// `<dir>/server.ckpt`.
-pub fn sidecar_path(dir: &Path) -> PathBuf {
-    dir.join("server.ckpt")
-}
-
-/// The server-side state a sidecar carries.
+/// The server-side state a snapshot carries in front of the engine's.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct SidecarState {
+pub(crate) struct SidecarState {
     /// Frames fully processed when the snapshot was taken. On resume the
     /// replay driver skips exactly this many transcript frames.
     pub frames_processed: u64,
@@ -47,15 +45,15 @@ pub struct SidecarState {
     /// Open subscriptions: `(sub id, kind, maintained result)`, id-ordered.
     pub subscriptions: Vec<(u64, SubscriptionKind, ResultSet)>,
     /// Per-executor supervision state: `(name, consecutive failures,
-    /// breaker)`, in executor registration order. v2+.
+    /// breaker)`, in executor registration order.
     pub executor_states: Vec<(String, u32, BreakerState)>,
-    /// Undelivered events pending surfacing or drain, oldest first. v2+.
+    /// Undelivered events pending surfacing or drain, oldest first.
     pub dead_letters: Vec<DeadLetter>,
 }
 
 impl SidecarState {
-    /// Captures the sidecar state from live server components.
-    pub fn capture(
+    /// Captures the section from live server components.
+    pub(crate) fn capture(
         frames_processed: u64,
         lines_emitted: u64,
         last_tick: Option<u64>,
@@ -78,9 +76,8 @@ impl SidecarState {
         }
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_u8(VERSION);
+    /// Appends the section to `w`.
+    pub(crate) fn encode(&self, w: &mut ByteWriter) {
         w.put_u64(self.frames_processed);
         w.put_u64(self.lines_emitted);
         w.put_opt_u64(self.last_tick);
@@ -96,8 +93,8 @@ impl SidecarState {
                     w.put_u8(0);
                     w.put_f64(r.min().x);
                     w.put_f64(r.min().y);
-                    w.put_f64(r.width());
-                    w.put_f64(r.height());
+                    w.put_f64(r.max().x);
+                    w.put_f64(r.max().y);
                 }
                 SubscriptionKind::Knn(point, k) => {
                     w.put_u8(1);
@@ -164,15 +161,11 @@ impl SidecarState {
             w.put_u64(letter.second);
             w.put_str(&letter.reason);
         }
-        w.into_bytes()
     }
 
-    fn decode(payload: &[u8]) -> Result<Self, PersistError> {
-        let mut r = ByteReader::new(payload);
-        let version = r.get_u8()?;
-        if version == 0 || version > VERSION {
-            return Err(PersistError::Torn);
-        }
+    /// Decodes a section written by [`SidecarState::encode`] and
+    /// validates every subscription; the engine state follows in `r`.
+    pub(crate) fn decode(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
         let frames_processed = r.get_u64()?;
         let lines_emitted = r.get_u64()?;
         let last_tick = r.get_opt_u64()?;
@@ -185,22 +178,28 @@ impl SidecarState {
         let mut subscriptions = Vec::with_capacity(n_subs);
         for _ in 0..n_subs {
             let sub = r.get_u64()?;
+            // Written in id order, so unique ids arrive strictly rising.
+            if subscriptions
+                .last()
+                .is_some_and(|(prev, _, _)| *prev >= sub)
+            {
+                return Err(PersistError::Torn);
+            }
+            // The engine's own query constructors judge each
+            // subscription, exactly as a live `subscribe` does.
             let kind = match r.get_u8()? {
                 0 => {
-                    let x = r.get_f64()?;
-                    let y = r.get_f64()?;
-                    let w = r.get_f64()?;
-                    let h = r.get_f64()?;
-                    if !(w >= 0.0 && h >= 0.0) {
-                        return Err(PersistError::Torn);
-                    }
-                    SubscriptionKind::Range(Rect::new(x, y, w, h))
+                    let min = Point2::new(r.get_f64()?, r.get_f64()?);
+                    let max = Point2::new(r.get_f64()?, r.get_f64()?);
+                    let window = Rect::from_corners(min, max);
+                    RangeQuery::new(QueryId::new(0), window).map_err(|_| PersistError::Torn)?;
+                    SubscriptionKind::Range(window)
                 }
                 1 => {
-                    let x = r.get_f64()?;
-                    let y = r.get_f64()?;
+                    let point = Point2::new(r.get_f64()?, r.get_f64()?);
                     let k = r.get_u64()? as usize;
-                    SubscriptionKind::Knn(Point2::new(x, y), k)
+                    KnnQuery::new(QueryId::new(0), point, k).map_err(|_| PersistError::Torn)?;
+                    SubscriptionKind::Knn(point, k)
                 }
                 _ => return Err(PersistError::Torn),
             };
@@ -212,57 +211,50 @@ impl SidecarState {
             }
             subscriptions.push((sub, kind, current));
         }
-        let mut executor_states = Vec::new();
-        let mut dead_letters = Vec::new();
-        if version >= 2 {
-            let n_exec = r.get_seq_len(6)?;
-            executor_states.reserve(n_exec);
-            for _ in 0..n_exec {
-                let name = r.get_str()?;
-                let failures = r.get_u32()?;
-                let breaker = match r.get_u8()? {
-                    0 => BreakerState::Closed,
-                    1 => BreakerState::Open {
-                        until_tick: r.get_u64()?,
-                    },
-                    _ => return Err(PersistError::Torn),
-                };
-                executor_states.push((name, failures, breaker));
-            }
-            let n_letters = r.get_seq_len(15)?;
-            dead_letters.reserve(n_letters);
-            for _ in 0..n_letters {
-                let executor = r.get_str()?;
-                let event = match r.get_u8()? {
-                    0 => ServerEvent::GeofenceEntered {
-                        sub: r.get_u64()?,
-                        object: ObjectId::new(r.get_u32()?),
-                        second: r.get_u64()?,
-                    },
-                    1 => ServerEvent::GeofenceLeft {
-                        sub: r.get_u64()?,
-                        object: ObjectId::new(r.get_u32()?),
-                        second: r.get_u64()?,
-                    },
-                    2 => ServerEvent::ObjectUnseen {
-                        object: ObjectId::new(r.get_u32()?),
-                        second: r.get_u64()?,
-                        last_seen: r.get_u64()?,
-                    },
-                    _ => return Err(PersistError::Torn),
-                };
-                let second = r.get_u64()?;
-                let reason = r.get_str()?;
-                dead_letters.push(DeadLetter {
-                    executor,
-                    event,
-                    second,
-                    reason,
-                });
-            }
+        let n_exec = r.get_seq_len(6)?;
+        let mut executor_states = Vec::with_capacity(n_exec);
+        for _ in 0..n_exec {
+            let name = r.get_str()?;
+            let failures = r.get_u32()?;
+            let breaker = match r.get_u8()? {
+                0 => BreakerState::Closed,
+                1 => BreakerState::Open {
+                    until_tick: r.get_u64()?,
+                },
+                _ => return Err(PersistError::Torn),
+            };
+            executor_states.push((name, failures, breaker));
         }
-        if r.remaining() != 0 {
-            return Err(PersistError::Torn);
+        let n_letters = r.get_seq_len(15)?;
+        let mut dead_letters = Vec::with_capacity(n_letters);
+        for _ in 0..n_letters {
+            let executor = r.get_str()?;
+            let event = match r.get_u8()? {
+                0 => ServerEvent::GeofenceEntered {
+                    sub: r.get_u64()?,
+                    object: ObjectId::new(r.get_u32()?),
+                    second: r.get_u64()?,
+                },
+                1 => ServerEvent::GeofenceLeft {
+                    sub: r.get_u64()?,
+                    object: ObjectId::new(r.get_u32()?),
+                    second: r.get_u64()?,
+                },
+                2 => ServerEvent::ObjectUnseen {
+                    object: ObjectId::new(r.get_u32()?),
+                    second: r.get_u64()?,
+                    last_seen: r.get_u64()?,
+                },
+                _ => return Err(PersistError::Torn),
+            };
+            let second = r.get_u64()?;
+            let reason = r.get_str()?;
+            dead_letters.push(DeadLetter {
+                executor,
+                event,
+                second,
+                reason,
+            });
         }
         Ok(SidecarState {
             frames_processed,
@@ -274,37 +266,20 @@ impl SidecarState {
             dead_letters,
         })
     }
-
-    /// Writes the sidecar atomically (temp file, fsync, rename) with the
-    /// workspace's CRC-sealed snapshot framing.
-    pub fn save(&self, dir: &Path) -> Result<(), PersistError> {
-        let framed = seal_snapshot(&self.encode());
-        write_atomic(&sidecar_path(dir), &framed)
-    }
-
-    /// Loads a sidecar. `Missing` and corruption flow through as
-    /// [`PersistError`]s; callers quarantine via [`quarantine_sidecar`].
-    pub fn load(dir: &Path) -> Result<Self, PersistError> {
-        let payload = load_snapshot(&sidecar_path(dir))?;
-        Self::decode(&payload)
-    }
-}
-
-/// Moves a damaged sidecar aside (`server.ckpt.corrupt`), returning the
-/// new path.
-pub fn quarantine_sidecar(dir: &Path) -> Result<PathBuf, PersistError> {
-    quarantine(&sidecar_path(dir))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("ripq_server_ckpt_{tag}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn encoded(state: &SidecarState) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        state.encode(&mut w);
+        w.into_bytes()
+    }
+
+    fn decoded(bytes: &[u8]) -> Result<SidecarState, PersistError> {
+        SidecarState::decode(&mut ByteReader::new(bytes))
     }
 
     fn sample() -> SidecarState {
@@ -358,74 +333,28 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_through_disk() {
-        let dir = temp_dir("roundtrip");
+    fn round_trips() {
         let state = sample();
-        state.save(&dir).unwrap();
-        let loaded = SidecarState::load(&dir).unwrap();
-        assert_eq!(loaded, state);
-        let _ = std::fs::remove_dir_all(&dir);
+        let bytes = encoded(&state);
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(SidecarState::decode(&mut r).unwrap(), state);
+        r.finish().unwrap();
     }
 
     #[test]
-    fn missing_and_damaged_sidecars_report_cleanly() {
-        let dir = temp_dir("damage");
-        assert!(matches!(
-            SidecarState::load(&dir),
-            Err(PersistError::Missing)
-        ));
-        sample().save(&dir).unwrap();
-        let path = sidecar_path(&dir);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(SidecarState::load(&dir).is_err());
-        let moved = quarantine_sidecar(&dir).unwrap();
-        assert!(moved.exists());
-        assert!(!path.exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn version_and_trailing_bytes_are_rejected() {
-        let state = sample();
-        let mut bytes = state.encode();
-        assert!(SidecarState::decode(&bytes).is_ok());
-        bytes.push(0);
-        assert!(SidecarState::decode(&bytes).is_err(), "trailing bytes");
-        let mut wrong = state.encode();
-        wrong[0] = VERSION + 1;
-        assert!(SidecarState::decode(&wrong).is_err(), "future version");
-        let mut zero = state.encode();
-        zero[0] = 0;
-        assert!(SidecarState::decode(&zero).is_err(), "version zero");
-    }
-
-    #[test]
-    fn v1_sidecars_decode_with_empty_supervision_sections() {
-        // A v1 payload is exactly a v2 payload with empty supervision
-        // sections, minus the two trailing zero seq-lens, with the
-        // version byte rolled back.
-        let mut state = sample();
-        state.executor_states.clear();
-        state.dead_letters.clear();
-        let mut bytes = state.encode();
-        bytes[0] = 1;
-        bytes.truncate(bytes.len() - 8);
-        let decoded = SidecarState::decode(&bytes).expect("v1 payload must decode");
-        assert_eq!(decoded, state);
-        assert!(decoded.executor_states.is_empty());
-        assert!(decoded.dead_letters.is_empty());
+    fn truncation_anywhere_is_an_error_never_a_panic() {
+        let bytes = encoded(&sample());
+        for cut in 0..bytes.len() {
+            assert!(decoded(&bytes[..cut]).is_err(), "cut at {cut} decoded");
+        }
     }
 
     #[test]
     fn half_open_breaker_persists_as_closed() {
         let mut state = sample();
         state.executor_states = vec![("probe".to_string(), 1, BreakerState::HalfOpen)];
-        let decoded = SidecarState::decode(&state.encode()).unwrap();
         assert_eq!(
-            decoded.executor_states,
+            decoded(&encoded(&state)).unwrap().executor_states,
             vec![("probe".to_string(), 1, BreakerState::Closed)]
         );
     }

@@ -8,22 +8,20 @@
 //! a pure function of the input frame sequence — the transcript-replay
 //! tests byte-compare it across runs and worker counts.
 
-use crate::checkpoint::{quarantine_sidecar, SidecarState};
+use crate::checkpoint::{SidecarState, SNAPSHOT_FILE};
 use crate::executor::{Executor, FrameExecutor, ServerEvent};
 use crate::frame::FrameDecoder;
 use crate::json;
 use crate::protocol::{parse_request, render_busy, render_delta, render_error, render_ok, Request};
 use crate::supervisor::{DeadLetter, DispatchOutcome, SupervisedExecutor, SupervisorPolicy};
+use ripq_core::checkpoint::{self, Recovered};
 use ripq_core::clock::TimingMode;
 use ripq_core::continuous::{SubscriptionKind, SubscriptionRegistry};
-use ripq_core::{
-    DegradationLevel, IndoorQuerySystem, Recorder, RecoveryOutcome, RipqError, SystemConfig,
-};
+use ripq_core::{DegradationLevel, IndoorQuerySystem, Recorder, RipqError, SystemConfig};
 use ripq_floorplan::FloorPlan;
-use ripq_persist::PersistError;
 use ripq_rfid::ObjectId;
 use std::collections::{BTreeSet, VecDeque};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Server behavior knobs. Everything else — timing, observability —
 /// is pinned to the deterministic settings the replay contract needs.
@@ -85,10 +83,6 @@ impl ServerConfig {
             timing: TimingMode::Logical,
             observability: true,
             parallelism: self.workers,
-            // The server owns checkpoint cadence (per tick, via
-            // `checkpoint_every_ticks`); the facade's per-second
-            // auto-checkpoint stays off so the two never interleave.
-            checkpoint_every: 0,
             query_budget: self.query_budget,
             ..SystemConfig::default()
         }
@@ -100,17 +94,17 @@ impl ServerConfig {
 pub enum ServerRecovery {
     /// No snapshot existed; the server starts fresh.
     ColdStart,
-    /// Both `system.ckpt` and `server.ckpt` restored. The replay driver
-    /// skips `skip_frames` input frames; the resumed response stream
-    /// continues at line `lines_emitted` of the uninterrupted output.
+    /// `server.ckpt` restored. The replay driver skips `skip_frames`
+    /// input frames; the resumed response stream continues at line
+    /// `lines_emitted` of the uninterrupted output.
     Resumed {
         /// Input frames already covered by the snapshot.
         skip_frames: u64,
         /// Response lines already emitted before the snapshot.
         lines_emitted: u64,
     },
-    /// A damaged snapshot was moved aside. The core's state is not
-    /// usable for resumption — discard it and build a fresh one.
+    /// A damaged, stale or invalid snapshot was moved aside. Nothing was
+    /// restored: the core is exactly as it was built and starts cold.
     Quarantined {
         /// Where the damaged file went.
         path: PathBuf,
@@ -190,12 +184,9 @@ impl ServerCore {
         self.executors.clear();
     }
 
-    /// Configures where durable snapshots (`system.ckpt` +
-    /// `server.ckpt`) are written.
+    /// Configures where the durable snapshot, `server.ckpt`, is written.
     pub fn set_checkpoint_dir(&mut self, dir: impl Into<PathBuf>) {
-        let dir = dir.into();
-        self.system.set_checkpoint_dir(&dir);
-        self.checkpoint_dir = Some(dir);
+        self.checkpoint_dir = Some(dir.into());
     }
 
     /// The underlying query system (read access).
@@ -249,48 +240,37 @@ impl ServerCore {
         self.recorder.snapshot().to_json()
     }
 
-    /// Attempts to restore a previous life from `dir` and makes it the
-    /// checkpoint directory. Call on a freshly built core (no
-    /// subscriptions, no frames handled). See [`ServerRecovery`] for the
-    /// contract; on `Quarantined`, discard this core.
+    /// Attempts to restore a previous life from `<dir>/server.ckpt` and
+    /// makes `dir` the checkpoint directory. Call on a freshly built core
+    /// (no subscriptions, no frames handled). See [`ServerRecovery`] for
+    /// the contract; an unreadable file is an error and stays in place.
     pub fn recover(&mut self, dir: impl Into<PathBuf>) -> Result<ServerRecovery, RipqError> {
         let dir = dir.into();
-        let outcome = self.system.recover(&dir)?;
-        self.checkpoint_dir = Some(dir.clone());
-        match outcome {
-            RecoveryOutcome::ColdStart => Ok(ServerRecovery::ColdStart),
-            RecoveryOutcome::Quarantined { path } => Ok(ServerRecovery::Quarantined { path }),
-            RecoveryOutcome::Resumed { .. } => self.restore_sidecar(&dir),
-        }
+        let path = dir.join(SNAPSHOT_FILE);
+        self.checkpoint_dir = Some(dir);
+        Ok(
+            match checkpoint::recover(&mut self.system, &path, SidecarState::decode)? {
+                Recovered::ColdStart => ServerRecovery::ColdStart,
+                Recovered::Resumed { section, .. } => self.apply(section),
+                Recovered::Quarantined { path } => ServerRecovery::Quarantined { path },
+            },
+        )
     }
 
-    fn restore_sidecar(&mut self, dir: &Path) -> Result<ServerRecovery, RipqError> {
-        let state = match SidecarState::load(dir) {
-            Ok(state) => state,
-            Err(PersistError::Missing) => {
-                return Err(RipqError::Io(
-                    "system snapshot resumed but server.ckpt is missing".to_string(),
-                ));
-            }
-            Err(_damaged) => {
-                let path = quarantine_sidecar(dir)
-                    .map_err(|e| RipqError::Io(format!("quarantine server.ckpt: {e}")))?;
-                return Ok(ServerRecovery::Quarantined { path });
-            }
-        };
+    /// Applies a server section after the engine state it was saved with
+    /// has been restored. Decoding validated every subscription with the
+    /// checks `subscribe` applies, so on a freshly built core nothing here
+    /// can fail.
+    fn apply(&mut self, state: SidecarState) -> ServerRecovery {
         // Re-register subscriptions in id order. Engine QueryIds may
         // differ from the previous life; the subscription id is the
         // stable identity and results never depend on QueryId values.
         for (sub, kind, current) in state.subscriptions {
-            let query = match kind {
-                SubscriptionKind::Range(window) => self.system.register_range(window),
-                SubscriptionKind::Knn(point, k) => self.system.register_knn(point, k),
+            let opened = self.open_subscription(sub, kind);
+            debug_assert!(opened.is_ok(), "subscription {sub}: {opened:?}");
+            if opened.is_ok() {
+                self.registry.restore_current(sub, current);
             }
-            .map_err(|e| RipqError::Io(format!("re-register subscription {sub}: {e}")))?;
-            self.registry
-                .insert(sub, kind, query)
-                .map_err(|e| RipqError::Io(format!("re-register subscription {sub}: {e}")))?;
-            self.registry.restore_current(sub, current);
         }
         self.recorder
             .set_gauge("server.subscriptions_active", self.registry.len() as u64);
@@ -312,10 +292,10 @@ impl ServerCore {
         self.last_tick = state.last_tick;
         self.unseen_alerted = state.unseen_alerted;
         self.ticks_since_checkpoint = 0;
-        Ok(ServerRecovery::Resumed {
+        ServerRecovery::Resumed {
             skip_frames: state.frames_processed,
             lines_emitted: state.lines_emitted,
-        })
+        }
     }
 
     /// Feeds raw stream bytes through the embedded frame decoder and
@@ -381,7 +361,7 @@ impl ServerCore {
         if self.auto_checkpoint_due {
             self.auto_checkpoint_due = false;
             // Best-effort, after this frame's accounting is final so the
-            // sidecar's offsets point exactly past it.
+            // snapshot's offsets point exactly past it.
             if let Err(e) = self.write_checkpoint(self.frames_processed, self.lines_emitted) {
                 self.recorder.add("server.checkpoint_errors", 1);
                 self.last_checkpoint_error = Some(e.to_string());
@@ -506,7 +486,7 @@ impl ServerCore {
                 }
             }
             Request::Shutdown => {
-                // Graceful: persist both snapshots before the ack so an
+                // Graceful: persist the snapshot before the ack so an
                 // operator-initiated stop never races the checkpoint
                 // cadence. Best-effort — a failed write is surfaced via
                 // counters, never blocks shutdown.
@@ -565,29 +545,29 @@ impl ServerCore {
     }
 
     fn subscribe(&mut self, sub: u64, kind: SubscriptionKind, out: &mut Vec<String>) {
-        let registered = match kind {
-            SubscriptionKind::Range(window) => self.system.register_range(window),
-            SubscriptionKind::Knn(point, k) => self.system.register_knn(point, k),
-        };
-        let query = match registered {
-            Ok(query) => query,
-            Err(e) => {
-                out.push(render_error(&e.to_string()));
-                return;
-            }
-        };
-        match self.registry.insert(sub, kind, query) {
+        match self.open_subscription(sub, kind) {
             Ok(()) => {
                 self.recorder.add("server.subscriptions_opened", 1);
                 self.recorder
                     .set_gauge("server.subscriptions_active", self.registry.len() as u64);
                 out.push(render_ok("subscribe", &[("sub", sub.to_string())]));
             }
-            Err(e) => {
-                let _ = self.system.deregister(query);
-                out.push(render_error(&e.to_string()));
-            }
+            Err(e) => out.push(render_error(&e.to_string())),
         }
+    }
+
+    /// Registers `kind` with the engine and files it under `sub`, taking
+    /// the engine query back out if the id is already in use.
+    fn open_subscription(&mut self, sub: u64, kind: SubscriptionKind) -> Result<(), RipqError> {
+        let query = match kind {
+            SubscriptionKind::Range(window) => self.system.register_range(window),
+            SubscriptionKind::Knn(point, k) => self.system.register_knn(point, k),
+        }?;
+        if let Err(e) = self.registry.insert(sub, kind, query) {
+            let _ = self.system.deregister(query);
+            return Err(e);
+        }
+        Ok(())
     }
 
     fn tick(&mut self, second: u64, budget: Option<u64>, out: &mut Vec<String>) {
@@ -700,20 +680,15 @@ impl ServerCore {
         }
     }
 
-    /// Writes `system.ckpt` plus the server sidecar, recording the given
-    /// final frame/line offsets in the sidecar.
-    fn write_checkpoint(
-        &mut self,
-        frames_processed: u64,
-        lines_emitted: u64,
-    ) -> Result<(), RipqError> {
-        let Some(dir) = self.checkpoint_dir.clone() else {
+    /// Writes `server.ckpt`: the server section, recording the given
+    /// final frame/line offsets, then the engine state.
+    fn write_checkpoint(&self, frames_processed: u64, lines_emitted: u64) -> Result<(), RipqError> {
+        let Some(dir) = &self.checkpoint_dir else {
             return Err(RipqError::Io(
                 "no checkpoint directory configured".to_string(),
             ));
         };
-        self.system.checkpoint_now()?;
-        SidecarState::capture(
+        let state = SidecarState::capture(
             frames_processed,
             lines_emitted,
             self.last_tick,
@@ -724,9 +699,8 @@ impl ServerCore {
                 .map(|e| (e.name().to_string(), e.consecutive_failures, e.breaker))
                 .collect(),
             self.dead_letters.iter().cloned().collect(),
-        )
-        .save(&dir)
-        .map_err(|e| RipqError::Io(format!("server.ckpt: {e}")))?;
+        );
+        checkpoint::save(&self.system, &dir.join(SNAPSHOT_FILE), |w| state.encode(w))?;
         self.recorder.add("server.checkpoints_written", 1);
         Ok(())
     }
@@ -919,6 +893,14 @@ mod tests {
             "{\"op\":\"subscribe\",\"sub\":2,\"point\":[0,0],\"k\":0}",
         );
         assert!(bad[0].starts_with("{\"error\":"));
+        // `1e308 + 1e308` overflows: an infinitely wide window with no
+        // height, whose area is NaN, is refused like an empty one.
+        let nan_area = one(
+            &mut core,
+            "{\"op\":\"subscribe\",\"sub\":2,\"range\":[1e308,0,1e308,0]}",
+        );
+        assert!(nan_area[0].contains("zero area"), "{nan_area:?}");
+        assert_eq!(core.system().query_count(), 1);
         assert_eq!(
             one(&mut core, "{\"op\":\"unsubscribe\",\"sub\":1}"),
             vec!["{\"ok\":\"unsubscribe\",\"sub\":1}"]
@@ -1165,29 +1147,138 @@ mod tests {
             .contains("server.executor.dead_letters_dropped"));
     }
 
-    #[test]
-    fn graceful_shutdown_checkpoints_before_the_ack() {
-        let dir = std::env::temp_dir().join("ripq_core_graceful_shutdown");
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ripq_server_core_{tag}"));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let mut core = core();
-        core.set_checkpoint_dir(&dir);
+        dir
+    }
+
+    #[test]
+    fn graceful_shutdown_checkpoints_before_the_ack() {
+        let dir = temp_dir("graceful_shutdown");
+        let mut server = core();
+        server.set_checkpoint_dir(&dir);
         one(
-            &mut core,
+            &mut server,
             "{\"op\":\"subscribe\",\"sub\":3,\"range\":[0,0,9,9]}",
         );
-        let lines = one(&mut core, "{\"op\":\"shutdown\"}");
+        let lines = one(&mut server, "{\"op\":\"shutdown\"}");
         assert_eq!(lines, vec!["{\"ok\":\"shutdown\"}"]);
-        assert!(core.is_shutdown());
-        assert!(core.last_checkpoint_error().is_none());
-        assert!(dir.join("server.ckpt").exists(), "sidecar written");
-        assert!(dir.join("system.ckpt").exists(), "system snapshot written");
-        let state = SidecarState::load(&dir).unwrap();
+        assert!(server.is_shutdown());
+        assert!(server.last_checkpoint_error().is_none());
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(files, vec![SNAPSHOT_FILE], "one snapshot file");
+        let mut restored = core();
         assert_eq!(
-            state.frames_processed, 2,
+            restored.recover(&dir).unwrap(),
+            ServerRecovery::Resumed {
+                skip_frames: 2,
+                lines_emitted: 2
+            },
             "offsets include the shutdown frame"
         );
-        assert_eq!(state.subscriptions.len(), 1);
+        assert_eq!(restored.subscriptions().len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `server.ckpt` whose frame is intact but whose content cannot be
+    /// restored is quarantined, and the recovering core is left exactly
+    /// as it was built.
+    #[test]
+    fn invalid_snapshots_are_quarantined_and_commit_nothing() {
+        use ripq_persist::{open_snapshot, seal_snapshot, write_atomic, ByteReader, ByteWriter};
+
+        // A valid snapshot to tamper with.
+        let source_dir = temp_dir("invalid_source");
+        let mut source = core();
+        source.set_checkpoint_dir(&source_dir);
+        one(
+            &mut source,
+            "{\"op\":\"subscribe\",\"sub\":1,\"range\":[0,0,9,9]}",
+        );
+        one(
+            &mut source,
+            "{\"op\":\"reading\",\"second\":0,\"readings\":[[0,2]]}",
+        );
+        one(&mut source, "{\"op\":\"checkpoint\"}");
+        let frame = std::fs::read(source_dir.join(SNAPSHOT_FILE)).unwrap();
+        let payload = open_snapshot(&frame).unwrap();
+        let mut r = ByteReader::new(payload);
+        let valid = SidecarState::decode(&mut r).unwrap();
+        let engine = &payload[payload.len() - r.remaining()..];
+        let section = |state: &SidecarState| {
+            let mut w = ByteWriter::new();
+            state.encode(&mut w);
+            w.into_bytes()
+        };
+        let with_sub = |sub: u64, kind: SubscriptionKind| {
+            let mut state = valid.clone();
+            state.subscriptions.push((sub, kind, Default::default()));
+            [section(&state), engine.to_vec()].concat()
+        };
+        let point = ripq_geom::Point2::new(2.0, 2.0);
+        let cases = [
+            ("k = 0", with_sub(2, SubscriptionKind::Knn(point, 0))),
+            (
+                "zero-area window",
+                with_sub(
+                    2,
+                    SubscriptionKind::Range(ripq_geom::Rect::new(0.0, 0.0, 0.0, 5.0)),
+                ),
+            ),
+            (
+                "NaN window",
+                with_sub(
+                    2,
+                    SubscriptionKind::Range(ripq_geom::Rect::new(f64::NAN, 0.0, 5.0, 5.0)),
+                ),
+            ),
+            (
+                "overflowing window",
+                with_sub(
+                    2,
+                    SubscriptionKind::Range(ripq_geom::Rect::new(1e308, 0.0, 1e308, 0.0)),
+                ),
+            ),
+            ("duplicate id", with_sub(1, SubscriptionKind::Knn(point, 1))),
+            (
+                "trailing bytes",
+                [section(&valid), engine.to_vec(), vec![0]].concat(),
+            ),
+            // The older two-file layout's `server.ckpt`: a version byte
+            // and the section, with the engine state in another file.
+            ("two-file layout", [vec![2], section(&valid)].concat()),
+        ];
+        for (case, payload) in cases {
+            let dir = temp_dir("invalid_case");
+            write_atomic(&dir.join(SNAPSHOT_FILE), &seal_snapshot(&payload)).unwrap();
+            let mut fresh = core();
+            let outcome = fresh.recover(&dir).unwrap();
+            assert!(
+                matches!(outcome, ServerRecovery::Quarantined { .. }),
+                "{case}: {outcome:?}"
+            );
+            assert!(fresh.subscriptions().is_empty(), "{case}");
+            assert_eq!(fresh.system().query_count(), 0, "{case}");
+            assert_eq!(fresh.system().collector().objects().count(), 0, "{case}");
+            assert_eq!((fresh.frames_processed(), fresh.lines_emitted()), (0, 0));
+            let built = core();
+            built.recorder.add("recovery.quarantined", 1);
+            assert_eq!(fresh.metrics_json(), built.metrics_json(), "{case}");
+        }
+        // The untampered payload still resumes, so each case above failed
+        // for its own defect.
+        let dir = temp_dir("invalid_case");
+        write_atomic(&dir.join(SNAPSHOT_FILE), &seal_snapshot(payload)).unwrap();
+        assert!(matches!(
+            core().recover(&dir).unwrap(),
+            ServerRecovery::Resumed { .. }
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&source_dir);
     }
 }

@@ -24,9 +24,11 @@
 //! recorded frame transcript into [`ServerCore`] yields byte-identical
 //! response lines and metrics JSON across runs and worker counts — the
 //! property the transcript-replay test harness pins down. Crash
-//! recovery composes the engine's `system.ckpt` with this crate's
-//! `server.ckpt` sidecar so a restarted daemon resumes the delta stream
-//! exactly where the previous life checkpointed.
+//! recovery writes one `server.ckpt` frame through
+//! `ripq_core::checkpoint` — this crate's section (stream offsets,
+//! subscriptions, supervision state) in front of the engine's state — so
+//! a restarted daemon resumes the delta stream exactly where the previous
+//! life checkpointed, and a damaged file restores nothing.
 //!
 //! The daemon is also overload-hardened: `core` sheds work past
 //! configurable admission limits with typed `busy` responses (a
@@ -40,7 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
+mod checkpoint;
 pub mod core;
 pub mod executor;
 pub mod frame;
@@ -50,7 +52,6 @@ pub mod protocol;
 pub mod retry;
 pub mod supervisor;
 
-pub use checkpoint::SidecarState;
 pub use core::{ServerConfig, ServerCore, ServerRecovery};
 pub use executor::{AckExecutor, CountingExecutor, Executor, FrameExecutor, ServerEvent};
 pub use frame::{encode_frame, FrameDecoder, FrameError, MAX_FRAME_LEN};

@@ -13,8 +13,8 @@
 //! [`SupervisorPolicy::open_ticks`] logical ticks one probe event is
 //! allowed through (half-open) — success re-closes the breaker, another
 //! failure re-opens it. Undeliverable events are **never dropped
-//! silently**: they become [`DeadLetter`]s that persist in the
-//! `server.ckpt` sidecar and can be listed or drained through the
+//! silently**: they become [`DeadLetter`]s that persist in
+//! `server.ckpt` and can be listed or drained through the
 //! `dead_letters` protocol op.
 //!
 //! Everything here is driven by logical tick time and seeded streams, so
@@ -39,7 +39,7 @@ pub struct SupervisorPolicy {
     pub quarantine_after: u32,
     /// Logical ticks the breaker stays open before a half-open probe.
     pub open_ticks: u64,
-    /// Dead letters retained in memory and in the sidecar; overflow
+    /// Dead letters retained in memory and in `server.ckpt`; overflow
     /// drops the oldest letter and counts it — never silently.
     pub dead_letter_capacity: usize,
 }

@@ -1,28 +1,24 @@
 //! Crash-safe checkpointing of a running [`crate::Experiment`].
 //!
-//! `experiment.ckpt` is one frame written atomically through
-//! `ripq-persist`. Its payload holds, in order: a CRC32 fingerprint of the
-//! result-relevant parameters, the harness's own loop state (the
-//! evaluation-timestamp cursor, the sensing and query RNG streams, the
-//! accuracy accumulators and the fault injector's jitter buffer) and,
-//! last, the system facade's own snapshot payload
-//! ([`IndoorQuerySystem::encode_state`]: collector, particle cache,
-//! pass-seed RNG, metrics, live index, all behind the facade's world
+//! `experiment.ckpt` is one frame written and recovered through
+//! [`ripq_core::checkpoint`]. This module owns its section: a CRC32
+//! fingerprint of the result-relevant parameters, then the harness's own
+//! loop state (the evaluation-timestamp cursor, the sensing and query RNG
+//! streams, the accuracy accumulators and the fault injector's jitter
+//! buffer). The facade's own state follows it (collector, particle
+//! cache, pass-seed RNG, metrics, live index, behind the facade's world
 //! fingerprint). Everything *else* (true traces, reader deployment, kNN
 //! query points, the outage schedule) is a pure function of
 //! [`ExperimentParams`] and the world, and is regenerated on resume.
 //!
-//! Damaged files — torn, bit-flipped, wrong format version, written by a
-//! different parameter set or in a different world — are quarantined to
-//! `experiment.ckpt.corrupt` and the run cold-starts; a resumed run is
-//! bit-for-bit identical to an uninterrupted one.
+//! A snapshot written by a different parameter set is rejected by the
+//! section decoder, so the shared recovery ladder quarantines it to
+//! `experiment.ckpt.corrupt` like a torn, bit-flipped or foreign-world
+//! file and the run cold-starts; a resumed run is bit-for-bit identical
+//! to an uninterrupted one.
 
 use crate::{ExperimentParams, TaggedReading};
-use ripq_core::IndoorQuerySystem;
-use ripq_persist::{
-    crc32, load_snapshot, quarantine, seal_snapshot, write_atomic, ByteReader, ByteWriter,
-    PersistError,
-};
+use ripq_persist::{crc32, ByteReader, ByteWriter, PersistError};
 use ripq_rfid::{DeploymentStrategy, ObjectId, ReaderId};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -107,138 +103,79 @@ pub(crate) fn params_fingerprint(p: &ExperimentParams) -> u32 {
     crc32(&w.into_bytes())
 }
 
-fn encode(fingerprint: u32, harness: &HarnessState, sys: &IndoorQuerySystem) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u32(fingerprint);
-    w.put_u64(harness.next_ts);
-    for word in harness.rng_sense.iter().chain(&harness.rng_query) {
-        w.put_u64(*word);
-    }
-    for (sum, n) in harness.means {
-        w.put_f64(sum);
-        w.put_u64(n);
-    }
-    w.put_seq_len(harness.pending.len());
-    for (&delivery, bucket) in &harness.pending {
-        w.put_u64(delivery);
-        w.put_seq_len(bucket.len());
-        for &(logical, object, reader) in bucket {
-            w.put_u64(logical);
-            w.put_u32(object.raw());
-            w.put_u32(reader.raw());
+impl HarnessState {
+    /// Appends the experiment's section: `fingerprint`, then the harness
+    /// state.
+    pub(crate) fn encode(&self, fingerprint: u32, w: &mut ByteWriter) {
+        w.put_u32(fingerprint);
+        w.put_u64(self.next_ts);
+        for word in self.rng_sense.iter().chain(&self.rng_query) {
+            w.put_u64(*word);
+        }
+        for (sum, n) in self.means {
+            w.put_f64(sum);
+            w.put_u64(n);
+        }
+        w.put_seq_len(self.pending.len());
+        for (&delivery, bucket) in &self.pending {
+            w.put_u64(delivery);
+            w.put_seq_len(bucket.len());
+            for &(logical, object, reader) in bucket {
+                w.put_u64(logical);
+                w.put_u32(object.raw());
+                w.put_u32(reader.raw());
+            }
         }
     }
-    sys.encode_state(&mut w);
-    w.into_bytes()
+
+    /// Decodes a section written by [`HarnessState::encode`]. A
+    /// fingerprint other than `expected_fingerprint` is
+    /// [`PersistError::StaleVersion`]: a valid frame of a *different*
+    /// experiment, which resuming would silently blend into this one.
+    pub(crate) fn decode(
+        r: &mut ByteReader<'_>,
+        expected_fingerprint: u32,
+    ) -> Result<Self, PersistError> {
+        let fingerprint = r.get_u32()?;
+        if fingerprint != expected_fingerprint {
+            return Err(PersistError::StaleVersion {
+                found: fingerprint,
+                supported: expected_fingerprint,
+            });
+        }
+        let next_ts = r.get_u64()?;
+        let rng_sense = get_words(r)?;
+        let rng_query = get_words(r)?;
+        let mut means = [(0.0, 0u64); MEAN_SLOTS];
+        for slot in &mut means {
+            *slot = (r.get_f64()?, r.get_u64()?);
+        }
+        let mut pending: BTreeMap<u64, Vec<TaggedReading>> = BTreeMap::new();
+        let n_buckets = r.get_seq_len(10)?;
+        for _ in 0..n_buckets {
+            let delivery = r.get_u64()?;
+            let n = r.get_seq_len(16)?;
+            let mut bucket = Vec::with_capacity(n);
+            for _ in 0..n {
+                let logical = r.get_u64()?;
+                let object = ObjectId::new(r.get_u32()?);
+                let reader = ReaderId::new(r.get_u32()?);
+                bucket.push((logical, object, reader));
+            }
+            pending.insert(delivery, bucket);
+        }
+        Ok(HarnessState {
+            next_ts,
+            rng_sense,
+            rng_query,
+            means,
+            pending,
+        })
+    }
 }
 
 fn get_words(r: &mut ByteReader<'_>) -> Result<[u64; 4], PersistError> {
     Ok([r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?])
-}
-
-/// Decodes the harness state, then commits the facade section into
-/// `sys` (which consumes the rest of the payload). Nothing is committed
-/// on error. Returns the first second the resumed loop must process.
-fn decode(
-    payload: &[u8],
-    expected_fingerprint: u32,
-    sys: &mut IndoorQuerySystem,
-) -> Result<(u64, HarnessState), PersistError> {
-    let mut r = ByteReader::new(payload);
-    let fingerprint = r.get_u32()?;
-    if fingerprint != expected_fingerprint {
-        // A valid frame for a *different* experiment. Resuming it would
-        // silently mix parameter sets, so treat it like a stale format.
-        return Err(PersistError::StaleVersion {
-            found: fingerprint,
-            supported: expected_fingerprint,
-        });
-    }
-    let next_ts = r.get_u64()?;
-    let rng_sense = get_words(&mut r)?;
-    let rng_query = get_words(&mut r)?;
-    let mut means = [(0.0, 0u64); MEAN_SLOTS];
-    for slot in &mut means {
-        *slot = (r.get_f64()?, r.get_u64()?);
-    }
-    let mut pending: BTreeMap<u64, Vec<TaggedReading>> = BTreeMap::new();
-    let n_buckets = r.get_seq_len(10)?;
-    for _ in 0..n_buckets {
-        let delivery = r.get_u64()?;
-        let n = r.get_seq_len(16)?;
-        let mut bucket = Vec::with_capacity(n);
-        for _ in 0..n {
-            let logical = r.get_u64()?;
-            let object = ObjectId::new(r.get_u32()?);
-            let reader = ReaderId::new(r.get_u32()?);
-            bucket.push((logical, object, reader));
-        }
-        pending.insert(delivery, bucket);
-    }
-    let replay_from = sys.restore_state(&mut r)?;
-    let harness = HarnessState {
-        next_ts,
-        rng_sense,
-        rng_query,
-        means,
-        pending,
-    };
-    Ok((replay_from, harness))
-}
-
-/// Atomically writes one sealed checkpoint frame to `path`.
-pub(crate) fn save(
-    path: &Path,
-    fingerprint: u32,
-    harness: &HarnessState,
-    sys: &IndoorQuerySystem,
-) -> Result<(), PersistError> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir).map_err(|e| PersistError::Io(e.to_string()))?;
-    }
-    write_atomic(path, &seal_snapshot(&encode(fingerprint, harness, sys)))
-}
-
-/// Loads the snapshot at `path` into `sys`, quarantining anything
-/// unusable.
-///
-/// Returns the outcome plus the harness state on a successful resume; on
-/// any other outcome `sys` is untouched. Counters on the system's
-/// recorder: `recovery.cold_start`, `recovery.resumed` or
-/// `recovery.quarantined` tick accordingly (they are *not* part of any
-/// golden — harnesses strip the `recovery.*` prefix before comparing).
-pub(crate) fn load_or_quarantine(
-    path: &Path,
-    expected_fingerprint: u32,
-    sys: &mut IndoorQuerySystem,
-) -> (RecoveryOutcome, Option<HarnessState>) {
-    let payload = match load_snapshot(path) {
-        Ok(p) => p,
-        Err(PersistError::Missing) => {
-            sys.recorder().add("recovery.cold_start", 1);
-            return (RecoveryOutcome::ColdStart, None);
-        }
-        Err(_damaged) => return (quarantine_damaged(path, sys), None),
-    };
-    match decode(&payload, expected_fingerprint, sys) {
-        Ok((replay_from, harness)) => {
-            sys.recorder().add("recovery.resumed", 1);
-            (RecoveryOutcome::Resumed { replay_from }, Some(harness))
-        }
-        Err(_damaged) => (quarantine_damaged(path, sys), None),
-    }
-}
-
-fn quarantine_damaged(path: &Path, sys: &IndoorQuerySystem) -> RecoveryOutcome {
-    sys.recorder().add("recovery.quarantined", 1);
-    match quarantine(path) {
-        Ok(moved) => RecoveryOutcome::Quarantined { path: moved },
-        // The move itself failed (e.g. the file vanished); the run still
-        // cold-starts, pointing at the original path.
-        Err(_) => RecoveryOutcome::Quarantined {
-            path: path.to_path_buf(),
-        },
-    }
 }
 
 #[cfg(test)]
@@ -246,7 +183,8 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use ripq_core::SystemConfig;
+    use ripq_core::checkpoint::{self, Recovered};
+    use ripq_core::{IndoorQuerySystem, SystemConfig};
     use ripq_floorplan::{office_building, OfficeParams};
 
     const FINGERPRINT: u32 = 0xABCD_1234;
@@ -278,6 +216,12 @@ mod tests {
         }
     }
 
+    fn section_bytes(harness: &HarnessState) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        harness.encode(FINGERPRINT, &mut w);
+        w.into_bytes()
+    }
+
     fn system(readers: u32) -> IndoorQuerySystem {
         let plan = office_building(&OfficeParams::default()).unwrap();
         let config = SystemConfig {
@@ -299,62 +243,39 @@ mod tests {
         sys
     }
 
-    fn state_bytes(sys: &IndoorQuerySystem) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        sys.encode_state(&mut w);
-        w.into_bytes()
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ripq_sim_ckpt_{tag}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
     #[test]
-    fn checkpoint_codec_round_trips() {
-        let source = fed_system();
+    fn harness_section_round_trips() {
         let harness = harness_fixture();
-        let bytes = encode(FINGERPRINT, &harness, &source);
-        let mut target = system(19);
-        let (replay_from, decoded) = decode(&bytes, FINGERPRINT, &mut target).unwrap();
-        assert_eq!(replay_from, 42);
-        assert_eq!(decoded, harness);
-        // The facade section round-trips byte for byte.
-        assert_eq!(state_bytes(&target), state_bytes(&source));
+        let bytes = section_bytes(&harness);
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(HarnessState::decode(&mut r, FINGERPRINT).unwrap(), harness);
+        r.finish().unwrap();
     }
 
     #[test]
     fn fingerprint_mismatch_is_stale_not_a_resume() {
-        let bytes = encode(FINGERPRINT, &harness_fixture(), &fed_system());
-        let mut target = system(19);
-        let before = state_bytes(&target);
+        let bytes = section_bytes(&harness_fixture());
         assert!(matches!(
-            decode(&bytes, FINGERPRINT ^ 1, &mut target),
+            HarnessState::decode(&mut ByteReader::new(&bytes), FINGERPRINT ^ 1),
             Err(PersistError::StaleVersion { .. })
         ));
-        assert_eq!(state_bytes(&target), before, "nothing committed");
-    }
-
-    #[test]
-    fn snapshot_of_another_world_is_stale_and_commits_nothing() {
-        let bytes = encode(FINGERPRINT, &harness_fixture(), &fed_system());
-        let mut target = system(6);
-        let before = state_bytes(&target);
-        assert!(matches!(
-            decode(&bytes, FINGERPRINT, &mut target),
-            Err(PersistError::StaleVersion { .. })
-        ));
-        assert_eq!(state_bytes(&target), before, "nothing committed");
     }
 
     #[test]
     fn truncation_anywhere_is_torn_never_a_panic() {
-        let source = fed_system();
-        let bytes = encode(FINGERPRINT, &harness_fixture(), &source);
-        let mut target = system(19);
-        let before = state_bytes(&target);
+        let bytes = section_bytes(&harness_fixture());
         for cut in 0..bytes.len() {
             assert!(
-                decode(&bytes[..cut], FINGERPRINT, &mut target).is_err(),
+                HarnessState::decode(&mut ByteReader::new(&bytes[..cut]), FINGERPRINT).is_err(),
                 "cut at {cut} decoded successfully"
             );
         }
-        assert_eq!(state_bytes(&target), before, "nothing committed");
     }
 
     #[test]
@@ -391,15 +312,19 @@ mod tests {
 
     #[test]
     fn save_and_load_round_trip_through_disk() {
-        let dir = std::env::temp_dir().join("ripq_sim_ckpt_roundtrip");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("roundtrip");
         let path = snapshot_path(&dir);
         let harness = harness_fixture();
-        save(&path, FINGERPRINT, &harness, &fed_system()).unwrap();
+        checkpoint::save(&fed_system(), &path, |w| harness.encode(FINGERPRINT, w)).unwrap();
         let mut target = system(19);
-        let (outcome, restored) = load_or_quarantine(&path, FINGERPRINT, &mut target);
-        assert_eq!(outcome, RecoveryOutcome::Resumed { replay_from: 42 });
-        assert_eq!(restored, Some(harness));
+        assert_eq!(
+            checkpoint::recover(&mut target, &path, |r| HarnessState::decode(r, FINGERPRINT))
+                .unwrap(),
+            Recovered::Resumed {
+                replay_from: 42,
+                section: harness
+            }
+        );
         assert_eq!(
             target
                 .recorder()
@@ -411,32 +336,38 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A snapshot of another parameter set (the section refuses its
+    /// fingerprint) or of another world (the facade refuses its reader
+    /// deployment) is quarantined and restores nothing.
     #[test]
-    fn damaged_file_is_quarantined_with_a_counter() {
-        let dir = std::env::temp_dir().join("ripq_sim_ckpt_damaged");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = snapshot_path(&dir);
-        // ripq-lint: allow(atomic-persistence) -- test deliberately writes a torn non-atomic file
-        std::fs::write(&path, b"RIPQSNAPgarbage").unwrap();
-        let mut sys = system(19);
-        let (outcome, restored) = load_or_quarantine(&path, 0, &mut sys);
-        assert!(restored.is_none());
-        match outcome {
-            RecoveryOutcome::Quarantined { path: moved } => {
-                assert!(moved.to_string_lossy().ends_with(".corrupt"));
-                assert!(moved.exists());
-                assert!(!path.exists());
-            }
-            other => panic!("expected quarantine, got {other:?}"),
+    fn snapshot_of_another_experiment_is_quarantined_and_commits_nothing() {
+        for (tag, fingerprint, readers) in [
+            ("other_params", FINGERPRINT ^ 1, 19),
+            ("other_world", FINGERPRINT, 6),
+        ] {
+            let dir = temp_dir(tag);
+            let path = snapshot_path(&dir);
+            let harness = harness_fixture();
+            checkpoint::save(&fed_system(), &path, |w| harness.encode(FINGERPRINT, w)).unwrap();
+            let mut target = system(readers);
+            let recovered =
+                checkpoint::recover(&mut target, &path, |r| HarnessState::decode(r, fingerprint))
+                    .unwrap();
+            assert!(
+                matches!(recovered, Recovered::Quarantined { .. }),
+                "{tag}: {recovered:?}"
+            );
+            assert_eq!(target.collector().objects().count(), 0, "{tag}");
+            assert_eq!(
+                target
+                    .recorder()
+                    .snapshot()
+                    .counters
+                    .get("sim.timestamps_evaluated"),
+                None,
+                "{tag}: metrics not restored"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        assert_eq!(
-            sys.recorder()
-                .snapshot()
-                .counters
-                .get("recovery.quarantined"),
-            Some(&1)
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

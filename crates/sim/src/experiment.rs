@@ -16,6 +16,7 @@ use crate::{
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use ripq_core::checkpoint::Recovered;
 use ripq_core::{
     evaluate_knn, evaluate_range, DegradationLevel, IndoorQuerySystem, KnnQuery, QueryId,
     RecoveryOutcome, SystemConfig,
@@ -161,8 +162,9 @@ impl Experiment {
         self
     }
 
-    /// What the most recent `run` found on disk: `None` before any run or
-    /// when no checkpoint directory is configured.
+    /// What the most recent `run` found on disk: `None` before any run,
+    /// when no checkpoint directory is configured, or when the snapshot
+    /// could not be read.
     pub fn last_recovery(&self) -> Option<RecoveryOutcome> {
         self.last_recovery
             .lock()
@@ -297,7 +299,6 @@ impl Experiment {
             parallelism: p.parallelism,
             reorder_window: if p.faults.is_active() { jitter } else { 0 },
             observability,
-            checkpoint_every: 0,
             query_budget: p.query_budget,
             ..SystemConfig::default()
         };
@@ -345,20 +346,35 @@ impl Experiment {
             .map(checkpoint::snapshot_path);
         let mut start_second = 0u64;
         if let Some(path) = &ckpt_path {
-            let (outcome, restored) = checkpoint::load_or_quarantine(path, fingerprint, &mut sys);
-            if let (RecoveryOutcome::Resumed { replay_from }, Some(h)) = (&outcome, restored) {
-                rng_sense = StdRng::from_state(h.rng_sense);
-                rng_query = StdRng::from_state(h.rng_query);
-                next_ts = h.next_ts as usize;
-                [kl_pf, kl_sm, hit_pf, hit_sm, top1, top2, err_pf, err_sm] =
-                    h.means.map(Mean::from_state);
-                if let Some(inj) = injector.as_mut() {
-                    inj.restore_pending(h.pending);
+            let recovered = ripq_core::checkpoint::recover(&mut sys, path, |r| {
+                checkpoint::HarnessState::decode(r, fingerprint)
+            });
+            let outcome = match recovered {
+                Ok(Recovered::Resumed {
+                    replay_from,
+                    section: h,
+                }) => {
+                    rng_sense = StdRng::from_state(h.rng_sense);
+                    rng_query = StdRng::from_state(h.rng_query);
+                    next_ts = h.next_ts as usize;
+                    [kl_pf, kl_sm, hit_pf, hit_sm, top1, top2, err_pf, err_sm] =
+                        h.means.map(Mean::from_state);
+                    if let Some(inj) = injector.as_mut() {
+                        inj.restore_pending(h.pending);
+                    }
+                    start_second = replay_from;
+                    Some(RecoveryOutcome::Resumed { replay_from })
                 }
-                start_second = *replay_from;
-            }
+                Ok(other) => Some(other.outcome()),
+                // An unreadable snapshot stays on disk and the run goes
+                // cold, as after a failed write.
+                Err(_) => {
+                    recorder.add("recovery.checkpoint_errors", 1);
+                    None
+                }
+            };
             if let Ok(mut slot) = self.last_recovery.lock() {
-                *slot = Some(outcome);
+                *slot = outcome;
             }
         }
 
@@ -387,11 +403,13 @@ impl Experiment {
                             .map(|inj| inj.pending().clone())
                             .unwrap_or_default(),
                     };
-                    match checkpoint::save(path, fingerprint, &harness, &sys) {
-                        Ok(()) => recorder.add("recovery.checkpoints_written", 1),
-                        // Best effort: a full disk must degrade durability,
-                        // not kill the run.
-                        Err(_) => recorder.add("recovery.checkpoint_errors", 1),
+                    let saved = ripq_core::checkpoint::save(&sys, path, |w| {
+                        harness.encode(fingerprint, w);
+                    });
+                    // Best effort: a full disk must degrade durability,
+                    // not kill the run.
+                    if saved.is_err() {
+                        recorder.add("recovery.checkpoint_errors", 1);
                     }
                 }
             }

@@ -138,16 +138,10 @@ fn build_core(args: &[String]) -> Result<(ServerCore, u64), String> {
                     );
                     skip = skip_frames;
                 }
-                ServerRecovery::Quarantined { path } => {
-                    eprintln!(
-                        "recovery: damaged snapshot quarantined to {}; starting cold",
-                        path.display()
-                    );
-                    let plan =
-                        office_building(&OfficeParams::default()).map_err(|e| e.to_string())?;
-                    core = ServerCore::new(plan, server_config(args));
-                    core.set_checkpoint_dir(dir);
-                }
+                ServerRecovery::Quarantined { path } => eprintln!(
+                    "recovery: damaged snapshot quarantined to {}; starting cold",
+                    path.display()
+                ),
             }
         } else {
             core.set_checkpoint_dir(dir);

@@ -6,8 +6,9 @@
 //! the recovered run be **byte-identical** to an uninterrupted one —
 //! query answers and the full metrics snapshot (minus the `recovery.*`
 //! bookkeeping counters, which by design differ) — across worker counts
-//! 1/2/4 with candidate pruning off and on, arbitrary checkpoint cadences, and proptest-chosen kill
-//! points. Damaged snapshots (bit flips anywhere in the file) and
+//! 1/2/4 with candidate pruning off and on, arbitrary checkpoint cadences
+//! (the harness calls `checkpoint_now` before every due second), and
+//! proptest-chosen kill points. Damaged snapshots (bit flips anywhere in the file) and
 //! snapshots taken in another world (another reader deployment) must
 //! never panic: they quarantine to `*.corrupt` and rebuild cold.
 //!
@@ -62,16 +63,11 @@ type World = (u32, f64);
 /// The deployment every harness life runs in unless a test says otherwise.
 const WORLD: World = (8, 2.0);
 
-fn new_system(workers: Option<usize>, checkpoint_every: u64, prune: bool) -> IndoorQuerySystem {
-    system_in(WORLD, workers, checkpoint_every, prune)
+fn new_system(workers: Option<usize>, prune: bool) -> IndoorQuerySystem {
+    system_in(WORLD, workers, prune)
 }
 
-fn system_in(
-    world: World,
-    workers: Option<usize>,
-    checkpoint_every: u64,
-    prune: bool,
-) -> IndoorQuerySystem {
+fn system_in(world: World, workers: Option<usize>, prune: bool) -> IndoorQuerySystem {
     let floor = office_building(&OfficeParams::default()).expect("valid office");
     let config = SystemConfig {
         reader_count: world.0,
@@ -80,7 +76,6 @@ fn system_in(
         parallelism: workers,
         timing: TimingMode::Logical,
         observability: true,
-        checkpoint_every,
         ..SystemConfig::default()
     };
     IndoorQuerySystem::new(floor, config, SEED)
@@ -104,16 +99,22 @@ fn register_queries(sys: &mut IndoorQuerySystem) -> (QueryId, QueryId) {
 }
 
 /// Ingests seconds `from..=to`, evaluating at each due timestamp, and
-/// appends every evaluation's exact answers to `transcript`.
+/// appends every evaluation's exact answers to `transcript`. With a
+/// cadence `every > 0` it checkpoints before each second that is a
+/// multiple of `every`, so that snapshot covers the seconds before it.
 fn drive(
     sys: &mut IndoorQuerySystem,
     queries: (QueryId, QueryId),
     from: u64,
     to: u64,
+    every: u64,
     transcript: &mut String,
 ) {
     let readers: Vec<ReaderId> = sys.readers().iter().map(|r| r.id()).collect();
     for s in from..=to {
+        if every > 0 && s > 0 && s.is_multiple_of(every) {
+            sys.checkpoint_now().expect("checkpoints healthy");
+        }
         sys.ingest_detections(s, &detections(s, &readers));
         if EVAL_TIMES.contains(&s) {
             let report = sys.evaluate(s);
@@ -147,10 +148,10 @@ fn final_render(sys: &IndoorQuerySystem, transcript: &str) -> String {
 
 /// One uninterrupted reference life, checkpointing disabled.
 fn golden_run(workers: Option<usize>, prune: bool) -> String {
-    let mut sys = new_system(workers, 0, prune);
+    let mut sys = new_system(workers, prune);
     let queries = register_queries(&mut sys);
     let mut transcript = String::new();
-    drive(&mut sys, queries, 0, STREAM_SECONDS, &mut transcript);
+    drive(&mut sys, queries, 0, STREAM_SECONDS, 0, &mut transcript);
     final_render(&sys, &transcript)
 }
 
@@ -164,17 +165,16 @@ fn kill_and_recover(
     kill_at: u64,
     dir: &Path,
 ) -> (u64, String) {
-    let mut life1 = new_system(workers, every, prune);
+    let mut life1 = new_system(workers, prune);
     life1.set_checkpoint_dir(dir);
     let q1 = register_queries(&mut life1);
     let mut discarded = String::new();
     if kill_at > 0 {
-        drive(&mut life1, q1, 0, kill_at - 1, &mut discarded);
+        drive(&mut life1, q1, 0, kill_at - 1, every, &mut discarded);
     }
-    assert_eq!(life1.last_checkpoint_error(), None, "checkpoints healthy");
     drop(life1); // the crash: everything in memory is gone
 
-    let mut life2 = new_system(workers, every, prune);
+    let mut life2 = new_system(workers, prune);
     life2.set_checkpoint_dir(dir);
     let outcome = life2.recover(dir).expect("recover succeeds");
     let replay_from = match outcome {
@@ -189,7 +189,14 @@ fn kill_and_recover(
     };
     let q2 = register_queries(&mut life2);
     let mut transcript = String::new();
-    drive(&mut life2, q2, replay_from, STREAM_SECONDS, &mut transcript);
+    drive(
+        &mut life2,
+        q2,
+        replay_from,
+        STREAM_SECONDS,
+        every,
+        &mut transcript,
+    );
     (replay_from, final_render(&life2, &transcript))
 }
 
@@ -253,20 +260,20 @@ fn worker_count_may_change_across_the_crash() {
     // per-object RNG streams make the answers bit-identical anyway.
     let golden = golden_run(Some(4), false);
     let dir = temp_dir("cross_workers");
-    let mut life1 = new_system(Some(1), 10, false);
+    let mut life1 = new_system(Some(1), false);
     life1.set_checkpoint_dir(&dir);
     let q1 = register_queries(&mut life1);
     let mut discarded = String::new();
-    drive(&mut life1, q1, 0, 33, &mut discarded);
+    drive(&mut life1, q1, 0, 33, 10, &mut discarded);
     drop(life1);
 
-    let mut life2 = new_system(Some(4), 10, false);
+    let mut life2 = new_system(Some(4), false);
     life2.set_checkpoint_dir(&dir);
     let outcome = life2.recover(&dir).expect("recover succeeds");
     assert_eq!(outcome, RecoveryOutcome::Resumed { replay_from: 30 });
     let q2 = register_queries(&mut life2);
     let mut transcript = String::new();
-    drive(&mut life2, q2, 30, STREAM_SECONDS, &mut transcript);
+    drive(&mut life2, q2, 30, STREAM_SECONDS, 10, &mut transcript);
     assert_eq!(
         golden_suffix(&golden, 30),
         golden_suffix(&final_render(&life2, &transcript), 0)
@@ -282,11 +289,11 @@ fn worker_count_may_change_across_the_crash() {
 fn bit_flipped_snapshot_is_quarantined_and_rebuilt_cold() {
     let golden = golden_run(Some(2), false);
     let dir = temp_dir("bitflip");
-    let mut life1 = new_system(Some(2), 8, false);
+    let mut life1 = new_system(Some(2), false);
     life1.set_checkpoint_dir(&dir);
     let q1 = register_queries(&mut life1);
     let mut discarded = String::new();
-    drive(&mut life1, q1, 0, 28, &mut discarded);
+    drive(&mut life1, q1, 0, 28, 8, &mut discarded);
     drop(life1);
 
     let path = dir.join("system.ckpt");
@@ -295,7 +302,7 @@ fn bit_flipped_snapshot_is_quarantined_and_rebuilt_cold() {
     bytes[mid] ^= 0x10;
     std::fs::write(&path, &bytes).expect("plant corruption");
 
-    let mut life2 = new_system(Some(2), 8, false);
+    let mut life2 = new_system(Some(2), false);
     life2.set_checkpoint_dir(&dir);
     match life2.recover(&dir).expect("recover never errors on damage") {
         RecoveryOutcome::Quarantined { path: moved } => {
@@ -318,7 +325,7 @@ fn bit_flipped_snapshot_is_quarantined_and_rebuilt_cold() {
     // Cold rebuild: replay the whole stream; answers match the golden.
     let q2 = register_queries(&mut life2);
     let mut transcript = String::new();
-    drive(&mut life2, q2, 0, STREAM_SECONDS, &mut transcript);
+    drive(&mut life2, q2, 0, STREAM_SECONDS, 8, &mut transcript);
     assert_eq!(
         golden_suffix(&golden, 0),
         golden_suffix(&final_render(&life2, &transcript), 0)
@@ -334,20 +341,20 @@ fn snapshot_from_another_world_is_quarantined_and_rebuilt_cold() {
     for (written_in, read_in) in [((19, 2.0), (6, 2.0)), (WORLD, (8, 1.5))] {
         let tag = format!("world_{}_{}", written_in.0, read_in.0);
         let dir = temp_dir(&tag);
-        let mut life1 = system_in(written_in, Some(1), 10, false);
+        let mut life1 = system_in(written_in, Some(1), false);
         life1.set_checkpoint_dir(&dir);
         let q1 = register_queries(&mut life1);
         let mut discarded = String::new();
-        drive(&mut life1, q1, 0, 12, &mut discarded);
+        drive(&mut life1, q1, 0, 12, 10, &mut discarded);
         drop(life1);
 
-        let mut cold = system_in(read_in, Some(1), 0, false);
+        let mut cold = system_in(read_in, Some(1), false);
         let q = register_queries(&mut cold);
         let mut transcript = String::new();
-        drive(&mut cold, q, 0, STREAM_SECONDS, &mut transcript);
+        drive(&mut cold, q, 0, STREAM_SECONDS, 0, &mut transcript);
         let golden = final_render(&cold, &transcript);
 
-        let mut life2 = system_in(read_in, Some(1), 10, false);
+        let mut life2 = system_in(read_in, Some(1), false);
         life2.set_checkpoint_dir(&dir);
         let outcome = life2.recover(&dir).expect("recover never errors on damage");
         assert!(
@@ -356,7 +363,7 @@ fn snapshot_from_another_world_is_quarantined_and_rebuilt_cold() {
         );
         let q2 = register_queries(&mut life2);
         let mut transcript = String::new();
-        drive(&mut life2, q2, 0, STREAM_SECONDS, &mut transcript);
+        drive(&mut life2, q2, 0, STREAM_SECONDS, 10, &mut transcript);
         assert_eq!(
             golden_suffix(&golden, 0),
             golden_suffix(&final_render(&life2, &transcript), 0),
@@ -409,11 +416,11 @@ proptest! {
         mask in 1u8..=255,
     ) {
         let dir = temp_dir(&format!("corrupt_{:.3}_{mask}", pos_fraction));
-        let mut life1 = new_system(Some(1), 8, false);
+        let mut life1 = new_system(Some(1), false);
         life1.set_checkpoint_dir(&dir);
         let q1 = register_queries(&mut life1);
         let mut discarded = String::new();
-        drive(&mut life1, q1, 0, 20, &mut discarded);
+        drive(&mut life1, q1, 0, 20, 8, &mut discarded);
         drop(life1);
 
         let path = dir.join("system.ckpt");
@@ -422,7 +429,7 @@ proptest! {
         bytes[pos] ^= mask;
         std::fs::write(&path, &bytes).expect("plant corruption");
 
-        let mut life2 = new_system(Some(1), 8, false);
+        let mut life2 = new_system(Some(1), false);
         life2.set_checkpoint_dir(&dir);
         let outcome = life2.recover(&dir).expect("damage is not an error");
         prop_assert!(
@@ -432,7 +439,7 @@ proptest! {
         // The rebuild completes and produces live answers.
         let q2 = register_queries(&mut life2);
         let mut transcript = String::new();
-        drive(&mut life2, q2, 0, 20, &mut transcript);
+        drive(&mut life2, q2, 0, 20, 8, &mut transcript);
         // The kNN query always accumulates k objects' worth of
         // probability, so a live rebuild must produce t15 answers.
         prop_assert!(transcript.contains("t15 knn"), "cold rebuild answered");
@@ -472,7 +479,7 @@ fn snapshot_format_matches_golden_header_spec() {
 #[test]
 fn written_snapshot_carries_the_pinned_magic_and_version() {
     let dir = temp_dir("header_bytes");
-    let mut sys = new_system(Some(1), 0, false);
+    let mut sys = new_system(Some(1), false);
     sys.set_checkpoint_dir(&dir);
     let readers: Vec<ReaderId> = sys.readers().iter().map(|r| r.id()).collect();
     for s in 0..=5 {

@@ -262,7 +262,7 @@ fn event_frames() -> Vec<String> {
 /// Breaker trip + dead-letter durability: a panicking executor is
 /// retried, quarantined behind an open circuit, its event diverted to
 /// the dead-letter queue — and both the breaker and the queue survive a
-/// crash/recover cycle through the v2 sidecar.
+/// crash/recover cycle through `server.ckpt`.
 #[test]
 fn breaker_trips_and_dead_letters_survive_crash_recovery() {
     let hook = std::panic::take_hook();
@@ -295,7 +295,7 @@ fn breaker_trips_and_dead_letters_survive_crash_recovery() {
     assert!(matches!(outcome, ServerRecovery::Resumed { .. }));
     assert!(
         life2.dead_letters().count() >= 1,
-        "dead letters must survive the sidecar round trip"
+        "dead letters must survive the checkpoint round trip"
     );
     assert_eq!(
         life2.quarantined_executors(),
@@ -353,15 +353,13 @@ fn graceful_shutdown_checkpoint_matches_explicit_checkpoint_bytes() {
     );
     assert!(graceful.is_shutdown());
 
-    for name in ["server.ckpt", "system.ckpt"] {
-        let killed_bytes = std::fs::read(dir_kill.join(name)).expect("kill-path checkpoint");
-        let graceful_bytes =
-            std::fs::read(dir_graceful.join(name)).expect("graceful-path checkpoint");
-        assert_eq!(
-            killed_bytes, graceful_bytes,
-            "{name} must be byte-identical between kill-after-checkpoint and graceful shutdown"
-        );
-    }
+    let killed_bytes = std::fs::read(dir_kill.join("server.ckpt")).expect("kill-path checkpoint");
+    let graceful_bytes =
+        std::fs::read(dir_graceful.join("server.ckpt")).expect("graceful-path checkpoint");
+    assert_eq!(
+        killed_bytes, graceful_bytes,
+        "server.ckpt must be byte-identical between kill-after-checkpoint and graceful shutdown"
+    );
 
     // And the graceful checkpoint is a usable recovery point.
     let mut life2 = core_with(ServerConfig::default());

@@ -12,14 +12,18 @@
 //!   RIPQ_REGEN_GOLDEN=1 cargo test --test server_stream
 //!   ```
 //!
-//! * Killing the server mid-transcript and recovering from
-//!   `system.ckpt` + `server.ckpt` resumes the stream byte-equal to the
-//!   uninterrupted golden's suffix.
+//! * Killing the server mid-transcript and recovering from `server.ckpt`
+//!   resumes the stream byte-equal to the uninterrupted golden's suffix;
+//!   a damaged snapshot restores nothing and the server replays the
+//!   golden from scratch.
 
+use proptest::prelude::*;
 use ripq::floorplan::{office_building, OfficeParams};
 use ripq::server::{encode_frame, ServerConfig, ServerCore, ServerRecovery};
 use ripq::sim::transcript::{record_transcript, Transcript, TranscriptSpec};
 use std::path::{Path, PathBuf};
+
+const CHECKPOINT_FRAME: &str = "{\"op\":\"checkpoint\"}";
 
 fn fixture_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -62,6 +66,18 @@ fn fresh_core(workers: Option<usize>) -> ServerCore {
     )
 }
 
+/// Feeds `frames` to `core` until it acknowledges a shutdown.
+fn feed(core: &mut ServerCore, frames: &[String]) -> Vec<String> {
+    let mut lines = Vec::new();
+    for frame in frames {
+        lines.extend(core.handle_frame(frame.as_bytes()));
+        if core.is_shutdown() {
+            break;
+        }
+    }
+    lines
+}
+
 /// Replays all frames through a core, returning (response lines, final
 /// metrics JSON).
 fn replay(
@@ -73,15 +89,8 @@ fn replay(
     if let Some(dir) = checkpoint_dir {
         core.set_checkpoint_dir(dir);
     }
-    let mut lines = Vec::new();
-    for frame in frames {
-        lines.extend(core.handle_frame(frame.as_bytes()));
-        if core.is_shutdown() {
-            break;
-        }
-    }
-    let metrics = core.metrics_json();
-    (lines, metrics)
+    let lines = feed(&mut core, frames);
+    (lines, core.metrics_json())
 }
 
 /// The determinism headline, enforced at tier 1: byte-identical delta
@@ -187,7 +196,7 @@ fn golden_fixture_replay() {
 }
 
 /// Kill the server mid-transcript (after the checkpoint), recover a
-/// fresh instance from `system.ckpt` + `server.ckpt`, replay the rest:
+/// fresh instance from `server.ckpt`, replay the rest:
 /// the resumed stream must be byte-equal to the uninterrupted golden
 /// from the checkpoint's line offset on.
 #[test]
@@ -206,7 +215,7 @@ fn crash_recovery_resumes_the_golden_stream() {
     let checkpoint_frame = transcript
         .frames
         .iter()
-        .position(|f| f == "{\"op\":\"checkpoint\"}")
+        .position(|f| f == CHECKPOINT_FRAME)
         .expect("fixture contains a checkpoint frame");
     // Die a few frames past the checkpoint — mid-transcript, no shutdown.
     let kill_at = (checkpoint_frame + 4).min(transcript.frames.len() - 2);
@@ -265,9 +274,16 @@ fn crash_recovery_resumes_the_golden_stream() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A damaged sidecar is quarantined, not trusted: recovery reports it
-/// and a fresh cold-started server replays the whole transcript to the
-/// same golden.
+fn joined(lines: &[String]) -> String {
+    let mut out = lines.join("\n");
+    out.push('\n');
+    out
+}
+
+/// A damaged `server.ckpt` is quarantined, not trusted: recovery reports
+/// it and restores nothing, so the same core replays the whole transcript
+/// to the golden. A cold life that then dies before its first checkpoint
+/// leaves nothing to resume, and the next restart is a plain cold start.
 #[test]
 fn damaged_sidecar_is_quarantined_and_cold_start_matches_golden() {
     if std::env::var_os("RIPQ_REGEN_GOLDEN").is_some() {
@@ -277,20 +293,25 @@ fn damaged_sidecar_is_quarantined_and_cold_start_matches_golden() {
         Transcript::load(&fixture_path("server_transcript.txt")).expect("transcript fixture");
     let golden = std::fs::read_to_string(fixture_path("expected_server_deltas.txt"))
         .expect("golden fixture");
+    let frames = &transcript.frames;
 
+    // Life 1 checkpoints and dies; the checkpoint directory is then
+    // damaged, and copied for a second restart below.
     let dir = temp_dir("quarantine");
     let mut life1 = fresh_core(None);
     life1.set_checkpoint_dir(&dir);
-    for frame in &transcript.frames[..transcript.frames.len() - 1] {
-        life1.handle_frame(frame.as_bytes());
-    }
+    feed(&mut life1, &frames[..frames.len() - 1]);
     drop(life1);
-    // Flip a byte near the end of the sidecar.
-    let sidecar = dir.join("server.ckpt");
-    let mut bytes = std::fs::read(&sidecar).expect("sidecar written");
+    let snapshot = dir.join("server.ckpt");
+    let mut bytes = std::fs::read(&snapshot).expect("snapshot written");
     let last = bytes.len() - 1;
     bytes[last] ^= 0x40;
-    std::fs::write(&sidecar, &bytes).expect("corrupt sidecar");
+    std::fs::write(&snapshot, &bytes).expect("corrupt snapshot");
+    let restart_dir = temp_dir("quarantine_restart");
+    for entry in std::fs::read_dir(&dir).expect("list checkpoint dir") {
+        let entry = entry.expect("dir entry");
+        std::fs::copy(entry.path(), restart_dir.join(entry.file_name())).expect("copy");
+    }
 
     let mut life2 = fresh_core(None);
     match life2.recover(&dir).expect("recovery handles damage") {
@@ -300,10 +321,135 @@ fn damaged_sidecar_is_quarantined_and_cold_start_matches_golden() {
         }
         other => panic!("expected Quarantined, got {other:?}"),
     }
-    // Per the contract, a quarantined core is discarded; cold start.
-    let (lines, _) = replay(&transcript.frames, None, Some(&temp_dir("quarantine2")));
-    let mut actual = lines.join("\n");
-    actual.push('\n');
-    assert_eq!(actual, golden);
+    // Nothing was restored: this very core replays from scratch.
+    assert_eq!(joined(&feed(&mut life2, frames)), golden);
+
+    // A cold life after the same quarantine dies before the checkpoint
+    // frame; the restart after it must not trip over the old snapshot.
+    let checkpoint_frame = frames
+        .iter()
+        .position(|f| f == CHECKPOINT_FRAME)
+        .expect("fixture contains a checkpoint frame");
+    let mut life3 = fresh_core(None);
+    let outcome = life3
+        .recover(&restart_dir)
+        .expect("recovery handles damage");
+    assert!(matches!(outcome, ServerRecovery::Quarantined { .. }));
+    feed(&mut life3, &frames[..checkpoint_frame]);
+    drop(life3);
+    let mut life4 = fresh_core(None);
+    assert_eq!(
+        life4
+            .recover(&restart_dir)
+            .expect("restart after a quarantine"),
+        ServerRecovery::ColdStart
+    );
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&restart_dir);
+}
+
+/// A snapshot is one file, so putting an older `server.ckpt` back over a
+/// newer one — a crash between two renames of a split snapshot, or a
+/// rollback — resumes exactly that older checkpoint: the stream equals
+/// that of a life which only ever checkpointed there.
+#[test]
+fn older_snapshot_restored_over_a_newer_one_resumes_consistently() {
+    if std::env::var_os("RIPQ_REGEN_GOLDEN").is_some() {
+        return;
+    }
+    let transcript =
+        Transcript::load(&fixture_path("server_transcript.txt")).expect("transcript fixture");
+    let frames = &transcript.frames;
+    let checkpoint = || vec![CHECKPOINT_FRAME.to_string()];
+    // Checkpoint after frame 20 and return that snapshot; run on to frame
+    // 40, checkpointing again there when `again`; die.
+    let first_life = |dir: &Path, again: bool| -> Vec<u8> {
+        let mut life = fresh_core(None);
+        life.set_checkpoint_dir(dir);
+        feed(&mut life, &[&frames[..20], &checkpoint()].concat());
+        let first = std::fs::read(dir.join("server.ckpt")).expect("first checkpoint");
+        feed(&mut life, &frames[20..40]);
+        if again {
+            feed(&mut life, &checkpoint());
+        }
+        first
+    };
+    let resume = |dir: &Path| -> Vec<String> {
+        let mut life = fresh_core(None);
+        let outcome = life.recover(dir).expect("recovery succeeds");
+        assert!(
+            matches!(
+                outcome,
+                ServerRecovery::Resumed {
+                    skip_frames: 21,
+                    ..
+                }
+            ),
+            "{outcome:?}"
+        );
+        feed(&mut life, &frames[20..])
+    };
+
+    let reference_dir = temp_dir("older_reference");
+    first_life(&reference_dir, false);
+    let restored_dir = temp_dir("older_restored");
+    let first = first_life(&restored_dir, true);
+    std::fs::write(restored_dir.join("server.ckpt"), first).expect("restore the older snapshot");
+    let reference = resume(&reference_dir);
+    assert!(reference.iter().any(|l| l.starts_with("{\"delta\":")));
+    assert_eq!(
+        resume(&restored_dir),
+        reference,
+        "an older snapshot must resume as its own checkpoint"
+    );
+    let _ = std::fs::remove_dir_all(&reference_dir);
+    let _ = std::fs::remove_dir_all(&restored_dir);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Any single-byte corruption of `server.ckpt` (any position, any
+    /// mask) is caught: recovery quarantines it — never an error, never a
+    /// panic — and the same core replays the transcript to the golden.
+    #[test]
+    fn corrupted_server_snapshot_is_quarantined_and_replays_to_the_golden(
+        pos_fraction in 0.0f64..1.0,
+        mask in 1u8..=255,
+    ) {
+        if std::env::var_os("RIPQ_REGEN_GOLDEN").is_some() {
+            return Ok(());
+        }
+        static SNAPSHOT: std::sync::OnceLock<(Transcript, String, Vec<u8>)> =
+            std::sync::OnceLock::new();
+        let (transcript, golden, snapshot) = SNAPSHOT.get_or_init(|| {
+            let transcript = Transcript::load(&fixture_path("server_transcript.txt"))
+                .expect("transcript fixture");
+            let golden = std::fs::read_to_string(fixture_path("expected_server_deltas.txt"))
+                .expect("golden fixture");
+            // The snapshot a life writes at the fixture's checkpoint
+            // frame, dying just before its shutdown frame.
+            let dir = temp_dir("corrupt_source");
+            let mut life = fresh_core(None);
+            life.set_checkpoint_dir(&dir);
+            feed(&mut life, &transcript.frames[..transcript.frames.len() - 1]);
+            let snapshot = std::fs::read(dir.join("server.ckpt")).expect("snapshot written");
+            let _ = std::fs::remove_dir_all(&dir);
+            (transcript, golden, snapshot)
+        });
+        let mut bytes = snapshot.clone();
+        let pos = ((bytes.len() - 1) as f64 * pos_fraction) as usize;
+        bytes[pos] ^= mask;
+        let dir = temp_dir(&format!("corrupt_{pos}_{mask}"));
+        std::fs::write(dir.join("server.ckpt"), &bytes).expect("plant corruption");
+
+        let mut core = fresh_core(None);
+        let outcome = core.recover(&dir);
+        prop_assert!(
+            matches!(outcome, Ok(ServerRecovery::Quarantined { .. })),
+            "corruption at byte {pos} (mask {mask:#x}): {outcome:?}"
+        );
+        prop_assert_eq!(&joined(&feed(&mut core, &transcript.frames)), golden);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
