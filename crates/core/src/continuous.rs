@@ -2,16 +2,15 @@
 //! to extend our framework to support more spatial query types such as
 //! continuous range, continuous kNN", §6).
 //!
-//! A continuous query stays registered across timestamps; after each new
-//! evaluation of the underlying `APtoObjHT` index it reports a *delta*
-//! (which objects appeared, disappeared, or changed probability) instead
-//! of a full result, which is what monitoring applications consume.
+//! A continuous query is a [`SubscriptionRegistry`] entry over a query
+//! registered with an [`crate::IndoorQuerySystem`]. After each evaluation
+//! pass it reports a *delta* (which objects appeared, disappeared, or
+//! changed probability) instead of a full result, which is what
+//! monitoring applications consume.
 
 use crate::system::EvaluationReport;
-use crate::{evaluate_knn, evaluate_range, KnnQuery, QueryId, RangeQuery, ResultSet, RipqError};
-use ripq_floorplan::FloorPlan;
+use crate::{QueryId, ResultSet, RipqError};
 use ripq_geom::{Point2, Rect};
-use ripq_graph::{AnchorObjectIndex, AnchorSet, WalkingGraph};
 use ripq_rfid::ObjectId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -63,8 +62,10 @@ impl ResultDelta {
     }
 
     /// Folds this delta into `rs` — the inverse of
-    /// [`ResultDelta::between`]: applying every delta of a run, in order,
-    /// onto an empty set reproduces the latest full result exactly.
+    /// [`ResultDelta::between`]. Moves of at most [`CHANGE_EPSILON`] are
+    /// not emitted, so applying every delta of a run, in order, onto an
+    /// empty set gives the latest result's objects exactly and each
+    /// probability within `CHANGE_EPSILON` of it.
     pub fn apply(&self, rs: &mut ResultSet) {
         for &(o, p) in &self.appeared {
             rs.set(o, p);
@@ -90,7 +91,7 @@ pub enum SubscriptionKind {
 }
 
 /// One registered continuous subscription: the externally chosen id maps
-/// to the engine-side [`QueryId`] plus the most recent full result.
+/// to the engine-side [`QueryId`] plus the client's folded result.
 #[derive(Debug, Clone)]
 pub struct Subscription {
     /// What the subscription watches.
@@ -103,20 +104,22 @@ pub struct Subscription {
 }
 
 impl Subscription {
-    /// The most recent full result delivered for this subscription.
+    /// What a client holds after folding every delta emitted for this
+    /// subscription: the latest answer's objects, each probability within
+    /// [`CHANGE_EPSILON`] of it.
     pub fn current(&self) -> &ResultSet {
         &self.current
     }
 }
 
-/// The server-facing subscription registry: maps client-chosen
-/// subscription ids to engine queries and computes per-epoch
-/// [`ResultDelta`]s from full [`EvaluationReport`]s.
+/// The continuous-query registry: maps client-chosen subscription ids to
+/// queries registered with an [`crate::IndoorQuerySystem`] and turns each
+/// [`EvaluationReport`] into per-subscription [`ResultDelta`]s.
 ///
-/// Unlike [`ContinuousEngine`] — which owns its queries and re-evaluates
-/// them against a raw index — the registry rides on queries registered
-/// with an [`crate::IndoorQuerySystem`], so candidate pruning and degraded
-/// evaluation apply to continuous queries exactly as to snapshot ones.
+/// Candidate pruning and degraded evaluation apply to subscriptions
+/// exactly as to snapshot queries, since both are the facade's queries.
+/// Each subscription keeps the fold of its own deltas, so every
+/// `changed` entry's old probability is the client's value.
 #[derive(Debug, Default)]
 pub struct SubscriptionRegistry {
     subs: BTreeMap<u64, Subscription>,
@@ -176,7 +179,7 @@ impl SubscriptionRegistry {
         self.subs.is_empty()
     }
 
-    /// Replaces a subscription's maintained result with checkpointed
+    /// Replaces a subscription's folded result with checkpointed
     /// state (recovery support). Returns `false` for unknown ids.
     pub fn restore_current(&mut self, sub: u64, current: ResultSet) -> bool {
         match self.subs.get_mut(&sub) {
@@ -189,9 +192,9 @@ impl SubscriptionRegistry {
     }
 
     /// Folds one evaluation pass into every subscription: each
-    /// subscription whose backing query answered in `report` advances its
-    /// maintained result and contributes its delta. Returns the non-empty
-    /// deltas in subscription-id order.
+    /// subscription whose backing query answered in `report` applies its
+    /// delta to its folded result. Returns the non-empty deltas in
+    /// subscription-id order.
     pub fn deltas(&mut self, report: &EvaluationReport) -> Vec<(u64, ResultDelta)> {
         let mut out = Vec::new();
         for (&id, s) in &mut self.subs {
@@ -203,7 +206,7 @@ impl SubscriptionRegistry {
                 continue;
             };
             let delta = ResultDelta::between(&s.current, new);
-            s.current = new.clone();
+            delta.apply(&mut s.current);
             if !delta.is_empty() {
                 out.push((id, delta));
             }
@@ -212,192 +215,31 @@ impl SubscriptionRegistry {
     }
 }
 
-/// A continuous range query with incremental result maintenance.
-#[derive(Debug, Clone)]
-pub struct ContinuousRangeQuery {
-    query: RangeQuery,
-    current: ResultSet,
-}
-
-impl ContinuousRangeQuery {
-    /// Wraps a range query for continuous monitoring.
-    pub fn new(query: RangeQuery) -> Self {
-        ContinuousRangeQuery {
-            query,
-            current: ResultSet::new(),
-        }
-    }
-
-    /// The underlying query.
-    pub fn query(&self) -> &RangeQuery {
-        &self.query
-    }
-
-    /// The most recent full result.
-    pub fn current(&self) -> &ResultSet {
-        &self.current
-    }
-
-    /// Re-evaluates against a fresh index and returns the delta.
-    pub fn update(
-        &mut self,
-        plan: &FloorPlan,
-        anchors: &AnchorSet,
-        index: &AnchorObjectIndex<ObjectId>,
-    ) -> ResultDelta {
-        let new = evaluate_range(plan, anchors, index, &self.query.window);
-        let delta = ResultDelta::between(&self.current, &new);
-        self.current = new;
-        delta
-    }
-}
-
-/// A continuous kNN query with incremental result maintenance.
-#[derive(Debug, Clone)]
-pub struct ContinuousKnnQuery {
-    query: KnnQuery,
-    current: ResultSet,
-}
-
-impl ContinuousKnnQuery {
-    /// Wraps a kNN query for continuous monitoring.
-    pub fn new(query: KnnQuery) -> Self {
-        ContinuousKnnQuery {
-            query,
-            current: ResultSet::new(),
-        }
-    }
-
-    /// The underlying query.
-    pub fn query(&self) -> &KnnQuery {
-        &self.query
-    }
-
-    /// The most recent full result.
-    pub fn current(&self) -> &ResultSet {
-        &self.current
-    }
-
-    /// Re-evaluates against a fresh index and returns the delta.
-    pub fn update(
-        &mut self,
-        graph: &WalkingGraph,
-        anchors: &AnchorSet,
-        index: &AnchorObjectIndex<ObjectId>,
-    ) -> ResultDelta {
-        let new = evaluate_knn(graph, anchors, index, &self.query);
-        let delta = ResultDelta::between(&self.current, &new);
-        self.current = new;
-        delta
-    }
-}
-
-/// A registry that owns many continuous queries and refreshes all of them
-/// against each new index in one call — the monitoring loop's driver.
-#[derive(Debug, Default)]
-pub struct ContinuousEngine {
-    ranges: Vec<(crate::QueryId, ContinuousRangeQuery)>,
-    knns: Vec<(crate::QueryId, ContinuousKnnQuery)>,
-    next: u32,
-}
-
-impl ContinuousEngine {
-    /// Creates an empty engine.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a continuous range query.
-    pub fn add_range(
-        &mut self,
-        window: ripq_geom::Rect,
-    ) -> Result<crate::QueryId, crate::CoreError> {
-        let id = crate::QueryId::new(self.next);
-        let q = RangeQuery::new(id, window)?;
-        self.next += 1;
-        self.ranges.push((id, ContinuousRangeQuery::new(q)));
-        Ok(id)
-    }
-
-    /// Registers a continuous kNN query.
-    pub fn add_knn(
-        &mut self,
-        point: ripq_geom::Point2,
-        k: usize,
-    ) -> Result<crate::QueryId, crate::CoreError> {
-        let id = crate::QueryId::new(self.next);
-        let q = KnnQuery::new(id, point, k)?;
-        self.next += 1;
-        self.knns.push((id, ContinuousKnnQuery::new(q)));
-        Ok(id)
-    }
-
-    /// Number of registered continuous queries.
-    pub fn len(&self) -> usize {
-        self.ranges.len() + self.knns.len()
-    }
-
-    /// `true` when no queries are registered.
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty() && self.knns.is_empty()
-    }
-
-    /// Refreshes every query against a fresh index; returns the non-empty
-    /// deltas in registration order.
-    pub fn update_all(
-        &mut self,
-        plan: &FloorPlan,
-        graph: &WalkingGraph,
-        anchors: &AnchorSet,
-        index: &AnchorObjectIndex<ObjectId>,
-    ) -> Vec<(crate::QueryId, ResultDelta)> {
-        let mut out = Vec::new();
-        for (id, q) in &mut self.ranges {
-            let d = q.update(plan, anchors, index);
-            if !d.is_empty() {
-                out.push((*id, d));
-            }
-        }
-        for (id, q) in &mut self.knns {
-            let d = q.update(graph, anchors, index);
-            if !d.is_empty() {
-                out.push((*id, d));
-            }
-        }
-        out
-    }
-
-    /// The current full result of a registered query, if it exists.
-    pub fn current(&self, id: crate::QueryId) -> Option<&ResultSet> {
-        self.ranges
-            .iter()
-            .find(|(qid, _)| *qid == id)
-            .map(|(_, q)| q.current())
-            .or_else(|| {
-                self.knns
-                    .iter()
-                    .find(|(qid, _)| *qid == id)
-                    .map(|(_, q)| q.current())
-            })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::QueryId;
     use ripq_floorplan::{office_building, OfficeParams};
-    use ripq_graph::build_walking_graph;
 
     fn o(i: u32) -> ObjectId {
         ObjectId::new(i)
     }
 
-    fn world() -> (FloorPlan, WalkingGraph, AnchorSet) {
-        let plan = office_building(&OfficeParams::default()).unwrap();
-        let graph = build_walking_graph(&plan);
-        let anchors = AnchorSet::generate(&graph, &plan, 1.0);
-        (plan, graph, anchors)
+    /// A hand-built report in which range query `query` answered `rs`.
+    fn answering(query: QueryId, rs: ResultSet) -> EvaluationReport {
+        EvaluationReport {
+            range_results: BTreeMap::from([(query, rs)]),
+            knn_results: BTreeMap::new(),
+            ptknn_results: BTreeMap::new(),
+            closest_pairs_results: BTreeMap::new(),
+            index: ripq_graph::AnchorObjectIndex::new(),
+            candidates_processed: 0,
+            objects_known: 0,
+            cache_stats: Default::default(),
+            timings: Default::default(),
+            metrics: None,
+            degradation: BTreeMap::new(),
+            object_degradation: BTreeMap::new(),
+        }
     }
 
     #[test]
@@ -416,62 +258,6 @@ mod tests {
         let rs: ResultSet = [(o(1), 0.5)].into_iter().collect();
         let d = ResultDelta::between(&rs, &rs.clone());
         assert!(d.is_empty());
-    }
-
-    #[test]
-    fn continuous_range_reports_appearance_and_disappearance() {
-        let (plan, _, anchors) = world();
-        let room = &plan.rooms()[3];
-        let q = RangeQuery::new(QueryId::new(0), *room.footprint()).unwrap();
-        let mut cq = ContinuousRangeQuery::new(q);
-
-        // t0: object in the room.
-        let mut index = AnchorObjectIndex::new();
-        index.set_object(o(0), vec![(anchors.in_room(room.id())[0], 1.0)]);
-        let d0 = cq.update(&plan, &anchors, &index);
-        assert_eq!(d0.appeared.len(), 1);
-        assert!((cq.current().probability(o(0)) - 1.0).abs() < 1e-9);
-
-        // t1: object moved to a hallway anchor far away.
-        let far = anchors.in_hallway(plan.hallways()[2].id())[0];
-        index.set_object(o(0), vec![(far, 1.0)]);
-        let d1 = cq.update(&plan, &anchors, &index);
-        assert_eq!(d1.disappeared, vec![o(0)]);
-        assert!(cq.current().is_empty());
-
-        // t2: nothing changed.
-        let d2 = cq.update(&plan, &anchors, &index);
-        assert!(d2.is_empty());
-    }
-
-    #[test]
-    fn engine_drives_many_queries() {
-        let (plan, graph, anchors) = world();
-        let mut engine = ContinuousEngine::new();
-        let room = &plan.rooms()[2];
-        let rq = engine.add_range(*room.footprint()).unwrap();
-        let kq = engine
-            .add_knn(plan.hallways()[0].footprint().center(), 1)
-            .unwrap();
-        assert_eq!(engine.len(), 2);
-        assert!(!engine.is_empty());
-
-        let mut index = AnchorObjectIndex::new();
-        index.set_object(o(0), vec![(anchors.in_room(room.id())[0], 1.0)]);
-        let deltas = engine.update_all(&plan, &graph, &anchors, &index);
-        // Both queries see the object appear.
-        assert_eq!(deltas.len(), 2);
-        assert!(deltas.iter().any(|(id, _)| *id == rq));
-        assert!(deltas.iter().any(|(id, _)| *id == kq));
-        assert!((engine.current(rq).unwrap().probability(o(0)) - 1.0).abs() < 1e-9);
-
-        // No change → no deltas.
-        let deltas = engine.update_all(&plan, &graph, &anchors, &index);
-        assert!(deltas.is_empty());
-        // Unknown id → None.
-        assert!(engine.current(crate::QueryId::new(99)).is_none());
-        // Validation errors propagate.
-        assert!(engine.add_knn(ripq_geom::Point2::ORIGIN, 0).is_err());
     }
 
     #[test]
@@ -519,6 +305,27 @@ mod tests {
         let report2 = sys.evaluate(3);
         assert!(reg.deltas(&report2).is_empty());
 
+        // The object grows uncertain as a second one arrives, then both
+        // leave; `changed` reports the client's value as the old one.
+        let held = reg.get(7).unwrap().current().probability(o(0));
+        let uncertain: ResultSet = [(o(0), held / 2.0), (o(1), 1.0)].into_iter().collect();
+        assert_eq!(
+            reg.deltas(&answering(qid, uncertain.clone())),
+            vec![(
+                7,
+                ResultDelta {
+                    appeared: vec![(o(1), 1.0)],
+                    disappeared: vec![],
+                    changed: vec![(o(0), held, held / 2.0)],
+                }
+            )]
+        );
+        assert_eq!(reg.get(7).unwrap().current(), &uncertain);
+        let gone = reg.deltas(&answering(qid, ResultSet::new()));
+        assert_eq!(gone.len(), 1);
+        assert_eq!(gone[0].1.disappeared, vec![o(0), o(1)]);
+        assert!(reg.get(7).unwrap().current().is_empty());
+
         // Removal hands back the subscription for query deregistration.
         let s = reg.remove(7).unwrap();
         assert_eq!(s.query, qid);
@@ -528,28 +335,27 @@ mod tests {
     }
 
     #[test]
-    fn continuous_knn_tracks_probability_changes() {
-        let (plan, graph, anchors) = world();
-        let center = plan.hallways()[0].footprint().center();
-        let q = KnnQuery::new(QueryId::new(0), center, 1).unwrap();
-        let mut cq = ContinuousKnnQuery::new(q);
+    fn moves_below_epsilon_add_up_against_the_clients_value() {
+        let q = QueryId::new(0);
+        let mut reg = SubscriptionRegistry::new();
+        let window = Rect::centered(Point2::ORIGIN, 4.0, 4.0);
+        reg.insert(1, SubscriptionKind::Range(window), q).unwrap();
+        let at = |p: f64| answering(q, [(o(0), p)].into_iter().collect());
+        let eps = CHANGE_EPSILON;
 
-        let near = anchors.nearest(graph.project(center));
-        let mut index = AnchorObjectIndex::new();
-        index.set_object(o(0), vec![(near, 1.0)]);
-        let d0 = cq.update(&graph, &anchors, &index);
-        assert_eq!(d0.appeared, vec![(o(0), 1.0)]);
-
-        // The object's inference becomes uncertain: probability drops but a
-        // second object fills the result set.
-        let far = anchors.in_hallway(plan.hallways()[2].id())[0];
-        index.set_object(o(0), vec![(near, 0.4), (far, 0.6)]);
-        index.set_object(o(1), vec![(near, 1.0)]);
-        let d1 = cq.update(&graph, &anchors, &index);
-        assert!(d1.appeared.iter().any(|&(obj, _)| obj == o(1)));
-        assert!(d1
-            .changed
-            .iter()
-            .any(|&(obj, old, new)| obj == o(0) && old == 1.0 && (new - 0.4).abs() < 1e-9));
+        assert_eq!(reg.deltas(&at(0.5))[0].1.appeared, vec![(o(0), 0.5)]);
+        // A move of 0.6ε is not reported, so the client still holds 0.5.
+        assert!(reg.deltas(&at(0.5 + 0.6 * eps)).is_empty());
+        assert_eq!(reg.get(1).unwrap().current().probability(o(0)), 0.5);
+        // The next 0.6ε puts the answer 1.2ε from what the client holds.
+        let changed = ResultDelta {
+            changed: vec![(o(0), 0.5, 0.5 + 1.2 * eps)],
+            ..ResultDelta::default()
+        };
+        assert_eq!(reg.deltas(&at(0.5 + 1.2 * eps)), vec![(1, changed)]);
+        assert_eq!(
+            reg.get(1).unwrap().current().probability(o(0)),
+            0.5 + 1.2 * eps
+        );
     }
 }

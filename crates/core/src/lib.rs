@@ -24,7 +24,9 @@
 //! * [`IndoorQuerySystem`] — the end-to-end facade: feed raw readings in,
 //!   register queries, call [`IndoorQuerySystem::evaluate`] for answers;
 //! * [`continuous`] — continuous range/kNN queries (the paper's stated
-//!   future work) maintained incrementally across timestamps.
+//!   future work): a [`continuous::SubscriptionRegistry`] turns each
+//!   evaluation of the facade's registered queries into per-subscription
+//!   deltas.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -689,8 +689,8 @@ impl IndoorQuerySystem {
     /// Test support: make the particle filter of `object` panic on its
     /// first `attempts` attempts of every evaluation pass, exercising the
     /// supervised retry/quarantine path through the full facade.
-    #[doc(hidden)]
-    pub fn inject_preprocess_fault(&mut self, object: ObjectId, attempts: usize) {
+    #[cfg(test)]
+    pub(crate) fn inject_preprocess_fault(&mut self, object: ObjectId, attempts: usize) {
         self.injected_fault = Some((object, attempts));
     }
 

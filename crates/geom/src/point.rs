@@ -73,18 +73,6 @@ impl Point2 {
         )
     }
 
-    /// Returns the unit vector pointing from `self` towards `other`, or
-    /// `None` when the two points coincide (within [`crate::EPSILON`]).
-    pub fn direction_to(&self, other: Point2) -> Option<Point2> {
-        let d = other - *self;
-        let n = d.norm();
-        if n <= crate::EPSILON {
-            None
-        } else {
-            Some(d / n)
-        }
-    }
-
     /// Returns `true` when both coordinates are finite (not NaN/∞).
     #[inline]
     pub fn is_finite(&self) -> bool {
@@ -171,15 +159,6 @@ mod tests {
         let a = Point2::new(0.0, 10.0);
         let b = Point2::new(10.0, 0.0);
         assert!(a.midpoint(b).approx_eq(a.lerp(b, 0.5)));
-    }
-
-    #[test]
-    fn direction_to_unit_length() {
-        let a = Point2::new(1.0, 1.0);
-        let b = Point2::new(5.0, 1.0);
-        let d = a.direction_to(b).expect("distinct points");
-        assert!(d.approx_eq(Point2::new(1.0, 0.0)));
-        assert!(a.direction_to(a).is_none());
     }
 
     #[test]

@@ -139,14 +139,6 @@ impl Gauge {
             cell.store(value, Ordering::Relaxed);
         }
     }
-
-    /// Raises the gauge to `value` if it is higher (commutative).
-    #[inline]
-    pub fn set_max(&self, value: u64) {
-        if let Some(cell) = &self.0 {
-            cell.fetch_max(value, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Handle to one fixed log-bucket histogram.
@@ -419,8 +411,6 @@ mod tests {
         counter.inc();
         rec.add("pf.resamples", 1);
         rec.set_gauge("cache.entries", 7);
-        rec.gauge("cache.entries").set_max(5); // lower — keeps 7
-        rec.gauge("cache.entries").set_max(11);
         let hist = rec.histogram("pf.ess");
         hist.observe(0);
         hist.observe(1);
@@ -430,7 +420,7 @@ mod tests {
         hist.observe_f64(f64::NAN);
         let snap = rec.snapshot();
         assert_eq!(snap.counters["pf.resamples"], 4);
-        assert_eq!(snap.gauges["cache.entries"], 11);
+        assert_eq!(snap.gauges["cache.entries"], 7);
         let h = &snap.histograms["pf.ess"];
         assert_eq!(h.count, 6);
         assert_eq!(h.sum, 128);

@@ -77,12 +77,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Appends a raw byte slice with a `u32` length prefix.
-    pub fn put_bytes(&mut self, b: &[u8]) {
-        self.put_u32(b.len() as u32);
-        self.buf.extend_from_slice(b);
-    }
-
     /// Appends a sequence length prefix (`u32`); follow with the items.
     pub fn put_seq_len(&mut self, n: usize) {
         self.put_u32(n as u32);
@@ -177,12 +171,6 @@ impl<'a> ByteReader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| PersistError::Torn)
     }
 
-    /// Reads a length-prefixed raw byte vector.
-    pub fn get_bytes(&mut self) -> Result<Vec<u8>, PersistError> {
-        let len = self.get_u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
     /// Reads a sequence length prefix, bounds-checked against the bytes
     /// actually remaining (`min_item_bytes` per item) so a corrupted
     /// length cannot drive a huge allocation.
@@ -212,7 +200,6 @@ mod tests {
         w.put_opt_u64(Some(42));
         w.put_opt_u64(None);
         w.put_str("snapshot ✓");
-        w.put_bytes(&[1, 2, 3]);
         w.put_seq_len(5);
         for i in 0..5u8 {
             w.put_u8(i);
@@ -229,7 +216,6 @@ mod tests {
         assert_eq!(r.get_opt_u64().unwrap(), Some(42));
         assert_eq!(r.get_opt_u64().unwrap(), None);
         assert_eq!(r.get_str().unwrap(), "snapshot ✓");
-        assert_eq!(r.get_bytes().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.get_seq_len(1).unwrap(), 5);
         for i in 0..5u8 {
             assert_eq!(r.get_u8().unwrap(), i);

@@ -100,11 +100,6 @@ impl<S: Clone> ParticleFilter<S> {
         &self.weights
     }
 
-    /// Consumes the filter, returning its states.
-    pub fn into_states(self) -> Vec<S> {
-        self.states
-    }
-
     /// Prediction step: applies the system model to every particle
     /// (Equation 3 — `x_k ~ p(x_k | x_{k-1})`).
     pub fn predict(&mut self, mut motion: impl FnMut(&mut S)) {

@@ -543,11 +543,6 @@ impl DataCollector {
         self.objects.get(&o).map_or(&[], |st| st.events.as_slice())
     }
 
-    /// Drops an object's state entirely (e.g. when it exits the building).
-    pub fn forget(&mut self, o: ObjectId) {
-        self.objects.remove(&o);
-    }
-
     /// Appends the collector's full mutable state to `w` in the canonical
     /// checkpoint encoding (objects sorted by id, pending buckets in
     /// `BTreeMap` order), so equal state always encodes to identical
@@ -954,8 +949,6 @@ mod tests {
         assert_eq!(c.last_detection(O), Some((D1, 0)));
         assert_eq!(c.last_detection(o2), Some((D2, 1)));
         assert_eq!(c.objects().count(), 2);
-        c.forget(O);
-        assert_eq!(c.objects().count(), 1);
     }
 
     #[test]

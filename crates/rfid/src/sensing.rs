@@ -107,13 +107,6 @@ impl SensingModel {
         }
         best.map(|(id, _)| id)
     }
-
-    /// Probability that an in-range tag is missed for a *whole second*
-    /// (all samples fail) — the residual false-negative rate after the
-    /// collector's per-second aggregation (§4.1 argues this is tiny).
-    pub fn per_second_miss_probability(&self) -> f64 {
-        (1.0 - self.detection_probability).powi(self.samples_per_second as i32)
-    }
 }
 
 #[cfg(test)]
@@ -203,16 +196,6 @@ mod tests {
         }
         // Roughly detection_probability × samples_per_second readings.
         assert!(raw.len() >= 4 && raw.len() <= 10, "got {}", raw.len());
-    }
-
-    #[test]
-    fn miss_probability_formula() {
-        let model = SensingModel {
-            samples_per_second: 3,
-            detection_probability: 0.5,
-            ..Default::default()
-        };
-        assert!((model.per_second_miss_probability() - 0.125).abs() < 1e-12);
     }
 
     #[test]

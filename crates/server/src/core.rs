@@ -126,7 +126,6 @@ pub struct ServerCore {
     last_tick: Option<u64>,
     ticks_since_checkpoint: u64,
     auto_checkpoint_due: bool,
-    last_checkpoint_error: Option<String>,
     shutdown: bool,
     /// Data frames admitted since the last tick attempt (admission
     /// window for `max_frames_per_tick`).
@@ -163,7 +162,6 @@ impl ServerCore {
             last_tick: None,
             ticks_since_checkpoint: 0,
             auto_checkpoint_due: false,
-            last_checkpoint_error: None,
             shutdown: false,
             frames_this_interval: 0,
             shed_since_tick: false,
@@ -212,12 +210,6 @@ impl ServerCore {
     /// `true` once a `shutdown` frame was acknowledged.
     pub fn is_shutdown(&self) -> bool {
         self.shutdown
-    }
-
-    /// The rendered error of the most recent failed best-effort
-    /// automatic checkpoint, if any.
-    pub fn last_checkpoint_error(&self) -> Option<&str> {
-        self.last_checkpoint_error.as_deref()
     }
 
     /// The pending dead letters, oldest first (read access; the
@@ -362,9 +354,11 @@ impl ServerCore {
             self.auto_checkpoint_due = false;
             // Best-effort, after this frame's accounting is final so the
             // snapshot's offsets point exactly past it.
-            if let Err(e) = self.write_checkpoint(self.frames_processed, self.lines_emitted) {
+            if self
+                .write_checkpoint(self.frames_processed, self.lines_emitted)
+                .is_err()
+            {
                 self.recorder.add("server.checkpoint_errors", 1);
-                self.last_checkpoint_error = Some(e.to_string());
             }
         }
         out
@@ -493,9 +487,8 @@ impl ServerCore {
                 if self.checkpoint_dir.is_some() {
                     let frames_after = self.frames_processed + 1;
                     let lines_after = self.lines_emitted + out.len() as u64 + 1;
-                    if let Err(e) = self.write_checkpoint(frames_after, lines_after) {
+                    if self.write_checkpoint(frames_after, lines_after).is_err() {
                         self.recorder.add("server.checkpoint_errors", 1);
-                        self.last_checkpoint_error = Some(e.to_string());
                     }
                 }
                 self.shutdown = true;
@@ -722,6 +715,14 @@ mod tests {
         core.handle_frame(payload.as_bytes())
     }
 
+    fn checkpoint_errors(core: &ServerCore) -> u64 {
+        let snap = core.system().recorder().snapshot();
+        snap.counters
+            .get("server.checkpoint_errors")
+            .copied()
+            .unwrap_or(0)
+    }
+
     #[test]
     fn reading_subscribe_tick_produces_deltas_and_events() {
         let mut core = core();
@@ -934,7 +935,7 @@ mod tests {
         let mut core = core();
         let lines = one(&mut core, "{\"op\":\"checkpoint\"}");
         assert!(lines[0].contains("no checkpoint directory"));
-        assert!(core.last_checkpoint_error().is_none());
+        assert_eq!(checkpoint_errors(&core), 0);
     }
 
     #[test]
@@ -1166,7 +1167,7 @@ mod tests {
         let lines = one(&mut server, "{\"op\":\"shutdown\"}");
         assert_eq!(lines, vec!["{\"ok\":\"shutdown\"}"]);
         assert!(server.is_shutdown());
-        assert!(server.last_checkpoint_error().is_none());
+        assert_eq!(checkpoint_errors(&server), 0);
         let files: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name())

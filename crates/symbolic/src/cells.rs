@@ -10,7 +10,7 @@
 use ripq_graph::{AnchorId, AnchorSet, WalkingGraph};
 use ripq_rfid::{Reader, ReaderId};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
 /// Identifier of a cell in the deployment decomposition.
@@ -241,18 +241,6 @@ impl CellDecomposition {
             }
         }
         sizes
-    }
-
-    /// Summary map: cell → rooms/hallways it spans is left to callers; this
-    /// returns cell → anchor list for inspection.
-    pub fn anchors_by_cell(&self) -> HashMap<CellId, Vec<AnchorId>> {
-        let mut out: HashMap<CellId, Vec<AnchorId>> = HashMap::new();
-        for (i, r) in self.region.iter().enumerate() {
-            if let AnchorRegion::InCell(c) = r {
-                out.entry(*c).or_default().push(AnchorId::new(i as u32));
-            }
-        }
-        out
     }
 }
 

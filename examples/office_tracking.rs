@@ -7,13 +7,14 @@
 //!
 //! Forty tagged employees walk the building (destination-driven traces);
 //! noisy RFID readings stream into the system; a *continuous range query*
-//! watches one meeting room and reports arrivals/departures as deltas —
-//! the §6 "continuous range" extension in action.
+//! (a subscription over a registered range query) watches one meeting
+//! room and reports arrivals/departures as deltas — the §6 "continuous
+//! range" extension in action.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ripq::core::continuous::ContinuousRangeQuery;
-use ripq::core::{IndoorQuerySystem, QueryId, RangeQuery, SystemConfig};
+use ripq::core::continuous::{SubscriptionKind, SubscriptionRegistry};
+use ripq::core::{IndoorQuerySystem, SystemConfig};
 use ripq::sim::{ExperimentParams, ReadingGenerator, SimWorld, TraceGenerator};
 
 fn main() {
@@ -26,14 +27,12 @@ fn main() {
 
     // Watch room R12 (a meeting room in the middle band of the building).
     let room = &world.plan.rooms()[12];
+    let footprint = *room.footprint();
     println!(
-        "monitoring room {} ({}) with footprint {}",
+        "monitoring room {} ({}) with footprint {footprint}",
         room.id(),
-        room.name(),
-        room.footprint()
+        room.name()
     );
-    let query = RangeQuery::new(QueryId::new(0), *room.footprint()).expect("non-empty room");
-    let mut monitor = ContinuousRangeQuery::new(query);
 
     // Simulation state.
     let mut rng_trace = StdRng::seed_from_u64(7);
@@ -46,14 +45,19 @@ fn main() {
         params.duration,
     );
     let readings = ReadingGenerator::new(&world.graph, &world.readers, params.sensing);
-    // The system over the simulated deployment; every known object is
-    // preprocessed, since the monitor reads the whole index.
-    let config = SystemConfig {
-        prune_candidates: false,
-        ..SystemConfig::default()
-    };
-    let mut system =
-        IndoorQuerySystem::with_readers(world.plan.clone(), world.readers.clone(), config, 9);
+    // The system over the simulated deployment, with the room watched as
+    // subscription 1 over a registered range query.
+    let mut system = IndoorQuerySystem::with_readers(
+        world.plan.clone(),
+        world.readers.clone(),
+        SystemConfig::default(),
+        9,
+    );
+    let query = system.register_range(footprint).expect("non-empty room");
+    let mut registry = SubscriptionRegistry::new();
+    registry
+        .insert(1, SubscriptionKind::Range(footprint), query)
+        .expect("fresh registry");
 
     // Stream the day; refresh the monitor every 20 simulated seconds.
     let mut events = 0u32;
@@ -66,7 +70,10 @@ fn main() {
         }
         let report = system.evaluate(second);
         cache_stats = report.cache_stats;
-        let delta = monitor.update(&world.plan, &world.anchors, &report.index);
+        // Subscription 1 is the only one: a pass yields at most one delta.
+        let Some((_, delta)) = registry.deltas(&report).pop() else {
+            continue;
+        };
         for (o, p) in &delta.appeared {
             println!("t={second:>3}s  {o} likely entered the room (p = {p:.2})");
             events += 1;
@@ -85,7 +92,9 @@ fn main() {
     }
     println!(
         "\nfinal occupants (p >= 0.3): {:?}",
-        monitor
+        registry
+            .get(1)
+            .expect("subscription 1")
             .current()
             .sorted()
             .iter()

@@ -1,83 +1,159 @@
-//! Continuous queries (the §6 extension) against the full pipeline:
-//! deltas must be exactly consistent with re-evaluating from scratch.
+//! Continuous queries (the §6 extension) against the full pipeline: a
+//! client folding subscription deltas must hold the registry's own
+//! result exactly, and stay within the change epsilon of re-evaluating
+//! from scratch.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ripq::core::continuous::{
-    ContinuousKnnQuery, ContinuousRangeQuery, SubscriptionKind, SubscriptionRegistry,
-};
+use ripq::core::continuous::{SubscriptionKind, SubscriptionRegistry, CHANGE_EPSILON};
 use ripq::core::{
-    evaluate_knn, evaluate_range, IndoorQuerySystem, KnnQuery, QueryId, RangeQuery, ResultSet,
-    SystemConfig,
+    evaluate_knn, evaluate_range, IndoorQuerySystem, KnnQuery, ResultSet, SystemConfig,
 };
 use ripq::floorplan::{office_building, OfficeParams};
-use ripq::geom::Rect;
+use ripq::geom::{Point2, Rect};
 use ripq::graph::build_walking_graph;
-use ripq::sim::{ExperimentParams, ReadingGenerator, SimWorld, TraceGenerator};
+use ripq::sim::{ExperimentParams, ReadingGenerator, SimWorld, TraceGenerator, TrueTrace};
 use std::collections::BTreeMap;
 
+/// A facade fed by simulated readings, with a range window and a kNN
+/// point to subscribe to.
+struct Scenario<'a> {
+    system: IndoorQuerySystem,
+    sensor: ReadingGenerator<'a>,
+    traces: Vec<TrueTrace>,
+    rng_sense: StdRng,
+    window: Rect,
+    knn_point: Point2,
+    k: usize,
+}
+
+impl Scenario<'_> {
+    /// Registers the window and the kNN point with the facade and
+    /// subscribes to them as subscriptions 1 and 2, then ingests every
+    /// second up to `last_second` and evaluates at each second
+    /// `evaluate_at` accepts. A client folds every delta over initially
+    /// empty result sets. At every epoch the fold must equal the
+    /// registry's `current()` exactly and a from-scratch evaluation over
+    /// the report's index within [`CHANGE_EPSILON`], with the same
+    /// members; each `changed` entry's old probability must be the
+    /// client's value, bit for bit. Returns the number of epochs and of
+    /// deltas emitted.
+    fn check_folded_deltas(
+        mut self,
+        last_second: u64,
+        evaluate_at: impl Fn(u64) -> bool,
+    ) -> Result<(u32, u32), TestCaseError> {
+        let (window, knn_point, k) = (self.window, self.knn_point, self.k);
+        let mut registry = SubscriptionRegistry::new();
+        let q_range = self.system.register_range(window).unwrap();
+        let q_knn = self.system.register_knn(knn_point, k).unwrap();
+        let knn_query = KnnQuery::new(q_knn, knn_point, k).unwrap();
+        registry
+            .insert(1, SubscriptionKind::Range(window), q_range)
+            .unwrap();
+        registry
+            .insert(2, SubscriptionKind::Knn(knn_point, k), q_knn)
+            .unwrap();
+
+        let mut folded: BTreeMap<u64, ResultSet> = BTreeMap::new();
+        folded.insert(1, ResultSet::new());
+        folded.insert(2, ResultSet::new());
+        let mut epochs = 0u32;
+        let mut deltas_seen = 0u32;
+        for second in 0..=last_second {
+            let det = self
+                .sensor
+                .detections_at(&mut self.rng_sense, &self.traces, second);
+            self.system.ingest_detections(second, &det);
+            if !evaluate_at(second) {
+                continue;
+            }
+            epochs += 1;
+            let report = self.system.evaluate(second);
+            for (sub, delta) in registry.deltas(&report) {
+                let fold = folded.get_mut(&sub).unwrap();
+                for &(o, old, _) in &delta.changed {
+                    prop_assert_eq!(
+                        old.to_bits(),
+                        fold.probability(o).to_bits(),
+                        "sub {} reported {:?}'s old value off the client's",
+                        sub,
+                        o
+                    );
+                }
+                delta.apply(fold);
+                deltas_seen += 1;
+            }
+            let system = &self.system;
+            let fresh_range =
+                evaluate_range(system.plan(), system.anchors(), &report.index, &window);
+            let fresh_knn =
+                evaluate_knn(system.graph(), system.anchors(), &report.index, &knn_query);
+            for (sub, fresh) in [(1u64, &fresh_range), (2u64, &fresh_knn)] {
+                let fold = &folded[&sub];
+                prop_assert_eq!(registry.get(sub).unwrap().current(), fold);
+                prop_assert!(
+                    fold.objects().eq(fresh.objects()),
+                    "sub {} membership at {}",
+                    sub,
+                    second
+                );
+                for (o, p) in fresh.iter() {
+                    prop_assert!(
+                        (fold.probability(o) - p).abs() <= CHANGE_EPSILON,
+                        "sub {} drifted on {:?}: {} vs {}",
+                        sub,
+                        o,
+                        fold.probability(o),
+                        p
+                    );
+                }
+            }
+        }
+        Ok((epochs, deltas_seen))
+    }
+}
+
+/// The smoke world with 25 objects over 150 s: a range subscription on
+/// room 8 and a 2-NN subscription at the centre of hallway 0, evaluated
+/// every 25 s after warm-up, keep the fold equal to the registry and to a
+/// from-scratch evaluation.
 #[test]
 fn continuous_results_match_fresh_evaluation() {
     let params = ExperimentParams::smoke();
     let w = SimWorld::build(&params);
     let mut rng_trace = StdRng::seed_from_u64(21);
-    let mut rng_sense = StdRng::seed_from_u64(22);
     let traces =
         TraceGenerator::new(6.0).generate(&mut rng_trace, &w.graph, w.plan.rooms().len(), 25, 150);
-    let gen = ReadingGenerator::new(&w.graph, &w.readers, params.sensing);
-    let config = SystemConfig {
-        prune_candidates: false,
-        ..SystemConfig::default()
+    let scenario = Scenario {
+        system: IndoorQuerySystem::with_readers(
+            w.plan.clone(),
+            w.readers.clone(),
+            SystemConfig::default(),
+            23,
+        ),
+        sensor: ReadingGenerator::new(&w.graph, &w.readers, params.sensing),
+        traces,
+        rng_sense: StdRng::seed_from_u64(22),
+        window: *w.plan.rooms()[8].footprint(),
+        knn_point: w.plan.hallways()[0].footprint().center(),
+        k: 2,
     };
-    let mut system = IndoorQuerySystem::with_readers(w.plan.clone(), w.readers.clone(), config, 23);
-
-    let room = &w.plan.rooms()[8];
-    let range_query = RangeQuery::new(QueryId::new(0), *room.footprint()).unwrap();
-    let knn_query = KnnQuery::new(
-        QueryId::new(1),
-        w.plan.hallways()[0].footprint().center(),
-        2,
-    )
-    .unwrap();
-    let mut c_range = ContinuousRangeQuery::new(range_query);
-    let mut c_knn = ContinuousKnnQuery::new(knn_query);
-
-    let mut deltas_seen = 0u32;
-    for s in 0..=150u64 {
-        let det = gen.detections_at(&mut rng_sense, &traces, s);
-        system.ingest_detections(s, &det);
-        if s < 40 || s % 25 != 0 {
-            continue;
-        }
-        let index = system.evaluate(s).index;
-
-        let d1 = c_range.update(&w.plan, &w.anchors, &index);
-        let d2 = c_knn.update(&w.graph, &w.anchors, &index);
-        deltas_seen += u32::from(!d1.is_empty()) + u32::from(!d2.is_empty());
-
-        // The maintained result must equal a from-scratch evaluation.
-        let fresh_range = evaluate_range(&w.plan, &w.anchors, &index, &range_query.window);
-        let fresh_knn = evaluate_knn(&w.graph, &w.anchors, &index, &knn_query);
-        for (o, p) in fresh_range.iter() {
-            assert!((c_range.current().probability(o) - p).abs() < 1e-12);
-        }
-        assert_eq!(c_range.current().len(), fresh_range.len());
-        for (o, p) in fresh_knn.iter() {
-            assert!((c_knn.current().probability(o) - p).abs() < 1e-12);
-        }
-        assert_eq!(c_knn.current().len(), fresh_knn.len());
-    }
+    let (epochs, deltas_seen) = scenario
+        .check_folded_deltas(150, |s| s >= 40 && s % 25 == 0)
+        .unwrap();
+    assert_eq!(epochs, 5);
     assert!(deltas_seen > 0, "moving objects must produce deltas");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Subscription deltas are a faithful change log: folding every
-    /// per-epoch [`ResultDelta`] over an initially empty result set
-    /// reconstructs the from-scratch evaluation at every epoch, for
-    /// range and kNN subscriptions across random scenarios and seeds.
+    /// Subscription deltas are a faithful change log, for range and kNN
+    /// subscriptions across random scenarios and seeds: see
+    /// [`Scenario::check_folded_deltas`].
     #[test]
     fn folded_subscription_deltas_equal_from_scratch_evaluation(
         seed in 0u64..10_000,
@@ -90,83 +166,37 @@ proptest! {
         let graph = build_walking_graph(&plan);
         let readers = ripq::rfid::deploy_uniform(&plan, &graph, 19, 2.0);
         let mut rng_trace = StdRng::seed_from_u64(seed);
-        let mut rng_sense = StdRng::seed_from_u64(seed.wrapping_add(1));
         let traces = TraceGenerator::new(6.0).generate(
             &mut rng_trace, &graph, plan.rooms().len(), objects, 90,
-        );
-        let sensor = ReadingGenerator::new(
-            &graph, &readers, ripq::rfid::SensingModel::default(),
         );
 
         let bounds = plan.bounds();
         let window = Rect::centered(
-            ripq::geom::Point2::new(
+            Point2::new(
                 bounds.min().x + fx * bounds.width(),
                 bounds.min().y + fy * bounds.height(),
             ),
             14.0,
             10.0,
         );
-        let knn_point = readers[(seed as usize) % readers.len()].position();
-
-        let mut system = IndoorQuerySystem::new(
-            office_building(&OfficeParams::default()).unwrap(),
-            SystemConfig::default(),
-            seed,
-        );
-        let mut registry = SubscriptionRegistry::new();
-        let q_range = system.register_range(window).unwrap();
-        let q_knn = system.register_knn(knn_point, k).unwrap();
-        registry.insert(1, SubscriptionKind::Range(window), q_range).unwrap();
-        registry.insert(2, SubscriptionKind::Knn(knn_point, k), q_knn).unwrap();
-
-        // Fold every emitted delta over initially empty result sets.
-        let mut folded: BTreeMap<u64, ResultSet> = BTreeMap::new();
-        folded.insert(1, ResultSet::new());
-        folded.insert(2, ResultSet::new());
-        let mut epochs = 0u32;
-        for second in 0..=90u64 {
-            let det = sensor.detections_at(&mut rng_sense, &traces, second);
-            system.ingest_detections(second, &det);
-            if second < 30 || second % 15 != 0 {
-                continue;
-            }
-            epochs += 1;
-            let report = system.evaluate(second);
-            for (sub, delta) in registry.deltas(&report) {
-                if let Some(rs) = folded.get_mut(&sub) {
-                    delta.apply(rs);
-                }
-            }
-            // Deltas below the change epsilon are deliberately not
-            // re-emitted, so the fold may lag by at most epsilon per
-            // epoch per object.
-            let tol = 1e-9 * f64::from(epochs);
-            for (sub, query) in [(1u64, q_range), (2u64, q_knn)] {
-                let fresh = if sub == 1 {
-                    &report.range_results[&query]
-                } else {
-                    &report.knn_results[&query]
-                };
-                let fold = &folded[&sub];
-                prop_assert_eq!(
-                    fold.len(), fresh.len(),
-                    "sub {} membership at {}", sub, second
-                );
-                for (o, p) in fresh.iter() {
-                    prop_assert!(
-                        (fold.probability(o) - p).abs() <= tol,
-                        "sub {} drifted on {:?}: {} vs {}", sub, o, fold.probability(o), p
-                    );
-                }
-                // The registry's maintained view is the same fold.
-                let current = registry.get(sub).unwrap().current();
-                prop_assert_eq!(current.len(), fold.len());
-                for (o, p) in current.iter() {
-                    prop_assert!((fold.probability(o) - p).abs() <= tol);
-                }
-            }
-        }
+        let scenario = Scenario {
+            system: IndoorQuerySystem::new(
+                office_building(&OfficeParams::default()).unwrap(),
+                SystemConfig::default(),
+                seed,
+            ),
+            sensor: ReadingGenerator::new(
+                &graph, &readers, ripq::rfid::SensingModel::default(),
+            ),
+            traces,
+            rng_sense: StdRng::seed_from_u64(seed.wrapping_add(1)),
+            window,
+            knn_point: readers[(seed as usize) % readers.len()].position(),
+            k,
+        };
+        let (epochs, deltas_seen) =
+            scenario.check_folded_deltas(90, |s| s >= 30 && s % 15 == 0)?;
         prop_assert!(epochs >= 4);
+        prop_assert!(deltas_seen > 0, "moving objects must produce deltas");
     }
 }
