@@ -12,19 +12,23 @@ use ripq_geom::{Point2, Rect};
 use ripq_graph::{build_walking_graph, AnchorObjectIndex, AnchorSet};
 use ripq_obs::Recorder;
 use ripq_pf::{
-    resample_indices, Heading, IndoorState, MotionModel, ParticlePreprocessor, PreprocessorConfig,
-    SupervisionOptions,
+    resample_systematic, Heading, IndoorState, MotionModel, ParticlePreprocessor,
+    PreprocessorConfig, SupervisionOptions,
 };
 use ripq_rfid::{deploy_uniform, DataCollector, ObjectId, ReaderId};
 use std::hint::black_box;
 
 fn bench_resampling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("resample_indices");
+    let mut group = c.benchmark_group("resample_systematic");
     for n in [64usize, 512] {
         let mut rng = StdRng::seed_from_u64(1);
         let weights: Vec<f64> = (0..n).map(|_| rng.random::<f64>()).collect();
+        let mut out = Vec::with_capacity(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &weights, |b, w| {
-            b.iter(|| resample_indices(&mut rng, black_box(w)))
+            b.iter(|| {
+                resample_systematic(&mut rng, black_box(w), n, &mut out);
+                black_box(out.len())
+            })
         });
     }
     group.finish();

@@ -295,12 +295,20 @@ impl IndoorQuerySystem {
     }
 
     /// Ingests pre-aggregated detections for one second.
+    ///
+    /// Every reader id must be below `self.readers().len()`: evaluation
+    /// indexes the deployment by reader id, so an unknown id panics at the
+    /// next [`IndoorQuerySystem::evaluate`]. Callers fed untrusted input
+    /// check it first, as `ripq-server` does.
     pub fn ingest_detections(&mut self, second: u64, detections: &[(ObjectId, ReaderId)]) {
         self.collector.ingest_second(second, detections);
         self.note_ingest(second);
     }
 
     /// Ingests raw sample-level readings for one second.
+    ///
+    /// Every sample's reader id must be below `self.readers().len()`, as
+    /// for [`IndoorQuerySystem::ingest_detections`].
     pub fn ingest_raw(&mut self, second: u64, raw: &[RawReading]) {
         self.collector.ingest_raw_second(second, raw);
         self.note_ingest(second);

@@ -1,6 +1,6 @@
 //! Construction of the walking graph from a floor plan.
 
-use crate::{Edge, EdgeId, EdgeKind, Node, NodeId, NodeKind, Polyline, WalkingGraph};
+use crate::{Edge, EdgeId, EdgeKind, Incidence, Node, NodeId, NodeKind, Polyline, WalkingGraph};
 use ripq_floorplan::FloorPlan;
 use ripq_geom::Point2;
 use std::collections::HashMap;
@@ -176,8 +176,13 @@ pub fn build_walking_graph(plan: &FloorPlan) -> WalkingGraph {
     // 3. Adjacency.
     let mut adjacency = vec![Vec::new(); acc.nodes.len()];
     for e in &acc.edges {
-        adjacency[e.a.index()].push(e.id);
-        adjacency[e.b.index()].push(e.id);
+        for n in [e.a, e.b] {
+            adjacency[n.index()].push(Incidence {
+                edge: e.id,
+                offset: if n == e.a { 0.0 } else { e.length() },
+                hallway: e.kind.is_hallway(),
+            });
+        }
     }
 
     let room_nodes_dense: Vec<NodeId> = plan.rooms().iter().map(|r| room_nodes[&r.id()]).collect();

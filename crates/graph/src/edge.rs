@@ -32,11 +32,21 @@ impl EdgeKind {
 /// Hallway edges are straight (2 waypoints); door-link edges bend at the
 /// door (3 waypoints: portal → door → room center). Offsets are arc lengths
 /// from the first waypoint.
+///
+/// The length and both end points are stored beside the waypoints, so the
+/// particle filter's per-step lookups read a field instead of the last
+/// element of a vector.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Polyline {
     points: Vec<Point2>,
     /// Cumulative arc length at each waypoint; `cum[0] = 0`.
     cum: Vec<f64>,
+    /// Total arc length, `cum`'s last entry.
+    length: f64,
+    /// The first waypoint.
+    start: Point2,
+    /// The last waypoint.
+    end: Point2,
 }
 
 impl Polyline {
@@ -50,13 +60,21 @@ impl Polyline {
             acc += w[0].distance(w[1]);
             cum.push(acc);
         }
-        Polyline { points, cum }
+        let start = points.first().copied().unwrap_or(Point2::ORIGIN);
+        let end = points.last().copied().unwrap_or(start);
+        Polyline {
+            points,
+            cum,
+            length: acc,
+            start,
+            end,
+        }
     }
 
     /// Total arc length.
     #[inline]
     pub fn length(&self) -> f64 {
-        *self.cum.last().expect("non-empty")
+        self.length
     }
 
     /// The waypoints.
@@ -67,12 +85,16 @@ impl Polyline {
 
     /// Point at arc length `offset` (clamped to `[0, length]`).
     pub fn point_at(&self, offset: f64) -> Point2 {
-        let len = self.length();
+        let len = self.length;
         if offset <= 0.0 || len <= ripq_geom::EPSILON {
-            return self.points[0];
+            return self.start;
         }
         if offset >= len {
-            return *self.points.last().expect("non-empty");
+            return self.end;
+        }
+        if self.points.len() == 2 {
+            // A straight edge is one segment from offset 0 to `len`.
+            return self.start.lerp(self.end, offset / len);
         }
         // Find the segment containing `offset`.
         let i = match self

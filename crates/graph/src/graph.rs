@@ -26,6 +26,19 @@ impl GraphPos {
     }
 }
 
+/// One edge incident to a node, as seen from that node: what a walker
+/// arriving at the node needs to turn onto the edge.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct Incidence {
+    /// The incident edge.
+    pub edge: EdgeId,
+    /// The node's offset on the edge: 0 at the edge's `a` end, its length
+    /// at the `b` end.
+    pub offset: f64,
+    /// Whether the edge runs along a hallway (otherwise it is a door link).
+    pub hallway: bool,
+}
+
 /// The indoor walking graph: nodes, edges and adjacency.
 ///
 /// Build one from a floor plan with [`crate::build_walking_graph`].
@@ -34,7 +47,7 @@ pub struct WalkingGraph {
     pub(crate) nodes: Vec<Node>,
     pub(crate) edges: Vec<Edge>,
     /// For each node, the edges incident to it.
-    pub(crate) adjacency: Vec<Vec<EdgeId>>,
+    pub(crate) adjacency: Vec<Vec<Incidence>>,
     /// Room center node for each room id (dense by room index).
     pub(crate) room_nodes: Vec<NodeId>,
 }
@@ -64,9 +77,9 @@ impl WalkingGraph {
         &self.edges[id.index()]
     }
 
-    /// Edges incident to `n`.
+    /// Edges incident to `n`, each with `n`'s offset on it.
     #[inline]
-    pub fn edges_at(&self, n: NodeId) -> &[EdgeId] {
+    pub fn edges_at(&self, n: NodeId) -> &[Incidence] {
         &self.adjacency[n.index()]
     }
 
@@ -148,8 +161,8 @@ impl WalkingGraph {
         seen[0] = true;
         let mut count = 1;
         while let Some(n) = stack.pop() {
-            for &eid in self.edges_at(n) {
-                let other = self.edge(eid).other_end(n).expect("incident edge");
+            for inc in self.edges_at(n) {
+                let other = self.edge(inc.edge).other_end(n).expect("incident edge");
                 if !seen[other.index()] {
                     seen[other.index()] = true;
                     count += 1;

@@ -55,7 +55,7 @@ mod shortest;
 pub use anchor::{AnchorPoint, AnchorSet};
 pub use builder::build_walking_graph;
 pub use edge::{Edge, EdgeKind, Polyline};
-pub use graph::{GraphPos, WalkingGraph};
+pub use graph::{GraphPos, Incidence, WalkingGraph};
 pub use ids::{AnchorId, EdgeId, NodeId};
 pub use index::{AnchorObjectIndex, DeltaOutcome, IndexDeltaStats};
 pub use node::{Node, NodeKind};

@@ -195,7 +195,8 @@ impl<'a> AnchorScan<'a> {
     /// incident edges and relaxes their far endpoints.
     fn settle(&mut self, node: NodeId, dist: f64) {
         self.counts.settled += 1;
-        for &eid in self.graph.edges_at(node) {
+        for inc in self.graph.edges_at(node) {
+            let eid = inc.edge;
             let e = self.graph.edge(eid);
             let len = e.length();
             for &aid in self.anchors.on_edge(eid) {

@@ -77,7 +77,8 @@ impl ShortestPaths {
             if dist > node_dist[node.index()] {
                 continue; // stale entry
             }
-            for &eid in graph.edges_at(node) {
+            for inc in graph.edges_at(node) {
+                let eid = inc.edge;
                 let e = graph.edge(eid);
                 let other = e.other_end(node).expect("incident edge");
                 let nd = dist + e.length();

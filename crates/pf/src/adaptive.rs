@@ -13,9 +13,8 @@
 //! toward the maximum. The ablation benchmark quantifies the trade.
 
 use crate::IndoorState;
-use ripq_graph::AnchorSet;
+use ripq_graph::{AnchorId, AnchorSet};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// KLD-sampling parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -60,12 +59,18 @@ impl KldConfig {
         (n.ceil() as usize).clamp(self.min_particles, self.max_particles)
     }
 
-    /// Counts the occupied anchor bins of a particle set.
-    pub fn occupied_bins(&self, anchors: &AnchorSet, states: &[IndoorState]) -> usize {
-        let mut bins = HashSet::new();
-        for s in states {
-            bins.insert(anchors.nearest(s.pos));
-        }
+    /// Counts the occupied anchor bins of a particle set, using `bins` as
+    /// scratch so a caller reusing it allocates nothing.
+    pub fn occupied_bins(
+        &self,
+        anchors: &AnchorSet,
+        states: &[IndoorState],
+        bins: &mut Vec<AnchorId>,
+    ) -> usize {
+        bins.clear();
+        bins.extend(states.iter().map(|s| anchors.nearest(s.pos)));
+        bins.sort_unstable();
+        bins.dedup();
         bins.len()
     }
 }
@@ -128,7 +133,8 @@ mod tests {
                 speed: 1.0,
             })
             .collect();
-        assert_eq!(cfg.occupied_bins(&anchors, &same), 1);
+        let mut bins = Vec::new();
+        assert_eq!(cfg.occupied_bins(&anchors, &same, &mut bins), 1);
         let spread: Vec<IndoorState> = (0..10)
             .map(|i| IndoorState {
                 pos: GraphPos::new(e.id, i as f64 + 0.4),
@@ -136,6 +142,6 @@ mod tests {
                 speed: 1.0,
             })
             .collect();
-        assert!(cfg.occupied_bins(&anchors, &spread) >= 8);
+        assert!(cfg.occupied_bins(&anchors, &spread, &mut bins) >= 8);
     }
 }

@@ -2,9 +2,12 @@
 //!
 //! Implements the paper's core technique (§3.1, §4.4, §4.5):
 //!
-//! * [`ParticleFilter`] — a generic Sampling Importance Resampling (SIR)
-//!   filter over any state type: predict / reweight / resample, with the
-//!   paper's Algorithm 1 (systematic resampling) in [`resample_indices`].
+//! * One Sampling Importance Resampling (SIR) filter over [`IndoorState`]
+//!   particles: propagate, reweight against the readers within reach of
+//!   each particle's edge, and resample with the paper's Algorithm 1
+//!   (systematic resampling, [`resample_systematic`]). Each worker reuses
+//!   its particle buffers across objects, so an iteration allocates
+//!   nothing.
 //! * [`IndoorState`], [`MotionModel`], [`MeasurementModel`] — the paper's
 //!   object motion model ("objects move forward with constant speeds, and
 //!   can either enter rooms or continue to move along hallways"; speeds
@@ -15,31 +18,39 @@
 //!   readings through the filter, coast at most 60 s beyond the last
 //!   reading, then snap the cloud onto anchor points to fill the
 //!   `APtoObjHT` index.
+//! * [`reconstruct_trajectory`] — the same filter over an object's whole
+//!   recorded history, one location estimate per second.
 //! * [`ParticleCache`] — the cache management module (§4.5): store particle
 //!   states per object and resume filtering from the cached timestamp;
 //!   entries are invalidated as soon as a new device detects the object.
 //!
-//! # Example: the generic SIR filter
+//! # Example: Algorithm 2 for one object
 //!
 //! ```
-//! use rand::rngs::StdRng;
-//! use rand::SeedableRng;
-//! use ripq_pf::ParticleFilter;
+//! use ripq_floorplan::{office_building, OfficeParams};
+//! use ripq_graph::{build_walking_graph, AnchorObjectIndex, AnchorSet};
+//! use ripq_pf::{ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
+//! use ripq_rfid::{deploy_uniform, DataCollector, ObjectId};
 //!
-//! let mut rng = StdRng::seed_from_u64(7);
-//! // Track a scalar position with a noisy "near 5.0" observation.
-//! let mut filter = ParticleFilter::init(256, {
-//!     let mut x = 0.0;
-//!     move || {
-//!         x += 0.05;
-//!         x
-//!     }
-//! });
-//! filter.reweight(|&x: &f64| (-(x - 5.0) * (x - 5.0)).exp());
-//! filter.normalize();
-//! filter.resample(&mut rng);
-//! let mean: f64 = filter.states().iter().sum::<f64>() / filter.len() as f64;
-//! assert!((mean - 5.0).abs() < 1.0);
+//! let plan = office_building(&OfficeParams::default()).unwrap();
+//! let graph = build_walking_graph(&plan);
+//! let anchors = AnchorSet::generate(&graph, &plan, 1.0);
+//! let readers = deploy_uniform(&plan, &graph, 19, 2.0);
+//!
+//! // Reader 0 sees the object for three seconds, then it walks on unseen.
+//! let object = ObjectId::new(1);
+//! let mut collector = DataCollector::new();
+//! for second in 0..10 {
+//!     let seen = if second < 3 { vec![(object, readers[0].id())] } else { vec![] };
+//!     collector.ingest_second(second, &seen);
+//! }
+//!
+//! let pre = ParticlePreprocessor::new(&graph, &anchors, &readers, PreprocessorConfig::default());
+//! let mut index = AnchorObjectIndex::new();
+//! let options = SupervisionOptions::default();
+//! pre.process(7, &collector, &[object], 9, None, None, &options, &mut index);
+//! // The particle cloud, snapped to anchors, is one probability distribution.
+//! assert!((index.total_probability(&object) - 1.0).abs() < 1e-9);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -63,7 +74,6 @@ pub use preprocess::{
     derive_stream_seed, DegradationLevel, ParticlePreprocessor, PreprocessorConfig,
     SupervisionOptions,
 };
-pub use seed::{seed_intervals, seed_particles};
-pub use sir::{resample_indices, resample_indices_n, ParticleFilter};
+pub use sir::resample_systematic;
 pub use state::{Heading, IndoorState};
 pub use trajectory::{reconstruct_trajectory, TrajectoryConfig, TrajectoryPoint};

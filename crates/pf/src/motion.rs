@@ -8,7 +8,7 @@
 use crate::{Heading, IndoorState};
 use rand::Rng;
 use rand_distr::{Distribution, Normal};
-use ripq_graph::{GraphPos, NodeKind, WalkingGraph};
+use ripq_graph::{EdgeId, GraphPos, Incidence, WalkingGraph};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the motion model.
@@ -108,7 +108,11 @@ impl MotionModel {
             if remaining <= 0.0 {
                 break;
             }
-            let to_node = state.distance_to_target(graph);
+            let e = graph.edge(state.pos.edge);
+            let (node, to_node) = match state.heading {
+                Heading::TowardA => (e.a, state.pos.offset),
+                Heading::TowardB => (e.b, (e.length() - state.pos.offset).max(0.0)),
+            };
             if remaining < to_node {
                 // Stay on this edge.
                 let delta = match state.heading {
@@ -120,55 +124,19 @@ impl MotionModel {
             }
             // Reach the target node and spend the distance.
             remaining -= to_node;
-            let node = state.target_node(graph);
-            let node_kind = graph.node(node).kind;
+            let arrived_on = state.pos.edge;
+            let node_offset = if node == e.a { 0.0 } else { e.length() };
 
             // Arriving at a room node: stop there; the room-stay rule takes
             // over at the next step.
-            if matches!(node_kind, NodeKind::Room(_)) {
-                let e = graph.edge(state.pos.edge);
-                // ripq-lint: allow(no-panic-paths) -- `node` is one of this edge's two endpoints by construction (it was reached by walking the edge), so offset_of cannot miss
-                let offset = e.offset_of(node).expect("target is an endpoint");
-                state.pos = GraphPos::new(state.pos.edge, offset);
+            if graph.node(node).kind.is_room() {
+                state.pos = GraphPos::new(arrived_on, node_offset);
                 return;
             }
 
-            // Choose the next edge ("particles pick a random direction at
-            // intersections"): with probability `room_enter_probability`
-            // turn into one of the rooms at this node (if any); otherwise
-            // continue uniformly among hallway edges, excluding an
-            // immediate U-turn unless the node is a dead end or U-turns
-            // are enabled.
-            let incident = graph.edges_at(node);
-            let choice = if incident.len() == 1 {
-                incident[0]
-            } else {
-                let arrived_on = state.pos.edge;
-                let mut rooms: Vec<ripq_graph::EdgeId> = Vec::new();
-                let mut halls: Vec<ripq_graph::EdgeId> = Vec::new();
-                for &e in incident {
-                    if !self.allow_u_turns && e == arrived_on {
-                        continue;
-                    }
-                    if graph.edge(e).kind.is_hallway() {
-                        halls.push(e);
-                    } else {
-                        rooms.push(e);
-                    }
-                }
-                if !rooms.is_empty()
-                    && (halls.is_empty() || rng.random::<f64>() < self.room_enter_probability)
-                {
-                    rooms[rng.random_range(0..rooms.len())]
-                } else if !halls.is_empty() {
-                    halls[rng.random_range(0..halls.len())]
-                } else {
-                    arrived_on
-                }
-            };
-            let e = graph.edge(choice);
-            // ripq-lint: allow(no-panic-paths) -- `choice` came from graph.incident(node), so the edge is incident to `node` by the graph's adjacency invariant
-            let from_offset = e.offset_of(node).expect("incident edge");
+            let (choice, from_offset) = self
+                .turn(rng, graph.edges_at(node), arrived_on)
+                .unwrap_or((arrived_on, node_offset));
             state.heading = if from_offset <= 1e-9 {
                 Heading::TowardB
             } else {
@@ -179,6 +147,50 @@ impl MotionModel {
         // Safety bound hit: clamp in place (harmless, extremely rare).
         state.pos = graph.clamp_pos(state.pos);
     }
+
+    /// Chooses the edge to leave a node by ("particles pick a random
+    /// direction at intersections"), returning it with the node's offset
+    /// on it. With probability `room_enter_probability` the particle turns
+    /// into one of the rooms at this node (if any); otherwise it continues
+    /// uniformly among hallway edges, excluding an immediate U-turn onto
+    /// `arrived_on` unless the node is a dead end or U-turns are enabled.
+    /// `None` when no edge but `arrived_on` is open.
+    fn turn<R: Rng>(
+        &self,
+        rng: &mut R,
+        incident: &[Incidence],
+        arrived_on: EdgeId,
+    ) -> Option<(EdgeId, f64)> {
+        if incident.len() == 1 {
+            return incident.first().map(|inc| (inc.edge, inc.offset));
+        }
+        let open = |inc: &&Incidence| self.allow_u_turns || inc.edge != arrived_on;
+        let (mut rooms, mut halls) = (0usize, 0usize);
+        for inc in incident.iter().filter(open) {
+            if inc.hallway {
+                halls += 1;
+            } else {
+                rooms += 1;
+            }
+        }
+        let pick = |hallway: bool, count: usize, rng: &mut R| {
+            let k = rng.random_range(0..count);
+            incident
+                .iter()
+                .filter(open)
+                .filter(|inc| inc.hallway == hallway)
+                .nth(k)
+        };
+        let chosen =
+            if rooms > 0 && (halls == 0 || rng.random::<f64>() < self.room_enter_probability) {
+                pick(false, rooms, rng)
+            } else if halls > 0 {
+                pick(true, halls, rng)
+            } else {
+                None
+            };
+        chosen.map(|inc| (inc.edge, inc.offset))
+    }
 }
 
 #[cfg(test)]
@@ -187,7 +199,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use ripq_floorplan::{office_building, OfficeParams};
-    use ripq_graph::build_walking_graph;
+    use ripq_graph::{build_walking_graph, NodeKind};
 
     fn setup() -> WalkingGraph {
         build_walking_graph(&office_building(&OfficeParams::default()).unwrap())
@@ -268,7 +280,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         // Put a particle exactly at a room node.
         let room_node = g.room_node(ripq_floorplan::RoomId::new(0));
-        let link = g.edges_at(room_node)[0];
+        let link = g.edges_at(room_node)[0].edge;
         let e = g.edge(link);
         let offset = e.offset_of(room_node).unwrap();
         let trials = 2000;
@@ -331,7 +343,7 @@ mod tests {
             .iter()
             .find(|n| matches!(n.kind, NodeKind::HallwayEnd(_)) && g.degree(n.id) == 1)
             .expect("office hallways have dead ends");
-        let eid = g.edges_at(end.id)[0];
+        let eid = g.edges_at(end.id)[0].edge;
         let e = g.edge(eid);
         let end_offset = e.offset_of(end.id).unwrap();
         let heading = if end_offset == 0.0 {

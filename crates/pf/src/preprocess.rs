@@ -20,10 +20,8 @@
 //! processed before it, or on which thread it ran.
 
 use crate::cache::EpisodeKey;
-use crate::{
-    seed_particles, IndoorState, KldConfig, MeasurementModel, MotionModel, ParticleCache,
-    ParticleFilter,
-};
+use crate::sir::{Particles, Sir, SirModel, Update};
+use crate::{IndoorState, KldConfig, MeasurementModel, MotionModel, ParticleCache};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -226,9 +224,10 @@ struct PfMetrics {
 
 /// Algorithm 2 runner, borrowing the static world description.
 pub struct ParticlePreprocessor<'a> {
-    graph: &'a WalkingGraph,
     anchors: &'a AnchorSet,
-    readers: &'a [Reader],
+    /// The SIR filter every object runs, over the borrowed graph and
+    /// readers.
+    sir: Sir<'a>,
     config: PreprocessorConfig,
     metrics: PfMetrics,
     /// Kept for lazily registered `degrade.*` counters: unlike the
@@ -241,17 +240,24 @@ pub struct ParticlePreprocessor<'a> {
 impl<'a> ParticlePreprocessor<'a> {
     /// Creates a preprocessor over a fixed graph / anchor set / reader
     /// deployment. `readers` must be dense: `readers[id.index()].id() == id`.
+    /// Lists the readers within reach of each edge once, here.
     pub fn new(
         graph: &'a WalkingGraph,
         anchors: &'a AnchorSet,
         readers: &'a [Reader],
         config: PreprocessorConfig,
     ) -> Self {
-        debug_assert!(readers.iter().enumerate().all(|(i, r)| r.id().index() == i));
+        let model = SirModel {
+            motion: config.motion,
+            measurement: config.measurement,
+            negative_evidence: config.negative_evidence,
+            resample_threshold: config.resample_threshold,
+            adaptive: config.adaptive,
+            num_particles: config.num_particles,
+        };
         ParticlePreprocessor {
-            graph,
             anchors,
-            readers,
+            sir: Sir::new(graph, anchors, readers, model),
             config,
             metrics: PfMetrics::default(),
             recorder: Recorder::default(),
@@ -283,10 +289,6 @@ impl<'a> ParticlePreprocessor<'a> {
     /// The configuration in use.
     pub fn config(&self) -> &PreprocessorConfig {
         &self.config
-    }
-
-    fn reader(&self, id: ReaderId) -> &Reader {
-        &self.readers[id.index()]
     }
 
     /// Lines 1–6 of Algorithm 2 plus the cache lookup (§4.5): everything
@@ -339,17 +341,20 @@ impl<'a> ParticlePreprocessor<'a> {
         })
     }
 
-    /// Lines 7–36 of Algorithm 2: seed or resume the filter, replay the
-    /// aggregated readings up to `tmin`, store back into the cache, snap
-    /// to anchors. All random draws of the object happen here, in a fixed
-    /// order independent of other objects. `particles_override` runs the
-    /// same filter with fewer particles on the degraded-evaluation path.
+    /// Lines 7–36 of Algorithm 2: seed or resume the filter in
+    /// `particles`, replay the aggregated readings up to `tmin`, store
+    /// back into the cache, snap to anchors. All random draws of the
+    /// object happen here, in a fixed order independent of other objects.
+    /// `particles_override` runs the same filter with fewer particles on
+    /// the degraded-evaluation path.
     ///
     /// Returns `None` only if the object vanished from the collector
     /// between planning and filtering (unobservable, but handled).
+    #[allow(clippy::too_many_arguments)]
     fn filter_object<R: Rng, S: ReadingStore + ?Sized>(
         &self,
         rng: &mut R,
+        particles: &mut Particles,
         collector: &S,
         object: ObjectId,
         mut plan: ObjectPlan,
@@ -370,87 +375,40 @@ impl<'a> ParticlePreprocessor<'a> {
                 .resume_depth
                 .observe(plan.resume_timestamp.saturating_sub(plan.agg_start));
         }
-        let (mut filter, start) = match plan.cached {
-            Some((states, t)) if t <= plan.tmin => (ParticleFilter::from_states(states), t + 1),
-            Some((states, _)) => {
-                // Cached states are already at/after tmin: reuse directly.
-                return Some(self.finish(ParticleFilter::from_states(states), 0));
+        let start = match &plan.cached {
+            Some((states, t)) => {
+                particles.resume(states);
+                if *t > plan.tmin {
+                    // Cached states are already past tmin: reuse directly.
+                    return Some(self.finish(particles, 0));
+                }
+                t + 1
             }
             None => {
                 // Fresh start: seed within the second-most-recent device's
                 // activation range at the first retained second (line 5).
-                let seeds = seed_particles(
-                    rng,
-                    self.graph,
-                    self.reader(plan.seed_device),
-                    &self.config.motion,
-                    num_particles,
-                );
-                (ParticleFilter::from_states(seeds), plan.agg_start + 1)
+                let reader = self.sir.reader(plan.seed_device);
+                self.sir.seed(particles, rng, reader, num_particles);
+                plan.agg_start + 1
             }
         };
 
-        // Main loop — lines 7..31.
+        // Main loop — lines 7..31. Line 17: the aggregated reading entry
+        // of tj (None both when the entry says "no detection" and beyond
+        // the retained window).
         let mut simulated = 0u64;
         for tj in start..=plan.tmin {
-            filter.predict(|s| self.config.motion.step(rng, self.graph, s, 1.0));
+            let update = self.sir.iterate(particles, rng, agg.entry_at(tj).flatten());
             simulated += 1;
-            // Line 17: the aggregated reading entry of tj (None both when
-            // the entry says "no detection" and beyond the retained
-            // window).
-            let reading = agg.entry_at(tj).flatten();
-            if let Some(device) = reading {
-                let reader = self.reader(device);
-                let any_consistent = filter
-                    .states()
-                    .iter()
-                    .any(|s| reader.covers(self.graph.point_of(s.pos)));
-                if any_consistent {
-                    filter.reweight(|s| self.config.measurement.likelihood(self.graph, s, reader));
-                    filter.normalize();
-                    let ess = filter.effective_sample_size();
+            match update {
+                Update::Coasted => {}
+                Update::Reweighted { ess, resampled } => {
                     self.metrics.ess.observe_f64(ess);
-                    if ess < filter.len() as f64 * self.config.resample_threshold {
-                        self.resample(rng, &mut filter);
-                        self.metrics.resamples.inc();
-                    }
-                } else {
-                    // Sensor reset: the reading contradicts every
-                    // hypothesis (the cloud drifted the wrong way), so
-                    // reweighting would be a no-op — reseed the whole set
-                    // inside the detecting range instead. Standard
-                    // kidnapped-robot recovery for low particle counts.
-                    let n = filter.len();
-                    let seeds = seed_particles(rng, self.graph, reader, &self.config.motion, n);
-                    filter = ParticleFilter::from_states(seeds);
-                    self.metrics.sensor_resets.inc();
-                }
-            } else if self.config.negative_evidence {
-                // No reading this second ⇒ the object is outside every
-                // activation range (per-second misses are ~impossible
-                // after aggregation). Down-weight particles inside one.
-                let mm = self.config.measurement;
-                let mut any_inside = false;
-                filter.reweight(|s| {
-                    let pt = self.graph.point_of(s.pos);
-                    if self.readers.iter().any(|r| r.covers(pt)) {
-                        any_inside = true;
-                        mm.low_weight
-                    } else {
-                        mm.high_weight
-                    }
-                });
-                if any_inside {
-                    filter.normalize();
-                    // Resample only on real degeneracy to preserve
-                    // hypothesis diversity during long silent stretches.
-                    let ess = filter.effective_sample_size();
-                    self.metrics.ess.observe_f64(ess);
-                    if ess < filter.len() as f64 * self.config.resample_threshold {
-                        self.resample(rng, &mut filter);
+                    if resampled {
                         self.metrics.resamples.inc();
                     }
                 }
+                Update::Reset => self.metrics.sensor_resets.inc(),
             }
         }
 
@@ -458,34 +416,24 @@ impl<'a> ParticlePreprocessor<'a> {
         if let Some(c) = cache {
             c.store(
                 object,
-                filter.states().to_vec(),
+                particles.states().to_vec(),
                 timestamp,
                 plan.episode_key,
             );
         }
-        Some(self.finish(filter, simulated))
-    }
-
-    /// Resamples, adapting the output size per KLD-sampling when enabled.
-    fn resample<R: Rng>(&self, rng: &mut R, filter: &mut ParticleFilter<IndoorState>) {
-        match self.config.adaptive {
-            Some(cfg) => {
-                let bins = cfg.occupied_bins(self.anchors, filter.states());
-                filter.resample_to(rng, cfg.target_count(bins));
-            }
-            None => filter.resample(rng),
-        }
+        Some(self.finish(particles, simulated))
     }
 
     /// Lines 32–36: snaps each particle to its nearest anchor point,
     /// `p(o at ap) = n/Ns`, smoothed by the configured kernel.
-    fn finish(&self, filter: ParticleFilter<IndoorState>, simulated: u64) -> Vec<(AnchorId, f64)> {
+    fn finish(&self, particles: &Particles, simulated: u64) -> Vec<(AnchorId, f64)> {
+        let states = particles.states();
         self.metrics.objects.inc();
         self.metrics.sir_iterations.add(simulated);
-        self.metrics.final_particles.observe(filter.len() as u64);
-        let n = filter.len() as f64;
+        self.metrics.final_particles.observe(states.len() as u64);
+        let n = states.len() as f64;
         self.anchors.kde_distribution(
-            filter.states().iter().map(|s| (s.pos, 1.0 / n)),
+            states.iter().map(|s| (s.pos, 1.0 / n)),
             self.config.kde_bandwidth,
         )
     }
@@ -502,7 +450,7 @@ impl<'a> ParticlePreprocessor<'a> {
         now: u64,
     ) -> Option<Vec<(AnchorId, f64)>> {
         let (reader, t_last) = collector.last_detection(object)?;
-        let r = self.reader(reader);
+        let r = self.sir.reader(reader);
         let center = r.position();
         // The motion model draws speeds from N(μ, σ²); μ + 3σ bounds the
         // population for the same purpose SystemConfig::max_speed serves
@@ -528,12 +476,14 @@ impl<'a> ParticlePreprocessor<'a> {
     }
 
     /// One supervised candidate: run the (possibly budget-reduced) filter
-    /// under panic isolation with bounded retry, degrading to the uniform
-    /// fallback when the filter is persistently poisoned. Returns the
-    /// answered distribution and the level it was produced at.
+    /// in the worker's `particles` under panic isolation with bounded
+    /// retry, degrading to the uniform fallback when the filter is
+    /// persistently poisoned. Returns the answered distribution and the
+    /// level it was produced at.
     #[allow(clippy::too_many_arguments)]
     fn run_supervised_object<S: ReadingStore + Sync + ?Sized>(
         &self,
+        particles: &mut Particles,
         pass_seed: u64,
         collector: &S,
         object: ObjectId,
@@ -581,7 +531,15 @@ impl<'a> ParticlePreprocessor<'a> {
                     panic!("injected particle-filter fault (attempt {attempt})");
                 }
                 let mut rng = StdRng::seed_from_u64(derive_stream_seed(pass_seed, object, resume));
-                self.filter_object(&mut rng, collector, object, p, cache, particles_override)
+                self.filter_object(
+                    &mut rng,
+                    particles,
+                    collector,
+                    object,
+                    p,
+                    cache,
+                    particles_override,
+                )
             }));
             match result {
                 Ok(out) => return out.map(|d| (d, level)),
@@ -706,11 +664,20 @@ impl<'a> ParticlePreprocessor<'a> {
         // Phase 3: supervised filtering.
         let workers = parallelism.unwrap_or(1).clamp(1, items.len().max(1));
         let mut results: Vec<Answered> = if workers <= 1 {
+            let mut particles = self.sir.particles();
             items
                 .into_iter()
                 .filter_map(|(i, o, plan, level)| {
                     self.run_supervised_object(
-                        pass_seed, collector, o, plan, level, now, cache, options,
+                        &mut particles,
+                        pass_seed,
+                        collector,
+                        o,
+                        plan,
+                        level,
+                        now,
+                        cache,
+                        options,
                     )
                     .map(|(d, lv)| (i, o, d, lv))
                 })
@@ -724,6 +691,7 @@ impl<'a> ParticlePreprocessor<'a> {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
                         scope.spawn(|| {
+                            let mut particles = self.sir.particles();
                             let mut local: Vec<Answered> = Vec::new();
                             loop {
                                 let i = next.fetch_add(1, Ordering::Relaxed);
@@ -734,7 +702,15 @@ impl<'a> ParticlePreprocessor<'a> {
                                     continue;
                                 };
                                 if let Some((d, lv)) = self.run_supervised_object(
-                                    pass_seed, collector, o, plan, level, now, cache, options,
+                                    &mut particles,
+                                    pass_seed,
+                                    collector,
+                                    o,
+                                    plan,
+                                    level,
+                                    now,
+                                    cache,
+                                    options,
                                 ) {
                                     local.push((idx, o, d, lv));
                                 }

@@ -10,12 +10,16 @@ use ripq_geom::Segment;
 use ripq_graph::{EdgeId, GraphPos, WalkingGraph};
 use ripq_rfid::Reader;
 
-/// The arc-length intervals of every edge that lie inside `reader`'s
-/// activation disk, as `(edge, lo, hi)` offset ranges.
-pub fn seed_intervals(graph: &WalkingGraph, reader: &Reader) -> Vec<(EdgeId, f64, f64)> {
+/// Writes into `out` the arc-length intervals of every edge that lie
+/// inside `reader`'s activation disk, as `(edge, lo, hi)` offset ranges.
+pub(crate) fn seed_intervals(
+    graph: &WalkingGraph,
+    reader: &Reader,
+    out: &mut Vec<(EdgeId, f64, f64)>,
+) {
     let c = reader.position();
     let r = reader.activation_range();
-    let mut out = Vec::new();
+    out.clear();
     for e in graph.edges() {
         let pts = e.geometry.points();
         let mut cum = 0.0;
@@ -29,31 +33,31 @@ pub fn seed_intervals(graph: &WalkingGraph, reader: &Reader) -> Vec<(EdgeId, f64
             cum += seg.length();
         }
     }
-    out
 }
 
-/// Draws `n` particles uniformly (by arc length) over the edge intervals
-/// covered by `reader`, each with a random heading and a speed from the
-/// motion model's Gaussian.
+/// Replaces `out` with `n` particles drawn uniformly (by arc length) over
+/// `intervals`, the [`seed_intervals`] of `reader`, each with a random
+/// heading and a speed from the motion model's Gaussian.
 ///
 /// Falls back to the reader's own graph projection when the activation
 /// disk covers no edge at all (pathological deployments), so callers
 /// always receive `n` particles.
-pub fn seed_particles<R: Rng>(
+pub(crate) fn seed_particles<R: Rng>(
     rng: &mut R,
     graph: &WalkingGraph,
     reader: &Reader,
+    intervals: &[(EdgeId, f64, f64)],
     motion: &MotionModel,
     n: usize,
-) -> Vec<IndoorState> {
-    let intervals = seed_intervals(graph, reader);
+    out: &mut Vec<IndoorState>,
+) {
     let total: f64 = intervals.iter().map(|(_, lo, hi)| hi - lo).sum();
-    let mut out = Vec::with_capacity(n);
+    out.clear();
     for _ in 0..n {
         let pos = if total > 1e-12 {
             let mut x = rng.random::<f64>() * total;
             let mut chosen = GraphPos::new(intervals[0].0, intervals[0].1);
-            for &(e, lo, hi) in &intervals {
+            for &(e, lo, hi) in intervals {
                 let len = hi - lo;
                 if x <= len {
                     chosen = GraphPos::new(e, lo + x);
@@ -76,7 +80,6 @@ pub fn seed_particles<R: Rng>(
             speed: motion.sample_speed(rng),
         });
     }
-    out
 }
 
 #[cfg(test)]
@@ -87,6 +90,24 @@ mod tests {
     use ripq_floorplan::{office_building, OfficeParams};
     use ripq_graph::build_walking_graph;
     use ripq_rfid::{deploy_uniform, ReaderId};
+
+    fn intervals(g: &WalkingGraph, reader: &Reader) -> Vec<(EdgeId, f64, f64)> {
+        let mut out = Vec::new();
+        seed_intervals(g, reader, &mut out);
+        out
+    }
+
+    fn seeds(
+        rng: &mut StdRng,
+        g: &WalkingGraph,
+        reader: &Reader,
+        motion: &MotionModel,
+        n: usize,
+    ) -> Vec<IndoorState> {
+        let mut out = Vec::new();
+        seed_particles(rng, g, reader, &intervals(g, reader), motion, n, &mut out);
+        out
+    }
 
     fn setup() -> (WalkingGraph, Vec<Reader>) {
         let plan = office_building(&OfficeParams::default()).unwrap();
@@ -99,7 +120,7 @@ mod tests {
     fn intervals_cover_points_inside_disk_only() {
         let (g, readers) = setup();
         for reader in readers.iter().take(5) {
-            let ivals = seed_intervals(&g, reader);
+            let ivals = intervals(&g, reader);
             assert!(!ivals.is_empty(), "reader {} covers no edge", reader.id());
             for (e, lo, hi) in ivals {
                 assert!(lo < hi);
@@ -119,7 +140,7 @@ mod tests {
         let (g, readers) = setup();
         let mut rng = StdRng::seed_from_u64(12);
         let motion = MotionModel::default();
-        let particles = seed_particles(&mut rng, &g, &readers[3], &motion, 256);
+        let particles = seeds(&mut rng, &g, &readers[3], &motion, 256);
         assert_eq!(particles.len(), 256);
         for p in &particles {
             let pt = g.point_of(p.pos);
@@ -133,7 +154,7 @@ mod tests {
         let (g, readers) = setup();
         let mut rng = StdRng::seed_from_u64(13);
         let motion = MotionModel::default();
-        let particles = seed_particles(&mut rng, &g, &readers[0], &motion, 200);
+        let particles = seeds(&mut rng, &g, &readers[0], &motion, 200);
         let toward_a = particles
             .iter()
             .filter(|p| p.heading == Heading::TowardA)
@@ -156,7 +177,7 @@ mod tests {
             g.project(ripq_geom::Point2::new(-100.0, -100.0)),
             0.01,
         );
-        let particles = seed_particles(&mut rng, &g, &far, &motion, 8);
+        let particles = seeds(&mut rng, &g, &far, &motion, 8);
         assert_eq!(particles.len(), 8);
     }
 
@@ -166,10 +187,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(15);
         let motion = MotionModel::default();
         let reader = &readers[9];
-        let ivals = seed_intervals(&g, reader);
+        let ivals = intervals(&g, reader);
         let total: f64 = ivals.iter().map(|(_, lo, hi)| hi - lo).sum();
         let n = 4000;
-        let particles = seed_particles(&mut rng, &g, reader, &motion, n);
+        let particles = seeds(&mut rng, &g, reader, &motion, n);
         // Count particles in each interval; expect proportional to length.
         for &(e, lo, hi) in &ivals {
             let count = particles

@@ -1,6 +1,6 @@
 //! Particle state on the walking graph.
 
-use ripq_graph::{GraphPos, WalkingGraph};
+use ripq_graph::GraphPos;
 use serde::{Deserialize, Serialize};
 
 /// Travel direction along an edge.
@@ -38,56 +38,13 @@ pub struct IndoorState {
     pub speed: f64,
 }
 
-impl IndoorState {
-    /// The node this particle is moving toward.
-    pub fn target_node(&self, graph: &WalkingGraph) -> ripq_graph::NodeId {
-        let e = graph.edge(self.pos.edge);
-        match self.heading {
-            Heading::TowardA => e.a,
-            Heading::TowardB => e.b,
-        }
-    }
-
-    /// Remaining distance to the node this particle is moving toward.
-    pub fn distance_to_target(&self, graph: &WalkingGraph) -> f64 {
-        let e = graph.edge(self.pos.edge);
-        match self.heading {
-            Heading::TowardA => self.pos.offset,
-            Heading::TowardB => (e.length() - self.pos.offset).max(0.0),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ripq_floorplan::{office_building, OfficeParams};
-    use ripq_graph::build_walking_graph;
 
     #[test]
     fn heading_flip() {
         assert_eq!(Heading::TowardA.flipped(), Heading::TowardB);
         assert_eq!(Heading::TowardB.flipped(), Heading::TowardA);
-    }
-
-    #[test]
-    fn target_and_distance() {
-        let plan = office_building(&OfficeParams::default()).unwrap();
-        let g = build_walking_graph(&plan);
-        let e = &g.edges()[0];
-        let len = e.length();
-        let s = IndoorState {
-            pos: GraphPos::new(e.id, len * 0.25),
-            heading: Heading::TowardB,
-            speed: 1.0,
-        };
-        assert_eq!(s.target_node(&g), e.b);
-        assert!((s.distance_to_target(&g) - len * 0.75).abs() < 1e-9);
-        let s2 = IndoorState {
-            heading: Heading::TowardA,
-            ..s
-        };
-        assert_eq!(s2.target_node(&g), e.a);
-        assert!((s2.distance_to_target(&g) - len * 0.25).abs() < 1e-9);
     }
 }

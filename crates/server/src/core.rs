@@ -19,7 +19,7 @@ use ripq_core::clock::TimingMode;
 use ripq_core::continuous::{SubscriptionKind, SubscriptionRegistry};
 use ripq_core::{DegradationLevel, IndoorQuerySystem, Recorder, RipqError, SystemConfig};
 use ripq_floorplan::FloorPlan;
-use ripq_rfid::ObjectId;
+use ripq_rfid::{ObjectId, ReaderId};
 use std::collections::{BTreeSet, VecDeque};
 use std::path::PathBuf;
 
@@ -338,7 +338,16 @@ impl ServerCore {
     /// sequence to a fresh core always produces the same lines.
     pub fn handle_frame(&mut self, payload: &[u8]) -> Vec<String> {
         let mut out = Vec::new();
-        match parse_request(payload) {
+        let request = parse_request(payload).and_then(|request| {
+            // The system indexes its deployment by reader id, so a data
+            // frame naming a reader it does not have is refused whole,
+            // before admission and before any of it is ingested.
+            match unknown_reader(&request, self.system.readers().len()) {
+                Some(reader) => Err(format!("unknown reader {}", reader.raw())),
+                None => Ok(request),
+            }
+        });
+        match request {
             Err(message) => {
                 self.recorder.add("server.frames_rejected", 1);
                 out.push(render_error(&message));
@@ -699,6 +708,17 @@ impl ServerCore {
     }
 }
 
+/// The first reader id a data frame names that is not below `readers`,
+/// the size of the deployment.
+fn unknown_reader(request: &Request, readers: usize) -> Option<ReaderId> {
+    let unknown = |r: &ReaderId| r.index() >= readers;
+    match request {
+        Request::Readings { detections, .. } => detections.iter().map(|&(_, r)| r).find(unknown),
+        Request::Raw { samples, .. } => samples.iter().map(|s| s.reader).find(unknown),
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -936,6 +956,43 @@ mod tests {
         let lines = one(&mut core, "{\"op\":\"checkpoint\"}");
         assert!(lines[0].contains("no checkpoint directory"));
         assert_eq!(checkpoint_errors(&core), 0);
+    }
+
+    #[test]
+    fn frames_naming_an_unknown_reader_are_refused_whole() {
+        let mut core = overloaded_core(1);
+        let readers = core.system().readers().len();
+        let bad = [
+            format!("{{\"op\":\"reading\",\"second\":0,\"readings\":[[3,0],[7,{readers}]]}}"),
+            "{\"op\":\"raw\",\"second\":0,\"samples\":[[0.5,7,4000000000]]}".to_string(),
+        ];
+        assert_eq!(
+            one(&mut core, &bad[0]),
+            vec![format!("{{\"error\":\"unknown reader {readers}\"}}")]
+        );
+        assert_eq!(
+            one(&mut core, &bad[1]),
+            vec!["{\"error\":\"unknown reader 4000000000\"}"]
+        );
+        let counters = core.system().recorder().snapshot().counters;
+        assert_eq!(counters.get("server.frames_rejected"), Some(&2));
+        assert_eq!(
+            counters.get("server.frames_ingested").copied().unwrap_or(0),
+            0
+        );
+        // Nothing was ingested, and the one-frame admission budget is
+        // still there for the valid reading.
+        assert!(core.system().collector().objects().next().is_none());
+        let ok = one(
+            &mut core,
+            "{\"op\":\"reading\",\"second\":0,\"readings\":[[7,0]]}",
+        );
+        assert_eq!(ok, vec!["{\"ok\":\"reading\",\"second\":0,\"count\":1}"]);
+        let tick = one(&mut core, "{\"op\":\"tick\",\"second\":1}");
+        assert!(
+            tick.last().unwrap().starts_with("{\"ok\":\"tick\""),
+            "{tick:?}"
+        );
     }
 
     #[test]

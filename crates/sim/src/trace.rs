@@ -118,12 +118,8 @@ impl TraceGenerator {
         // Start at a random room's node.
         let mut current_room = rng.random_range(0..room_count);
         let start_node = graph.room_node(RoomId::new(current_room as u32));
-        let start_edge = graph.edges_at(start_node)[0];
-        let offset = graph
-            .edge(start_edge)
-            .offset_of(start_node)
-            .expect("room node is an endpoint");
-        let mut pos = GraphPos::new(start_edge, offset);
+        let start = graph.edges_at(start_node)[0];
+        let mut pos = GraphPos::new(start.edge, start.offset);
 
         let mut positions = Vec::with_capacity(duration as usize + 1);
         positions.push(pos);
@@ -150,12 +146,8 @@ impl TraceGenerator {
                 }
                 current_room = dest;
                 let dest_node = graph.room_node(RoomId::new(dest as u32));
-                let dest_edge = graph.edges_at(dest_node)[0];
-                let dest_offset = graph
-                    .edge(dest_edge)
-                    .offset_of(dest_node)
-                    .expect("room node is an endpoint");
-                let target = GraphPos::new(dest_edge, dest_offset);
+                let link = graph.edges_at(dest_node)[0];
+                let target = GraphPos::new(link.edge, link.offset);
                 let route = graph
                     .shortest_paths_from(pos)
                     .path_to(graph, target)

@@ -99,7 +99,8 @@ impl CellDecomposition {
             let incident = graph.edges_at(node.id);
             // End anchor + its gap to the node, per incident edge.
             let mut ends: Vec<(AnchorId, f64)> = Vec::with_capacity(incident.len());
-            for &eid in incident {
+            for inc in incident {
+                let eid = inc.edge;
                 let e = graph.edge(eid);
                 let list = anchors.on_edge(eid);
                 if list.is_empty() {

@@ -57,8 +57,9 @@ fn graph_position_helpers() {
     // Degree / accessor consistency.
     for n in g.nodes().iter().take(10) {
         assert_eq!(g.degree(n.id), g.edges_at(n.id).len());
-        for &eid in g.edges_at(n.id) {
-            assert!(g.edge(eid).other_end(n.id).is_some());
+        for inc in g.edges_at(n.id) {
+            assert!(g.edge(inc.edge).other_end(n.id).is_some());
+            assert_eq!(g.edge(inc.edge).offset_of(n.id), Some(inc.offset));
         }
     }
 

@@ -94,8 +94,7 @@ fn room_representations_agree() {
         assert!(room.contains(graph.node(node).position));
         // The nearest anchor to the room node lies in the room.
         let link = graph.edges_at(node)[0];
-        let offset = graph.edge(link).offset_of(node).unwrap();
-        let nearest = anchors.nearest(ripq::graph::GraphPos::new(link, offset));
+        let nearest = anchors.nearest(ripq::graph::GraphPos::new(link.edge, link.offset));
         assert_eq!(
             anchors.anchor(nearest).location,
             Location::Room(room.id()),
