@@ -532,7 +532,6 @@ impl IndoorQuerySystem {
             budget,
             panic_object: self.injected_fault.map(|(o, _)| o),
             panic_attempts: self.injected_fault.map_or(1, |(_, a)| a),
-            ..SupervisionOptions::default()
         };
         let (object_degradation, delta) = preprocessor.process(
             pass_seed,

@@ -138,13 +138,14 @@ impl fmt::Display for DegradationLevel {
     }
 }
 
-/// Knobs of [`ParticlePreprocessor::process`]: worker isolation, bounded
-/// retry and the per-pass evaluation budget.
+/// Panicking filter runs are retried (from a fresh reseed, cache
+/// disabled) at most this many times before the object is quarantined.
+const RETRY_LIMIT: usize = 1;
+
+/// Knobs of [`ParticlePreprocessor::process`]: the per-pass evaluation
+/// budget and a fault hook for the worker-isolation tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisionOptions {
-    /// Panicking filter runs are retried (from a fresh reseed, cache
-    /// disabled) at most this many times before quarantining the object.
-    pub retry_limit: usize,
     /// Evaluation budget for the whole pass in cost units (simulated
     /// seconds × particle count, a deterministic logical-clock model).
     /// `None` = unbounded (every object runs the full filter).
@@ -159,7 +160,6 @@ pub struct SupervisionOptions {
 impl Default for SupervisionOptions {
     fn default() -> Self {
         SupervisionOptions {
-            retry_limit: 1,
             budget: None,
             panic_object: None,
             panic_attempts: 1,
@@ -550,7 +550,7 @@ impl<'a> ParticlePreprocessor<'a> {
                     if let Some(c) = cache {
                         c.invalidate(object);
                     }
-                    if attempt >= options.retry_limit {
+                    if attempt >= RETRY_LIMIT {
                         self.recorder.add("degrade.quarantined", 1);
                         return self
                             .fallback_distribution(collector, object, now)

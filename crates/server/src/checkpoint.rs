@@ -6,19 +6,16 @@
 //! live index). Queries are not part of the engine state, so the
 //! section carries the daemon's own continuity: how many transcript
 //! frames were fully processed, how many response lines were emitted,
-//! the last tick, the unseen-alert arming state, the open subscriptions
-//! with their maintained results (exact f64 bit patterns), and the
-//! executor supervision state (breakers and dead letters). A restarted
-//! server resumes the delta stream byte-exactly where the previous life
-//! checkpointed.
+//! the last tick, the unseen-alert arming state, and the open
+//! subscriptions with their maintained results (exact f64 bit patterns).
+//! A restarted server resumes the delta stream byte-exactly where the
+//! previous life checkpointed.
 //!
 //! Decoding rejects what re-registering a subscription would: it runs
 //! each subscription through the engine's query constructors, as a live
 //! `subscribe` does, and requires unique subscription ids. So once the
 //! engine state restored, applying a decoded section cannot fail.
 
-use crate::executor::ServerEvent;
-use crate::supervisor::{BreakerState, DeadLetter};
 use ripq_core::continuous::{SubscriptionKind, SubscriptionRegistry};
 use ripq_core::{KnnQuery, QueryId, RangeQuery, ResultSet};
 use ripq_geom::{Point2, Rect};
@@ -44,11 +41,6 @@ pub(crate) struct SidecarState {
     pub unseen_alerted: BTreeSet<ObjectId>,
     /// Open subscriptions: `(sub id, kind, maintained result)`, id-ordered.
     pub subscriptions: Vec<(u64, SubscriptionKind, ResultSet)>,
-    /// Per-executor supervision state: `(name, consecutive failures,
-    /// breaker)`, in executor registration order.
-    pub executor_states: Vec<(String, u32, BreakerState)>,
-    /// Undelivered events pending surfacing or drain, oldest first.
-    pub dead_letters: Vec<DeadLetter>,
 }
 
 impl SidecarState {
@@ -59,8 +51,6 @@ impl SidecarState {
         last_tick: Option<u64>,
         unseen_alerted: &BTreeSet<ObjectId>,
         registry: &SubscriptionRegistry,
-        executor_states: Vec<(String, u32, BreakerState)>,
-        dead_letters: Vec<DeadLetter>,
     ) -> Self {
         SidecarState {
             frames_processed,
@@ -71,8 +61,6 @@ impl SidecarState {
                 .iter()
                 .map(|(id, s)| (id, s.kind, s.current().clone()))
                 .collect(),
-            executor_states,
-            dead_letters,
         }
     }
 
@@ -108,58 +96,6 @@ impl SidecarState {
                 w.put_u32(o.raw());
                 w.put_u64(pr.to_bits());
             }
-        }
-        w.put_seq_len(self.executor_states.len());
-        for (name, failures, breaker) in &self.executor_states {
-            w.put_str(name);
-            w.put_u32(*failures);
-            match breaker {
-                // HalfOpen is transient and normalized to Closed on
-                // restore, so it persists as Closed.
-                BreakerState::Closed | BreakerState::HalfOpen => w.put_u8(0),
-                BreakerState::Open { until_tick } => {
-                    w.put_u8(1);
-                    w.put_u64(*until_tick);
-                }
-            }
-        }
-        w.put_seq_len(self.dead_letters.len());
-        for letter in &self.dead_letters {
-            w.put_str(&letter.executor);
-            match letter.event {
-                ServerEvent::GeofenceEntered {
-                    sub,
-                    object,
-                    second,
-                } => {
-                    w.put_u8(0);
-                    w.put_u64(sub);
-                    w.put_u32(object.raw());
-                    w.put_u64(second);
-                }
-                ServerEvent::GeofenceLeft {
-                    sub,
-                    object,
-                    second,
-                } => {
-                    w.put_u8(1);
-                    w.put_u64(sub);
-                    w.put_u32(object.raw());
-                    w.put_u64(second);
-                }
-                ServerEvent::ObjectUnseen {
-                    object,
-                    second,
-                    last_seen,
-                } => {
-                    w.put_u8(2);
-                    w.put_u32(object.raw());
-                    w.put_u64(second);
-                    w.put_u64(last_seen);
-                }
-            }
-            w.put_u64(letter.second);
-            w.put_str(&letter.reason);
         }
     }
 
@@ -211,59 +147,12 @@ impl SidecarState {
             }
             subscriptions.push((sub, kind, current));
         }
-        let n_exec = r.get_seq_len(6)?;
-        let mut executor_states = Vec::with_capacity(n_exec);
-        for _ in 0..n_exec {
-            let name = r.get_str()?;
-            let failures = r.get_u32()?;
-            let breaker = match r.get_u8()? {
-                0 => BreakerState::Closed,
-                1 => BreakerState::Open {
-                    until_tick: r.get_u64()?,
-                },
-                _ => return Err(PersistError::Torn),
-            };
-            executor_states.push((name, failures, breaker));
-        }
-        let n_letters = r.get_seq_len(15)?;
-        let mut dead_letters = Vec::with_capacity(n_letters);
-        for _ in 0..n_letters {
-            let executor = r.get_str()?;
-            let event = match r.get_u8()? {
-                0 => ServerEvent::GeofenceEntered {
-                    sub: r.get_u64()?,
-                    object: ObjectId::new(r.get_u32()?),
-                    second: r.get_u64()?,
-                },
-                1 => ServerEvent::GeofenceLeft {
-                    sub: r.get_u64()?,
-                    object: ObjectId::new(r.get_u32()?),
-                    second: r.get_u64()?,
-                },
-                2 => ServerEvent::ObjectUnseen {
-                    object: ObjectId::new(r.get_u32()?),
-                    second: r.get_u64()?,
-                    last_seen: r.get_u64()?,
-                },
-                _ => return Err(PersistError::Torn),
-            };
-            let second = r.get_u64()?;
-            let reason = r.get_str()?;
-            dead_letters.push(DeadLetter {
-                executor,
-                event,
-                second,
-                reason,
-            });
-        }
         Ok(SidecarState {
             frames_processed,
             lines_emitted,
             last_tick,
             unseen_alerted,
             subscriptions,
-            executor_states,
-            dead_letters,
         })
     }
 }
@@ -303,32 +192,6 @@ mod tests {
                     ResultSet::new(),
                 ),
             ],
-            executor_states: vec![
-                ("frames".to_string(), 0, BreakerState::Closed),
-                ("ack".to_string(), 3, BreakerState::Open { until_tick: 42 }),
-            ],
-            dead_letters: vec![
-                DeadLetter {
-                    executor: "ack".to_string(),
-                    event: ServerEvent::GeofenceEntered {
-                        sub: 1,
-                        object: ObjectId::new(3),
-                        second: 30,
-                    },
-                    second: 30,
-                    reason: "panic: ack wedged".to_string(),
-                },
-                DeadLetter {
-                    executor: "ack".to_string(),
-                    event: ServerEvent::ObjectUnseen {
-                        object: ObjectId::new(2),
-                        second: 31,
-                        last_seen: 12,
-                    },
-                    second: 31,
-                    reason: "circuit open until tick 42".to_string(),
-                },
-            ],
         }
     }
 
@@ -347,15 +210,5 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(decoded(&bytes[..cut]).is_err(), "cut at {cut} decoded");
         }
-    }
-
-    #[test]
-    fn half_open_breaker_persists_as_closed() {
-        let mut state = sample();
-        state.executor_states = vec![("probe".to_string(), 1, BreakerState::HalfOpen)];
-        assert_eq!(
-            decoded(&encoded(&state)).unwrap().executor_states,
-            vec![("probe".to_string(), 1, BreakerState::Closed)]
-        );
     }
 }

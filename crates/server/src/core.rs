@@ -9,18 +9,17 @@
 //! tests byte-compare it across runs and worker counts.
 
 use crate::checkpoint::{SidecarState, SNAPSHOT_FILE};
-use crate::executor::{Executor, FrameExecutor, ServerEvent};
 use crate::frame::FrameDecoder;
-use crate::json;
-use crate::protocol::{parse_request, render_busy, render_delta, render_error, render_ok, Request};
-use crate::supervisor::{DeadLetter, DispatchOutcome, SupervisedExecutor, SupervisorPolicy};
+use crate::protocol::{
+    parse_request, render_busy, render_delta, render_error, render_event, render_ok, Request,
+};
 use ripq_core::checkpoint::{self, Recovered};
 use ripq_core::clock::TimingMode;
 use ripq_core::continuous::{SubscriptionKind, SubscriptionRegistry};
 use ripq_core::{DegradationLevel, IndoorQuerySystem, Recorder, RipqError, SystemConfig};
 use ripq_floorplan::FloorPlan;
 use ripq_rfid::{ObjectId, ReaderId};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 /// Server behavior knobs. Everything else — timing, observability —
@@ -35,9 +34,6 @@ pub struct ServerConfig {
     /// Write a durable checkpoint after every N ticks (0 = only on
     /// explicit `checkpoint` frames). Needs a checkpoint directory.
     pub checkpoint_every_ticks: u64,
-    /// Seconds of reader silence after which an object fires
-    /// [`ServerEvent::ObjectUnseen`] (re-armed by re-detection).
-    pub unseen_after: u64,
     /// Admission control: data frames (`reading`/`raw`) accepted per
     /// tick interval; excess frames get a typed `busy` response with a
     /// `retry_after_ticks` hint (0 = unbounded).
@@ -53,9 +49,6 @@ pub struct ServerConfig {
     /// Default per-tick evaluation deadline, overridable per request by
     /// the protocol's `budget` field (None = no deadline).
     pub query_budget: Option<u64>,
-    /// Executor supervision: retry, circuit-breaker and dead-letter
-    /// bounds.
-    pub supervisor: SupervisorPolicy,
 }
 
 impl Default for ServerConfig {
@@ -64,12 +57,10 @@ impl Default for ServerConfig {
             seed: 7,
             workers: None,
             checkpoint_every_ticks: 0,
-            unseen_after: 60,
             max_frames_per_tick: 0,
             max_subscriptions: 0,
             max_conn_response_bytes: 0,
             query_budget: None,
-            supervisor: SupervisorPolicy::default(),
         }
     }
 }
@@ -115,7 +106,6 @@ pub enum ServerRecovery {
 pub struct ServerCore {
     system: IndoorQuerySystem,
     registry: SubscriptionRegistry,
-    executors: Vec<SupervisedExecutor>,
     recorder: Recorder,
     decoder: FrameDecoder,
     config: ServerConfig,
@@ -137,21 +127,16 @@ pub struct ServerCore {
     /// Framed response bytes emitted on the current byte-stream
     /// connection (for `max_conn_response_bytes`).
     conn_response_bytes: u64,
-    /// Undelivered executor events, oldest first, capacity-bounded by
-    /// [`SupervisorPolicy::dead_letter_capacity`].
-    dead_letters: VecDeque<DeadLetter>,
 }
 
 impl ServerCore {
-    /// Builds a server over `plan` with the built-in [`FrameExecutor`]
-    /// installed (standard event frames).
+    /// Builds a server over `plan`.
     pub fn new(plan: FloorPlan, config: ServerConfig) -> Self {
         let system = IndoorQuerySystem::new(plan, config.system_config(), config.seed);
         let recorder = system.recorder().clone();
         ServerCore {
             system,
             registry: SubscriptionRegistry::new(),
-            executors: vec![SupervisedExecutor::new(Box::new(FrameExecutor))],
             recorder,
             decoder: FrameDecoder::new(),
             config,
@@ -166,20 +151,7 @@ impl ServerCore {
             frames_this_interval: 0,
             shed_since_tick: false,
             conn_response_bytes: 0,
-            dead_letters: VecDeque::new(),
         }
-    }
-
-    /// Installs an additional executor (runs after the built-ins, in
-    /// installation order), wrapped with supervision.
-    pub fn push_executor(&mut self, executor: Box<dyn Executor>) {
-        self.executors.push(SupervisedExecutor::new(executor));
-    }
-
-    /// Removes every installed executor (including the built-in frame
-    /// renderer) — for callers that only want delta output.
-    pub fn clear_executors(&mut self) {
-        self.executors.clear();
     }
 
     /// Configures where the durable snapshot, `server.ckpt`, is written.
@@ -210,21 +182,6 @@ impl ServerCore {
     /// `true` once a `shutdown` frame was acknowledged.
     pub fn is_shutdown(&self) -> bool {
         self.shutdown
-    }
-
-    /// The pending dead letters, oldest first (read access; the
-    /// `dead_letters` protocol op lists or drains them).
-    pub fn dead_letters(&self) -> impl Iterator<Item = &DeadLetter> {
-        self.dead_letters.iter()
-    }
-
-    /// Names of executors whose circuit breaker is currently open.
-    pub fn quarantined_executors(&self) -> Vec<&'static str> {
-        self.executors
-            .iter()
-            .filter(|e| e.is_quarantined())
-            .map(|e| e.name())
-            .collect()
     }
 
     /// The current cumulative metrics snapshot as deterministic JSON.
@@ -266,19 +223,6 @@ impl ServerCore {
         }
         self.recorder
             .set_gauge("server.subscriptions_active", self.registry.len() as u64);
-        // Supervision state: match persisted breaker states to the
-        // installed executors by stable name; states for executors no
-        // longer installed are dropped (their dead letters survive).
-        for (name, failures, breaker) in state.executor_states {
-            if let Some(executor) = self.executors.iter_mut().find(|e| e.name() == name) {
-                executor.restore(failures, breaker);
-            }
-        }
-        self.dead_letters = state.dead_letters.into();
-        self.recorder.set_gauge(
-            "server.executor.quarantined",
-            self.executors.iter().filter(|e| e.is_quarantined()).count() as u64,
-        );
         self.frames_processed = state.frames_processed;
         self.lines_emitted = state.lines_emitted;
         self.last_tick = state.last_tick;
@@ -471,12 +415,6 @@ impl ServerCore {
                     self.tick(second, budget, out);
                 }
             }
-            Request::DeadLetters { drain } => {
-                out.push(self.render_dead_letters());
-                if drain {
-                    self.dead_letters.clear();
-                }
-            }
             Request::Metrics => out.push(self.metrics_json()),
             Request::Checkpoint => {
                 // Offsets include this frame and its single ack line —
@@ -504,46 +442,6 @@ impl ServerCore {
                 out.push(render_ok("shutdown", &[]));
             }
         }
-    }
-
-    /// Renders the dead-letter queue as one deterministic JSON line.
-    fn render_dead_letters(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"dead_letters\":{},\"letters\":[",
-            self.dead_letters.len()
-        );
-        for (i, letter) in self.dead_letters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"executor\":");
-            json::render_str(&letter.executor, &mut out);
-            let _ = write!(
-                out,
-                ",\"event\":\"{}\",\"second\":{},\"reason\":",
-                letter.event.name(),
-                letter.second
-            );
-            json::render_str(&letter.reason, &mut out);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Queues an undeliverable event, evicting the oldest letter (with
-    /// accounting — never silently) when the bounded queue is full.
-    fn push_dead_letter(&mut self, letter: DeadLetter) {
-        let capacity = self.config.supervisor.dead_letter_capacity.max(1);
-        while self.dead_letters.len() >= capacity {
-            self.dead_letters.pop_front();
-            self.recorder.add("server.executor.dead_letters_dropped", 1);
-        }
-        self.dead_letters.push_back(letter);
-        self.recorder.add("server.executor.dead_letters", 1);
     }
 
     fn subscribe(&mut self, sub: u64, kind: SubscriptionKind, out: &mut Vec<String>) {
@@ -583,7 +481,9 @@ impl ServerCore {
             .max()
             .unwrap_or(DegradationLevel::Full);
         let deltas = self.registry.deltas(&report);
-        let mut events: Vec<ServerEvent> = Vec::new();
+        // Event lines follow every delta line of the tick: geofence
+        // crossings in subscription order, then silent objects.
+        let mut events: Vec<String> = Vec::new();
         for (sub, delta) in &deltas {
             out.push(render_delta(*sub, second, delta));
             // Geofence semantics apply to range subscriptions: their
@@ -593,25 +493,26 @@ impl ServerCore {
                 Some(SubscriptionKind::Range(_))
             );
             if is_range {
-                for (object, _) in &delta.appeared {
-                    events.push(ServerEvent::GeofenceEntered {
-                        sub: *sub,
-                        object: *object,
-                        second,
-                    });
-                }
-                for object in &delta.disappeared {
-                    events.push(ServerEvent::GeofenceLeft {
-                        sub: *sub,
-                        object: *object,
-                        second,
-                    });
+                let entered = delta.appeared.iter().map(|(o, _)| ("geofence_entered", o));
+                let left = delta.disappeared.iter().map(|o| ("geofence_left", o));
+                for (event, object) in entered.chain(left) {
+                    events.push(render_event(
+                        event,
+                        &[
+                            ("sub", *sub),
+                            ("object", u64::from(object.raw())),
+                            ("second", second),
+                        ],
+                    ));
                 }
             }
         }
         // Silence detection: one alert per silent episode, re-armed by
-        // any re-detection. The collector iterates a hash map, so the
-        // silent list is sorted by object id to keep event order stable.
+        // any re-detection. The threshold is the filter's coast window
+        // (Algorithm 2 line 6): an object silent longer has left it. The
+        // collector iterates a hash map, so the silent list is sorted by
+        // object id to keep event order stable.
+        let unseen_after = self.system.config().preprocess.coast_seconds;
         let mut silent: Vec<(ObjectId, u64)> = self
             .system
             .collector()
@@ -625,13 +526,16 @@ impl ServerCore {
             .collect();
         silent.sort_unstable_by_key(|&(object, _)| object);
         for (object, last_seen) in silent {
-            if second.saturating_sub(last_seen) > self.config.unseen_after {
+            if second.saturating_sub(last_seen) > unseen_after {
                 if self.unseen_alerted.insert(object) {
-                    events.push(ServerEvent::ObjectUnseen {
-                        object,
-                        second,
-                        last_seen,
-                    });
+                    events.push(render_event(
+                        "object_unseen",
+                        &[
+                            ("object", u64::from(object.raw())),
+                            ("second", second),
+                            ("last_seen", last_seen),
+                        ],
+                    ));
                 }
             } else {
                 self.unseen_alerted.remove(&object);
@@ -642,29 +546,12 @@ impl ServerCore {
             .add("server.deltas_emitted", deltas.len() as u64);
         self.recorder
             .add("server.events_fired", events.len() as u64);
-        let seed = self.config.seed;
-        let policy = self.config.supervisor;
-        let mut letters = Vec::new();
-        for event in &events {
-            for executor in &mut self.executors {
-                match executor.dispatch(event, second, &policy, seed, &self.recorder) {
-                    DispatchOutcome::Delivered(frames) => out.extend(frames),
-                    DispatchOutcome::DeadLettered(letter) => letters.push(letter),
-                }
-            }
-        }
-        for letter in letters {
-            self.push_dead_letter(letter);
-        }
-        self.recorder.set_gauge(
-            "server.executor.quarantined",
-            self.executors.iter().filter(|e| e.is_quarantined()).count() as u64,
-        );
         let mut ack_fields = vec![
             ("second", second.to_string()),
             ("deltas", deltas.len().to_string()),
             ("events", events.len().to_string()),
         ];
+        out.append(&mut events);
         // The degradation tag appears only when a per-request deadline
         // was supplied or evaluation actually degraded — existing golden
         // transcripts (no budget, Full fidelity) are unchanged.
@@ -696,11 +583,6 @@ impl ServerCore {
             self.last_tick,
             &self.unseen_alerted,
             &self.registry,
-            self.executors
-                .iter()
-                .map(|e| (e.name().to_string(), e.consecutive_failures, e.breaker))
-                .collect(),
-            self.dead_letters.iter().cloned().collect(),
         );
         checkpoint::save(&self.system, &dir.join(SNAPSHOT_FILE), |w| state.encode(w))?;
         self.recorder.add("server.checkpoints_written", 1);
@@ -722,7 +604,6 @@ fn unknown_reader(request: &Request, readers: usize) -> Option<ReaderId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::CountingExecutor;
     use crate::frame::encode_frame;
     use ripq_floorplan::{office_building, OfficeParams};
 
@@ -769,16 +650,23 @@ mod tests {
             assert!(lines[0].starts_with("{\"ok\":\"reading\""));
         }
         let lines = one(&mut core, "{\"op\":\"tick\",\"second\":3}");
-        // Delta, geofence event, tick ack.
+        // Delta, geofence event, tick ack; the ack counts the event lines.
         assert!(lines[0].starts_with("{\"delta\":{\"sub\":4,"));
         assert!(lines
             .iter()
             .any(|l| l.contains("\"event\":\"geofence_entered\"")));
-        assert!(lines.last().unwrap().starts_with("{\"ok\":\"tick\""));
+        let fired = lines
+            .iter()
+            .filter(|l| l.starts_with("{\"event\":"))
+            .count();
+        let ack = lines.last().unwrap();
+        assert!(ack.starts_with("{\"ok\":\"tick\""));
+        assert!(ack.ends_with(&format!(",\"events\":{fired}}}")), "{ack}");
         assert_eq!(core.frames_processed(), 5);
         assert_eq!(core.lines_emitted() as usize, 4 + lines.len());
 
-        // Unseen alert fires once the object stays silent past 60 s.
+        // Unseen alert fires once the object stays silent past the coast
+        // window (60 s).
         let lines = one(&mut core, "{\"op\":\"tick\",\"second\":70}");
         assert!(lines
             .iter()
@@ -928,26 +816,6 @@ mod tests {
         );
         assert_eq!(core.system().query_count(), 0);
         assert!(one(&mut core, "{\"op\":\"unsubscribe\",\"sub\":1}")[0].contains("unknown"));
-    }
-
-    #[test]
-    fn custom_executors_see_events() {
-        let mut core = core();
-        core.clear_executors();
-        core.push_executor(Box::new(CountingExecutor::default()));
-        one(
-            &mut core,
-            "{\"op\":\"subscribe\",\"sub\":1,\"range\":[-500,-500,1000,1000]}",
-        );
-        let reader = core.system().readers()[0].id().raw();
-        one(
-            &mut core,
-            &format!("{{\"op\":\"reading\",\"second\":0,\"readings\":[[0,{reader}]]}}"),
-        );
-        let lines = one(&mut core, "{\"op\":\"tick\",\"second\":0}");
-        // Counting executor emits nothing; only delta + ack remain.
-        assert!(lines.iter().all(|l| !l.contains("\"event\"")));
-        assert!(lines.last().unwrap().contains("\"events\":1"));
     }
 
     #[test]
@@ -1139,72 +1007,6 @@ mod tests {
         assert!(!lines.last().unwrap().contains("degradation"));
     }
 
-    #[test]
-    fn dead_letters_op_lists_and_drains() {
-        let mut core = core();
-        let lines = one(&mut core, "{\"op\":\"dead_letters\"}");
-        assert_eq!(lines, vec!["{\"dead_letters\":0,\"letters\":[]}"]);
-        // Inject letters directly; executor-driven paths are covered by
-        // the integration tests.
-        core.push_dead_letter(DeadLetter {
-            executor: "e".to_string(),
-            event: ServerEvent::ObjectUnseen {
-                object: ObjectId::new(1),
-                second: 5,
-                last_seen: 0,
-            },
-            second: 5,
-            reason: "panic: \"quoted\"".to_string(),
-        });
-        let listed = one(&mut core, "{\"op\":\"dead_letters\"}");
-        assert_eq!(listed.len(), 1);
-        assert!(listed[0].starts_with("{\"dead_letters\":1,"));
-        assert!(listed[0].contains("\"event\":\"object_unseen\""));
-        assert!(
-            listed[0].contains("\\\"quoted\\\""),
-            "reason is escaped: {}",
-            listed[0]
-        );
-        let drained = one(&mut core, "{\"op\":\"dead_letters\",\"drain\":true}");
-        assert!(drained[0].starts_with("{\"dead_letters\":1,"));
-        assert_eq!(
-            one(&mut core, "{\"op\":\"dead_letters\"}"),
-            vec!["{\"dead_letters\":0,\"letters\":[]}"]
-        );
-    }
-
-    #[test]
-    fn dead_letter_queue_is_capacity_bounded() {
-        let plan = office_building(&OfficeParams::default()).unwrap();
-        let mut core = ServerCore::new(
-            plan,
-            ServerConfig {
-                supervisor: SupervisorPolicy {
-                    dead_letter_capacity: 2,
-                    ..SupervisorPolicy::default()
-                },
-                ..ServerConfig::default()
-            },
-        );
-        for second in 0..4u64 {
-            core.push_dead_letter(DeadLetter {
-                executor: "e".to_string(),
-                event: ServerEvent::ObjectUnseen {
-                    object: ObjectId::new(1),
-                    second,
-                    last_seen: 0,
-                },
-                second,
-                reason: "r".to_string(),
-            });
-        }
-        let seconds: Vec<u64> = core.dead_letters().map(|l| l.second).collect();
-        assert_eq!(seconds, vec![2, 3], "oldest letters evicted first");
-        assert!(core
-            .metrics_json()
-            .contains("server.executor.dead_letters_dropped"));
-    }
-
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ripq_server_core_{tag}"));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1278,6 +1080,17 @@ mod tests {
             state.subscriptions.push((sub, kind, Default::default()));
             [section(&state), engine.to_vec()].concat()
         };
+        // The section as the executor layer wrote it: one closed `frames`
+        // breaker and an empty dead-letter queue after the subscriptions.
+        let executor_layout = {
+            let mut w = ByteWriter::new();
+            w.put_seq_len(1);
+            w.put_str("frames");
+            w.put_u32(0);
+            w.put_u8(0);
+            w.put_seq_len(0);
+            [section(&valid), w.into_bytes(), engine.to_vec()].concat()
+        };
         let point = ripq_geom::Point2::new(2.0, 2.0);
         let cases = [
             ("k = 0", with_sub(2, SubscriptionKind::Knn(point, 0))),
@@ -1310,6 +1123,7 @@ mod tests {
             // The older two-file layout's `server.ckpt`: a version byte
             // and the section, with the engine state in another file.
             ("two-file layout", [vec![2], section(&valid)].concat()),
+            ("executor-state layout", executor_layout),
         ];
         for (case, payload) in cases {
             let dir = temp_dir("invalid_case");

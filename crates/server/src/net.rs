@@ -8,7 +8,7 @@
 
 use crate::core::ServerCore;
 use crate::frame::{encode_frame, FrameDecoder};
-use crate::retry::{busy_hint, busy_op, client_backoff_ticks, RetryOutcome, RetryPolicy};
+use crate::retry::{retry_session, RetryOutcome, RetryPolicy};
 use ripq_core::RipqError;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -280,7 +280,6 @@ fn is_terminal_line(line: &str) -> bool {
         || line.starts_with("{\"busy\":")
         || line.starts_with("{\"error\":")
         || line.starts_with("{\"counters\"")
-        || line.starts_with("{\"dead_letters\"")
 }
 
 /// A request/response client over one connection: each frame is sent
@@ -349,62 +348,7 @@ pub fn send_frames_with_retry(
     policy: &RetryPolicy,
 ) -> Result<RetryOutcome, RipqError> {
     let mut client = InteractiveClient::connect(endpoint)?;
-    let mut outcome = RetryOutcome::default();
-    let mut queued: Vec<Vec<u8>> = Vec::new();
-    for payload in payloads {
-        let mut lines = client.send(payload)?;
-        let Some(op) = lines.last().and_then(|l| busy_op(l)).map(str::to_string) else {
-            outcome.lines.append(&mut lines);
-            if outcome
-                .lines
-                .last()
-                .is_some_and(|l| l == "{\"ok\":\"shutdown\"}")
-            {
-                break;
-            }
-            continue;
-        };
-        outcome.busy_lines += 1;
-        if op != "tick" {
-            queued.push(payload.clone());
-            continue;
-        }
-        let mut hint = lines.last().and_then(|l| busy_hint(l)).unwrap_or(1);
-        let mut round = 0u32;
-        loop {
-            round += 1;
-            if round > policy.max_rounds.max(1) {
-                outcome.gave_up = true;
-                break;
-            }
-            outcome.retry_rounds += 1;
-            outcome.backoff_ticks += hint.max(client_backoff_ticks(policy.seed, round));
-            let resend = std::mem::take(&mut queued);
-            for f in &resend {
-                outcome.frames_resent += 1;
-                let mut ls = client.send(f)?;
-                if ls.last().and_then(|l| busy_op(l)).is_some() {
-                    outcome.busy_lines += 1;
-                    queued.push(f.clone());
-                } else {
-                    outcome.lines.append(&mut ls);
-                }
-            }
-            let mut tick_lines = client.send(payload)?;
-            match tick_lines.last().and_then(|l| busy_hint(l)) {
-                Some(next_hint) => {
-                    outcome.busy_lines += 1;
-                    hint = next_hint;
-                }
-                None => {
-                    outcome.lines.append(&mut tick_lines);
-                    break;
-                }
-            }
-        }
-    }
-    outcome.frames_abandoned = queued.len() as u64;
-    Ok(outcome)
+    retry_session(payloads, policy, |frame| client.send(frame))
 }
 
 #[cfg(test)]

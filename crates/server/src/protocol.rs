@@ -52,11 +52,6 @@ pub enum Request {
         /// budget forced.
         budget: Option<u64>,
     },
-    /// List (and optionally drain) the executor dead-letter queue.
-    DeadLetters {
-        /// When `true`, the queue is cleared after rendering.
-        drain: bool,
-    },
     /// Request a metrics snapshot frame.
     Metrics,
     /// Write a durable checkpoint now.
@@ -204,13 +199,6 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
                 budget,
             })
         }
-        "dead_letters" => {
-            let drain = match obj.get("drain") {
-                None => false,
-                Some(v) => v.as_bool().ok_or("field `drain` must be a boolean")?,
-            };
-            Ok(Request::DeadLetters { drain })
-        }
         "metrics" => Ok(Request::Metrics),
         "checkpoint" => Ok(Request::Checkpoint),
         "shutdown" => Ok(Request::Shutdown),
@@ -266,6 +254,18 @@ pub fn render_delta(sub: u64, second: u64, delta: &ResultDelta) -> String {
         );
     }
     out.push_str("]}}");
+    out
+}
+
+/// Renders one event frame: `{"event":"<event>", ...fields}`, each field
+/// an integer. A tick appends its events after its delta frames.
+pub(crate) fn render_event(event: &str, fields: &[(&str, u64)]) -> String {
+    let mut out = String::new();
+    let _ = write!(out, "{{\"event\":\"{event}\"");
+    for (k, v) in fields {
+        let _ = write!(out, ",\"{k}\":{v}");
+    }
+    out.push('}');
     out
 }
 
@@ -361,14 +361,6 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_request(br#"{"op":"dead_letters"}"#).unwrap(),
-            Request::DeadLetters { drain: false }
-        );
-        assert_eq!(
-            parse_request(br#"{"op":"dead_letters","drain":true}"#).unwrap(),
-            Request::DeadLetters { drain: true }
-        );
-        assert_eq!(
             parse_request(br#"{"op":"metrics"}"#).unwrap(),
             Request::Metrics
         );
@@ -399,7 +391,7 @@ mod tests {
             br#"{"op":"tick"}"#,
             br#"{"op":"tick","second":1,"budget":-3}"#,
             br#"{"op":"tick","second":1,"budget":"fast"}"#,
-            br#"{"op":"dead_letters","drain":1}"#,
+            br#"{"op":"dead_letters"}"#,
         ] {
             assert!(
                 parse_request(bad).is_err(),
@@ -433,6 +425,41 @@ mod tests {
         );
         // The rendered frame is itself valid JSON.
         assert!(crate::json::parse(line.as_bytes()).is_ok());
+    }
+
+    #[test]
+    fn event_frames_are_json_named_by_their_event() {
+        let events = [
+            (
+                "geofence_entered",
+                render_event(
+                    "geofence_entered",
+                    &[("sub", 1), ("object", 4), ("second", 9)],
+                ),
+            ),
+            (
+                "geofence_left",
+                render_event(
+                    "geofence_left",
+                    &[("sub", 1), ("object", 4), ("second", 10)],
+                ),
+            ),
+            (
+                "object_unseen",
+                render_event(
+                    "object_unseen",
+                    &[("object", 2), ("second", 70), ("last_seen", 3)],
+                ),
+            ),
+        ];
+        for (name, line) in &events {
+            let doc = crate::json::parse(line.as_bytes()).unwrap();
+            assert_eq!(doc.as_obj().unwrap()["event"].as_str(), Some(*name));
+        }
+        assert_eq!(
+            events[2].1,
+            "{\"event\":\"object_unseen\",\"object\":2,\"second\":70,\"last_seen\":3}"
+        );
     }
 
     #[test]

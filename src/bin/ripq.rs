@@ -68,8 +68,18 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-fn parse_or<T: std::str::FromStr>(v: Option<String>, default: T) -> T {
-    v.and_then(|s| s.parse().ok()).unwrap_or(default)
+/// The value of flag `name` parsed as a `T`, or `None` when the flag is
+/// absent. A value that does not parse is a usage error: the process
+/// exits with code 2, naming the flag and the value.
+fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    let value = flag(args, name)?;
+    match value.parse() {
+        Ok(v) => Some(v),
+        Err(_) => {
+            eprintln!("error: invalid value `{value}` for {name}");
+            std::process::exit(2);
+        }
+    }
 }
 
 fn build_plan(kind: &str) -> FloorPlan {
@@ -120,15 +130,13 @@ fn cmd_plan(args: &[String]) {
 fn fault_plan_from_args(args: &[String]) -> FaultPlan {
     let defaults = FaultPlan::none();
     FaultPlan {
-        drop_probability: parse_or(flag(args, "--fault-drop"), 0.0),
-        duplicate_probability: parse_or(flag(args, "--fault-dup"), 0.0),
-        max_delay_seconds: parse_or(flag(args, "--fault-delay"), 0),
-        outage_rate: parse_or(flag(args, "--fault-outage-rate"), 0.0),
-        outage_mean_seconds: parse_or(
-            flag(args, "--fault-outage-mean"),
-            defaults.outage_mean_seconds,
-        ),
-        seed: parse_or(flag(args, "--fault-seed"), defaults.seed),
+        drop_probability: parse_flag(args, "--fault-drop").unwrap_or(0.0),
+        duplicate_probability: parse_flag(args, "--fault-dup").unwrap_or(0.0),
+        max_delay_seconds: parse_flag(args, "--fault-delay").unwrap_or(0),
+        outage_rate: parse_flag(args, "--fault-outage-rate").unwrap_or(0.0),
+        outage_mean_seconds: parse_flag(args, "--fault-outage-mean")
+            .unwrap_or(defaults.outage_mean_seconds),
+        seed: parse_flag(args, "--fault-seed").unwrap_or(defaults.seed),
     }
 }
 
@@ -156,15 +164,15 @@ fn cmd_simulate(args: &[String]) {
     let trace_spans = args.iter().any(|a| a == "--trace");
     let faults = fault_plan_from_args(args);
     let checkpoint_dir = flag(args, "--checkpoint-dir");
-    let checkpoint_every: u64 = parse_or(flag(args, "--checkpoint-every"), 30);
-    let query_budget: Option<u64> = flag(args, "--query-budget").and_then(|s| s.parse().ok());
+    let checkpoint_every: u64 = parse_flag(args, "--checkpoint-every").unwrap_or(30);
+    let query_budget: Option<u64> = parse_flag(args, "--query-budget");
     let params = ExperimentParams {
-        num_objects: parse_or(flag(args, "--objects"), 60),
-        duration: parse_or(flag(args, "--duration"), 240),
-        seed: parse_or(flag(args, "--seed"), 0xED8_2013),
+        num_objects: parse_flag(args, "--objects").unwrap_or(60),
+        duration: parse_flag(args, "--duration").unwrap_or(240),
+        seed: parse_flag(args, "--seed").unwrap_or(0xED8_2013),
         // Preprocessing worker threads; results are bit-identical at any
         // setting, so this is purely a wall-clock knob.
-        parallelism: flag(args, "--parallelism").and_then(|s| s.parse().ok()),
+        parallelism: parse_flag(args, "--parallelism"),
         eval_timestamps: 10,
         range_queries_per_timestamp: 40,
         knn_query_points: 12,
@@ -259,9 +267,9 @@ fn cmd_simulate(args: &[String]) {
 }
 
 fn cmd_trace(args: &[String]) {
-    let object = parse_or(flag(args, "--object"), 0u32);
-    let duration: u64 = parse_or(flag(args, "--duration"), 180);
-    let seed: u64 = parse_or(flag(args, "--seed"), 7);
+    let object: u32 = parse_flag(args, "--object").unwrap_or(0);
+    let duration: u64 = parse_flag(args, "--duration").unwrap_or(180);
+    let seed: u64 = parse_flag(args, "--seed").unwrap_or(7);
     let params = ExperimentParams::default();
     let world = SimWorld::build(&params);
 

@@ -13,6 +13,9 @@
 //! crash for recovery drills; a later `replay --recover` resumes from
 //! the checkpoint directory and emits exactly the uninterrupted
 //! stream's suffix.
+//!
+//! A flag value that does not parse is a usage error (exit 2), as is
+//! `--retry` together with `--fail-after-frames`.
 
 use ripq::floorplan::{office_building, OfficeParams};
 use ripq::server::{Endpoint, RetryPolicy, Server, ServerConfig, ServerCore, ServerRecovery};
@@ -63,8 +66,21 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-fn parse_or<T: std::str::FromStr>(v: Option<String>, default: T) -> T {
-    v.and_then(|s| s.parse().ok()).unwrap_or(default)
+/// The value of flag `name` parsed as a `T`, or `None` when the flag is
+/// absent. A value that does not parse is an error naming both.
+fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    flag(args, name)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("invalid value `{v}` for {name}"))
+        })
+        .transpose()
+}
+
+/// Reports a usage error; returns its exit code.
+fn usage_error(message: &str) -> i32 {
+    eprintln!("error: {message}");
+    2
 }
 
 fn endpoint_from(args: &[String]) -> Option<Endpoint> {
@@ -74,29 +90,28 @@ fn endpoint_from(args: &[String]) -> Option<Endpoint> {
     flag(args, "--tcp").map(Endpoint::Tcp)
 }
 
-fn server_config(args: &[String]) -> ServerConfig {
-    ServerConfig {
-        seed: parse_or(flag(args, "--seed"), ServerConfig::default().seed),
-        workers: flag(args, "--workers").and_then(|s| s.parse().ok()),
-        checkpoint_every_ticks: parse_or(flag(args, "--checkpoint-every-ticks"), 0),
-        unseen_after: parse_or(flag(args, "--unseen-after"), 60),
-        max_frames_per_tick: parse_or(flag(args, "--max-frames-per-tick"), 0),
-        max_subscriptions: parse_or(flag(args, "--max-subscriptions"), 0),
-        max_conn_response_bytes: parse_or(flag(args, "--max-conn-bytes"), 0),
-        query_budget: flag(args, "--query-budget").and_then(|s| s.parse().ok()),
-        ..ServerConfig::default()
-    }
+fn server_config(args: &[String]) -> Result<ServerConfig, String> {
+    let defaults = ServerConfig::default();
+    Ok(ServerConfig {
+        seed: parse_flag(args, "--seed")?.unwrap_or(defaults.seed),
+        workers: parse_flag(args, "--workers")?,
+        checkpoint_every_ticks: parse_flag(args, "--checkpoint-every-ticks")?.unwrap_or(0),
+        max_frames_per_tick: parse_flag(args, "--max-frames-per-tick")?.unwrap_or(0),
+        max_subscriptions: parse_flag(args, "--max-subscriptions")?.unwrap_or(0),
+        max_conn_response_bytes: parse_flag(args, "--max-conn-bytes")?.unwrap_or(0),
+        query_budget: parse_flag(args, "--query-budget")?,
+    })
 }
 
-fn retry_policy(args: &[String]) -> Option<RetryPolicy> {
+fn retry_policy(args: &[String]) -> Result<Option<RetryPolicy>, String> {
     if !args.iter().any(|a| a == "--retry") {
-        return None;
+        return Ok(None);
     }
     let defaults = RetryPolicy::default();
-    Some(RetryPolicy {
-        seed: parse_or(flag(args, "--retry-seed"), defaults.seed),
-        max_rounds: parse_or(flag(args, "--retry-max-rounds"), defaults.max_rounds),
-    })
+    Ok(Some(RetryPolicy {
+        seed: parse_flag(args, "--retry-seed")?.unwrap_or(defaults.seed),
+        max_rounds: parse_flag(args, "--retry-max-rounds")?.unwrap_or(defaults.max_rounds),
+    }))
 }
 
 fn report_retry(outcome: &ripq::server::RetryOutcome) {
@@ -118,9 +133,9 @@ fn report_retry(outcome: &ripq::server::RetryOutcome) {
 /// Builds the daemon core over the default office plan, wiring the
 /// checkpoint directory and (optionally) recovering a previous life.
 /// Returns the core plus how many input frames recovery already covers.
-fn build_core(args: &[String]) -> Result<(ServerCore, u64), String> {
+fn build_core(args: &[String], config: ServerConfig) -> Result<(ServerCore, u64), String> {
     let plan = office_building(&OfficeParams::default()).map_err(|e| e.to_string())?;
-    let mut core = ServerCore::new(plan, server_config(args));
+    let mut core = ServerCore::new(plan, config);
     let checkpoint_dir = flag(args, "--checkpoint-dir");
     let recover = args.iter().any(|a| a == "--recover");
     let mut skip = 0;
@@ -165,7 +180,11 @@ fn cmd_serve(args: &[String]) -> i32 {
         eprintln!("error: serve needs --uds PATH or --tcp ADDR");
         return 2;
     };
-    let (mut core, _) = match build_core(args) {
+    let config = match server_config(args) {
+        Ok(c) => c,
+        Err(e) => return usage_error(&e),
+    };
+    let (mut core, _) = match build_core(args, config) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("error: {e}");
@@ -199,29 +218,36 @@ fn cmd_serve(args: &[String]) -> i32 {
     0
 }
 
+fn transcript_spec(args: &[String]) -> Result<TranscriptSpec, String> {
+    let defaults = TranscriptSpec::default();
+    Ok(TranscriptSpec {
+        seed: parse_flag(args, "--seed")?.unwrap_or(defaults.seed),
+        objects: parse_flag(args, "--objects")?.unwrap_or(defaults.objects),
+        seconds: parse_flag(args, "--seconds")?.unwrap_or(defaults.seconds),
+        tick_every: parse_flag(args, "--tick-every")?.unwrap_or(defaults.tick_every),
+        range_subs: parse_flag(args, "--range-subs")?.unwrap_or(defaults.range_subs),
+        knn_subs: parse_flag(args, "--knn-subs")?.unwrap_or(defaults.knn_subs),
+        checkpoint_after: if args.iter().any(|a| a == "--no-checkpoint") {
+            None
+        } else {
+            Some(
+                parse_flag(args, "--checkpoint-after")?
+                    .unwrap_or(defaults.checkpoint_after.unwrap_or(60)),
+            )
+        },
+        metrics_frame: !args.iter().any(|a| a == "--no-metrics"),
+        tick_budget: parse_flag(args, "--tick-budget")?,
+    })
+}
+
 fn cmd_record(args: &[String]) -> i32 {
     let Some(out) = flag(args, "--out") else {
         eprintln!("error: record needs --out FILE");
         return 2;
     };
-    let defaults = TranscriptSpec::default();
-    let spec = TranscriptSpec {
-        seed: parse_or(flag(args, "--seed"), defaults.seed),
-        objects: parse_or(flag(args, "--objects"), defaults.objects),
-        seconds: parse_or(flag(args, "--seconds"), defaults.seconds),
-        tick_every: parse_or(flag(args, "--tick-every"), defaults.tick_every),
-        range_subs: parse_or(flag(args, "--range-subs"), defaults.range_subs),
-        knn_subs: parse_or(flag(args, "--knn-subs"), defaults.knn_subs),
-        checkpoint_after: if args.iter().any(|a| a == "--no-checkpoint") {
-            None
-        } else {
-            Some(parse_or(
-                flag(args, "--checkpoint-after"),
-                defaults.checkpoint_after.unwrap_or(60),
-            ))
-        },
-        metrics_frame: !args.iter().any(|a| a == "--no-metrics"),
-        tick_budget: flag(args, "--tick-budget").and_then(|s| s.parse().ok()),
+    let spec = match transcript_spec(args) {
+        Ok(spec) => spec,
+        Err(e) => return usage_error(&e),
     };
     let transcript = record_transcript(&spec);
     if let Err(e) = transcript.save(std::path::Path::new(&out)) {
@@ -237,6 +263,19 @@ fn cmd_replay(args: &[String]) -> i32 {
         eprintln!("error: replay needs --transcript FILE");
         return 2;
     };
+    let parsed = server_config(args).and_then(|config| {
+        let fail_after: Option<u64> = parse_flag(args, "--fail-after-frames")?;
+        let retry = retry_policy(args)?;
+        // The retry loop owns frame pacing, so it cannot simulate a crash.
+        if retry.is_some() && fail_after.is_some() {
+            return Err("--retry cannot be combined with --fail-after-frames".to_string());
+        }
+        Ok((config, fail_after, retry))
+    });
+    let (config, fail_after, retry) = match parsed {
+        Ok(v) => v,
+        Err(e) => return usage_error(&e),
+    };
     let transcript = match Transcript::load(std::path::Path::new(&path)) {
         Ok(t) => t,
         Err(e) => {
@@ -244,18 +283,16 @@ fn cmd_replay(args: &[String]) -> i32 {
             return 1;
         }
     };
-    let (mut core, skip) = match build_core(args) {
+    let (mut core, skip) = match build_core(args, config) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("error: {e}");
             return 1;
         }
     };
-    let fail_after: Option<u64> = flag(args, "--fail-after-frames").and_then(|s| s.parse().ok());
-    if let Some(policy) = retry_policy(args) {
+    if let Some(policy) = retry {
         // Shed-aware replay: the in-process equivalent of the backoff
-        // socket client. Incompatible with crash simulation (the retry
-        // loop owns frame pacing).
+        // socket client.
         let remaining: Vec<String> = transcript
             .frames
             .iter()
@@ -297,6 +334,10 @@ fn cmd_send(args: &[String]) -> i32 {
         eprintln!("error: send needs --transcript FILE");
         return 2;
     };
+    let retry = match retry_policy(args) {
+        Ok(r) => r,
+        Err(e) => return usage_error(&e),
+    };
     let transcript = match Transcript::load(std::path::Path::new(&path)) {
         Ok(t) => t,
         Err(e) => {
@@ -304,7 +345,7 @@ fn cmd_send(args: &[String]) -> i32 {
             return 1;
         }
     };
-    if let Some(policy) = retry_policy(args) {
+    if let Some(policy) = retry {
         return match ripq::server::send_frames_with_retry(
             &endpoint,
             &transcript.payloads(),

@@ -1,4 +1,5 @@
-//! End-to-end tests of the `ripq` command-line binary.
+//! End-to-end tests of the `ripq` and `ripq-server` command-line
+//! binaries.
 
 use std::process::Command;
 
@@ -7,6 +8,24 @@ fn ripq(args: &[&str]) -> std::process::Output {
         .args(args)
         .output()
         .expect("binary runs")
+}
+
+fn ripq_server(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_ripq-server"))
+        .args(args)
+        .output()
+        .expect("binary runs")
+}
+
+/// Asserts a usage error: exit code 2, nothing on stdout, and a message
+/// naming every string in `names`.
+fn assert_usage_error(out: &std::process::Output, names: &[&str]) {
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(out.stdout.is_empty(), "ran anyway: {err}");
+    for name in names {
+        assert!(err.contains(name), "{name} not named in: {err}");
+    }
 }
 
 #[test]
@@ -231,4 +250,29 @@ fn unknown_subcommand_fails_with_usage() {
 fn help_exits_zero() {
     let out = ripq(&[]);
     assert!(out.status.success());
+}
+
+#[test]
+fn unparsable_flag_value_is_a_usage_error() {
+    let out = ripq(&["simulate", "--objects", "abc"]);
+    assert_usage_error(&out, &["--objects", "`abc`"]);
+}
+
+#[test]
+fn server_flag_errors_are_usage_errors() {
+    let transcript = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/server_transcript.txt"
+    );
+    let replay = |extra: &[&str]| {
+        let mut args = vec!["replay", "--transcript", transcript];
+        args.extend_from_slice(extra);
+        ripq_server(&args)
+    };
+    let out = replay(&["--max-frames-per-tick", "4x", "--retry"]);
+    assert_usage_error(&out, &["--max-frames-per-tick", "`4x`"]);
+    // A retried replay cannot simulate a crash, so asking for both fails
+    // instead of ignoring the crash.
+    let out = replay(&["--retry", "--fail-after-frames", "5"]);
+    assert_usage_error(&out, &["--retry", "--fail-after-frames"]);
 }

@@ -1,6 +1,5 @@
-//! Overload harness: admission control, the deterministic retry client,
-//! supervised executors with the dead-letter queue, and graceful
-//! shutdown — the PR 10 acceptance suite.
+//! Overload harness: admission control, the deterministic retry client
+//! in process and over a socket, and graceful shutdown.
 //!
 //! The headline invariant: because the server sheds data frames as a
 //! strict *suffix* of each tick interval and defers the tick itself,
@@ -11,8 +10,8 @@
 use proptest::prelude::*;
 use ripq::floorplan::{office_building, OfficeParams};
 use ripq::server::{
-    replay_with_retry, Executor, RetryPolicy, ServerConfig, ServerCore, ServerEvent,
-    ServerRecovery, SupervisorPolicy,
+    replay_with_retry, send_frames_with_retry, Endpoint, RetryPolicy, Server, ServerConfig,
+    ServerCore, ServerRecovery,
 };
 use ripq::sim::transcript::{record_transcript, TranscriptSpec};
 use std::path::PathBuf;
@@ -209,118 +208,43 @@ proptest! {
     }
 }
 
-/// An executor that always panics — fault injection for the supervisor.
-/// Lives in the test crate so the production panic ratchet stays at
-/// zero.
-struct AlwaysPanics;
-
-impl Executor for AlwaysPanics {
-    fn name(&self) -> &'static str {
-        "flaky"
-    }
-
-    fn on_event(&mut self, _event: &ServerEvent) -> Vec<String> {
-        panic!("injected executor fault")
-    }
-}
-
-fn supervised_config() -> ServerConfig {
-    ServerConfig {
-        supervisor: SupervisorPolicy {
-            max_attempts: 2,
-            quarantine_after: 1,
-            open_ticks: 1_000, // stays open for the whole scenario
-            dead_letter_capacity: 16,
-        },
-        ..ServerConfig::default()
-    }
-}
-
-/// Frames that fire a geofence event: subscribe on a window around one
-/// reader, park an object there, tick.
-fn event_frames() -> Vec<String> {
-    let core = core_with(ServerConfig::default());
-    let reader = core.system().readers()[2];
-    let window = ripq::geom::Rect::centered(reader.position(), 10.0, 6.0);
-    let mut frames = vec![format!(
-        "{{\"op\":\"subscribe\",\"sub\":7,\"range\":[{},{},{},{}]}}",
-        window.min().x,
-        window.min().y,
-        window.width(),
-        window.height()
-    )];
-    for s in 0..3u64 {
-        frames.push(format!(
-            "{{\"op\":\"reading\",\"second\":{s},\"readings\":[[0,{}]]}}",
-            reader.id().raw()
-        ));
-    }
-    frames.push("{\"op\":\"tick\",\"second\":3}".to_string());
-    frames
-}
-
-/// Breaker trip + dead-letter durability: a panicking executor is
-/// retried, quarantined behind an open circuit, its event diverted to
-/// the dead-letter queue — and both the breaker and the queue survive a
-/// crash/recover cycle through `server.ckpt`.
+/// The socket client and the in-process replay run one retry loop: a
+/// flooded session sent over a UDS socket to a throttled daemon delivers
+/// what `replay_with_retry` delivers, which is the unthrottled stream.
 #[test]
-fn breaker_trips_and_dead_letters_survive_crash_recovery() {
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {})); // keep injected panics quiet
-    let dir = temp_dir("dlq");
-
-    let mut life1 = core_with(supervised_config());
-    life1.push_executor(Box::new(AlwaysPanics));
-    life1.set_checkpoint_dir(&dir);
-    for frame in event_frames() {
-        life1.handle_frame(frame.as_bytes());
-    }
-    assert!(
-        life1.dead_letters().count() >= 1,
-        "exhausted retries must dead-letter the event"
+fn socket_retry_session_matches_in_process_replay() {
+    let mut frames = flood_frames(30, 10, 4, None);
+    frames.push("{\"op\":\"shutdown\"}".to_string());
+    let expected = replay_plain(&frames, ServerConfig::default());
+    let throttled = || ServerConfig {
+        max_frames_per_tick: 4,
+        ..ServerConfig::default()
+    };
+    let in_process = replay_with_retry(
+        &mut core_with(throttled()),
+        &frames,
+        &RetryPolicy::default(),
     );
-    assert_eq!(life1.quarantined_executors(), vec!["flaky"]);
-    let listing = life1.handle_frame(b"{\"op\":\"dead_letters\"}");
-    assert!(listing[0].starts_with("{\"dead_letters\":"));
-    assert!(listing[0].contains("\"executor\":\"flaky\""));
-    assert!(life1
-        .metrics_json()
-        .contains("\"server.executor.quarantined\": 1"));
-    life1.handle_frame(b"{\"op\":\"checkpoint\"}");
-    drop(life1); // the crash
+    assert!(in_process.busy_lines > 0, "budget 4 vs 10 frames must shed");
 
-    let mut life2 = core_with(supervised_config());
-    life2.push_executor(Box::new(AlwaysPanics));
-    let outcome = life2.recover(&dir).expect("recovery succeeds");
-    assert!(matches!(outcome, ServerRecovery::Resumed { .. }));
-    assert!(
-        life2.dead_letters().count() >= 1,
-        "dead letters must survive the checkpoint round trip"
-    );
-    assert_eq!(
-        life2.quarantined_executors(),
-        vec!["flaky"],
-        "the open breaker must survive recovery"
-    );
-    // While the circuit is open, new events go straight to the queue —
-    // the executor is never re-invoked (it would panic again).
-    let before = life2.dead_letters().count();
-    life2.handle_frame(b"{\"op\":\"reading\",\"second\":20,\"readings\":[]}");
-    life2.handle_frame(b"{\"op\":\"tick\",\"second\":21}");
-    assert!(
-        life2.dead_letters().count() >= before,
-        "open circuit short-circuits"
-    );
+    let path = std::env::temp_dir().join("ripq_server_overload_retry.sock");
+    let server = Server::bind(&Endpoint::Uds(path.clone())).expect("bind the socket");
+    let endpoint = server.endpoint();
+    let mut core = core_with(throttled());
+    // The session ends in `shutdown`, so `serve` returns.
+    let daemon = std::thread::spawn(move || server.serve(&mut core));
+    let payloads: Vec<Vec<u8>> = frames.iter().map(|f| f.clone().into_bytes()).collect();
+    let socket = send_frames_with_retry(&endpoint, &payloads, &RetryPolicy::default())
+        .expect("socket session");
+    daemon
+        .join()
+        .expect("daemon thread")
+        .expect("serve returns after shutdown");
 
-    // Drain empties the queue through the protocol.
-    let drained = life2.handle_frame(b"{\"op\":\"dead_letters\",\"drain\":true}");
-    assert!(drained[0].starts_with("{\"dead_letters\":"));
-    assert_eq!(life2.dead_letters().count(), 0);
-    let empty = life2.handle_frame(b"{\"op\":\"dead_letters\"}");
-    assert_eq!(empty[0], "{\"dead_letters\":0,\"letters\":[]}");
-
-    std::panic::set_hook(hook);
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(socket.lines, in_process.lines);
+    assert_eq!(socket.lines, expected);
+    assert_eq!(socket, in_process, "same loop, same retry accounting");
+    assert!(!path.exists(), "socket file removed after shutdown");
 }
 
 /// Kill-vs-graceful byte identity: the checkpoint a graceful shutdown

@@ -118,8 +118,8 @@ pub const LAYERS: &[Layer] = &[
         name: "server",
         allowed: &["geom", "persist", "floorplan", "rfid", "core"],
         role: "streaming query daemon: framed ingestion, continuous subscriptions, \
-               executors; must NEVER depend on the simulator (transcripts arrive as \
-               plain frames)",
+               geofence/unseen events; must NEVER depend on the simulator (transcripts \
+               arrive as plain frames)",
     },
     Layer {
         name: "bench",
