@@ -27,10 +27,6 @@ pub enum RipqError {
     DuplicateSubscription(u64),
 }
 
-/// Historical name of [`RipqError`], kept for downstream source
-/// compatibility.
-pub type CoreError = RipqError;
-
 impl fmt::Display for RipqError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -69,11 +65,5 @@ mod tests {
         assert!(RipqError::DuplicateSubscription(4)
             .to_string()
             .contains('4'));
-    }
-
-    #[test]
-    fn legacy_alias_still_names_the_same_type() {
-        let e: CoreError = RipqError::ZeroK;
-        assert_eq!(e, RipqError::ZeroK);
     }
 }

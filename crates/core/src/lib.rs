@@ -48,7 +48,7 @@ mod system;
 pub use checkpoint::RecoveryOutcome;
 pub use clock::{Clock, ClockInstant, TimingMode};
 pub use closest_pairs::{evaluate_closest_pairs, ClosestPairsQuery, ObjectPair};
-pub use error::{CoreError, RipqError};
+pub use error::RipqError;
 pub use knn_eval::evaluate_knn;
 pub use occupancy::{room_occupancy, OccupancyReport, RoomOccupancy};
 pub use optimizer::{

@@ -15,7 +15,7 @@
 //! frequencies. This matches the semantics of possible-worlds kNN under
 //! attribute-level uncertainty.
 
-use crate::{CoreError, ResultSet};
+use crate::{ResultSet, RipqError};
 use rand::Rng;
 use ripq_geom::Point2;
 use ripq_graph::{AnchorId, AnchorObjectIndex, AnchorScan, AnchorSet, ScanCounts, WalkingGraph};
@@ -36,13 +36,13 @@ pub struct PtknnQuery {
 
 impl PtknnQuery {
     /// Creates a PTkNN query, validating `k` and `T`.
-    pub fn new(point: Point2, k: usize, threshold: f64) -> Result<Self, CoreError> {
+    pub fn new(point: Point2, k: usize, threshold: f64) -> Result<Self, RipqError> {
         if k == 0 {
-            return Err(CoreError::ZeroK);
+            return Err(RipqError::ZeroK);
         }
         // ripq-lint: allow(prob-hygiene) -- validation rejects exactly T = 0 per the query definition (T ∈ (0, 1]); a tolerance would wrongly reject tiny valid thresholds
         if !(0.0..=1.0).contains(&threshold) || threshold == 0.0 {
-            return Err(CoreError::InvalidThreshold(threshold));
+            return Err(RipqError::InvalidThreshold(threshold));
         }
         Ok(PtknnQuery {
             point,

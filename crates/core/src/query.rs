@@ -1,6 +1,6 @@
 //! Query types.
 
-use crate::CoreError;
+use crate::RipqError;
 use ripq_geom::{Point2, Rect};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -43,10 +43,10 @@ impl RangeQuery {
     /// Creates a range query, validating the window: its area must be
     /// positive, so a window whose area is NaN (an infinite side times a
     /// zero one) is refused too.
-    pub fn new(id: QueryId, window: Rect) -> Result<Self, CoreError> {
+    pub fn new(id: QueryId, window: Rect) -> Result<Self, RipqError> {
         let area = window.area();
         if area.is_nan() || area <= 0.0 {
-            return Err(CoreError::EmptyWindow);
+            return Err(RipqError::EmptyWindow);
         }
         Ok(RangeQuery { id, window })
     }
@@ -67,9 +67,9 @@ pub struct KnnQuery {
 
 impl KnnQuery {
     /// Creates a kNN query, validating `k`.
-    pub fn new(id: QueryId, point: Point2, k: usize) -> Result<Self, CoreError> {
+    pub fn new(id: QueryId, point: Point2, k: usize) -> Result<Self, RipqError> {
         if k == 0 {
-            return Err(CoreError::ZeroK);
+            return Err(RipqError::ZeroK);
         }
         Ok(KnnQuery { id, point, k })
     }
@@ -82,17 +82,17 @@ mod tests {
     #[test]
     fn range_query_rejects_empty_window() {
         let err = RangeQuery::new(QueryId::new(0), Rect::new(0.0, 0.0, 0.0, 5.0));
-        assert_eq!(err.unwrap_err(), CoreError::EmptyWindow);
+        assert_eq!(err.unwrap_err(), RipqError::EmptyWindow);
         // 1e308 + 1e308 overflows: width inf, height 0, area NaN.
         let err = RangeQuery::new(QueryId::new(0), Rect::new(1e308, 0.0, 1e308, 0.0));
-        assert_eq!(err.unwrap_err(), CoreError::EmptyWindow);
+        assert_eq!(err.unwrap_err(), RipqError::EmptyWindow);
         assert!(RangeQuery::new(QueryId::new(0), Rect::new(0.0, 0.0, 2.0, 5.0)).is_ok());
     }
 
     #[test]
     fn knn_query_rejects_zero_k() {
         let err = KnnQuery::new(QueryId::new(1), Point2::new(1.0, 1.0), 0);
-        assert_eq!(err.unwrap_err(), CoreError::ZeroK);
+        assert_eq!(err.unwrap_err(), RipqError::ZeroK);
         let q = KnnQuery::new(QueryId::new(1), Point2::new(1.0, 1.0), 3).unwrap();
         assert_eq!(q.k, 3);
     }

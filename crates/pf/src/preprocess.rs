@@ -29,7 +29,7 @@ use ripq_graph::{
     AnchorId, AnchorObjectIndex, AnchorSet, DeltaOutcome, IndexDeltaStats, WalkingGraph,
 };
 use ripq_obs::{Counter, Histogram, Recorder};
-use ripq_rfid::{ObjectId, Reader, ReaderId, ReadingStore};
+use ripq_rfid::{DataCollector, ObjectId, Reader, ReaderId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -294,9 +294,9 @@ impl<'a> ParticlePreprocessor<'a> {
     /// Lines 1–6 of Algorithm 2 plus the cache lookup (§4.5): everything
     /// that happens before the first random draw. `None` when the
     /// collector has never seen the object.
-    fn plan_object<S: ReadingStore + ?Sized>(
+    fn plan_object(
         &self,
-        collector: &S,
+        collector: &DataCollector,
         object: ObjectId,
         now: u64,
         cache: Option<&ParticleCache>,
@@ -351,11 +351,11 @@ impl<'a> ParticlePreprocessor<'a> {
     /// Returns `None` only if the object vanished from the collector
     /// between planning and filtering (unobservable, but handled).
     #[allow(clippy::too_many_arguments)]
-    fn filter_object<R: Rng, S: ReadingStore + ?Sized>(
+    fn filter_object<R: Rng>(
         &self,
         rng: &mut R,
         particles: &mut Particles,
-        collector: &S,
+        collector: &DataCollector,
         object: ObjectId,
         mut plan: ObjectPlan,
         cache: Option<&ParticleCache>,
@@ -443,9 +443,9 @@ impl<'a> ParticlePreprocessor<'a> {
     /// (§4.3), centered at the last detecting reader with radius
     /// `activation_range + v_max · (now − t_last)`. `None` when the
     /// collector has never detected the object (or no anchors exist).
-    fn fallback_distribution<S: ReadingStore + ?Sized>(
+    fn fallback_distribution(
         &self,
-        collector: &S,
+        collector: &DataCollector,
         object: ObjectId,
         now: u64,
     ) -> Option<Vec<(AnchorId, f64)>> {
@@ -481,11 +481,11 @@ impl<'a> ParticlePreprocessor<'a> {
     /// persistently poisoned. Returns the answered distribution and the
     /// level it was produced at.
     #[allow(clippy::too_many_arguments)]
-    fn run_supervised_object<S: ReadingStore + Sync + ?Sized>(
+    fn run_supervised_object(
         &self,
         particles: &mut Particles,
         pass_seed: u64,
-        collector: &S,
+        collector: &DataCollector,
         object: ObjectId,
         mut plan: Option<ObjectPlan>,
         level: DegradationLevel,
@@ -598,10 +598,10 @@ impl<'a> ParticlePreprocessor<'a> {
     /// plus the [`IndexDeltaStats`] of this pass (the `index.delta_*`
     /// observability family).
     #[allow(clippy::too_many_arguments)]
-    pub fn process<S: ReadingStore + Sync + ?Sized>(
+    pub fn process(
         &self,
         pass_seed: u64,
-        collector: &S,
+        collector: &DataCollector,
         candidates: &[ObjectId],
         now: u64,
         cache: Option<&ParticleCache>,
@@ -758,7 +758,7 @@ mod tests {
     use ripq_floorplan::{office_building, OfficeParams};
     use ripq_graph::build_walking_graph;
     use ripq_obs::MetricsSnapshot;
-    use ripq_rfid::{deploy_uniform, DataCollector};
+    use ripq_rfid::deploy_uniform;
 
     struct World {
         graph: WalkingGraph,
@@ -799,10 +799,10 @@ mod tests {
 
     /// Runs one pass into an empty index; returns it with the levels.
     #[allow(clippy::too_many_arguments)]
-    fn fresh<S: ReadingStore + Sync + ?Sized>(
+    fn fresh(
         pre: &ParticlePreprocessor<'_>,
         pass_seed: u64,
-        c: &S,
+        c: &DataCollector,
         candidates: &[ObjectId],
         now: u64,
         cache: Option<&ParticleCache>,
@@ -827,10 +827,10 @@ mod tests {
     }
 
     /// [`fresh`] on the calling thread with default supervision.
-    fn pass<S: ReadingStore + Sync + ?Sized>(
+    fn pass(
         pre: &ParticlePreprocessor<'_>,
         pass_seed: u64,
-        c: &S,
+        c: &DataCollector,
         candidates: &[ObjectId],
         now: u64,
         cache: Option<&ParticleCache>,

@@ -4,18 +4,20 @@
 //! applications").
 //!
 //! Given the *full* reading history of an object (a
-//! [`ripq_rfid::HistoryCollector`]), [`reconstruct_trajectory`] runs the
-//! particle filter forward over the whole recording and emits, for every
-//! second, the filtered location estimate: the probability-weighted mean
-//! point and the most probable anchor. Unlike the online preprocessor it
-//! never discards old episodes — it replays the complete timeline.
+//! [`ripq_rfid::HistoryCollector`]'s log of per-second batches),
+//! [`reconstruct_trajectory`] runs the particle filter forward over the
+//! whole recording and emits, for every second, the filtered location
+//! estimate: the probability-weighted mean point and the most probable
+//! anchor. Unlike the online preprocessor it never discards old episodes:
+//! it reads each second's reading straight from the log, aggregated by the
+//! collector's rule, from the object's first detection on.
 
 use crate::sir::{Particles, Sir, SirModel};
 use crate::{MeasurementModel, MotionModel};
 use rand::Rng;
 use ripq_geom::Point2;
 use ripq_graph::{AnchorId, AnchorSet, WalkingGraph};
-use ripq_rfid::{HistoryCollector, ObjectId, Reader, ReadingStore};
+use ripq_rfid::{HistoryCollector, ObjectId, Reader, ReaderId};
 use serde::{Deserialize, Serialize};
 
 /// One reconstructed trajectory sample.
@@ -60,8 +62,8 @@ impl Default for TrajectoryConfig {
 }
 
 /// Replays an object's full recorded history through the particle filter
-/// and returns one [`TrajectoryPoint`] per second from its first to its
-/// last recorded second. Returns `None` when the history never saw the
+/// and returns one [`TrajectoryPoint`] per second from its first detection
+/// to the log's last second. Returns `None` when the history never saw the
 /// object.
 pub fn reconstruct_trajectory<R: Rng>(
     rng: &mut R,
@@ -73,28 +75,8 @@ pub fn reconstruct_trajectory<R: Rng>(
     config: &TrajectoryConfig,
 ) -> Option<Vec<TrajectoryPoint>> {
     let end = history.current_second()?;
-    let view = history.view_at(end);
-    let agg = view.aggregated(object)?;
-    // The full history view's aggregated window still applies the
-    // two-episode retention; for reconstruction we need everything, so we
-    // walk the entries from the object's very first second via view_at at
-    // each instant instead. Simpler: rebuild the full entry list by
-    // querying the first-instant view for the start.
-    let first_second = {
-        // Find the earliest instant the object exists.
-        let mut lo = 0u64;
-        let mut hi = end;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if history.view_at(mid).aggregated(object).is_some() {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        lo
-    };
-    let _ = agg;
+    let (first_second, readings) = readings_of(history, object)?;
+    let first_reader = readings.first().copied().flatten()?;
 
     // Seed at the first detecting reader, then run the same SIR filter as
     // the online preprocessor, resampling below half the particle count.
@@ -111,7 +93,6 @@ pub fn reconstruct_trajectory<R: Rng>(
             num_particles: config.num_particles,
         },
     );
-    let (first_reader, _) = history.view_at(first_second).last_detection(object)?;
     let mut particles = sir.particles();
     sir.seed(
         &mut particles,
@@ -124,12 +105,9 @@ pub fn reconstruct_trajectory<R: Rng>(
     push_sample(&mut out, graph, anchors, &particles, first_second, true);
 
     for second in first_second + 1..=end {
-        // The reading of this second, from the instant view (sees exactly
-        // the entries up to `second`).
-        let reading = history
-            .view_at(second)
-            .aggregated(object)
-            .and_then(|a| a.entry_at(second))
+        let reading = readings
+            .get((second - first_second) as usize)
+            .copied()
             .flatten();
         sir.iterate(&mut particles, rng, reading);
         push_sample(
@@ -142,6 +120,31 @@ pub fn reconstruct_trajectory<R: Rng>(
         );
     }
     Some(out)
+}
+
+/// `object`'s reading of every second from its first detection on, read
+/// from the log by the collector's rule: within a batch the last pair
+/// naming the object wins, and a later batch for the same second never
+/// replaces a detection. Returns the first second and one entry per
+/// second through the last detection (`None` = unseen that second), or
+/// `None` when the log never names the object.
+fn readings_of(
+    history: &HistoryCollector,
+    object: ObjectId,
+) -> Option<(u64, Vec<Option<ReaderId>>)> {
+    let mut first_second = None;
+    let mut readings = Vec::new();
+    for (second, batch) in history.batches() {
+        let Some(&(_, reader)) = batch.iter().rev().find(|(o, _)| *o == object) else {
+            continue;
+        };
+        let len = (second - *first_second.get_or_insert(second)) as usize + 1;
+        if readings.len() < len {
+            readings.resize(len - 1, None);
+            readings.push(Some(reader));
+        }
+    }
+    Some((first_second?, readings))
 }
 
 fn push_sample(

@@ -5,219 +5,89 @@
 //! save storage space. For systems which are required to answer historical
 //! queries, the data collector module needs to be modified accordingly to
 //! keep a longer reading history." This module is that modification:
-//! [`HistoryCollector`] retains every aggregated entry, and
-//! [`HistoryCollector::view_at`] materializes a read-only view that
-//! behaves exactly like the space-bounded [`crate::DataCollector`] *as of
-//! any past second* — the particle filter replays it unchanged and
-//! answers "where was everyone at 10:42?" queries.
+//! [`HistoryCollector`] logs every per-second batch it accepts, and
+//! [`HistoryCollector::view_at`] replays the log up to any past second
+//! into a fresh [`DataCollector`] — the collector *as of* that second —
+//! so the particle filter answers "where was everyone at 10:42?" queries
+//! through the one collector the live system runs.
 
-use crate::{AggregatedReadings, ObjectId, ReaderId, ReadingStore};
+use crate::{DataCollector, ObjectId, ReaderId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-/// One full detection episode.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-struct Episode {
-    reader: ReaderId,
-    first_second: u64,
-    last_second: u64,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ObjectHistory {
-    start_second: u64,
-    entries: Vec<Option<ReaderId>>,
-    episodes: Vec<Episode>,
-}
-
-/// A data collector that never discards history.
+/// A data collector that never discards history: the log of accepted
+/// per-second batches.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct HistoryCollector {
-    objects: HashMap<ObjectId, ObjectHistory>,
-    current_second: Option<u64>,
-    /// Same-reader re-detections within this many seconds continue the
-    /// episode (mirrors [`crate::DataCollector`]).
-    gap_tolerance: u64,
+    /// Every accepted batch with its second, in ingestion order (seconds
+    /// non-decreasing).
+    batches: Vec<(u64, Vec<(ObjectId, ReaderId)>)>,
 }
 
 impl HistoryCollector {
     /// Creates an empty history collector.
     pub fn new() -> Self {
-        HistoryCollector {
-            gap_tolerance: 2,
-            ..Default::default()
-        }
+        Self::default()
     }
 
-    /// Ingests pre-aggregated per-second detections (at most one reader
-    /// per object). Seconds must be non-decreasing.
+    /// Logs pre-aggregated per-second detections, as
+    /// [`DataCollector::ingest_second`] takes them: a batch older than the
+    /// newest second is dropped, and several batches for one second merge
+    /// when replayed.
     pub fn ingest_second(&mut self, second: u64, detections: &[(ObjectId, ReaderId)]) {
-        if let Some(cur) = self.current_second {
-            if second < cur {
-                return; // stale batch (see DataCollector::ingest_second)
-            }
+        if self.current_second().is_some_and(|cur| second < cur) {
+            return;
         }
-        self.current_second = Some(second);
-        let mut det: HashMap<ObjectId, ReaderId> = HashMap::new();
-        for &(o, r) in detections {
-            det.insert(o, r);
-        }
-        let ids: Vec<ObjectId> = self.objects.keys().copied().collect();
-        for id in ids {
-            let reading = det.remove(&id);
-            self.append(id, second, reading);
-        }
-        for (id, reader) in det {
-            self.objects.insert(
-                id,
-                ObjectHistory {
-                    start_second: second,
-                    entries: Vec::new(),
-                    episodes: Vec::new(),
-                },
-            );
-            self.append(id, second, Some(reader));
-        }
-    }
-
-    fn append(&mut self, id: ObjectId, second: u64, reading: Option<ReaderId>) {
-        let gap = self.gap_tolerance;
-        let st = self.objects.get_mut(&id).expect("caller ensures presence");
-        let expected = st.start_second + st.entries.len() as u64;
-        for _ in expected..second {
-            st.entries.push(None);
-        }
-        st.entries.push(reading);
-        if let Some(reader) = reading {
-            let cont = st
-                .episodes
-                .last()
-                .is_some_and(|e| e.reader == reader && second - e.last_second <= gap + 1);
-            if cont {
-                st.episodes.last_mut().expect("checked").last_second = second;
-            } else {
-                st.episodes.push(Episode {
-                    reader,
-                    first_second: second,
-                    last_second: second,
-                });
-            }
-        }
+        self.batches.push((second, detections.to_vec()));
     }
 
     /// The last second fed in.
     pub fn current_second(&self) -> Option<u64> {
-        self.current_second
+        self.batches.last().map(|&(second, _)| second)
     }
 
-    /// Total retained entries across all objects (storage diagnostic; the
-    /// §4.1 space argument is that [`crate::DataCollector`]'s equivalent
-    /// figure stays bounded while this one grows with time).
+    /// Seconds of readings the log covers, summed over objects: each
+    /// object from its first detection through
+    /// [`HistoryCollector::current_second`] (storage diagnostic; the §4.1
+    /// space argument is that [`DataCollector`]'s retained entries stay
+    /// bounded while this figure grows with time).
     pub fn total_entries(&self) -> usize {
-        self.objects.values().map(|h| h.entries.len()).sum()
-    }
-
-    /// A read-only view of the world as of `second` (inclusive),
-    /// reproducing the snapshot collector's two-episode retention policy
-    /// at that instant.
-    pub fn view_at(&self, second: u64) -> HistoryView<'_> {
-        HistoryView {
-            inner: self,
-            at: second,
-        }
-    }
-}
-
-/// The state of a [`HistoryCollector`] as of a fixed past second.
-#[derive(Debug, Clone, Copy)]
-pub struct HistoryView<'a> {
-    inner: &'a HistoryCollector,
-    at: u64,
-}
-
-impl HistoryView<'_> {
-    /// The second this view is frozen at.
-    pub fn at(&self) -> u64 {
-        self.at
-    }
-
-    /// Episodes of `o` clipped to the view instant: drops episodes that
-    /// start later, truncates one spanning it.
-    fn episodes_at(&self, o: ObjectId) -> Option<(&ObjectHistory, Vec<Episode>)> {
-        let st = self.inner.objects.get(&o)?;
-        if st.start_second > self.at {
-            return None; // object not yet seen at this instant
-        }
-        let eps: Vec<Episode> = st
-            .episodes
-            .iter()
-            .filter(|e| e.first_second <= self.at)
-            .map(|e| Episode {
-                last_second: e.last_second.min(self.at),
-                ..*e
-            })
-            .collect();
-        if eps.is_empty() {
-            return None;
-        }
-        Some((st, eps))
-    }
-}
-
-impl ReadingStore for HistoryView<'_> {
-    fn aggregated(&self, o: ObjectId) -> Option<AggregatedReadings<'_>> {
-        let (st, eps) = self.episodes_at(o)?;
-        // Retention: keep from the older of the two most recent episodes.
-        let keep_from = if eps.len() >= 2 {
-            eps[eps.len() - 2].first_second
-        } else {
-            eps[0].first_second
+        let Some(end) = self.current_second() else {
+            return 0;
         };
-        let lo = (keep_from - st.start_second) as usize;
-        let hi = ((self.at - st.start_second) as usize + 1).min(st.entries.len());
-        Some(AggregatedReadings {
-            start_second: keep_from,
-            entries: &st.entries[lo..hi],
-        })
-    }
-
-    fn last_detection(&self, o: ObjectId) -> Option<(ReaderId, u64)> {
-        let (_, eps) = self.episodes_at(o)?;
-        eps.last().map(|e| (e.reader, e.last_second))
-    }
-
-    fn last_two_devices(&self, o: ObjectId) -> Option<(ReaderId, Option<ReaderId>)> {
-        let (_, eps) = self.episodes_at(o)?;
-        match eps.as_slice() {
-            [] => None,
-            [only] => Some((only.reader, None)),
-            [.., prev, last] => Some((prev.reader, Some(last.reader))),
+        let mut first_seen: BTreeMap<ObjectId, u64> = BTreeMap::new();
+        for (second, batch) in &self.batches {
+            for &(object, _) in batch {
+                first_seen.entry(object).or_insert(*second);
+            }
         }
+        first_seen
+            .values()
+            .map(|&first| (end - first + 1) as usize)
+            .sum()
     }
 
-    fn last_episode(&self, o: ObjectId) -> Option<(ReaderId, u64, u64)> {
-        let (_, eps) = self.episodes_at(o)?;
-        eps.last()
-            .map(|e| (e.reader, e.first_second, e.last_second))
-    }
-
-    fn object_ids(&self) -> Vec<ObjectId> {
-        let mut v: Vec<ObjectId> = self
-            .inner
-            .objects
+    /// The accepted batches in ingestion order, each with its second.
+    pub fn batches(&self) -> impl Iterator<Item = (u64, &[(ObjectId, ReaderId)])> {
+        self.batches
             .iter()
-            .filter(|(_, h)| h.start_second <= self.at)
-            .map(|(&o, _)| o)
-            .collect();
-        v.sort_unstable();
-        v
+            .map(|(second, batch)| (*second, batch.as_slice()))
+    }
+
+    /// The collector as of `second` (inclusive): a fresh
+    /// [`DataCollector`] fed every logged batch up to that second.
+    pub fn view_at(&self, second: u64) -> DataCollector {
+        let mut view = DataCollector::new();
+        for (s, batch) in self.batches().take_while(|&(s, _)| s <= second) {
+            view.ingest_second(s, batch);
+        }
+        view
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DataCollector;
 
     const O: ObjectId = ObjectId::new(0);
     const D1: ReaderId = ReaderId::new(1);
@@ -250,12 +120,12 @@ mod tests {
         let v = h.view_at(6);
         // Retention agrees with the snapshot collector.
         let dv = d.aggregated(O).unwrap();
-        let hv = ReadingStore::aggregated(&v, O).unwrap();
+        let hv = v.aggregated(O).unwrap();
         assert_eq!(hv.start_second, dv.start_second);
         assert_eq!(hv.entries, dv.entries);
-        assert_eq!(ReadingStore::last_two_devices(&v, O), d.last_two_devices(O));
-        assert_eq!(ReadingStore::last_detection(&v, O), d.last_detection(O));
-        assert_eq!(ReadingStore::last_episode(&v, O), d.last_episode(O));
+        assert_eq!(v.last_two_devices(O), d.last_two_devices(O));
+        assert_eq!(v.last_detection(O), d.last_detection(O));
+        assert_eq!(v.last_episode(O), d.last_episode(O));
     }
 
     #[test]
@@ -270,9 +140,10 @@ mod tests {
         let (h, _) = feed_both(&plan);
         // As of t=3, D3 has not happened: last two devices are D1, D2.
         let v = h.view_at(3);
-        assert_eq!(ReadingStore::last_two_devices(&v, O), Some((D1, Some(D2))));
-        assert_eq!(ReadingStore::last_detection(&v, O), Some((D2, 2)));
-        let agg = ReadingStore::aggregated(&v, O).unwrap();
+        assert_eq!(v.last_two_devices(O), Some((D1, Some(D2))));
+        assert_eq!(v.last_detection(O), Some((D2, 2)));
+        assert_eq!(v.current_second(), Some(3));
+        let agg = v.aggregated(O).unwrap();
         assert_eq!(agg.start_second, 0);
         assert_eq!(agg.entries, &[Some(D1), None, Some(D2), None]);
     }
@@ -282,8 +153,8 @@ mod tests {
         let plan = [(0, Some(D1)), (1, Some(D1)), (2, Some(D1))];
         let (h, _) = feed_both(&plan);
         let v = h.view_at(1);
-        assert_eq!(ReadingStore::last_episode(&v, O), Some((D1, 0, 1)));
-        let agg = ReadingStore::aggregated(&v, O).unwrap();
+        assert_eq!(v.last_episode(O), Some((D1, 0, 1)));
+        let agg = v.aggregated(O).unwrap();
         assert_eq!(agg.entries.len(), 2);
     }
 
@@ -292,11 +163,40 @@ mod tests {
         let plan = [(5, Some(D1))];
         let (h, _) = feed_both(&plan);
         let v = h.view_at(3);
-        assert!(ReadingStore::aggregated(&v, O).is_none());
-        assert!(ReadingStore::last_detection(&v, O).is_none());
-        assert!(v.object_ids().is_empty());
+        assert!(v.aggregated(O).is_none());
+        assert!(v.last_detection(O).is_none());
+        assert!(v.objects().next().is_none());
         let v5 = h.view_at(5);
-        assert_eq!(v5.object_ids(), vec![O]);
+        assert_eq!(v5.objects().collect::<Vec<_>>(), vec![O]);
+    }
+
+    #[test]
+    fn two_batches_for_one_second_replay_as_the_collector_merges_them() {
+        let p = ObjectId::new(4);
+        let mut h = HistoryCollector::new();
+        let mut d = DataCollector::new();
+        for (s, batch) in [
+            (1, vec![(O, D1)]),
+            (1, vec![(p, D1)]),
+            (2, vec![]),
+            (3, vec![(O, D1), (p, D2)]),
+            (2, vec![(O, D3)]), // stale: dropped by both
+        ] {
+            h.ingest_second(s, &batch);
+            d.ingest_second(s, &batch);
+        }
+        assert_eq!(h.current_second(), Some(3));
+        assert_eq!(h.batches().count(), 4, "the stale batch is not logged");
+        let v = h.view_at(3);
+        for o in [O, p] {
+            let (va, da) = (v.aggregated(o).unwrap(), d.aggregated(o).unwrap());
+            assert_eq!((va.start_second, va.entries), (da.start_second, da.entries));
+            assert_eq!(v.last_two_devices(o), d.last_two_devices(o));
+            assert_eq!(v.last_episode(o), d.last_episode(o));
+        }
+        assert_eq!(v.aggregated(p).unwrap().entry_at(1), Some(Some(D1)));
+        // Each object counts from its first detection through second 3.
+        assert_eq!(h.total_entries(), 3 + 3);
     }
 
     #[test]
@@ -319,7 +219,7 @@ mod tests {
         assert!(h.total_entries() >= 290, "history: {}", h.total_entries());
         // And at any past instant the view's retention is two episodes.
         let v = h.view_at(100);
-        let agg = ReadingStore::aggregated(&v, O).unwrap();
+        let agg = v.aggregated(O).unwrap();
         assert!(agg.entries.len() <= 8);
     }
 }

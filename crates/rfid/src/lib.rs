@@ -16,8 +16,9 @@
 //!   retains only the readings of the two most recent detecting devices
 //!   per object.
 //! * [`HistoryCollector`] — §4.1's noted extension for historical
-//!   queries: keeps the full reading history and serves time-travel views
-//!   through the [`ReadingStore`] abstraction.
+//!   queries: logs every per-second batch and replays the log up to any
+//!   past second into a fresh [`DataCollector`], so historical answers run
+//!   the one collector the live system runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,15 +30,13 @@ mod object;
 mod reader;
 mod reading;
 mod sensing;
-mod store;
 
-pub use collector::{AggregatedReadings, DataCollector, EventKind, RfidEvent};
+pub use collector::{AggregatedReadings, DataCollector};
 pub use deployment::{
     deploy, deploy_at_doors, deploy_random, deploy_uniform, ranges_disjoint, DeploymentStrategy,
 };
-pub use history::{HistoryCollector, HistoryView};
+pub use history::HistoryCollector;
 pub use object::ObjectId;
 pub use reader::{Reader, ReaderId};
 pub use reading::RawReading;
 pub use sensing::SensingModel;
-pub use store::ReadingStore;

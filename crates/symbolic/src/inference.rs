@@ -10,7 +10,7 @@
 
 use crate::CellDecomposition;
 use ripq_graph::{AnchorId, AnchorObjectIndex, AnchorSet, WalkingGraph};
-use ripq_rfid::{ObjectId, Reader, ReaderId, ReadingStore};
+use ripq_rfid::{DataCollector, ObjectId, Reader, ReaderId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -126,9 +126,9 @@ impl SymbolicModel {
     /// collector knows, evaluated at time `now` — the symbolic counterpart
     /// of the particle preprocessor's output, consumed by the same query
     /// evaluation code.
-    pub fn build_index<S: ReadingStore + ?Sized>(
+    pub fn build_index(
         &self,
-        collector: &S,
+        collector: &DataCollector,
         objects: &[ObjectId],
         now: u64,
     ) -> AnchorObjectIndex<ObjectId> {
@@ -148,7 +148,7 @@ mod tests {
     use super::*;
     use ripq_floorplan::{office_building, OfficeParams};
     use ripq_graph::build_walking_graph;
-    use ripq_rfid::{deploy_uniform, DataCollector};
+    use ripq_rfid::deploy_uniform;
 
     fn setup() -> (WalkingGraph, AnchorSet, Vec<Reader>, SymbolicModel) {
         let plan = office_building(&OfficeParams::default()).unwrap();

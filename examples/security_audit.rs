@@ -15,7 +15,7 @@ use rand::SeedableRng;
 use ripq::core::{evaluate_closest_pairs, evaluate_range, ClosestPairsQuery};
 use ripq::graph::AnchorObjectIndex;
 use ripq::pf::{ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
-use ripq::rfid::{HistoryCollector, ReadingStore};
+use ripq::rfid::HistoryCollector;
 use ripq::sim::{ExperimentParams, ReadingGenerator, SimWorld, TraceGenerator};
 
 fn main() {
@@ -65,7 +65,8 @@ fn main() {
 
     for &t in &[120u64, 180, 240] {
         let view = log.view_at(t);
-        let objects = view.object_ids();
+        let mut objects: Vec<_> = view.objects().collect();
+        objects.sort_unstable();
         let mut index = AnchorObjectIndex::new();
         let supervision = SupervisionOptions::default();
         preprocessor.process(

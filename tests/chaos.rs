@@ -104,7 +104,7 @@ const STREAM_OBJECTS: u32 = 6;
 
 /// The clean scripted stream: each object walks across the reader
 /// deployment (handoff every 6 s) with a periodic silent second, so
-/// episodes, handoffs and LEAVE events all occur without any faults.
+/// episodes, handoffs and gaps all occur without any faults.
 fn clean_detections(second: u64, readers: &[ReaderId]) -> Vec<(ObjectId, ReaderId)> {
     let mut out = Vec::new();
     for i in 0..STREAM_OBJECTS {
@@ -692,7 +692,6 @@ fn fault_counters_surface_in_metrics_snapshot() {
         "collector.reordered",
         "collector.deduped",
         "collector.late_dropped",
-        "collector.outage_suppressed_leaves",
         "pf.outage_resets",
     ] {
         assert!(snap.counters.contains_key(key), "missing counter {key}");

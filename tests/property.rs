@@ -6,10 +6,9 @@ use ripq::core::{evaluate_knn, evaluate_range, KnnQuery, QueryId};
 use ripq::floorplan::FloorPlanBuilder;
 use ripq::geom::{Point2, Rect};
 use ripq::graph::{build_walking_graph, AnchorObjectIndex, AnchorSet, GraphPos};
+use ripq::persist::{ByteReader, ByteWriter};
 use ripq::pf::{ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
-use ripq::rfid::{
-    deploy_uniform, DataCollector, HistoryCollector, ObjectId, ReaderId, ReadingStore,
-};
+use ripq::rfid::{deploy_uniform, DataCollector, HistoryCollector, ObjectId, ReaderId};
 use std::collections::BTreeMap;
 
 /// One default-supervision preprocessing pass into a fresh index.
@@ -167,7 +166,7 @@ proptest! {
                 snap.last_episode(o),
                 "last_episode mismatch for {}", o
             );
-            match (ReadingStore::aggregated(&view, o), snap.aggregated(o)) {
+            match (view.aggregated(o), snap.aggregated(o)) {
                 (None, None) => {}
                 (Some(h), Some(d)) => {
                     prop_assert_eq!(h.start_second, d.start_second);
@@ -495,20 +494,19 @@ proptest! {
         }
     }
 
-    /// Detection-range events are well-formed per reader: an object never
-    /// LEAVEs a range it has not ENTERed, and never ENTERs one twice
-    /// without an intervening LEAVE. (Multiple LEAVEs per ENTER are legal:
-    /// a LEAVE fires at the first silent second, yet the episode resumes —
-    /// without a fresh ENTER — if the same reader re-detects within the
-    /// gap tolerance.) Only checked while the bounded event log has not
-    /// evicted history.
+    /// Episodes are the ENTER/LEAVE pairs, and every state a live
+    /// collector reaches is one its checkpoint decoder accepts: fed any
+    /// detection stream, each object's last episode ENTERs (first second)
+    /// no later than it LEAVEs (last second), both detections by its
+    /// reader inside the retained entries, none past the current second;
+    /// and the encoded state decodes against the deployment's reader count
+    /// and re-encodes to the same bytes.
     #[test]
     fn enter_precedes_leave_per_device(
         detections in proptest::collection::vec(
             proptest::option::of((0u32..2, 0u32..3)), 5..60
         ),
     ) {
-        use ripq::rfid::EventKind;
         let mut c = DataCollector::new();
         for (s, step) in detections.iter().enumerate() {
             let det: Vec<(ObjectId, ReaderId)> = step
@@ -517,41 +515,64 @@ proptest! {
                 .collect();
             c.ingest_second(s as u64, &det);
         }
-        for o in (0..2).map(ObjectId::new) {
-            let events = c.events(o);
-            prop_assert!(events.len() <= 32, "event log is bounded");
-            prop_assume!(events.len() < 32); // eviction truncates prefixes
-            for w in events.windows(2) {
-                prop_assert!(
-                    w[0].second <= w[1].second,
-                    "events out of order for {o}"
-                );
-            }
-            let mut last_enter: BTreeMap<u32, u64> = BTreeMap::new();
-            let mut last_kind: BTreeMap<u32, EventKind> = BTreeMap::new();
-            for e in events {
-                match e.kind {
-                    EventKind::Enter => {
-                        prop_assert!(
-                            last_kind.get(&e.reader.raw()) != Some(&EventKind::Enter),
-                            "{o} entered {} twice without leaving", e.reader
-                        );
-                        last_enter.insert(e.reader.raw(), e.second);
-                    }
-                    EventKind::Leave => {
-                        let entered = last_enter.get(&e.reader.raw());
-                        prop_assert!(
-                            entered.is_some(),
-                            "{o} left {} without entering", e.reader
-                        );
-                        prop_assert!(
-                            entered.is_some_and(|&t| t < e.second),
-                            "{o}: LEAVE not after ENTER at {}", e.reader
-                        );
-                    }
-                }
-                last_kind.insert(e.reader.raw(), e.kind);
-            }
+        let now = c.current_second();
+        for o in c.objects() {
+            let agg = c.aggregated(o).unwrap();
+            let (reader, first, last) = c.last_episode(o).unwrap();
+            prop_assert!(agg.start_second <= first && first <= last, "{o}: episode order");
+            prop_assert!(Some(agg.end_second()) <= now, "{o}: entries past now");
+            prop_assert_eq!(agg.entry_at(first), Some(Some(reader)));
+            prop_assert_eq!(agg.entry_at(last), Some(Some(reader)));
+            let (older, newer) = c.last_two_devices(o).unwrap();
+            prop_assert_eq!(newer.unwrap_or(older), reader);
+        }
+        let mut w = ByteWriter::new();
+        c.encode_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        let decoded = DataCollector::decode_state(&mut r, 3);
+        prop_assert!(r.finish().is_ok());
+        let mut again = ByteWriter::new();
+        match decoded {
+            Ok(d) => d.encode_state(&mut again),
+            Err(e) => prop_assert!(false, "a live state must decode: {e}"),
+        }
+        prop_assert_eq!(bytes, again.into_bytes());
+    }
+
+    /// Several batches may carry one second: splitting each second's
+    /// detections, by object, between two `ingest_second` calls leaves
+    /// every object's retained readings and episodes equal to one-batch
+    /// ingestion — across skipped seconds and the idle cutoff too.
+    #[test]
+    fn split_batches_of_one_second_merge_like_one_batch(
+        steps in proptest::collection::vec(
+            (1u64..40, proptest::collection::vec((0u32..4, 0u32..3), 0..6), 0u8..16),
+            1..40
+        ),
+    ) {
+        let (mut one, mut split) = (DataCollector::new(), DataCollector::new());
+        let mut second = 0;
+        for (gap, detections, mask) in &steps {
+            second += gap;
+            let all: Vec<(ObjectId, ReaderId)> = detections
+                .iter()
+                .map(|&(o, r)| (ObjectId::new(o), ReaderId::new(r)))
+                .collect();
+            let (first, rest): (Vec<_>, Vec<_>) =
+                all.iter().partition(|(o, _)| mask & (1 << o.raw()) != 0);
+            one.ingest_second(second, &all);
+            split.ingest_second(second, &first);
+            split.ingest_second(second, &rest);
+        }
+        prop_assert_eq!(one.current_second(), split.current_second());
+        for o in (0..4).map(ObjectId::new) {
+            prop_assert_eq!(one.last_two_devices(o), split.last_two_devices(o), "{}", o);
+            prop_assert_eq!(one.last_episode(o), split.last_episode(o), "{}", o);
+            let readings = |c: &DataCollector| {
+                c.aggregated(o).map(|a| (a.start_second, a.entries.to_vec()))
+            };
+            prop_assert_eq!(readings(&one), readings(&split), "{}", o);
         }
     }
 
@@ -602,11 +623,6 @@ proptest! {
                 clean.last_episode(o),
                 faulted.last_episode(o),
                 "episode diverged for {}", o
-            );
-            prop_assert_eq!(
-                clean.events(o),
-                faulted.events(o),
-                "events diverged for {}", o
             );
             match (clean.aggregated(o), faulted.aggregated(o)) {
                 (None, None) => {}

@@ -373,6 +373,38 @@ fn snapshot_from_another_world_is_quarantined_and_rebuilt_cold() {
     }
 }
 
+#[test]
+fn snapshot_naming_an_unknown_reader_is_quarantined() {
+    // A detection naming reader 19 of a 19-reader deployment breaks the
+    // ingest precondition. The snapshot carrying it is CRC-valid, but
+    // resuming it would index the deployment out of bounds at the next
+    // evaluation: restore checks the collector against the deployment.
+    let world = (19, 2.0);
+    let dir = temp_dir("unknown_reader");
+    let mut life1 = system_in(world, Some(1), false);
+    life1.set_checkpoint_dir(&dir);
+    life1.ingest_detections(0, &[(ObjectId::new(0), ReaderId::new(19))]);
+    life1.checkpoint_now().expect("checkpoints healthy");
+    drop(life1);
+
+    let mut life2 = system_in(world, Some(1), false);
+    let outcome = life2.recover(&dir).expect("recover never errors on damage");
+    assert!(
+        matches!(outcome, RecoveryOutcome::Quarantined { .. }),
+        "a snapshot naming an unknown reader must not resume, got {outcome:?}"
+    );
+    let (_, knn_q) = register_queries(&mut life2);
+    let reader = life2.readers()[3].id();
+    life2.ingest_detections(1, &[(ObjectId::new(0), reader)]);
+    let report = life2.evaluate(1);
+    assert_eq!(
+        report.knn_results[&knn_q].len(),
+        1,
+        "the one object answers"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // Properties: arbitrary kill points, cadences and corruptions
 // ---------------------------------------------------------------------
