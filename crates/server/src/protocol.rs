@@ -15,7 +15,10 @@ use std::fmt::Write as _;
 /// One decoded client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Pre-aggregated detections for one logical second.
+    /// Pre-aggregated detections for one logical second. Several frames
+    /// may carry one second (one per gateway, say): a later frame merges
+    /// into it, and an object already detected in that second keeps its
+    /// first reader.
     Readings {
         /// The logical second the detections belong to.
         second: u64,
