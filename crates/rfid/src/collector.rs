@@ -316,31 +316,45 @@ impl DataCollector {
     }
 
     /// Ingests all raw readings of one second (any object mix, unordered
-    /// within the second). Seconds must be fed in non-decreasing order;
-    /// skipped seconds are treated as silent.
+    /// within the second). Each object's entry is the reader that sampled
+    /// it most often; a tie goes to the lowest reader id, as it does in
+    /// `SensingModel::detect_second`, so the entry never depends on sample
+    /// order. Seconds must be fed in non-decreasing order; skipped seconds
+    /// are treated as silent.
     pub fn ingest_raw_second(&mut self, second: u64, raw: &[RawReading]) {
         self.metrics.raw_samples.add(raw.len() as u64);
-        // Per-second aggregation: object → detecting reader (most samples
-        // wins; with disjoint ranges there is only one candidate).
-        let mut counts: HashMap<(ObjectId, ReaderId), u32> = HashMap::new();
-        for r in raw {
-            debug_assert_eq!(r.second(), second, "reading outside its second");
-            *counts.entry((r.object, r.reader)).or_insert(0) += 1;
-        }
-        let mut detected: HashMap<ObjectId, (ReaderId, u32)> = HashMap::new();
-        for ((obj, reader), n) in counts {
-            detected
-                .entry(obj)
-                .and_modify(|e| {
-                    if n > e.1 {
-                        *e = (reader, n);
+        // Sorted, each object's samples form one run per reader, lowest
+        // reader first, so one pass over the runs finds every majority.
+        let mut samples: Vec<(ObjectId, ReaderId)> = raw
+            .iter()
+            .map(|r| {
+                debug_assert_eq!(r.second(), second, "reading outside its second");
+                (r.object, r.reader)
+            })
+            .collect();
+        samples.sort_unstable();
+        let mut detections: Vec<(ObjectId, ReaderId)> = Vec::new();
+        let (mut run, mut best) = (0usize, 0usize);
+        for (i, &sample) in samples.iter().enumerate() {
+            run += 1;
+            if samples.get(i + 1) == Some(&sample) {
+                continue;
+            }
+            match detections.last_mut() {
+                Some(last) if last.0 == sample.0 => {
+                    if run > best {
+                        *last = sample;
+                        best = run;
                     }
-                })
-                .or_insert((reader, n));
+                }
+                _ => {
+                    detections.push(sample);
+                    best = run;
+                }
+            }
+            run = 0;
         }
-        let pairs: Vec<(ObjectId, ReaderId)> =
-            detected.into_iter().map(|(o, (r, _))| (o, r)).collect();
-        self.ingest_second(second, &pairs);
+        self.ingest_second(second, &detections);
     }
 
     /// Ingests pre-aggregated per-second detections: at most one reader per
@@ -372,6 +386,7 @@ impl DataCollector {
         if !merging {
             // Existing objects: append this second's entry (detected or
             // None).
+            // ripq-lint: allow(ordered-iteration) -- each append touches only its own object's state and adds to counters, so any order gives the same collector
             let ids: Vec<ObjectId> = self.objects.keys().copied().collect();
             for id in ids {
                 let reading = det.remove(&id);
@@ -379,6 +394,7 @@ impl DataCollector {
             }
         }
         // New objects, and on a merge every object this batch detects.
+        // ripq-lint: allow(ordered-iteration) -- each merge touches only its own object's state and adds to counters, so any order gives the same collector
         for (id, reader) in det {
             self.merge_detection(id, second, reader);
         }
@@ -447,8 +463,9 @@ impl DataCollector {
         self.current_second
     }
 
-    /// Objects the collector has ever detected.
+    /// Objects the collector has ever detected, in no particular order.
     pub fn objects(&self) -> impl Iterator<Item = ObjectId> + '_ {
+        // ripq-lint: allow(ordered-iteration) -- the order is documented as unspecified; every caller sorts or counts what it collects
         self.objects.keys().copied()
     }
 
@@ -501,10 +518,10 @@ impl DataCollector {
         w.put_u64(self.reorder_window);
         w.put_opt_u64(self.max_logical_seen);
 
-        let mut objects: Vec<(&ObjectId, &ObjectState)> = self.objects.iter().collect();
-        objects.sort_unstable_by_key(|&(id, _)| *id);
-        w.put_seq_len(objects.len());
-        for (id, st) in objects {
+        let mut by_id: Vec<(&ObjectId, &ObjectState)> = self.objects.iter().collect();
+        by_id.sort_unstable_by_key(|&(id, _)| *id);
+        w.put_seq_len(by_id.len());
+        for (id, st) in by_id {
             w.put_u32(id.raw());
             w.put_u64(st.start_second);
             w.put_seq_len(st.entries.len());
@@ -794,6 +811,52 @@ mod tests {
         }
         c.ingest_raw_second(1, &raw);
         assert_eq!(c.last_detection(O), Some((D2, 1)));
+    }
+
+    #[test]
+    fn a_tie_between_readers_goes_to_the_lowest_id() {
+        let sample = |time, reader| RawReading {
+            time,
+            object: O,
+            reader: ReaderId::new(reader),
+        };
+        let tie = [sample(5.1, 0), sample(5.2, 1)];
+        let reversed = [sample(5.1, 1), sample(5.2, 0)];
+        // Each fresh collector would hash with fresh keys, so a tie
+        // broken in hash order would pick reader 1 in some of them.
+        for raw in [tie, reversed].iter().cycle().take(64) {
+            let mut c = DataCollector::new();
+            c.ingest_raw_second(5, raw);
+            assert_eq!(c.last_detection(O), Some((ReaderId::new(0), 5)));
+        }
+    }
+
+    #[test]
+    fn raw_ingestion_picks_each_objects_majority_reader() {
+        let o = |id| ObjectId::new(id);
+        let sample = |object, reader| RawReading {
+            time: 3.5,
+            object,
+            reader,
+        };
+        // Interleaved across objects: o1 is D3's (2 to 1), o2 ties D1/D2
+        // (the lowest wins), o7 is only D2's.
+        let raw = [
+            sample(o(1), D3),
+            sample(o(2), D2),
+            sample(o(7), D2),
+            sample(o(1), D1),
+            sample(o(2), D1),
+            sample(o(1), D3),
+        ];
+        let mut c = DataCollector::new();
+        c.ingest_raw_second(3, &raw);
+        assert_eq!(c.last_detection(o(1)), Some((D3, 3)));
+        assert_eq!(c.last_detection(o(2)), Some((D1, 3)));
+        assert_eq!(c.last_detection(o(7)), Some((D2, 3)));
+        let mut seen: Vec<ObjectId> = c.objects().collect();
+        seen.sort_unstable();
+        assert_eq!(seen, [o(1), o(2), o(7)]);
     }
 
     #[test]

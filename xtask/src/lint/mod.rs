@@ -27,7 +27,9 @@ use std::path::{Path, PathBuf};
 /// included because metrics snapshots are result artifacts — golden
 /// fixtures and determinism tests compare them byte-for-byte, so
 /// iteration order and float hygiene matter as much as in query code.
-const RESULT_PRODUCING: [&str; 5] = ["core", "pf", "graph", "symbolic", "obs"];
+/// `rfid` is included because its collector's per-second entries are the
+/// evidence every answer is computed from.
+const RESULT_PRODUCING: [&str; 6] = ["core", "pf", "graph", "symbolic", "obs", "rfid"];
 
 /// What happened to a candidate violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
