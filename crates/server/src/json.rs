@@ -1,11 +1,16 @@
 //! A minimal JSON codec for the wire protocol.
 //!
 //! The build is hermetic (no serde_json), so frames are parsed and
-//! rendered by hand. Unlike the machine-written files the xtask auditor
-//! reads, frame payloads arrive from the network, so this parser is
-//! hardened: it never panics (no indexing, no unwrap), bounds recursion
-//! with [`MAX_DEPTH`], and reports typed errors that the server turns
-//! into protocol-level error frames without dropping the connection.
+//! rendered by hand. One lexer holds the grammar. [`parse`] builds a
+//! [`Value`] tree on it, which reads responses, metrics snapshots and
+//! test fixtures; `protocol::parse_request` reads request frames on it
+//! straight into their fields, without a tree, so a malformed request
+//! fails with the same message at the same byte as [`parse`] would give.
+//! Unlike the machine-written files the xtask auditor reads, frame
+//! payloads arrive from the network, so the lexer is hardened: it never
+//! panics (no indexing, no unwrap), bounds recursion with [`MAX_DEPTH`],
+//! and reports typed errors that the server turns into protocol-level
+//! error frames without dropping the connection.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -60,12 +65,7 @@ impl Value {
 
     /// The number as u64, if this is a non-negative integral number.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
+        self.as_f64().and_then(f64_as_u64)
     }
 
     /// The boolean, if this is a boolean.
@@ -112,178 +112,331 @@ fn err(at: usize, message: impl Into<String>) -> ParseError {
 /// Parses one JSON document. Trailing whitespace is allowed; trailing
 /// garbage is an error.
 pub fn parse(bytes: &[u8]) -> Result<Value, ParseError> {
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(err(pos, "trailing garbage"));
-    }
+    let mut lex = Lexer::new(bytes);
+    let value = parse_value(&mut lex, 0)?;
+    lex.finish()?;
     Ok(value)
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while bytes.get(*pos).is_some_and(|b| b.is_ascii_whitespace()) {
-        *pos += 1;
-    }
-}
-
-fn expect_byte(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), ParseError> {
-    if bytes.get(*pos) == Some(&b) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(err(*pos, format!("expected `{}`", b as char)))
-    }
-}
-
-fn starts_with_at(bytes: &[u8], pos: usize, word: &[u8]) -> bool {
-    bytes.get(pos..pos + word.len()) == Some(word)
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: u32) -> Result<Value, ParseError> {
-    if depth > MAX_DEPTH {
-        return Err(err(*pos, "nesting too deep"));
-    }
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos, depth),
-        Some(b'[') => parse_array(bytes, pos, depth),
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
-        Some(b't') if starts_with_at(bytes, *pos, b"true") => {
-            *pos += 4;
-            Ok(Value::Bool(true))
+fn parse_value(lex: &mut Lexer<'_>, depth: u32) -> Result<Value, ParseError> {
+    Ok(match lex.value_start(depth)? {
+        Start::Object => {
+            let mut map = BTreeMap::new();
+            let mut first = true;
+            while let Some(key) = lex.next_member(first)? {
+                first = false;
+                map.insert(key, parse_value(lex, depth + 1)?);
+            }
+            Value::Obj(map)
         }
-        Some(b'f') if starts_with_at(bytes, *pos, b"false") => {
-            *pos += 5;
-            Ok(Value::Bool(false))
+        Start::Array => {
+            let mut out = Vec::new();
+            while lex.next_item(out.is_empty())? {
+                out.push(parse_value(lex, depth + 1)?);
+            }
+            Value::Arr(out)
         }
-        Some(b'n') if starts_with_at(bytes, *pos, b"null") => {
-            *pos += 4;
-            Ok(Value::Null)
-        }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
-        Some(&c) => Err(err(*pos, format!("unexpected `{}`", c as char))),
-        None => Err(err(*pos, "unexpected end of input")),
-    }
+        Start::Str => Value::Str(lex.string()?),
+        Start::Number => Value::Num(lex.number()?),
+        Start::Bool(b) => Value::Bool(b),
+        Start::Null => Value::Null,
+    })
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: u32) -> Result<Value, ParseError> {
-    expect_byte(bytes, pos, b'{')?;
-    let mut map = BTreeMap::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Obj(map));
+/// `n` as a u64 when it is non-negative and whole. JSON has one number
+/// type, so this is how every integer field reads its value.
+pub(crate) fn f64_as_u64(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64).then_some(n as u64)
+}
+
+/// How a value begins, as [`Lexer::value_start`] found it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Start {
+    /// `{`, consumed; step through it with [`Lexer::next_member`].
+    Object,
+    /// `[`, consumed; step through it with [`Lexer::next_item`].
+    Array,
+    /// A string, not consumed; read it with [`Lexer::string`].
+    Str,
+    /// A number, not consumed; read it with [`Lexer::number`].
+    Number,
+    /// `true` or `false`, consumed.
+    Bool(bool),
+    /// `null`, consumed.
+    Null,
+}
+
+/// The one JSON grammar of this crate: whitespace, literals, strings and
+/// their escapes, the number token, the punctuation between members and
+/// items, the depth limit, and every [`ParseError`] with its offset.
+/// [`parse`] builds a [`Value`] tree with it, and
+/// [`crate::protocol::parse_request`] reads requests straight into their
+/// fields with it, so both report the same error at the same byte for
+/// the same malformed payload.
+#[derive(Debug)]
+pub(crate) struct Lexer<'a> {
+    bytes: &'a Payload,
+    pos: usize,
+}
+
+/// The bytes of one payload.
+type Payload = [u8];
+
+impl Lexer<'_> {
+    /// A lexer at the start of `bytes`.
+    pub(crate) fn new(bytes: &Payload) -> Lexer<'_> {
+        Lexer { bytes, pos: 0 }
     }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect_byte(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos, depth + 1)?;
-        map.insert(key, value);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
+
+    fn skip_ws(&mut self) {
+        while self
+            .bytes
+            .get(self.pos)
+            .is_some_and(u8::is_ascii_whitespace)
+        {
+            self.pos += 1;
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn expect_byte(&mut self, b: u8) -> Result<(), ParseError> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(err(self.pos, format!("expected `{}`", b as char)))
+        }
+    }
+
+    fn literal(&mut self, word: &[u8]) -> bool {
+        let found = self.bytes.get(self.pos..self.pos + word.len()) == Some(word);
+        if found {
+            self.pos += word.len();
+        }
+        found
+    }
+
+    /// Starts the value at nesting `depth` (the document is depth 0, and
+    /// each object member or array item one deeper than its parent).
+    pub(crate) fn value_start(&mut self, depth: u32) -> Result<Start, ParseError> {
+        if depth > MAX_DEPTH {
+            return Err(err(self.pos, "nesting too deep"));
+        }
+        self.skip_ws();
+        let start = match self.peek() {
+            Some(b'{') => Start::Object,
+            Some(b'[') => Start::Array,
+            Some(b'"') => return Ok(Start::Str),
+            Some(b't') if self.literal(b"true") => return Ok(Start::Bool(true)),
+            Some(b'f') if self.literal(b"false") => return Ok(Start::Bool(false)),
+            Some(b'n') if self.literal(b"null") => return Ok(Start::Null),
+            Some(c) if c.is_ascii_digit() || c == b'-' => return Ok(Start::Number),
+            Some(c) => return Err(err(self.pos, format!("unexpected `{}`", c as char))),
+            None => return Err(err(self.pos, "unexpected end of input")),
+        };
+        self.pos += 1;
+        Ok(start)
+    }
+
+    /// Steps to the next member of an object: `first` right after its
+    /// `{`, then after each member's value. Returns the member's key with
+    /// its `:` consumed, or `None` once the closing `}` is consumed.
+    pub(crate) fn next_member(&mut self, first: bool) -> Result<Option<String>, ParseError> {
+        self.skip_ws();
+        match self.peek() {
             Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(map));
+                self.pos += 1;
+                return Ok(None);
             }
-            _ => return Err(err(*pos, "expected `,` or `}`")),
+            Some(b',') if !first => self.pos += 1,
+            _ if first => {}
+            _ => return Err(err(self.pos, "expected `,` or `}`")),
         }
+        self.skip_ws();
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect_byte(b':')?;
+        Ok(Some(key))
     }
-}
 
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: u32) -> Result<Value, ParseError> {
-    expect_byte(bytes, pos, b'[')?;
-    let mut out = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Arr(out));
-    }
-    loop {
-        out.push(parse_value(bytes, pos, depth + 1)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
+    /// Steps to the next item of an array: `first` right after its `[`,
+    /// then after each item. Returns whether an item follows, or `false`
+    /// once the closing `]` is consumed.
+    pub(crate) fn next_item(&mut self, first: bool) -> Result<bool, ParseError> {
+        self.skip_ws();
+        match self.peek() {
             Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Arr(out));
+                self.pos += 1;
+                Ok(false)
             }
-            _ => return Err(err(*pos, "expected `,` or `]`")),
+            Some(b',') if !first => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ if first => Ok(true),
+            _ => Err(err(self.pos, "expected `,` or `]`")),
         }
     }
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
-    expect_byte(bytes, pos, b'"')?;
-    let mut out = Vec::new();
-    while let Some(&b) = bytes.get(*pos) {
-        *pos += 1;
-        match b {
-            b'"' => {
-                return String::from_utf8(out).map_err(|_| err(*pos, "invalid UTF-8 in string"))
-            }
-            b'\\' => {
-                let esc = bytes
-                    .get(*pos)
-                    .copied()
-                    .ok_or_else(|| err(*pos, "unterminated escape"))?;
-                *pos += 1;
-                match esc {
-                    b'"' | b'\\' | b'/' => out.push(esc),
-                    b'n' => out.push(b'\n'),
-                    b't' => out.push(b'\t'),
-                    b'r' => out.push(b'\r'),
-                    b'u' => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err(*pos, "bad \\u escape"))?;
-                        *pos += 4;
-                        // Protocol writers only escape BMP control
-                        // characters, so no surrogate-pair handling; lone
-                        // surrogates are rejected by from_u32.
-                        let ch =
-                            char::from_u32(code).ok_or_else(|| err(*pos, "bad \\u code point"))?;
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
-                    }
-                    other => {
-                        return Err(err(
-                            *pos,
-                            format!("unsupported escape `\\{}`", other as char),
-                        ))
-                    }
+    /// Reads the rest of a started value without keeping it.
+    pub(crate) fn skip(&mut self, start: Start, depth: u32) -> Result<(), ParseError> {
+        match start {
+            Start::Object => {
+                let mut first = true;
+                while self.next_member(first)?.is_some() {
+                    first = false;
+                    self.skip_value(depth + 1)?;
                 }
             }
-            _ => out.push(b),
+            Start::Array => {
+                let mut first = true;
+                while self.next_item(first)? {
+                    first = false;
+                    self.skip_value(depth + 1)?;
+                }
+            }
+            Start::Str => {
+                self.string()?;
+            }
+            Start::Number => {
+                self.number()?;
+            }
+            Start::Bool(_) | Start::Null => {}
+        }
+        Ok(())
+    }
+
+    /// Reads a whole value at nesting `depth` without keeping it.
+    pub(crate) fn skip_value(&mut self, depth: u32) -> Result<(), ParseError> {
+        let start = self.value_start(depth)?;
+        self.skip(start, depth)
+    }
+
+    /// Ends the document: only whitespace may follow its value.
+    pub(crate) fn finish(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(err(self.pos, "trailing garbage"))
         }
     }
-    Err(err(*pos, "unterminated string"))
+
+    /// Reads a string literal, unescaped.
+    pub(crate) fn string(&mut self) -> Result<String, ParseError> {
+        self.expect_byte(b'"')?;
+        let mut out = Vec::new();
+        while let Some(b) = self.peek() {
+            self.pos += 1;
+            match b {
+                b'"' => {
+                    return String::from_utf8(out)
+                        .map_err(|_| err(self.pos, "invalid UTF-8 in string"))
+                }
+                b'\\' => {
+                    let esc = self
+                        .peek()
+                        .ok_or_else(|| err(self.pos, "unterminated escape"))?;
+                    self.pos += 1;
+                    match esc {
+                        b'"' | b'\\' | b'/' => out.push(esc),
+                        b'n' => out.push(b'\n'),
+                        b't' => out.push(b'\t'),
+                        b'r' => out.push(b'\r'),
+                        b'u' => {
+                            let hex = self
+                                .bytes
+                                .get(self.pos..self.pos + 4)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .ok_or_else(|| err(self.pos, "truncated \\u escape"))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| err(self.pos, "bad \\u escape"))?;
+                            self.pos += 4;
+                            // Protocol writers only escape BMP control
+                            // characters, so no surrogate-pair handling;
+                            // lone surrogates are rejected by from_u32.
+                            let ch = char::from_u32(code)
+                                .ok_or_else(|| err(self.pos, "bad \\u code point"))?;
+                            let mut buf = [0u8; 4];
+                            out.extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
+                        }
+                        other => {
+                            return Err(err(
+                                self.pos,
+                                format!("unsupported escape `\\{}`", other as char),
+                            ))
+                        }
+                    }
+                }
+                _ => out.push(b),
+            }
+        }
+        Err(err(self.pos, "unterminated string"))
+    }
+
+    /// Reads a number token: an optional `-`, then the longest run of
+    /// digits, `.`, `e`, `E`, `+` and `-`, which must spell a finite f64.
+    pub(crate) fn number(&mut self) -> Result<f64, ParseError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        while self
+            .peek()
+            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
+        {
+            self.pos += 1;
+        }
+        let token = self.bytes.get(start..self.pos).unwrap_or_default();
+        short_decimal(token)
+            .or_else(|| {
+                std::str::from_utf8(token)
+                    .ok()
+                    .and_then(|s| s.parse::<f64>().ok())
+            })
+            .filter(|n| n.is_finite())
+            .ok_or_else(|| err(start, "bad number"))
+    }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
+/// Powers of ten up to 10^15, each exact in an f64.
+const POW10: [f64; 16] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+];
+
+/// The value of a short plain decimal: an optional `-`, digits, and
+/// optionally a `.` followed by more digits, 15 digits in all at most.
+/// Such a number is `m / 10^k` with `m < 10^15` and `k ≤ 15`, both exact
+/// in an f64, so the one correctly rounded division gives the f64
+/// `str::parse` gives. Any other token is `None`, left to `str::parse`.
+fn short_decimal(token: &[u8]) -> Option<f64> {
+    let (sign, body) = match token.split_first() {
+        Some((b'-', rest)) => (-1.0, rest),
+        _ => (1.0, token),
+    };
+    let (mut m, mut digits) = (0u64, 0usize);
+    // Digits after the dot, once there is one.
+    let mut scale: Option<usize> = None;
+    for &b in body {
+        match b {
+            b'0'..=b'9' if digits < 15 => {
+                m = m * 10 + u64::from(b - b'0');
+                digits += 1;
+                if let Some(k) = scale.as_mut() {
+                    *k += 1;
+                }
+            }
+            b'.' if digits > 0 && scale.is_none() => scale = Some(0),
+            _ => return None,
+        }
     }
-    while bytes
-        .get(*pos)
-        .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *pos += 1;
+    if digits == 0 || scale == Some(0) {
+        return None;
     }
-    bytes
-        .get(start..*pos)
-        .and_then(|s| std::str::from_utf8(s).ok())
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|n| n.is_finite())
-        .map(Value::Num)
-        .ok_or_else(|| err(start, "bad number"))
+    Some(sign * (m as f64 / POW10.get(scale.unwrap_or(0))?))
 }
 
 /// Renders a value as compact JSON. Deterministic: object keys are
@@ -398,6 +551,65 @@ mod tests {
         // Well inside the limit is fine.
         let ok = parse(b"[[[[[[[[[[1]]]]]]]]]]").unwrap();
         assert!(matches!(ok, Value::Arr(_)));
+    }
+
+    /// A decimal token from digit choices: `int` digits, then `frac`
+    /// digits after a dot when there are any.
+    fn decimal_token(negative: bool, digits: &[u8], int: usize) -> String {
+        let digit = |d: &u8| char::from(b'0' + d % 10);
+        let mut token = String::from(if negative { "-" } else { "" });
+        token.extend(digits.iter().take(int.max(1)).map(digit));
+        if digits.len() > int.max(1) {
+            token.push('.');
+            token.extend(digits.iter().skip(int.max(1)).map(digit));
+        }
+        token
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        /// Up to 15 digits, the fast path is bit-equal to `str::parse`.
+        #[test]
+        fn short_decimals_equal_str_parse(
+            negative in 0u8..2,
+            digits in proptest::collection::vec(0u8..10, 1..16),
+            int in 0usize..16,
+        ) {
+            let token = decimal_token(negative == 1, &digits, int);
+            let fast = short_decimal(token.as_bytes()).map(f64::to_bits);
+            proptest::prop_assert_eq!(fast, token.parse::<f64>().ok().map(f64::to_bits), "{}", token);
+        }
+
+        /// Past 15 digits the fast path declines and `str::parse` decides.
+        #[test]
+        fn long_decimals_are_left_to_str_parse(
+            negative in 0u8..2,
+            digits in proptest::collection::vec(0u8..10, 16..24),
+            int in 0usize..24,
+        ) {
+            let token = decimal_token(negative == 1, &digits, int);
+            proptest::prop_assert_eq!(short_decimal(token.as_bytes()), None, "{}", token);
+            let parsed = parse(token.as_bytes()).ok().and_then(|v| v.as_f64());
+            proptest::prop_assert_eq!(
+                parsed.map(f64::to_bits),
+                token.parse::<f64>().ok().map(f64::to_bits),
+                "{}",
+                token
+            );
+        }
+    }
+
+    #[test]
+    fn other_number_spellings_are_left_to_str_parse() {
+        for token in ["1.", ".5", "1e5", "1E-2", "-.5", "1.2.3", "-", "", "+1"] {
+            assert_eq!(short_decimal(token.as_bytes()), None, "{token}");
+        }
+        assert_eq!(
+            short_decimal(b"-0").map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
+        assert_eq!(short_decimal(b"007"), Some(7.0));
     }
 
     #[test]
