@@ -19,7 +19,10 @@
 
 use proptest::prelude::*;
 use ripq::floorplan::{office_building, OfficeParams};
-use ripq::server::{encode_frame, ServerConfig, ServerCore, ServerRecovery};
+use ripq::rfid::{ObjectId, ReaderId};
+use ripq::server::{
+    encode_frame, json, parse_request, Request, ServerConfig, ServerCore, ServerRecovery,
+};
 use ripq::sim::transcript::{record_transcript, Transcript, TranscriptSpec};
 use std::path::{Path, PathBuf};
 
@@ -192,6 +195,84 @@ fn golden_fixture_replay() {
         lines.iter().any(|l| l == "{\"ok\":\"checkpoint\"}"),
         "golden scenario must checkpoint"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One second's detections as a `raw` frame: each detection becomes three
+/// samples of its reader and one of the next reader id (another reader of
+/// the `readers`-reader deployment), dealt out in four rounds across the
+/// objects so each object's samples interleave with the others'.
+fn raw_frame(second: u64, detections: &[(ObjectId, ReaderId)], readers: u32) -> String {
+    let slots = 4 * detections.len();
+    let mut samples = Vec::with_capacity(slots);
+    for round in 0..4 {
+        for (i, &(object, reader)) in detections.iter().enumerate() {
+            let reader = if round == 1 {
+                (reader.raw() + 1) % readers
+            } else {
+                reader.raw()
+            };
+            let time = second as f64 + (round * detections.len() + i) as f64 / slots as f64;
+            samples.push(format!("[{time},{},{reader}]", object.raw()));
+        }
+    }
+    format!(
+        "{{\"op\":\"raw\",\"second\":{second},\"samples\":[{}]}}",
+        samples.join(",")
+    )
+}
+
+/// The committed transcript with every `reading` frame re-sent as a `raw`
+/// frame for the same second reproduces the golden stream: the collector's
+/// per-second majority rebuilds each detection from its samples, so every
+/// delta, event and tick line is the golden's, and a data ack differs only
+/// in its op and its count (four samples per detection).
+#[test]
+fn raw_session_reproduces_the_golden_stream() {
+    if std::env::var_os("RIPQ_REGEN_GOLDEN").is_some() {
+        return;
+    }
+    let transcript =
+        Transcript::load(&fixture_path("server_transcript.txt")).expect("transcript fixture");
+    let golden = std::fs::read_to_string(fixture_path("expected_server_deltas.txt"))
+        .expect("golden fixture");
+    let readers = fresh_core(None).system().readers().len() as u32;
+    let frames: Vec<String> = transcript
+        .frames
+        .iter()
+        .map(|frame| match parse_request(frame.as_bytes()) {
+            Ok(Request::Readings { second, detections }) => raw_frame(second, &detections, readers),
+            _ => frame.clone(),
+        })
+        .collect();
+    assert!(frames.iter().any(|f| f.contains("\"samples\":[[")));
+
+    let dir = temp_dir("raw_session");
+    let (lines, _) = replay(&frames, None, Some(&dir));
+    let expected: Vec<String> = golden
+        .lines()
+        .map(|line| {
+            if !line.starts_with("{\"ok\":\"reading\",") {
+                return line.to_string();
+            }
+            let ack = json::parse(line.as_bytes()).expect("golden ack is JSON");
+            let field = |key: &str| {
+                ack.as_obj()
+                    .and_then(|o| o.get(key))
+                    .and_then(json::Value::as_u64)
+                    .expect("ack field")
+            };
+            format!(
+                "{{\"ok\":\"raw\",\"second\":{},\"count\":{}}}",
+                field("second"),
+                4 * field("count")
+            )
+        })
+        .collect();
+    assert_eq!(lines.len(), expected.len(), "line count");
+    for (i, (got, want)) in lines.iter().zip(&expected).enumerate() {
+        assert_eq!(got, want, "line {}", i + 1);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
