@@ -315,7 +315,7 @@ mod tests {
 
     fn sample() -> MetricsSnapshot {
         let rec = Recorder::enabled();
-        rec.add("collector.entries_aggregated", 12);
+        rec.add("collector.detections", 12);
         rec.add("pf.resamples", 3);
         rec.set_gauge("cache.entries", 4);
         rec.observe("pf.ess", 48);

@@ -55,7 +55,7 @@ pub struct SystemConfig {
     /// Out-of-order tolerance of the reading pipeline, in seconds:
     /// readings handed to [`IndoorQuerySystem::ingest_delivery`] whose
     /// logical second lags the delivery clock by at most this much are
-    /// merged back into the aggregated timeline instead of being dropped.
+    /// merged back into place instead of being dropped.
     /// `0` (default) keeps the strict in-order ingestion contract.
     pub reorder_window: u64,
     /// How [`EvaluationTimings`] are measured. [`TimingMode::Wall`]
@@ -329,8 +329,7 @@ impl IndoorQuerySystem {
     }
 
     /// Finalizes all buffered readings with logical second ≤ `second`
-    /// (the delivery watermark), feeding them — silent seconds included —
-    /// into the aggregated timeline in order.
+    /// (the delivery watermark), feeding them to the collector in order.
     pub fn flush_readings_through(&mut self, second: u64) {
         self.collector.flush_through(second);
     }
@@ -784,6 +783,7 @@ impl IndoorQuerySystem {
             return Err(PersistError::Torn);
         }
         collector.set_recorder(&self.recorder);
+        collector.set_reorder_window(self.config.reorder_window);
         self.collector = collector;
         self.cache = cache;
         self.rng = StdRng::from_state(rng_state);
@@ -1058,7 +1058,7 @@ mod tests {
                 "missing {stage}: {stages:?}"
             );
         }
-        assert!(snap.counters["collector.entries_aggregated"] >= 8);
+        assert_eq!(snap.counters["collector.detections"], 8);
         assert!(snap.counters["pf.sir_iterations"] > 0);
         assert!(snap.histograms["pf.ess"].count > 0, "ESS observed");
         assert!(snap.spans.contains_key("evaluate/queries/range"));

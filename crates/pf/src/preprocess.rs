@@ -178,7 +178,7 @@ struct ObjectPlan {
     tmin: u64,
     /// Second-most-recent detecting device (`dᵢ`), the fresh-seed source.
     seed_device: ReaderId,
-    /// First retained second of the aggregated readings.
+    /// First retained second of the object's readings (`t0`).
     agg_start: u64,
     /// The cache-lookup result (the lookup itself already happened and
     /// counted toward the statistics).
@@ -301,7 +301,7 @@ impl<'a> ParticlePreprocessor<'a> {
         now: u64,
         cache: Option<&ParticleCache>,
     ) -> Option<ObjectPlan> {
-        let agg = collector.aggregated(object)?;
+        let &(agg_start, _) = collector.detections(object).first()?;
         let (_, td) = collector.last_detection(object)?;
         let (di, _) = collector.last_two_devices(object)?;
         let (ep_reader, ep_first, _) = collector.last_episode(object)?;
@@ -313,7 +313,6 @@ impl<'a> ParticlePreprocessor<'a> {
             self.metrics.cutoff_hits.inc();
             self.metrics.cutoff_seconds_skipped.add(now - tmin);
         }
-        let agg_start = agg.start_second;
 
         let prior_episode = cache.and_then(|c| c.cached_episode(object));
         let cached = cache.and_then(|c| c.lookup(object, episode_key));
@@ -342,14 +341,11 @@ impl<'a> ParticlePreprocessor<'a> {
     }
 
     /// Lines 7–36 of Algorithm 2: seed or resume the filter in
-    /// `particles`, replay the aggregated readings up to `tmin`, store
+    /// `particles`, replay the retained readings up to `tmin`, store
     /// back into the cache, snap to anchors. All random draws of the
     /// object happen here, in a fixed order independent of other objects.
     /// `particles_override` runs the same filter with fewer particles on
     /// the degraded-evaluation path.
-    ///
-    /// Returns `None` only if the object vanished from the collector
-    /// between planning and filtering (unobservable, but handled).
     #[allow(clippy::too_many_arguments)]
     fn filter_object<R: Rng>(
         &self,
@@ -360,8 +356,7 @@ impl<'a> ParticlePreprocessor<'a> {
         mut plan: ObjectPlan,
         cache: Option<&ParticleCache>,
         particles_override: Option<usize>,
-    ) -> Option<Vec<(AnchorId, f64)>> {
-        let agg = collector.aggregated(object)?;
+    ) -> Vec<(AnchorId, f64)> {
         let num_particles = particles_override.unwrap_or(self.config.num_particles);
         if let (Some(n), Some((states, _))) = (particles_override, plan.cached.as_mut()) {
             // A reduced-budget resume keeps (a deterministic prefix of)
@@ -380,7 +375,7 @@ impl<'a> ParticlePreprocessor<'a> {
                 particles.resume(states);
                 if *t > plan.tmin {
                     // Cached states are already past tmin: reuse directly.
-                    return Some(self.finish(particles, 0));
+                    return self.finish(particles, 0);
                 }
                 t + 1
             }
@@ -393,12 +388,20 @@ impl<'a> ParticlePreprocessor<'a> {
             }
         };
 
-        // Main loop — lines 7..31. Line 17: the aggregated reading entry
-        // of tj (None both when the entry says "no detection" and beyond
-        // the retained window).
+        // Main loop — lines 7..31. Line 17: the reading of tj, the next
+        // retained detection if it falls on tj, else None (silent).
+        let detections = collector.detections(object);
+        let mut next = detections.partition_point(|&(s, _)| s < start);
         let mut simulated = 0u64;
         for tj in start..=plan.tmin {
-            let update = self.sir.iterate(particles, rng, agg.entry_at(tj).flatten());
+            let reading = match detections.get(next) {
+                Some(&(s, reader)) if s == tj => {
+                    next += 1;
+                    Some(reader)
+                }
+                _ => None,
+            };
+            let update = self.sir.iterate(particles, rng, reading);
             simulated += 1;
             match update {
                 Update::Coasted => {}
@@ -421,7 +424,7 @@ impl<'a> ParticlePreprocessor<'a> {
                 plan.episode_key,
             );
         }
-        Some(self.finish(particles, simulated))
+        self.finish(particles, simulated)
     }
 
     /// Lines 32–36: snaps each particle to its nearest anchor point,
@@ -542,7 +545,7 @@ impl<'a> ParticlePreprocessor<'a> {
                 )
             }));
             match result {
-                Ok(out) => return out.map(|d| (d, level)),
+                Ok(out) => return Some((out, level)),
                 Err(_) => {
                     self.recorder.add("degrade.pf_panics", 1);
                     // Whatever half-updated states the panicking attempt

@@ -49,7 +49,7 @@ impl HistoryCollector {
     /// Seconds of readings the log covers, summed over objects: each
     /// object from its first detection through
     /// [`HistoryCollector::current_second`] (storage diagnostic; the §4.1
-    /// space argument is that [`DataCollector`]'s retained entries stay
+    /// space argument is that [`DataCollector`]'s retained detections stay
     /// bounded while this figure grows with time).
     pub fn total_entries(&self) -> usize {
         let Some(end) = self.current_second() else {
@@ -119,10 +119,7 @@ mod tests {
         let (h, d) = feed_both(&plan);
         let v = h.view_at(6);
         // Retention agrees with the snapshot collector.
-        let dv = d.aggregated(O).unwrap();
-        let hv = v.aggregated(O).unwrap();
-        assert_eq!(hv.start_second, dv.start_second);
-        assert_eq!(hv.entries, dv.entries);
+        assert_eq!(v.detections(O), d.detections(O));
         assert_eq!(v.last_two_devices(O), d.last_two_devices(O));
         assert_eq!(v.last_detection(O), d.last_detection(O));
         assert_eq!(v.last_episode(O), d.last_episode(O));
@@ -143,9 +140,7 @@ mod tests {
         assert_eq!(v.last_two_devices(O), Some((D1, Some(D2))));
         assert_eq!(v.last_detection(O), Some((D2, 2)));
         assert_eq!(v.current_second(), Some(3));
-        let agg = v.aggregated(O).unwrap();
-        assert_eq!(agg.start_second, 0);
-        assert_eq!(agg.entries, &[Some(D1), None, Some(D2), None]);
+        assert_eq!(v.detections(O), &[(0, D1), (2, D2)]);
     }
 
     #[test]
@@ -154,8 +149,7 @@ mod tests {
         let (h, _) = feed_both(&plan);
         let v = h.view_at(1);
         assert_eq!(v.last_episode(O), Some((D1, 0, 1)));
-        let agg = v.aggregated(O).unwrap();
-        assert_eq!(agg.entries.len(), 2);
+        assert_eq!(v.detections(O), &[(0, D1), (1, D1)]);
     }
 
     #[test]
@@ -163,7 +157,7 @@ mod tests {
         let plan = [(5, Some(D1))];
         let (h, _) = feed_both(&plan);
         let v = h.view_at(3);
-        assert!(v.aggregated(O).is_none());
+        assert!(v.detections(O).is_empty());
         assert!(v.last_detection(O).is_none());
         assert!(v.objects().next().is_none());
         let v5 = h.view_at(5);
@@ -189,12 +183,11 @@ mod tests {
         assert_eq!(h.batches().count(), 4, "the stale batch is not logged");
         let v = h.view_at(3);
         for o in [O, p] {
-            let (va, da) = (v.aggregated(o).unwrap(), d.aggregated(o).unwrap());
-            assert_eq!((va.start_second, va.entries), (da.start_second, da.entries));
+            assert_eq!(v.detections(o), d.detections(o));
             assert_eq!(v.last_two_devices(o), d.last_two_devices(o));
             assert_eq!(v.last_episode(o), d.last_episode(o));
         }
-        assert_eq!(v.aggregated(p).unwrap().entry_at(1), Some(Some(D1)));
+        assert_eq!(v.detections(p)[0], (1, D1));
         // Each object counts from its first detection through second 3.
         assert_eq!(h.total_entries(), 3 + 3);
     }
@@ -214,12 +207,11 @@ mod tests {
                 d.ingest_second(s + 1, &[]);
             }
         }
-        let snapshot_len = d.aggregated(O).unwrap().entries.len();
+        let snapshot_len = d.detections(O).len();
         assert!(snapshot_len <= 8, "snapshot retained {snapshot_len}");
         assert!(h.total_entries() >= 290, "history: {}", h.total_entries());
         // And at any past instant the view's retention is two episodes.
         let v = h.view_at(100);
-        let agg = v.aggregated(O).unwrap();
-        assert!(agg.entries.len() <= 8);
+        assert!(v.detections(O).len() <= 8);
     }
 }

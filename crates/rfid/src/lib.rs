@@ -12,9 +12,9 @@
 //!   activation range, reproducing the *false negatives* that make raw
 //!   RFID data "inherently unreliable" (§1).
 //! * [`DataCollector`] — the event-driven raw data collector of §4.1:
-//!   aggregates tens of samples per second into one entry per second, and
-//!   retains only the readings of the two most recent detecting devices
-//!   per object.
+//!   aggregates tens of samples per second into one reader per object and
+//!   second, and retains per object only the seconds that carried a
+//!   detection in its two most recent detection episodes.
 //! * [`HistoryCollector`] — §4.1's noted extension for historical
 //!   queries: logs every per-second batch and replays the log up to any
 //!   past second into a fresh [`DataCollector`], so historical answers run
@@ -31,7 +31,7 @@ mod reader;
 mod reading;
 mod sensing;
 
-pub use collector::{AggregatedReadings, DataCollector};
+pub use collector::DataCollector;
 pub use deployment::{
     deploy, deploy_at_doors, deploy_random, deploy_uniform, ranges_disjoint, DeploymentStrategy,
 };

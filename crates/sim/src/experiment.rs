@@ -660,7 +660,7 @@ mod tests {
         };
         assert_eq!(span_counts(&s1), span_counts(&s2));
         assert!(s1.spans.contains_key("run/pf_index"));
-        assert!(s1.counters.contains_key("collector.entries_aggregated"));
+        assert!(s1.counters.contains_key("collector.detections"));
         assert!(s1.counters.contains_key("pf.sir_iterations"));
         assert!(s1.counters.contains_key("sim.timestamps_evaluated"));
         assert!(s1.histograms.contains_key("pf.ess"));

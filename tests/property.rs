@@ -166,16 +166,7 @@ proptest! {
                 snap.last_episode(o),
                 "last_episode mismatch for {}", o
             );
-            match (view.aggregated(o), snap.aggregated(o)) {
-                (None, None) => {}
-                (Some(h), Some(d)) => {
-                    prop_assert_eq!(h.start_second, d.start_second);
-                    prop_assert_eq!(h.entries, d.entries);
-                }
-                (h, d) => {
-                    prop_assert!(false, "presence mismatch: {:?} vs {:?}", h.is_some(), d.is_some());
-                }
-            }
+            prop_assert_eq!(view.detections(o), snap.detections(o), "detections mismatch for {}", o);
         }
     }
 
@@ -497,8 +488,8 @@ proptest! {
     /// Episodes are the ENTER/LEAVE pairs, and every state a live
     /// collector reaches is one its checkpoint decoder accepts: fed any
     /// detection stream, each object's last episode ENTERs (first second)
-    /// no later than it LEAVEs (last second), both detections by its
-    /// reader inside the retained entries, none past the current second;
+    /// no later than it LEAVEs (last second), both retained detections by
+    /// its reader, none past the current second;
     /// and the encoded state decodes against the deployment's reader count
     /// and re-encodes to the same bytes.
     #[test]
@@ -517,12 +508,12 @@ proptest! {
         }
         let now = c.current_second();
         for o in c.objects() {
-            let agg = c.aggregated(o).unwrap();
+            let detections = c.detections(o);
             let (reader, first, last) = c.last_episode(o).unwrap();
-            prop_assert!(agg.start_second <= first && first <= last, "{o}: episode order");
-            prop_assert!(Some(agg.end_second()) <= now, "{o}: entries past now");
-            prop_assert_eq!(agg.entry_at(first), Some(Some(reader)));
-            prop_assert_eq!(agg.entry_at(last), Some(Some(reader)));
+            prop_assert!(detections[0].0 <= first && first <= last, "{o}: episode order");
+            prop_assert!(detections.last().map(|d| d.0) <= now, "{o}: detections past now");
+            prop_assert!(detections.contains(&(first, reader)));
+            prop_assert!(detections.contains(&(last, reader)));
             let (older, newer) = c.last_two_devices(o).unwrap();
             prop_assert_eq!(newer.unwrap_or(older), reader);
         }
@@ -543,7 +534,7 @@ proptest! {
     /// Several batches may carry one second: splitting each second's
     /// detections, by object, between two `ingest_second` calls leaves
     /// every object's retained readings and episodes equal to one-batch
-    /// ingestion — across skipped seconds and the idle cutoff too.
+    /// ingestion — across skipped seconds and long silences too.
     #[test]
     fn split_batches_of_one_second_merge_like_one_batch(
         steps in proptest::collection::vec(
@@ -569,10 +560,7 @@ proptest! {
         for o in (0..4).map(ObjectId::new) {
             prop_assert_eq!(one.last_two_devices(o), split.last_two_devices(o), "{}", o);
             prop_assert_eq!(one.last_episode(o), split.last_episode(o), "{}", o);
-            let readings = |c: &DataCollector| {
-                c.aggregated(o).map(|a| (a.start_second, a.entries.to_vec()))
-            };
-            prop_assert_eq!(readings(&one), readings(&split), "{}", o);
+            prop_assert_eq!(one.detections(o), split.detections(o), "{}", o);
         }
     }
 
@@ -624,17 +612,11 @@ proptest! {
                 faulted.last_episode(o),
                 "episode diverged for {}", o
             );
-            match (clean.aggregated(o), faulted.aggregated(o)) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    prop_assert_eq!(a.start_second, b.start_second);
-                    prop_assert_eq!(&a.entries, &b.entries);
-                }
-                (a, b) => prop_assert!(
-                    false,
-                    "presence mismatch: {:?} vs {:?}", a.is_some(), b.is_some()
-                ),
-            }
+            prop_assert_eq!(
+                clean.detections(o),
+                faulted.detections(o),
+                "detections diverged for {}", o
+            );
         }
     }
 
@@ -653,16 +635,18 @@ proptest! {
             }
         }
         for o in (0..5).map(ObjectId::new) {
-            if let Some(agg) = c.aggregated(o) {
-                // Retained window ends at or before the present and starts
-                // at the older of the two most recent episodes.
-                prop_assert!(agg.start_second <= agg.end_second());
+            let retained = c.detections(o);
+            if let (Some(&(start, _)), Some(&(end, _))) = (retained.first(), retained.last()) {
+                // Retained detections end at or before the present and
+                // start at the older of the two most recent episodes.
+                prop_assert!(retained.windows(2).all(|w| w[0].0 < w[1].0));
+                prop_assert!(Some(end) <= c.current_second());
                 prop_assert!(
-                    agg.entries.len() as u64 <= detections.len() as u64,
+                    retained.len() <= detections.len(),
                     "cannot retain more than fed"
                 );
                 let (_, first, _) = c.last_episode(o).expect("detected object");
-                prop_assert!(agg.start_second <= first);
+                prop_assert!(start <= first);
             }
         }
     }
