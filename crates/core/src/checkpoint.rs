@@ -368,6 +368,40 @@ mod tests {
         }
     }
 
+    /// One object whose distribution names `anchor` with probability
+    /// `p`, as [`encode_index`] lays it out.
+    fn index_bytes(anchor: u32, p: f64) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_seq_len(1);
+        w.put_u32(7);
+        w.put_seq_len(1);
+        w.put_u32(anchor);
+        w.put_f64(p);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn decoded_index_names_only_known_anchors_and_finite_probabilities() {
+        let anchors = 381;
+        let bytes = index_bytes(380, 0.5);
+        let mut r = ByteReader::new(&bytes);
+        let index = decode_index(&mut r, anchors).unwrap();
+        r.finish().unwrap();
+        assert_eq!(
+            index.at_anchor(AnchorId::new(380)),
+            &[(ObjectId::new(7), 0.5)]
+        );
+        for (anchor, p) in [(381, 0.5), (u32::MAX, 0.5), (0, f64::NAN)] {
+            let bytes = index_bytes(anchor, p);
+            let mut r = ByteReader::new(&bytes);
+            assert_eq!(
+                decode_index(&mut r, anchors).unwrap_err(),
+                PersistError::Torn,
+                "anchor {anchor}, probability {p}"
+            );
+        }
+    }
+
     fn system(readers: u32) -> IndoorQuerySystem {
         let plan = ripq_floorplan::office_building(&Default::default()).unwrap();
         let config = crate::SystemConfig {

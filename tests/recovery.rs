@@ -20,6 +20,7 @@ use proptest::prelude::*;
 use ripq::core::{IndoorQuerySystem, QueryId, RecoveryOutcome, SystemConfig, TimingMode};
 use ripq::floorplan::{office_building, OfficeParams};
 use ripq::geom::Rect;
+use ripq::persist::{load_snapshot, seal_snapshot, write_atomic};
 use ripq::rfid::{ObjectId, ReaderId};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -402,6 +403,41 @@ fn snapshot_naming_an_unknown_reader_is_quarantined() {
         1,
         "the one object answers"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn snapshot_naming_an_unknown_anchor_is_quarantined() {
+    // A CRC-valid snapshot whose live index names anchor u32::MAX: the
+    // frame is re-sealed after the edit, so only the index decoder's
+    // bounds check stands between it and evaluation.
+    let dir = temp_dir("unknown_anchor");
+    let mut life1 = new_system(Some(1), true);
+    life1.set_checkpoint_dir(&dir);
+    register_queries(&mut life1);
+    let readers: Vec<ReaderId> = life1.readers().iter().map(|r| r.id()).collect();
+    for s in 0..=10 {
+        life1.ingest_detections(s, &detections(s, &readers));
+    }
+    assert!(life1.evaluate(10).index.object_count() > 0);
+    life1.checkpoint_now().expect("checkpoints healthy");
+    drop(life1);
+
+    // The index closes the payload: its last 12 bytes are the last
+    // object's last (anchor u32, probability f64) pair.
+    let path = dir.join("system.ckpt");
+    let mut payload = load_snapshot(&path).expect("a sealed snapshot");
+    let at = payload.len() - 12;
+    payload[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    write_atomic(&path, &seal_snapshot(&payload)).expect("rewrite");
+
+    let mut life2 = new_system(Some(1), true);
+    let outcome = life2.recover(&dir).expect("recover never errors on damage");
+    assert!(
+        matches!(outcome, RecoveryOutcome::Quarantined { .. }),
+        "a snapshot naming an unknown anchor must not resume, got {outcome:?}"
+    );
+    assert_eq!(life2.collector().objects().count(), 0, "nothing restored");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
