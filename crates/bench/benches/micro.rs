@@ -12,7 +12,7 @@ use ripq_geom::{Point2, Rect};
 use ripq_graph::{build_walking_graph, AnchorObjectIndex, AnchorSet};
 use ripq_obs::Recorder;
 use ripq_pf::{
-    resample_systematic, Heading, IndoorState, MotionModel, ParticlePreprocessor,
+    resample_systematic, FilterTables, Heading, IndoorState, MotionModel, ParticlePreprocessor,
     PreprocessorConfig, SupervisionOptions,
 };
 use ripq_rfid::{deploy_uniform, DataCollector, ObjectId, ReaderId};
@@ -125,7 +125,9 @@ fn bench_preprocess(c: &mut Criterion) {
     let graph = build_walking_graph(&plan);
     let anchors = AnchorSet::generate(&graph, &plan, 1.0);
     let readers = deploy_uniform(&plan, &graph, 19, 2.0);
-    let pre = ParticlePreprocessor::new(&graph, &anchors, &readers, PreprocessorConfig::default());
+    let tables = FilterTables::new(&graph, &readers);
+    let config = PreprocessorConfig::default();
+    let pre = ParticlePreprocessor::new(&graph, &anchors, &readers, &tables, config);
     // A 30-second reading history past two readers.
     let mut collector = DataCollector::new();
     let o = ObjectId::new(0);
@@ -195,11 +197,12 @@ fn bench_preprocess_parallel(c: &mut Criterion) {
     let graph = build_walking_graph(&plan);
     let anchors = AnchorSet::generate(&graph, &plan, 1.0);
     let readers = deploy_uniform(&plan, &graph, 19, 2.0);
-    let pre = ParticlePreprocessor::new(&graph, &anchors, &readers, PreprocessorConfig::default());
+    let tables = FilterTables::new(&graph, &readers);
+    let config = PreprocessorConfig::default();
+    let pre = ParticlePreprocessor::new(&graph, &anchors, &readers, &tables, config);
     let recorder = Recorder::enabled();
-    let pre_obs =
-        ParticlePreprocessor::new(&graph, &anchors, &readers, PreprocessorConfig::default())
-            .with_recorder(&recorder);
+    let pre_obs = ParticlePreprocessor::new(&graph, &anchors, &readers, &tables, config)
+        .with_recorder(&recorder);
     // 200 objects, each with a 30-second history past a couple of readers.
     let mut collector = DataCollector::new();
     for s in 0..30u64 {

@@ -70,10 +70,11 @@ pub(crate) fn evaluate_closest_pairs_counted(
     let mut dist: HashMap<(AnchorId, AnchorId), f64> = HashMap::new();
     for &a in &support {
         let mut scan = AnchorScan::new(graph, anchors, anchors.anchor(a).pos);
-        for (b, d) in scan.distances_to(&support) {
+        let mut walk = scan.walk(graph, anchors);
+        for (b, d) in walk.distances_to(&support) {
             dist.insert((a, b), d);
         }
-        *counts += scan.counts();
+        *counts += walk.counts();
     }
     rank_pairs(&objects, index, &dist, query)
 }

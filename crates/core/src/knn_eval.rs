@@ -13,7 +13,10 @@
 //! order — ascending shortest network distance from `q`, ties by anchor
 //! id — through the lazy [`AnchorScan`], and stops at the same Σp ≥ k
 //! criterion, so it returns the identical result set while settling only
-//! the part of the graph the stop required.
+//! the part of the graph the stop required. A registered query keeps its
+//! scan between passes (see [`crate::IndoorQuerySystem::register_knn`]),
+//! so a pass re-reads the anchors earlier passes reached and searches
+//! only past the farthest of them.
 
 use crate::{KnnQuery, ResultSet};
 use ripq_graph::{AnchorObjectIndex, AnchorScan, AnchorSet, ScanCounts, WalkingGraph};
@@ -31,29 +34,45 @@ pub fn evaluate_knn(
     index: &AnchorObjectIndex<ObjectId>,
     query: &KnnQuery,
 ) -> ResultSet {
-    evaluate_knn_counted(graph, anchors, index, query, &mut ScanCounts::default())
+    let mut scan = AnchorScan::new(graph, anchors, graph.project(query.point));
+    knn_over_scan(
+        &mut scan,
+        graph,
+        anchors,
+        index,
+        query.k,
+        &mut ScanCounts::default(),
+    )
 }
 
-/// [`evaluate_knn`] that also adds the scan's search effort to `counts`.
-pub(crate) fn evaluate_knn_counted(
+/// Algorithm 4 over `scan`, a scan from the query point on `graph` and
+/// `anchors`: reads anchors in ascending distance until Σp ≥ `k`, and
+/// adds to `counts` the effort a fresh scan spends to stop there.
+pub(crate) fn knn_over_scan(
+    scan: &mut AnchorScan,
     graph: &WalkingGraph,
     anchors: &AnchorSet,
     index: &AnchorObjectIndex<ObjectId>,
-    query: &KnnQuery,
+    k: usize,
     counts: &mut ScanCounts,
 ) -> ResultSet {
-    let mut scan = AnchorScan::new(graph, anchors, graph.project(query.point));
+    let mut walk = scan.walk(graph, anchors);
     let mut result_set = ResultSet::new();
-    let target = query.k as f64;
-    for (anchor, _) in scan.by_ref() {
-        for &(o, p) in index.at_anchor(anchor) {
+    let target = k as f64;
+    for (anchor, _) in walk.by_ref() {
+        let objects = index.at_anchor(anchor);
+        // An anchor without objects leaves Σp where it was, below k.
+        if objects.is_empty() {
+            continue;
+        }
+        for &(o, p) in objects {
             result_set.add(o, p);
         }
         if result_set.total_probability() >= target {
             break;
         }
     }
-    *counts += scan.counts();
+    *counts += walk.counts();
     result_set
 }
 
@@ -203,22 +222,55 @@ mod tests {
         assert!(rs.is_empty());
     }
 
+    /// Algorithm 4 on a fresh scan: the answer and the effort counted.
+    fn fresh(
+        graph: &WalkingGraph,
+        anchors: &AnchorSet,
+        index: &AnchorObjectIndex<ObjectId>,
+        q: &KnnQuery,
+    ) -> (ResultSet, ScanCounts) {
+        let mut scan = AnchorScan::new(graph, anchors, graph.project(q.point));
+        let mut counts = ScanCounts::default();
+        let rs = knn_over_scan(&mut scan, graph, anchors, index, q.k, &mut counts);
+        (rs, counts)
+    }
+
     #[test]
-    fn scan_effort_accumulates_into_the_callers_counts() {
+    fn a_kept_scan_answers_and_counts_like_a_fresh_one() {
         let (plan, graph, anchors) = setup();
         let mut index = AnchorObjectIndex::new();
         place(&graph, &anchors, &mut index, o(0), plan.rooms()[3].center());
         let q = KnnQuery::new(QueryId::new(0), plan.rooms()[20].center(), 1).unwrap();
-        let mut counts = ScanCounts::default();
-        let first = evaluate_knn_counted(&graph, &anchors, &index, &q, &mut counts);
-        let once = counts;
-        assert!(once.settled > 0 && once.anchor_candidates > 0);
-        let second = evaluate_knn_counted(&graph, &anchors, &index, &q, &mut counts);
-        assert_eq!(counts.settled, 2 * once.settled, "counts accumulate");
-        assert_eq!(
-            first.iter().collect::<Vec<_>>(),
-            second.iter().collect::<Vec<_>>()
+        let mut kept = AnchorScan::new(&graph, &anchors, graph.project(q.point));
+        let mut pass = |index: &AnchorObjectIndex<ObjectId>| {
+            let mut counts = ScanCounts::default();
+            let rs = knn_over_scan(&mut kept, &graph, &anchors, index, q.k, &mut counts);
+            let (want, want_counts) = fresh(&graph, &anchors, index, &q);
+            assert_eq!(rs, want);
+            assert_eq!(counts, want_counts);
+            (counts, kept.counts())
+        };
+        let (first, spent) = pass(&index);
+        assert!(first.settled > 0 && first.anchor_candidates > 0);
+        assert_eq!(first, spent);
+        // A nearer object: the pass stops inside what the scan has read,
+        // counts the shorter stop and searches nothing more.
+        place(
+            &graph,
+            &anchors,
+            &mut index,
+            o(1),
+            plan.rooms()[20].center(),
         );
+        let (near, total) = pass(&index);
+        assert!(near.settled < first.settled);
+        assert_eq!(total, spent);
+        // Only a farther object: the pass resumes past the earlier stop.
+        index.clear();
+        place(&graph, &anchors, &mut index, o(2), plan.rooms()[0].center());
+        let (far, total) = pass(&index);
+        assert!(far.settled > first.settled, "the object moved away");
+        assert_eq!(far, total);
     }
 
     #[test]

@@ -68,13 +68,27 @@ pub fn evaluate_ptknn<R: Rng>(
     query: &PtknnQuery,
     rounds: usize,
 ) -> ResultSet {
+    let mut scan = AnchorScan::new(graph, anchors, graph.project(query.point));
     let mut counts = ScanCounts::default();
-    evaluate_ptknn_counted(rng, graph, anchors, index, query, rounds, &mut counts)
+    ptknn_over_scan(
+        rng,
+        &mut scan,
+        graph,
+        anchors,
+        index,
+        query,
+        rounds,
+        &mut counts,
+    )
 }
 
-/// [`evaluate_ptknn`] that also adds the scan's search effort to `counts`.
-pub(crate) fn evaluate_ptknn_counted<R: Rng>(
+/// [`evaluate_ptknn`] over `scan`, a scan from the query point on `graph`
+/// and `anchors`; adds to `counts` the effort a fresh scan spends to
+/// reach every anchor the sampler needs.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn ptknn_over_scan<R: Rng>(
     rng: &mut R,
+    scan: &mut AnchorScan,
     graph: &WalkingGraph,
     anchors: &AnchorSet,
     index: &AnchorObjectIndex<ObjectId>,
@@ -90,10 +104,12 @@ pub(crate) fn evaluate_ptknn_counted<R: Rng>(
         .flatten()
         .map(|&(a, _)| a)
         .collect();
-    let mut scan = AnchorScan::new(graph, anchors, graph.project(query.point));
-    let dist = scan.distances_to(&needed);
-    *counts += scan.counts();
-    evaluate_ptknn_with(rng, index, query, rounds, |a| dist[&a])
+    let mut walk = scan.walk(graph, anchors);
+    let dist = walk.distances_to(&needed);
+    *counts += walk.counts();
+    evaluate_ptknn_with(rng, index, query, rounds, |a| {
+        dist.get(&a).copied().unwrap_or(f64::INFINITY)
+    })
 }
 
 /// The Monte-Carlo body over the anchor distances `distance_to_anchor`

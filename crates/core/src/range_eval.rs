@@ -11,11 +11,16 @@
 //!   width … with equal probability";
 //! * **rooms** — all anchors of an intersected room contribute, scaled by
 //!   `Area_qr / Area_R` (objects inside rooms are uniformly distributed).
+//!
+//! Which anchors each part covers, and its ratio, depend only on the
+//! window and the deployment: [`RangeParts`] computes them once, and a
+//! registered query keeps them (see
+//! [`crate::IndoorQuerySystem::register_range`]).
 
 use crate::ResultSet;
 use ripq_floorplan::{Axis, FloorPlan};
 use ripq_geom::Rect;
-use ripq_graph::{AnchorObjectIndex, AnchorSet};
+use ripq_graph::{AnchorId, AnchorObjectIndex, AnchorSet};
 use ripq_rfid::ObjectId;
 
 /// Evaluates a probabilistic range query over the filtered `APtoObjHT`
@@ -26,50 +31,76 @@ pub fn evaluate_range(
     index: &AnchorObjectIndex<ObjectId>,
     window: &Rect,
 ) -> ResultSet {
-    let mut result_set = ResultSet::new();
+    RangeParts::new(plan, anchors, window).evaluate(index)
+}
 
-    // Hallway parts (Algorithm 3, lines 4–6).
-    for hallway in plan.hallways() {
-        let Some(overlap) = hallway.footprint().intersection(window) else {
-            continue;
+/// Algorithm 3's parts of one query window: the anchors of each covered
+/// hallway span with its width ratio `w_qh / w_h` (lines 4–6), then the
+/// anchors of each intersected room with its area ratio `Area_qr / Area_R`
+/// (lines 7–9).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct RangeParts {
+    /// Every part's anchors, part after part.
+    anchors: Vec<AnchorId>,
+    /// Per part: where its anchors end in `anchors`, and its ratio.
+    parts: Vec<(usize, f64)>,
+}
+
+impl RangeParts {
+    /// The parts of `window` over `plan`'s hallways and rooms.
+    pub(crate) fn new(plan: &FloorPlan, anchors: &AnchorSet, window: &Rect) -> Self {
+        let mut out = RangeParts {
+            anchors: Vec::new(),
+            parts: Vec::new(),
         };
-        let covered = anchors.hallway_anchors_in_window(hallway, window);
-        if covered.is_empty() {
-            continue;
-        }
-        let cross = match hallway.axis() {
-            Axis::Horizontal => overlap.height(),
-            Axis::Vertical => overlap.width(),
-        };
-        let ratio = (cross / hallway.cross_width()).clamp(0.0, 1.0);
-        let mut partial = ResultSet::new();
-        for a in covered {
-            for &(o, p) in index.at_anchor(a) {
-                partial.add(o, p);
+        for hallway in plan.hallways() {
+            let Some(overlap) = hallway.footprint().intersection(window) else {
+                continue;
+            };
+            let covered = anchors.hallway_anchors_in_window(hallway, window);
+            if covered.is_empty() {
+                continue;
             }
+            let cross = match hallway.axis() {
+                Axis::Horizontal => overlap.height(),
+                Axis::Vertical => overlap.width(),
+            };
+            out.push((cross / hallway.cross_width()).clamp(0.0, 1.0), covered);
         }
-        partial.scale(ratio);
-        result_set.merge(&partial);
+        for room in plan.rooms() {
+            let overlap_area = room.footprint().intersection_area(window);
+            if overlap_area <= 0.0 {
+                continue;
+            }
+            let ratio = (overlap_area / room.area()).clamp(0.0, 1.0);
+            out.push(ratio, anchors.in_room(room.id()).iter().copied());
+        }
+        out
     }
 
-    // Room parts (lines 7–9).
-    for room in plan.rooms() {
-        let overlap_area = room.footprint().intersection_area(window);
-        if overlap_area <= 0.0 {
-            continue;
-        }
-        let ratio = (overlap_area / room.area()).clamp(0.0, 1.0);
-        let mut partial = ResultSet::new();
-        for &a in anchors.in_room(room.id()) {
-            for &(o, p) in index.at_anchor(a) {
-                partial.add(o, p);
-            }
-        }
-        partial.scale(ratio);
-        result_set.merge(&partial);
+    fn push(&mut self, ratio: f64, anchors: impl IntoIterator<Item = AnchorId>) {
+        self.anchors.extend(anchors);
+        self.parts.push((self.anchors.len(), ratio));
     }
 
-    result_set
+    /// Sums each part's objects over `index`, scales the part by its
+    /// ratio and merges it into the answer, part by part.
+    pub(crate) fn evaluate(&self, index: &AnchorObjectIndex<ObjectId>) -> ResultSet {
+        let mut result_set = ResultSet::new();
+        let mut start = 0;
+        for &(end, ratio) in &self.parts {
+            let mut partial = ResultSet::new();
+            for &a in self.anchors.get(start..end).unwrap_or_default() {
+                for &(o, p) in index.at_anchor(a) {
+                    partial.add(o, p);
+                }
+            }
+            partial.scale(ratio);
+            result_set.merge(&partial);
+            start = end;
+        }
+        result_set
+    }
 }
 
 #[cfg(test)]

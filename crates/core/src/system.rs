@@ -3,22 +3,26 @@
 use crate::checkpoint::{self, RecoveryOutcome};
 use crate::clock::{Clock, TimingMode};
 use crate::closest_pairs::evaluate_closest_pairs_counted;
-use crate::knn_eval::evaluate_knn_counted;
-use crate::ptknn::evaluate_ptknn_counted;
+use crate::knn_eval::knn_over_scan;
+use crate::ptknn::ptknn_over_scan;
+use crate::range_eval::RangeParts;
 use crate::{
-    evaluate_range, prune_knn_candidates, prune_range_candidates, reader_distances,
-    ClosestPairsQuery, KnnQuery, ObjectPair, PtknnQuery, QueryId, RangeQuery, ResultSet, RipqError,
+    prune_knn_candidates, prune_range_candidates, reader_distances, ClosestPairsQuery, KnnQuery,
+    ObjectPair, PtknnQuery, QueryId, RangeQuery, ResultSet, RipqError,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ripq_floorplan::FloorPlan;
 use ripq_geom::{Point2, Rect};
-use ripq_graph::{build_walking_graph, AnchorObjectIndex, AnchorSet, ScanCounts, WalkingGraph};
+use ripq_graph::{
+    build_walking_graph, AnchorObjectIndex, AnchorScan, AnchorSet, GraphPos, ScanCounts,
+    WalkingGraph,
+};
 use ripq_obs::{MetricsSnapshot, Recorder};
 use ripq_persist::{crc32, ByteReader, ByteWriter, PersistError};
 use ripq_pf::{
-    CacheStats, DegradationLevel, ParticleCache, ParticlePreprocessor, PreprocessorConfig,
-    SupervisionOptions,
+    CacheStats, DegradationLevel, FilterTables, ParticleCache, ParticlePreprocessor,
+    PreprocessorConfig, SupervisionOptions,
 };
 use ripq_rfid::{deploy_uniform, DataCollector, ObjectId, RawReading, Reader, ReaderId};
 use serde::{Deserialize, Serialize};
@@ -164,6 +168,8 @@ pub struct IndoorQuerySystem {
     graph: WalkingGraph,
     anchors: AnchorSet,
     readers: Vec<Reader>,
+    /// What the particle filter reads of the deployment, built once.
+    tables: FilterTables,
     /// CRC32 of the deployment (see [`world_fingerprint`]), written at the
     /// front of every snapshot so a snapshot is only ever restored into
     /// the world it was taken in.
@@ -181,14 +187,11 @@ pub struct IndoorQuerySystem {
     // Query registries are ordered maps: evaluation visits queries in
     // registration (QueryId) order, so shared state touched per query —
     // most importantly the master RNG consumed by PTkNN sampling — sees
-    // the same sequence every run.
-    range_queries: BTreeMap<QueryId, RangeQuery>,
-    knn_queries: BTreeMap<QueryId, KnnQuery>,
-    /// Network distance from each registered kNN/PTkNN query point to
-    /// every reader (indexed like `readers`): filled by one Dijkstra pass
-    /// at registration, read by candidate pruning on every pass.
-    reader_rows: BTreeMap<QueryId, Vec<f64>>,
-    ptknn_queries: BTreeMap<QueryId, PtknnQuery>,
+    // the same sequence every run. Each query keeps beside it what its
+    // evaluation reads and no pass changes.
+    range_queries: BTreeMap<QueryId, (RangeQuery, RangeParts)>,
+    knn_queries: BTreeMap<QueryId, (KnnQuery, Frontier)>,
+    ptknn_queries: BTreeMap<QueryId, (PtknnQuery, Frontier)>,
     closest_pairs_queries: BTreeMap<QueryId, ClosestPairsQuery>,
     next_query: u32,
     /// Where [`IndoorQuerySystem::checkpoint_now`] writes `system.ckpt`.
@@ -199,6 +202,39 @@ pub struct IndoorQuerySystem {
     /// Test-support fault injection: panic the particle filter of this
     /// object for its first N attempts per pass.
     injected_fault: Option<(ObjectId, usize)>,
+}
+
+/// What a registered kNN or PTkNN query keeps between passes.
+struct Frontier {
+    /// Network distance from the query point to every reader (indexed
+    /// like the deployment): filled by one Dijkstra pass at registration,
+    /// read by candidate pruning on every pass.
+    reader_row: Vec<f64>,
+    /// The query point on the walking graph.
+    source: GraphPos,
+    /// The anchor scan from `source`, started by the first pass that
+    /// evaluates the query and kept, with every anchor it has emitted,
+    /// for the passes after it. It depends only on the query point and
+    /// the world, so it stays valid across recovery.
+    scan: Option<AnchorScan>,
+}
+
+impl Frontier {
+    /// Registration: the reader row and the projected point; no scan yet.
+    fn new(graph: &WalkingGraph, readers: &[Reader], point: Point2) -> Self {
+        Frontier {
+            reader_row: reader_distances(graph, readers, point),
+            source: graph.project(point),
+            scan: None,
+        }
+    }
+
+    /// The kept scan, started on first use.
+    fn scan(&mut self, graph: &WalkingGraph, anchors: &AnchorSet) -> &mut AnchorScan {
+        let source = self.source;
+        self.scan
+            .get_or_insert_with(|| AnchorScan::new(graph, anchors, source))
+    }
 }
 
 impl IndoorQuerySystem {
@@ -235,6 +271,7 @@ impl IndoorQuerySystem {
     ) -> Self {
         let anchors = AnchorSet::generate(&graph, &plan, config.anchor_spacing);
         let world_crc = world_fingerprint(&graph, &anchors, &readers);
+        let tables = FilterTables::new(&graph, &readers);
         let recorder = Recorder::from_flag(config.observability);
         let mut collector = DataCollector::new();
         collector.set_recorder(&recorder);
@@ -244,6 +281,7 @@ impl IndoorQuerySystem {
             graph,
             anchors,
             readers,
+            tables,
             world_crc,
             collector,
             cache: ParticleCache::new(),
@@ -253,7 +291,6 @@ impl IndoorQuerySystem {
             live_index: AnchorObjectIndex::new(),
             range_queries: BTreeMap::new(),
             knn_queries: BTreeMap::new(),
-            reader_rows: BTreeMap::new(),
             ptknn_queries: BTreeMap::new(),
             closest_pairs_queries: BTreeMap::new(),
             next_query: 0,
@@ -341,31 +378,38 @@ impl IndoorQuerySystem {
         self.collector.note_outage(reader, from, until);
     }
 
-    /// Registers a range query.
+    /// Registers a range query. Algorithm 3's parts of the window — the
+    /// covered hallway anchors with their width ratios and the intersected
+    /// rooms' anchors with their area ratios — are computed now and
+    /// walked by every [`IndoorQuerySystem::evaluate`].
     pub fn register_range(&mut self, window: Rect) -> Result<QueryId, RipqError> {
         let id = QueryId::new(self.next_query);
         let q = RangeQuery::new(id, window)?;
         self.next_query += 1;
-        self.range_queries.insert(id, q);
+        let parts = RangeParts::new(&self.plan, &self.anchors, &window);
+        self.range_queries.insert(id, (q, parts));
         Ok(id)
     }
 
     /// Registers a kNN query. The query point's network distance to every
     /// reader is computed now (one Dijkstra pass) and reused by candidate
-    /// pruning on every [`IndoorQuerySystem::evaluate`].
+    /// pruning on every [`IndoorQuerySystem::evaluate`]. The anchor scan
+    /// from the query point starts at the first evaluation and is kept:
+    /// later passes re-read the anchors it reached and search only past
+    /// them, and count the effort a fresh scan would spend.
     pub fn register_knn(&mut self, point: Point2, k: usize) -> Result<QueryId, RipqError> {
         let id = QueryId::new(self.next_query);
         let q = KnnQuery::new(id, point, k)?;
         self.next_query += 1;
-        self.reader_rows
-            .insert(id, reader_distances(&self.graph, &self.readers, point));
-        self.knn_queries.insert(id, q);
+        let frontier = Frontier::new(&self.graph, &self.readers, point);
+        self.knn_queries.insert(id, (q, frontier));
         Ok(id)
     }
 
     /// Registers a probabilistic-threshold kNN query (Yang et al.'s
     /// PTkNN, evaluated by possible-worlds sampling). Like a kNN query, it
-    /// gets its reader-distance row for candidate pruning now.
+    /// gets its reader-distance row for candidate pruning now and keeps
+    /// its anchor scan from its first evaluation on.
     pub fn register_ptknn(
         &mut self,
         point: Point2,
@@ -375,9 +419,8 @@ impl IndoorQuerySystem {
         let q = PtknnQuery::new(point, k, threshold)?;
         let id = QueryId::new(self.next_query);
         self.next_query += 1;
-        self.reader_rows
-            .insert(id, reader_distances(&self.graph, &self.readers, point));
-        self.ptknn_queries.insert(id, q);
+        let frontier = Frontier::new(&self.graph, &self.readers, point);
+        self.ptknn_queries.insert(id, (q, frontier));
         Ok(id)
     }
 
@@ -396,7 +439,6 @@ impl IndoorQuerySystem {
 
     /// Removes a registered query.
     pub fn deregister(&mut self, id: QueryId) -> Result<(), RipqError> {
-        self.reader_rows.remove(&id);
         if self.range_queries.remove(&id).is_some()
             || self.knn_queries.remove(&id).is_some()
             || self.ptknn_queries.remove(&id).is_some()
@@ -436,7 +478,7 @@ impl IndoorQuerySystem {
         // how many candidates each pruning rule admitted (pre-dedup).
         let t_prune = clock.now();
         let candidates: Vec<ObjectId> = if self.config.prune_candidates {
-            let windows: Vec<Rect> = self.range_queries.values().map(|q| q.window).collect();
+            let windows: Vec<Rect> = self.range_queries.values().map(|(q, _)| q.window).collect();
             let mut c = prune_range_candidates(
                 &self.collector,
                 &self.readers,
@@ -447,14 +489,14 @@ impl IndoorQuerySystem {
             self.recorder
                 .add("optimizer.candidates_rule_range", c.len() as u64);
             let mut from_knn = 0u64;
-            for (id, q) in &self.knn_queries {
+            for (q, frontier) in self.knn_queries.values() {
                 let picked = prune_knn_candidates(
                     &self.collector,
                     &self.readers,
                     q,
                     now,
                     self.config.max_speed,
-                    &self.reader_rows[id],
+                    &frontier.reader_row,
                 );
                 from_knn += picked.len() as u64;
                 c.extend(picked);
@@ -463,7 +505,7 @@ impl IndoorQuerySystem {
             // PTkNN pruning reuses the kNN bound; closest-pairs queries
             // are global and keep every object.
             let mut from_ptknn = 0u64;
-            for (id, q) in &self.ptknn_queries {
+            for (id, (q, frontier)) in &self.ptknn_queries {
                 let as_knn = KnnQuery {
                     id: *id,
                     point: q.point,
@@ -475,7 +517,7 @@ impl IndoorQuerySystem {
                     &as_knn,
                     now,
                     self.config.max_speed,
-                    &self.reader_rows[id],
+                    &frontier.reader_row,
                 );
                 from_ptknn += picked.len() as u64;
                 c.extend(picked);
@@ -521,6 +563,7 @@ impl IndoorQuerySystem {
             &self.graph,
             &self.anchors,
             &self.readers,
+            &self.tables,
             self.config.preprocess,
         )
         .with_recorder(&self.recorder);
@@ -556,12 +599,9 @@ impl IndoorQuerySystem {
         let obs_on = self.recorder.is_enabled();
         let t_eval = clock.now();
         let mut range_results = BTreeMap::new();
-        for (id, q) in &self.range_queries {
+        for (id, (_, parts)) in &self.range_queries {
             let t_q = obs_on.then(|| clock.now());
-            range_results.insert(
-                *id,
-                evaluate_range(&self.plan, &self.anchors, &index, &q.window),
-            );
+            range_results.insert(*id, parts.evaluate(&index));
             if let Some(t_q) = t_q {
                 self.recorder
                     .record_span("evaluate/queries/range", clock.since(t_q));
@@ -570,9 +610,11 @@ impl IndoorQuerySystem {
         // Search effort of every distance scan in this pass.
         let mut scans = ScanCounts::default();
         let mut knn_results = BTreeMap::new();
-        for (id, q) in &self.knn_queries {
+        let (graph, anchors) = (&self.graph, &self.anchors);
+        for (id, (q, frontier)) in &mut self.knn_queries {
             let t_q = obs_on.then(|| clock.now());
-            let rs = evaluate_knn_counted(&self.graph, &self.anchors, &index, q, &mut scans);
+            let scan = frontier.scan(graph, anchors);
+            let rs = knn_over_scan(scan, graph, anchors, &index, q.k, &mut scans);
             knn_results.insert(*id, rs);
             if let Some(t_q) = t_q {
                 self.recorder
@@ -580,12 +622,13 @@ impl IndoorQuerySystem {
             }
         }
         let mut ptknn_results = BTreeMap::new();
-        for (id, q) in &self.ptknn_queries {
+        for (id, (q, frontier)) in &mut self.ptknn_queries {
             let t_q = obs_on.then(|| clock.now());
-            let rs = evaluate_ptknn_counted(
+            let rs = ptknn_over_scan(
                 &mut self.rng,
-                &self.graph,
-                &self.anchors,
+                frontier.scan(graph, anchors),
+                graph,
+                anchors,
                 &index,
                 q,
                 self.config.ptknn_rounds,
@@ -600,8 +643,7 @@ impl IndoorQuerySystem {
         let mut closest_pairs_results = BTreeMap::new();
         for (id, q) in &self.closest_pairs_queries {
             let t_q = obs_on.then(|| clock.now());
-            let pairs =
-                evaluate_closest_pairs_counted(&self.graph, &self.anchors, &index, q, &mut scans);
+            let pairs = evaluate_closest_pairs_counted(graph, anchors, &index, q, &mut scans);
             closest_pairs_results.insert(*id, pairs);
             if let Some(t_q) = t_q {
                 self.recorder
@@ -863,21 +905,34 @@ mod tests {
     }
 
     #[test]
-    fn reader_rows_live_exactly_as_long_as_their_queries() {
+    fn frontiers_live_exactly_as_long_as_their_queries() {
         let mut sys = system();
         sys.register_range(Rect::new(0.0, 9.0, 10.0, 2.0)).unwrap();
         let k = sys.register_knn(sys.readers()[0].position(), 2).unwrap();
         let p = sys
             .register_ptknn(sys.readers()[4].position(), 1, 0.5)
             .unwrap();
+        // (query, reader row length, scan started) per kept frontier.
+        let frontiers = |sys: &IndoorQuerySystem| -> Vec<(QueryId, usize, bool)> {
+            let knn = sys.knn_queries.iter().map(|(id, (_, f))| (*id, f));
+            let ptknn = sys.ptknn_queries.iter().map(|(id, (_, f))| (*id, f));
+            knn.chain(ptknn)
+                .map(|(id, f)| (id, f.reader_row.len(), f.scan.is_some()))
+                .collect()
+        };
+        let n = sys.readers().len();
         assert_eq!(
-            sys.reader_rows.keys().copied().collect::<Vec<_>>(),
-            vec![k, p]
+            frontiers(&sys),
+            vec![(k, n, false), (p, n, false)],
+            "registration starts no scan"
         );
-        assert_eq!(sys.reader_rows[&k].len(), sys.readers().len());
+        let reader = sys.readers()[1].id();
+        sys.ingest_detections(0, &[(o(0), reader)]);
+        sys.evaluate(0);
+        assert_eq!(frontiers(&sys), vec![(k, n, true), (p, n, true)]);
         sys.deregister(k).unwrap();
         sys.deregister(p).unwrap();
-        assert!(sys.reader_rows.is_empty());
+        assert!(frontiers(&sys).is_empty());
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! each object and its probability at the anchor point ⟨oᵢ, pᵢ(ap_j)⟩."
 //!
 //! We key by [`AnchorId`] instead of raw coordinates (ids are bijective
-//! with coordinates and hash exactly), and additionally maintain the
-//! inverse view (object → its anchor distribution) because both query
-//! evaluation (anchor → objects) and accuracy metrics (object → anchors)
-//! need fast access.
+//! with coordinates and dense), so the anchor side is a table indexed by
+//! id, and additionally maintain the inverse view (object → its anchor
+//! distribution) because both query evaluation (anchor → objects) and
+//! accuracy metrics (object → anchors) need fast access.
 
 use crate::AnchorId;
 use std::collections::BTreeMap;
@@ -16,18 +16,22 @@ use std::collections::BTreeMap;
 /// Bidirectional anchor ↔ object probability index, generic over the
 /// object key type (RIPQ instantiates it with its `ObjectId`).
 ///
-/// Both views are ordered maps: every iteration — [`Self::objects`] in
-/// particular — visits keys in their natural order, so downstream
-/// consumers (PTkNN sampling, occupancy sums) behave identically across
-/// runs with no per-call-site sorting. Per-anchor object lists are kept
-/// sorted by object key for the same reason, which also makes the index
-/// *order-free*: applying deltas ([`Self::apply_object`],
-/// [`Self::retain_objects`]) in any sequence converges to the same
-/// structure as a from-scratch rebuild — the invariant the incremental
-/// `APtoObjHT` maintenance relies on.
-#[derive(Debug, Clone, PartialEq)]
+/// The anchor side is a table with one row per anchor id, grown only to
+/// the largest id it has been handed; the object side is an ordered map.
+/// Every iteration — [`Self::objects`] in particular — visits keys in
+/// their natural order, so downstream consumers (PTkNN sampling,
+/// occupancy sums) behave identically across runs with no per-call-site
+/// sorting. Per-anchor object lists are kept sorted by object key for the
+/// same reason, which also makes the index *order-free*: applying deltas
+/// ([`Self::apply_object`], [`Self::retain_objects`]) in any sequence
+/// converges to the same contents as a from-scratch rebuild — the
+/// invariant the incremental `APtoObjHT` maintenance relies on. Equality
+/// compares contents: a row that was never touched and one that was
+/// emptied are the same row.
+#[derive(Debug, Clone)]
 pub struct AnchorObjectIndex<K> {
-    by_anchor: BTreeMap<AnchorId, Vec<(K, f64)>>,
+    /// Indexed by [`AnchorId::index`].
+    by_anchor: Vec<Vec<(K, f64)>>,
     by_object: BTreeMap<K, Vec<(AnchorId, f64)>>,
 }
 
@@ -59,9 +63,23 @@ pub struct IndexDeltaStats {
 impl<K> Default for AnchorObjectIndex<K> {
     fn default() -> Self {
         AnchorObjectIndex {
-            by_anchor: BTreeMap::new(),
+            by_anchor: Vec::new(),
             by_object: BTreeMap::new(),
         }
+    }
+}
+
+impl<K: PartialEq> PartialEq for AnchorObjectIndex<K> {
+    fn eq(&self, other: &Self) -> bool {
+        let rows = self.by_anchor.len().max(other.by_anchor.len());
+        self.by_object == other.by_object && (0..rows).all(|i| self.row(i) == other.row(i))
+    }
+}
+
+impl<K> AnchorObjectIndex<K> {
+    /// Row `i` of the anchor table; empty past its end.
+    fn row(&self, i: usize) -> &[(K, f64)] {
+        self.by_anchor.get(i).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -80,7 +98,13 @@ impl<K: Copy + Ord> AnchorObjectIndex<K> {
         self.remove_object(&object);
         let dist: Vec<(AnchorId, f64)> = dist.into_iter().filter(|&(_, p)| p > 0.0).collect();
         for &(anchor, p) in &dist {
-            let list = self.by_anchor.entry(anchor).or_default();
+            let row = anchor.index();
+            if row >= self.by_anchor.len() {
+                self.by_anchor.resize_with(row + 1, Vec::new);
+            }
+            let Some(list) = self.by_anchor.get_mut(row) else {
+                continue;
+            };
             // Sorted insertion by object key: the list order must be a
             // function of the index *contents*, not of delta arrival
             // order, so incremental maintenance equals a rebuild.
@@ -138,11 +162,8 @@ impl<K: Copy + Ord> AnchorObjectIndex<K> {
     pub fn remove_object(&mut self, object: &K) {
         if let Some(old) = self.by_object.remove(object) {
             for (anchor, _) in old {
-                if let Some(list) = self.by_anchor.get_mut(&anchor) {
+                if let Some(list) = self.by_anchor.get_mut(anchor.index()) {
                     list.retain(|(k, _)| k != object);
-                    if list.is_empty() {
-                        self.by_anchor.remove(&anchor);
-                    }
                 }
             }
         }
@@ -150,7 +171,7 @@ impl<K: Copy + Ord> AnchorObjectIndex<K> {
 
     /// The ⟨object, probability⟩ list at an anchor (empty when none).
     pub fn at_anchor(&self, anchor: AnchorId) -> &[(K, f64)] {
-        self.by_anchor.get(&anchor).map_or(&[], Vec::as_slice)
+        self.row(anchor.index())
     }
 
     /// An object's anchor distribution, if present.
@@ -177,7 +198,7 @@ impl<K: Copy + Ord> AnchorObjectIndex<K> {
 
     /// Number of anchors with at least one entry.
     pub fn anchor_count(&self) -> usize {
-        self.by_anchor.len()
+        self.by_anchor.iter().filter(|row| !row.is_empty()).count()
     }
 
     /// Clears everything.

@@ -60,5 +60,5 @@ pub use ids::{AnchorId, EdgeId, NodeId};
 pub use index::{AnchorObjectIndex, DeltaOutcome, IndexDeltaStats};
 pub use node::{Node, NodeKind};
 pub use path::Path;
-pub use scan::{AnchorScan, ScanCounts};
+pub use scan::{AnchorScan, ScanCounts, ScanWalk};
 pub use shortest::ShortestPaths;

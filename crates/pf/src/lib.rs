@@ -29,7 +29,7 @@
 //! ```
 //! use ripq_floorplan::{office_building, OfficeParams};
 //! use ripq_graph::{build_walking_graph, AnchorObjectIndex, AnchorSet};
-//! use ripq_pf::{ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
+//! use ripq_pf::{FilterTables, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
 //! use ripq_rfid::{deploy_uniform, DataCollector, ObjectId};
 //!
 //! let plan = office_building(&OfficeParams::default()).unwrap();
@@ -45,7 +45,9 @@
 //!     collector.ingest_second(second, &seen);
 //! }
 //!
-//! let pre = ParticlePreprocessor::new(&graph, &anchors, &readers, PreprocessorConfig::default());
+//! let tables = FilterTables::new(&graph, &readers);
+//! let config = PreprocessorConfig::default();
+//! let pre = ParticlePreprocessor::new(&graph, &anchors, &readers, &tables, config);
 //! let mut index = AnchorObjectIndex::new();
 //! let options = SupervisionOptions::default();
 //! pre.process(7, &collector, &[object], 9, None, None, &options, &mut index);
@@ -74,6 +76,6 @@ pub use preprocess::{
     derive_stream_seed, DegradationLevel, ParticlePreprocessor, PreprocessorConfig,
     SupervisionOptions,
 };
-pub use sir::resample_systematic;
+pub use sir::{resample_systematic, FilterTables};
 pub use state::{Heading, IndoorState};
 pub use trajectory::{reconstruct_trajectory, TrajectoryConfig, TrajectoryPoint};

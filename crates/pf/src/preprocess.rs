@@ -21,7 +21,7 @@
 
 use crate::cache::EpisodeKey;
 use crate::sir::{Particles, Sir, SirModel, Update};
-use crate::{IndoorState, KldConfig, MeasurementModel, MotionModel, ParticleCache};
+use crate::{FilterTables, IndoorState, KldConfig, MeasurementModel, MotionModel, ParticleCache};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -239,12 +239,14 @@ pub struct ParticlePreprocessor<'a> {
 
 impl<'a> ParticlePreprocessor<'a> {
     /// Creates a preprocessor over a fixed graph / anchor set / reader
-    /// deployment. `readers` must be dense: `readers[id.index()].id() == id`.
-    /// Lists the readers within reach of each edge once, here.
+    /// deployment and that deployment's [`FilterTables`], built once from
+    /// the same `graph` and `readers`. `readers` must be dense:
+    /// `readers[id.index()].id() == id`.
     pub fn new(
         graph: &'a WalkingGraph,
         anchors: &'a AnchorSet,
         readers: &'a [Reader],
+        tables: &'a FilterTables,
         config: PreprocessorConfig,
     ) -> Self {
         let model = SirModel {
@@ -257,7 +259,7 @@ impl<'a> ParticlePreprocessor<'a> {
         };
         ParticlePreprocessor {
             anchors,
-            sir: Sir::new(graph, anchors, readers, model),
+            sir: Sir::new(graph, anchors, readers, tables, model),
             config,
             metrics: PfMetrics::default(),
             recorder: Recorder::default(),
@@ -767,6 +769,7 @@ mod tests {
         graph: WalkingGraph,
         anchors: AnchorSet,
         readers: Vec<Reader>,
+        tables: FilterTables,
     }
 
     fn world() -> World {
@@ -774,10 +777,12 @@ mod tests {
         let graph = build_walking_graph(&plan);
         let anchors = AnchorSet::generate(&graph, &plan, 1.0);
         let readers = deploy_uniform(&plan, &graph, 19, 2.0);
+        let tables = FilterTables::new(&graph, &readers);
         World {
             graph,
             anchors,
             readers,
+            tables,
         }
     }
 
@@ -788,6 +793,7 @@ mod tests {
             &w.graph,
             &w.anchors,
             &w.readers,
+            &w.tables,
             PreprocessorConfig::default(),
         )
     }
@@ -795,7 +801,7 @@ mod tests {
     /// A preprocessor recording into a fresh enabled recorder.
     fn observed(w: &World, config: PreprocessorConfig) -> (ParticlePreprocessor<'_>, Recorder) {
         let recorder = Recorder::enabled();
-        let pre = ParticlePreprocessor::new(&w.graph, &w.anchors, &w.readers, config)
+        let pre = ParticlePreprocessor::new(&w.graph, &w.anchors, &w.readers, &w.tables, config)
             .with_recorder(&recorder);
         (pre, recorder)
     }

@@ -12,7 +12,7 @@
 //! it reads each second's reading straight from the log, aggregated by the
 //! collector's rule, from the object's first detection on.
 
-use crate::sir::{Particles, Sir, SirModel};
+use crate::sir::{FilterTables, Particles, Sir, SirModel};
 use crate::{MeasurementModel, MotionModel};
 use rand::Rng;
 use ripq_geom::Point2;
@@ -80,10 +80,12 @@ pub fn reconstruct_trajectory<R: Rng>(
 
     // Seed at the first detecting reader, then run the same SIR filter as
     // the online preprocessor, resampling below half the particle count.
+    let tables = FilterTables::new(graph, readers);
     let sir = Sir::new(
         graph,
         anchors,
         readers,
+        &tables,
         SirModel {
             motion: config.motion,
             measurement: config.measurement,

@@ -16,7 +16,7 @@
 use ripq_floorplan::{office_building, OfficeParams};
 use ripq_graph::{build_walking_graph, AnchorObjectIndex, AnchorSet, GraphPos, WalkingGraph};
 use ripq_obs::Recorder;
-use ripq_pf::{ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
+use ripq_pf::{FilterTables, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
 use ripq_rfid::{deploy_uniform, DataCollector, ObjectId, Reader, ReaderId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -70,6 +70,7 @@ struct World {
     graph: WalkingGraph,
     anchors: AnchorSet,
     readers: Vec<Reader>,
+    tables: FilterTables,
 }
 
 impl World {
@@ -98,10 +99,12 @@ impl World {
         let pos = GraphPos::new(edge.id, offset);
         let id = ReaderId::new(readers.len() as u32);
         readers.push(Reader::new(id, graph.point_of(pos), pos, 0.01));
+        let tables = FilterTables::new(&graph, &readers);
         World {
             graph,
             anchors,
             readers,
+            tables,
         }
     }
 
@@ -143,9 +146,9 @@ impl World {
 fn sir_iterations_allocate_nothing() {
     let w = World::new();
     let config = PreprocessorConfig::default();
-    let pre = ParticlePreprocessor::new(&w.graph, &w.anchors, &w.readers, config);
+    let pre = ParticlePreprocessor::new(&w.graph, &w.anchors, &w.readers, &w.tables, config);
     let recorder = Recorder::enabled();
-    let observed = ParticlePreprocessor::new(&w.graph, &w.anchors, &w.readers, config)
+    let observed = ParticlePreprocessor::new(&w.graph, &w.anchors, &w.readers, &w.tables, config)
         .with_recorder(&recorder);
     let counter = |name: &str| recorder.snapshot().counters.get(name).copied().unwrap_or(0);
 

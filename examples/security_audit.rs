@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ripq::core::{evaluate_closest_pairs, evaluate_range, ClosestPairsQuery};
 use ripq::graph::AnchorObjectIndex;
-use ripq::pf::{ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
+use ripq::pf::{FilterTables, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
 use ripq::rfid::HistoryCollector;
 use ripq::sim::{ExperimentParams, ReadingGenerator, SimWorld, TraceGenerator};
 
@@ -49,10 +49,12 @@ fn main() {
         params.duration
     );
 
+    let tables = FilterTables::new(&world.graph, &world.readers);
     let preprocessor = ParticlePreprocessor::new(
         &world.graph,
         &world.anchors,
         &world.readers,
+        &tables,
         PreprocessorConfig::default(),
     );
     // Treat room 0 as the "server room".

@@ -7,8 +7,8 @@ use ripq::core::{evaluate_range, KnnQuery, QueryId};
 use ripq::graph::AnchorObjectIndex;
 use ripq::persist::crc32;
 use ripq::pf::{
-    reconstruct_trajectory, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions,
-    TrajectoryConfig,
+    reconstruct_trajectory, FilterTables, ParticlePreprocessor, PreprocessorConfig,
+    SupervisionOptions, TrajectoryConfig,
 };
 use ripq::rfid::{DataCollector, HistoryCollector, ObjectId, RawReading, ReaderId};
 use ripq::sim::{ExperimentParams, GroundTruth, ReadingGenerator, SimWorld, TraceGenerator};
@@ -57,10 +57,12 @@ fn historical_inference_reflects_only_past_readings() {
         let det = gen.detections_at(&mut rng_sense, &traces, s);
         history.ingest_second(s, &det);
     }
+    let tables = FilterTables::new(&w.graph, &w.readers);
     let pre = ParticlePreprocessor::new(
         &w.graph,
         &w.anchors,
         &w.readers,
+        &tables,
         PreprocessorConfig::default(),
     );
 
@@ -145,10 +147,12 @@ fn historical_range_and_knn_queries_run() {
         let det = gen.detections_at(&mut rng_sense, &traces, s);
         history.ingest_second(s, &det);
     }
+    let tables = FilterTables::new(&w.graph, &w.readers);
     let pre = ParticlePreprocessor::new(
         &w.graph,
         &w.anchors,
         &w.readers,
+        &tables,
         PreprocessorConfig::default(),
     );
     for t in [60u64, 90, 120] {
@@ -187,10 +191,12 @@ fn historical_answers_are_pinned() {
         let det = gen.detections_at(&mut rng_sense, &traces, s);
         history.ingest_second(s, &det);
     }
+    let tables = FilterTables::new(&w.graph, &w.readers);
     let pre = ParticlePreprocessor::new(
         &w.graph,
         &w.anchors,
         &w.readers,
+        &tables,
         PreprocessorConfig::default(),
     );
     let none = u32::MAX.to_le_bytes();
