@@ -10,16 +10,12 @@ use ripq_geom::Segment;
 use ripq_graph::{EdgeId, GraphPos, WalkingGraph};
 use ripq_rfid::Reader;
 
-/// Writes into `out` the arc-length intervals of every edge that lie
-/// inside `reader`'s activation disk, as `(edge, lo, hi)` offset ranges.
-pub(crate) fn seed_intervals(
-    graph: &WalkingGraph,
-    reader: &Reader,
-    out: &mut Vec<(EdgeId, f64, f64)>,
-) {
+/// The arc-length intervals of every edge that lie inside `reader`'s
+/// activation disk, as `(edge, lo, hi)` offset ranges.
+pub(crate) fn seed_intervals(graph: &WalkingGraph, reader: &Reader) -> Vec<(EdgeId, f64, f64)> {
     let c = reader.position();
     let r = reader.activation_range();
-    out.clear();
+    let mut out = Vec::new();
     for e in graph.edges() {
         let pts = e.geometry.points();
         let mut cum = 0.0;
@@ -33,6 +29,7 @@ pub(crate) fn seed_intervals(
             cum += seg.length();
         }
     }
+    out
 }
 
 /// Replaces `out` with `n` particles drawn uniformly (by arc length) over
@@ -91,12 +88,6 @@ mod tests {
     use ripq_graph::build_walking_graph;
     use ripq_rfid::{deploy_uniform, ReaderId};
 
-    fn intervals(g: &WalkingGraph, reader: &Reader) -> Vec<(EdgeId, f64, f64)> {
-        let mut out = Vec::new();
-        seed_intervals(g, reader, &mut out);
-        out
-    }
-
     fn seeds(
         rng: &mut StdRng,
         g: &WalkingGraph,
@@ -105,7 +96,15 @@ mod tests {
         n: usize,
     ) -> Vec<IndoorState> {
         let mut out = Vec::new();
-        seed_particles(rng, g, reader, &intervals(g, reader), motion, n, &mut out);
+        seed_particles(
+            rng,
+            g,
+            reader,
+            &seed_intervals(g, reader),
+            motion,
+            n,
+            &mut out,
+        );
         out
     }
 
@@ -120,7 +119,7 @@ mod tests {
     fn intervals_cover_points_inside_disk_only() {
         let (g, readers) = setup();
         for reader in readers.iter().take(5) {
-            let ivals = intervals(&g, reader);
+            let ivals = seed_intervals(&g, reader);
             assert!(!ivals.is_empty(), "reader {} covers no edge", reader.id());
             for (e, lo, hi) in ivals {
                 assert!(lo < hi);
@@ -187,7 +186,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(15);
         let motion = MotionModel::default();
         let reader = &readers[9];
-        let ivals = intervals(&g, reader);
+        let ivals = seed_intervals(&g, reader);
         let total: f64 = ivals.iter().map(|(_, lo, hi)| hi - lo).sum();
         let n = 4000;
         let particles = seeds(&mut rng, &g, reader, &motion, n);
