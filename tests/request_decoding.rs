@@ -19,13 +19,23 @@
 //!   whole document into a `json::Value` tree first and then walked it.
 //!   That walk defines the protocol's semantics; it lives here only as
 //!   the reference. Both must return the same request or the same error.
+//!   The generator spells entries plainly most of the time and otherwise
+//!   with whitespace, exponents, `+`, `-0`, leading zeros, 15- and
+//!   16-digit times, ids around 2^32, the wrong item count, an item left
+//!   out, or a cut just past a plain prefix.
+//! * `simulated_session_matches_the_tree_walk` decodes every `reading`
+//!   and `raw` frame of a simulated 200-object, 120 s session, samples
+//!   spelled `[61.05,123,4]` as the benchmark writes them, both ways.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use ripq::core::continuous::SubscriptionKind;
 use ripq::geom::{Point2, Rect};
-use ripq::rfid::{ObjectId, RawReading, ReaderId};
+use ripq::rfid::{ObjectId, RawReading, ReaderId, SensingModel};
 use ripq::server::json::{self, Value, MAX_DEPTH};
 use ripq::server::{parse_request, Request};
+use ripq::sim::transcript::{record_transcript, TranscriptSpec};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -776,25 +786,96 @@ fn any_value(c: &mut Choices, depth: usize) -> String {
     }
 }
 
+/// Id spellings at the plain-item reader's edges: 10 and 11 digits around
+/// 2^32, leading zeros, `-0`, exponents and `+`.
+const EDGE_IDS: [&str; 14] = [
+    "4294967295",
+    "4294967296",
+    "0004294967295",
+    "9999999999",
+    "10000000000",
+    "00",
+    "007",
+    "-0",
+    "7e0",
+    "1E+1",
+    "+1",
+    "2.0",
+    "3.",
+    "-4",
+];
+
 /// A number that is usually a valid id, sometimes not.
 fn id(c: &mut Choices) -> String {
-    if c.pick(10) == 0 {
-        any_number(c)
-    } else {
-        c.pick(25).to_string()
+    match c.pick(20) {
+        0 => any_number(c),
+        1 => c.one(&EDGE_IDS).to_string(),
+        _ => c.pick(25).to_string(),
     }
 }
 
-/// A sample time: usually inside `second`, sometimes outside or ill-typed.
+/// `n` decimal digits.
+fn digits(c: &mut Choices, n: usize) -> String {
+    let mut out = String::new();
+    while out.len() < n {
+        out.push_str(&format!("{:03}", c.pick(1000)));
+    }
+    out.truncate(n);
+    out
+}
+
+/// A sample time: usually inside `second`, sometimes outside, ill-typed
+/// or spelled at the edge of a short plain decimal.
 fn sample_time(c: &mut Choices, second: usize) -> String {
-    match c.pick(16) {
+    match c.pick(24) {
         0 => any_number(c),
         1 => any_value(c, 1),
         2 => format!("{}.5", second + 1),
         3 => format!("{}.5", second.wrapping_sub(1)),
         4 => second.to_string(),
         5 => format!("{second}.{}e0", c.pick(10)),
+        // Exactly 15 significant digits, then exactly 16.
+        6 => format!("{second}.{}", digits(c, 14)),
+        7 => format!("{second}.{}", digits(c, 15)),
+        8 => format!("00{second}.{}", c.pick(100)),
+        9 => c
+            .one(&["-0", "-0.0", "-0.5", "0.0", "-0.000000000000001"])
+            .to_string(),
+        10 => {
+            let exponent = c.one(&["e+0", "E+0", "e-0", "0e-1", "E0"]);
+            format!("{second}.{}{exponent}", c.pick(100))
+        }
+        11 => format!("+{second}.5"),
+        12 => format!("{second}.5.5"),
+        13 => format!("{second}.{}-1", c.pick(10)),
         _ => format!("{second}.{}", c.pick(100_000)),
+    }
+}
+
+/// Whitespace, usually none.
+fn pad(c: &mut Choices) -> &'static str {
+    const WS: [&str; 5] = [" ", "\n", "\t", "\r", ""];
+    WS[c.pick(WS.len() * 3).min(WS.len() - 1)]
+}
+
+/// `[a,b,...]`, now and then with whitespace around the items, or with
+/// one item left out (`[1,]`, `[,2]`, `[]`).
+fn list(c: &mut Choices, items: &[String]) -> String {
+    match c.pick(36) {
+        0..=5 => {
+            let padded: Vec<String> = items
+                .iter()
+                .map(|item| format!("{}{item}{}", pad(c), pad(c)))
+                .collect();
+            format!("[{}{}]", padded.join(","), pad(c))
+        }
+        6 if !items.is_empty() => {
+            let mut items = items.to_vec();
+            let gone = c.pick(items.len());
+            items[gone].clear();
+            format!("[{}]", items.join(","))
+        }
+        _ => format!("[{}]", items.join(",")),
     }
 }
 
@@ -806,7 +887,7 @@ fn items(c: &mut Choices, expected: usize, item: fn(&mut Choices) -> String) -> 
         expected
     };
     let items: Vec<String> = (0..n).map(|_| item(c)).collect();
-    format!("[{}]", items.join(","))
+    list(c, &items)
 }
 
 /// The value of one known key, shaped like a request usually wants it.
@@ -821,10 +902,16 @@ fn shaped_value(c: &mut Choices, key: &str, second: usize) -> String {
             let entries: Vec<String> = (0..n)
                 .map(|_| match c.pick(16) {
                     0 => any_value(c, 2),
+                    // One and three items.
+                    1 => {
+                        let n = 1 + 2 * c.pick(2);
+                        let ids: Vec<String> = (0..n).map(|_| id(c)).collect();
+                        list(c, &ids)
+                    }
                     _ => items(c, 2, id),
                 })
                 .collect();
-            format!("[{}]", entries.join(","))
+            list(c, &entries)
         }
         "samples" => {
             let n = c.pick(7);
@@ -832,10 +919,21 @@ fn shaped_value(c: &mut Choices, key: &str, second: usize) -> String {
                 .map(|_| match c.pick(16) {
                     0 => any_value(c, 2),
                     1 => items(c, 3, id),
-                    _ => format!("[{},{},{}]", sample_time(c, second), id(c), id(c)),
+                    // Two and four items.
+                    2 => {
+                        let mut parts = vec![sample_time(c, second), id(c)];
+                        if c.pick(2) == 0 {
+                            parts.extend([id(c), id(c)]);
+                        }
+                        list(c, &parts)
+                    }
+                    _ => {
+                        let parts = [sample_time(c, second), id(c), id(c)];
+                        list(c, &parts)
+                    }
                 })
                 .collect();
-            format!("[{}]", entries.join(","))
+            list(c, &entries)
         }
         "range" => items(c, 4, |c| match c.pick(12) {
             0 => any_value(c, 1),
@@ -904,8 +1002,6 @@ fn generated_frame(choices: &[u32], cut: usize, byte: u8) -> Vec<u8> {
         let value = &mut members[i].1;
         *value = format!("{}{value}{}", open.repeat(n), close.repeat(n));
     }
-    let ws = [" ", "\n", "\t", "\r", ""];
-    let pad = |c: &mut Choices| ws[c.pick(ws.len() * 3).min(ws.len() - 1)].to_string();
     let body: Vec<String> = members
         .iter()
         .map(|(k, v)| {
@@ -919,11 +1015,22 @@ fn generated_frame(choices: &[u32], cut: usize, byte: u8) -> Vec<u8> {
         })
         .collect();
     let mut frame = format!("{{{}}}", body.join(",")).into_bytes();
-    match c.pick(6) {
+    match c.pick(8) {
         0 => frame.truncate(cut % (frame.len() + 1)),
         1 => {
             let len = frame.len();
             frame[cut % len] = byte;
+        }
+        // Cut inside the first entries of a list, often one byte past a
+        // plainly spelled prefix of an item.
+        2 => {
+            let text = String::from_utf8_lossy(&frame).into_owned();
+            if let Some(at) = ["\"samples\":[[", "\"readings\":[["]
+                .iter()
+                .find_map(|key| text.find(key).map(|at| at + key.len() - 1))
+            {
+                frame.truncate((at + cut % 32).min(frame.len()));
+            }
         }
         _ => {}
     }
@@ -949,4 +1056,69 @@ proptest! {
             frame.escape_ascii()
         );
     }
+}
+
+/// One second's detections as a `raw` frame spelled the way the benchmark
+/// writes it: each reader samples its object `samples_per_second` times,
+/// each sample kept with the detection probability (at least one kept),
+/// at `second + (slot + 0.5) / samples_per_second`, rendered by `{}`.
+fn sampled_raw_frame(rng: &mut StdRng, second: u64, detections: &[(ObjectId, ReaderId)]) -> String {
+    let sensing = SensingModel::default();
+    let per_second = sensing.samples_per_second.max(1);
+    let mut samples = Vec::new();
+    for &(object, reader) in detections {
+        let mut slots: Vec<u32> = (0..per_second)
+            .filter(|_| rng.random::<f64>() < sensing.detection_probability)
+            .collect();
+        if slots.is_empty() {
+            slots.push(rng.random_range(0..per_second));
+        }
+        for slot in slots {
+            let time = second as f64 + (f64::from(slot) + 0.5) / f64::from(per_second);
+            samples.push(format!("[{time},{},{}]", object.raw(), reader.raw()));
+        }
+    }
+    format!(
+        "{{\"op\":\"raw\",\"second\":{second},\"samples\":[{}]}}",
+        samples.join(",")
+    )
+}
+
+/// Every `reading` frame of a simulated 200-object, 120 s session, and the
+/// `raw` frame of each of its seconds, decode alike both ways.
+#[test]
+fn simulated_session_matches_the_tree_walk() {
+    let transcript = record_transcript(&TranscriptSpec {
+        seed: 1,
+        objects: 200,
+        seconds: 120,
+        ..TranscriptSpec::default()
+    });
+    let mut rng = StdRng::seed_from_u64(5);
+    let (mut readings, mut samples) = (0, 0);
+    for frame in &transcript.frames {
+        let outcome = tree_walk(frame.as_bytes());
+        assert_eq!(
+            render_outcome(&parse_request(frame.as_bytes())),
+            render_outcome(&outcome),
+            "frame {frame}"
+        );
+        let Ok(Request::Readings { second, detections }) = outcome else {
+            continue;
+        };
+        readings += detections.len();
+        let raw = sampled_raw_frame(&mut rng, second, &detections);
+        let outcome = tree_walk(raw.as_bytes());
+        assert_eq!(
+            render_outcome(&parse_request(raw.as_bytes())),
+            render_outcome(&outcome),
+            "frame {raw}"
+        );
+        match outcome {
+            Ok(Request::Raw { samples: s, .. }) => samples += s.len(),
+            other => panic!("a sampled frame must decode: {other:?}"),
+        }
+    }
+    assert!(readings > 5_000, "{readings} detections");
+    assert!(samples > 5 * readings, "{samples} samples");
 }
