@@ -180,12 +180,23 @@ pub(crate) struct Lexer<'a> {
 }
 
 /// The bytes of one payload.
-type Payload = [u8];
+pub(crate) type Payload = [u8];
 
-impl Lexer<'_> {
+impl<'a> Lexer<'a> {
     /// A lexer at the start of `bytes`.
-    pub(crate) fn new(bytes: &Payload) -> Lexer<'_> {
+    pub(crate) fn new(bytes: &'a Payload) -> Self {
         Lexer { bytes, pos: 0 }
+    }
+
+    /// The bytes not yet read.
+    pub(crate) fn rest(&self) -> &'a Payload {
+        self.bytes.get(self.pos..).unwrap_or_default()
+    }
+
+    /// Marks the next `n` bytes of [`Lexer::rest`] read, for a caller that
+    /// read a whole value from them.
+    pub(crate) fn advance(&mut self, n: usize) {
+        self.pos += n;
     }
 
     fn skip_ws(&mut self) {
@@ -379,24 +390,20 @@ impl Lexer<'_> {
 
     /// Reads a number token: an optional `-`, then the longest run of
     /// digits, `.`, `e`, `E`, `+` and `-`, which must spell a finite f64.
+    /// A short plain decimal gets its value in the pass that finds the
+    /// token's end ([`scan_number`]); any other spelling is left to
+    /// `str::parse` over the same token.
     pub(crate) fn number(&mut self) -> Result<f64, ParseError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        let (len, plain) = scan_number(self.rest());
+        self.pos += len;
+        if let Some(n) = plain {
+            return Ok(n);
         }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let token = self.bytes.get(start..self.pos).unwrap_or_default();
-        short_decimal(token)
-            .or_else(|| {
-                std::str::from_utf8(token)
-                    .ok()
-                    .and_then(|s| s.parse::<f64>().ok())
-            })
+        self.bytes
+            .get(start..self.pos)
+            .and_then(|token| std::str::from_utf8(token).ok())
+            .and_then(|s| s.parse::<f64>().ok())
             .filter(|n| n.is_finite())
             .ok_or_else(|| err(start, "bad number"))
     }
@@ -407,36 +414,49 @@ const POW10: [f64; 16] = [
     1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
 ];
 
-/// The value of a short plain decimal: an optional `-`, digits, and
-/// optionally a `.` followed by more digits, 15 digits in all at most.
-/// Such a number is `m / 10^k` with `m < 10^15` and `k ≤ 15`, both exact
-/// in an f64, so the one correctly rounded division gives the f64
-/// `str::parse` gives. Any other token is `None`, left to `str::parse`.
-fn short_decimal(token: &[u8]) -> Option<f64> {
-    let (sign, body) = match token.split_first() {
-        Some((b'-', rest)) => (-1.0, rest),
-        _ => (1.0, token),
-    };
+/// Scans the number token at the start of `bytes`, an optional `-` and
+/// then the longest run of digits, `.`, `e`, `E`, `+` and `-`, in one
+/// pass. Returns the token's length and, when the token is a short plain
+/// decimal, its value.
+///
+/// A short plain decimal is an optional `-`, digits, and optionally a `.`
+/// followed by more digits, 15 digits in all at most. Such a number is
+/// `m / 10^k` with `m < 10^15` and `k ≤ 15`, both exact in an f64, so the
+/// one correctly rounded division gives the f64 `str::parse` gives, and
+/// an integer is `m` itself. An exponent, a `+`, a sign after the first
+/// byte, a 16th digit or a second dot makes the token another spelling,
+/// which gets no value here.
+pub(crate) fn scan_number(bytes: &[u8]) -> (usize, Option<f64>) {
+    let negative = bytes.first() == Some(&b'-');
+    let mut len = usize::from(negative);
     let (mut m, mut digits) = (0u64, 0usize);
-    // Digits after the dot, once there is one.
-    let mut scale: Option<usize> = None;
-    for &b in body {
+    // How many digits came before the dot, once there is one.
+    let mut dot: Option<usize> = None;
+    let mut plain = true;
+    while let Some(&b) = bytes.get(len) {
         match b {
-            b'0'..=b'9' if digits < 15 => {
-                m = m * 10 + u64::from(b - b'0');
-                digits += 1;
-                if let Some(k) = scale.as_mut() {
-                    *k += 1;
+            b'0'..=b'9' => {
+                // Past 15 digits the token is not plain and `m` unused.
+                if digits < 15 {
+                    m = m * 10 + u64::from(b - b'0');
                 }
+                digits += 1;
             }
-            b'.' if digits > 0 && scale.is_none() => scale = Some(0),
-            _ => return None,
+            b'.' if digits > 0 && dot.is_none() => dot = Some(digits),
+            b'.' | b'e' | b'E' | b'+' | b'-' => plain = false,
+            _ => break,
         }
+        len += 1;
     }
-    if digits == 0 || scale == Some(0) {
-        return None;
+    let fraction = digits - dot.unwrap_or(digits);
+    if !plain || digits == 0 || digits > 15 || (dot.is_some() && fraction == 0) {
+        return (len, None);
     }
-    Some(sign * (m as f64 / POW10.get(scale.unwrap_or(0))?))
+    let n = match fraction {
+        0 => Some(m as f64),
+        k => POW10.get(k).map(|p| m as f64 / p),
+    };
+    (len, n.map(|n| if negative { -n } else { n }))
 }
 
 /// Renders a value as compact JSON. Deterministic: object keys are
@@ -553,6 +573,66 @@ mod tests {
         assert!(matches!(ok, Value::Arr(_)));
     }
 
+    /// The number reader before [`scan_number`], kept as its reference:
+    /// [`Lexer::number`] found the token's end, then [`short_decimal`]
+    /// read the token again, and `str::parse` read any other spelling.
+    fn two_pass_number(lex: &mut Lexer<'_>) -> Result<f64, ParseError> {
+        let start = lex.pos;
+        if lex.peek() == Some(b'-') {
+            lex.pos += 1;
+        }
+        while lex
+            .peek()
+            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
+        {
+            lex.pos += 1;
+        }
+        let token = lex.bytes.get(start..lex.pos).unwrap_or_default();
+        short_decimal(token)
+            .or_else(|| {
+                std::str::from_utf8(token)
+                    .ok()
+                    .and_then(|s| s.parse::<f64>().ok())
+            })
+            .filter(|n| n.is_finite())
+            .ok_or_else(|| err(start, "bad number"))
+    }
+
+    /// The value of a short plain decimal token, `None` for any other.
+    fn short_decimal(token: &[u8]) -> Option<f64> {
+        let (sign, body) = match token.split_first() {
+            Some((b'-', rest)) => (-1.0, rest),
+            _ => (1.0, token),
+        };
+        let (mut m, mut digits) = (0u64, 0usize);
+        // Digits after the dot, once there is one.
+        let mut scale: Option<usize> = None;
+        for &b in body {
+            match b {
+                b'0'..=b'9' if digits < 15 => {
+                    m = m * 10 + u64::from(b - b'0');
+                    digits += 1;
+                    if let Some(k) = scale.as_mut() {
+                        *k += 1;
+                    }
+                }
+                b'.' if digits > 0 && scale.is_none() => scale = Some(0),
+                _ => return None,
+            }
+        }
+        if digits == 0 || scale == Some(0) {
+            return None;
+        }
+        Some(sign * (m as f64 / POW10.get(scale.unwrap_or(0))?))
+    }
+
+    /// The plain value [`scan_number`] gives a whole token, if any.
+    fn plain_value(token: &str) -> Option<f64> {
+        let (len, n) = scan_number(token.as_bytes());
+        assert_eq!(len, token.len(), "{token}");
+        n
+    }
+
     /// A decimal token from digit choices: `int` digits, then `frac`
     /// digits after a dot when there are any.
     fn decimal_token(negative: bool, digits: &[u8], int: usize) -> String {
@@ -566,10 +646,14 @@ mod tests {
         token
     }
 
+    /// The bytes number tokens are drawn from, digits weighted up so that
+    /// short plain decimals are common.
+    const TOKEN_BYTES: &[u8] = b"01234567890123456789..--eE+";
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
 
-        /// Up to 15 digits, the fast path is bit-equal to `str::parse`.
+        /// Up to 15 digits, the plain value is bit-equal to `str::parse`.
         #[test]
         fn short_decimals_equal_str_parse(
             negative in 0u8..2,
@@ -577,11 +661,11 @@ mod tests {
             int in 0usize..16,
         ) {
             let token = decimal_token(negative == 1, &digits, int);
-            let fast = short_decimal(token.as_bytes()).map(f64::to_bits);
+            let fast = plain_value(&token).map(f64::to_bits);
             proptest::prop_assert_eq!(fast, token.parse::<f64>().ok().map(f64::to_bits), "{}", token);
         }
 
-        /// Past 15 digits the fast path declines and `str::parse` decides.
+        /// Past 15 digits the scan gives no value and `str::parse` decides.
         #[test]
         fn long_decimals_are_left_to_str_parse(
             negative in 0u8..2,
@@ -589,7 +673,7 @@ mod tests {
             int in 0usize..24,
         ) {
             let token = decimal_token(negative == 1, &digits, int);
-            proptest::prop_assert_eq!(short_decimal(token.as_bytes()), None, "{}", token);
+            proptest::prop_assert_eq!(plain_value(&token), None, "{}", token);
             let parsed = parse(token.as_bytes()).ok().and_then(|v| v.as_f64());
             proptest::prop_assert_eq!(
                 parsed.map(f64::to_bits),
@@ -598,18 +682,47 @@ mod tests {
                 token
             );
         }
+
+        /// The one-pass reader and the two-pass reference agree on tokens
+        /// of `0-9 . e E + -` followed by any bytes, read from an offset:
+        /// the same f64 bits or the same error at the same byte, and the
+        /// same end.
+        #[test]
+        fn one_pass_numbers_equal_the_two_pass_reference(
+            lead in proptest::collection::vec(0u8..=255u8, 0..3),
+            token in proptest::collection::vec(0usize..TOKEN_BYTES.len(), 0..24),
+            tail in proptest::collection::vec(0u8..=255u8, 0..4),
+        ) {
+            let mut payload = lead.clone();
+            payload.extend(token.iter().filter_map(|&i| TOKEN_BYTES.get(i)));
+            payload.extend(&tail);
+            let mut fused = Lexer { bytes: &payload, pos: lead.len() };
+            let mut reference = Lexer { bytes: &payload, pos: lead.len() };
+            let got = fused.number().map(f64::to_bits);
+            let want = two_pass_number(&mut reference).map(f64::to_bits);
+            proptest::prop_assert_eq!(got, want, "{}", payload.escape_ascii());
+            proptest::prop_assert_eq!(fused.pos, reference.pos, "{}", payload.escape_ascii());
+        }
     }
 
     #[test]
     fn other_number_spellings_are_left_to_str_parse() {
-        for token in ["1.", ".5", "1e5", "1E-2", "-.5", "1.2.3", "-", "", "+1"] {
-            assert_eq!(short_decimal(token.as_bytes()), None, "{token}");
+        for token in [
+            "1.", ".5", "1e5", "1E-2", "-.5", "1.2.3", "-", "", "+1", "1-2", "--1",
+        ] {
+            assert_eq!(plain_value(token), None, "{token}");
         }
         assert_eq!(
-            short_decimal(b"-0").map(f64::to_bits),
+            plain_value("-0").map(f64::to_bits),
             Some((-0.0f64).to_bits())
         );
-        assert_eq!(short_decimal(b"007"), Some(7.0));
+        assert_eq!(plain_value("007"), Some(7.0));
+        assert_eq!(plain_value("123456789012345"), Some(123_456_789_012_345.0));
+        assert_eq!(plain_value("1234567890123456"), None);
+        // The token ends at the first byte that cannot continue it.
+        assert_eq!(scan_number(b"61.05,123,4]"), (5, Some(61.05)));
+        assert_eq!(scan_number(b"2e0,1"), (3, None));
+        assert_eq!(scan_number(b"x"), (0, None));
     }
 
     #[test]

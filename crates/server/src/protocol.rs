@@ -5,10 +5,13 @@
 //! reads a payload in one pass straight into a [`Request`], on the lexer
 //! [`crate::json`] shares with its tree parser, so no document tree is
 //! built for a request and malformed JSON fails with the tree parser's
-//! message. Responses are rendered as canonical JSON text (one string
-//! per response frame). Probabilities travel as 16-hex-digit f64 bit
-//! patterns, so a response stream byte-compares across runs and worker
-//! counts without any float-formatting ambiguity.
+//! message. A plainly spelled `samples` or `readings` entry is read by a
+//! strict reader that accepts only what the generic path decodes alike
+//! and otherwise leaves the entry to it. Responses are rendered as
+//! canonical JSON text (one string per response frame). Probabilities
+//! travel as 16-hex-digit f64 bit patterns, so a response stream
+//! byte-compares across runs and worker counts without any
+//! float-formatting ambiguity.
 
 use crate::json::{self, Lexer, ParseError, Start};
 use ripq_core::continuous::{ResultDelta, SubscriptionKind};
@@ -134,9 +137,9 @@ impl Samples {
     /// first bad entry, in wire order.
     fn in_second(self, second: u64) -> Result<Vec<RawReading>, String> {
         let check = |time: f64| {
-            // NaN must fail too: NaN.floor() as u64 is 0, which would
-            // slip past the second check.
-            if time.is_nan() || time < 0.0 || time.floor() as u64 != second {
+            // NaN must fail too: NaN as u64 is 0, which would slip past the
+            // second check. A time not below 0 truncates to its floor.
+            if time.is_nan() || time < 0.0 || time as u64 != second {
                 Err(format!("sample time {time} outside second {second}"))
             } else {
                 Ok(())
@@ -342,6 +345,86 @@ fn fixed_array<const N: usize>(
     Ok((len == N).then_some(items))
 }
 
+/// A strict reader for one plainly spelled array item at the lexer's
+/// position: `[`, numbers separated by `,`, then `]`, with no whitespace.
+/// A time must be a short plain decimal ([`json::scan_number`]) and an id
+/// 1 to 10 digits within u32, so whatever it accepts [`fixed_array`]
+/// decodes to the same values. It consumes the item only when the whole
+/// item matched; on any other byte the lexer stays at the item's first
+/// byte, for the generic path to read.
+struct PlainItem<'a> {
+    bytes: &'a json::Payload,
+    at: usize,
+}
+
+impl<'a> PlainItem<'a> {
+    /// Opens the item at the lexer's position, if it starts with `[`.
+    fn open(lex: &Lexer<'a>) -> Option<Self> {
+        let bytes = lex.rest();
+        (bytes.first() == Some(&b'[')).then_some(PlainItem { bytes, at: 1 })
+    }
+
+    /// Reads `b`, which must be the next byte.
+    fn byte(&mut self, b: u8) -> Option<()> {
+        (self.bytes.get(self.at) == Some(&b)).then(|| self.at += 1)
+    }
+
+    /// Reads a time and the `,` after it.
+    fn time(&mut self) -> Option<f64> {
+        let (len, time) = json::scan_number(self.bytes.get(self.at..)?);
+        self.at += len;
+        self.byte(b',')?;
+        time
+    }
+
+    /// Reads an id and the `end` byte after it. Ten digits stay below
+    /// 10^10, so the u64 cannot overflow.
+    fn id(&mut self, end: u8) -> Option<u32> {
+        let start = self.at;
+        let mut id = 0u64;
+        while let Some(&b) = self.bytes.get(self.at) {
+            if !b.is_ascii_digit() || self.at - start == 10 {
+                break;
+            }
+            id = id * 10 + u64::from(b - b'0');
+            self.at += 1;
+        }
+        if self.at == start {
+            return None;
+        }
+        self.byte(end)?;
+        u32::try_from(id).ok()
+    }
+
+    /// Consumes the item from the lexer.
+    fn close(self, lex: &mut Lexer<'_>) {
+        lex.advance(self.at);
+    }
+}
+
+/// A plainly spelled `samples` entry, `[<time>,<object>,<reader>]`.
+fn plain_sample(lex: &mut Lexer<'_>) -> Option<RawReading> {
+    let mut item = PlainItem::open(lex)?;
+    let time = item.time()?;
+    let object = item.id(b',')?;
+    let reader = item.id(b']')?;
+    item.close(lex);
+    Some(RawReading {
+        time,
+        object: ObjectId::new(object),
+        reader: ReaderId::new(reader),
+    })
+}
+
+/// A plainly spelled `readings` pair, `[<object>,<reader>]`.
+fn plain_pair(lex: &mut Lexer<'_>) -> Option<(ObjectId, ReaderId)> {
+    let mut item = PlainItem::open(lex)?;
+    let object = item.id(b',')?;
+    let reader = item.id(b']')?;
+    item.close(lex);
+    Some((ObjectId::new(object), ReaderId::new(reader)))
+}
+
 /// Reads a `readings` value: `[object, reader]` pairs, or the error of
 /// the first bad pair.
 fn readings(lex: &mut Lexer<'_>, depth: u32) -> Result<Field<Detections>, ParseError> {
@@ -352,6 +435,12 @@ fn readings(lex: &mut Lexer<'_>, depth: u32) -> Result<Field<Detections>, ParseE
     let mut first = true;
     while lex.next_item(first)? {
         first = false;
+        if let Some(pair) = plain_pair(lex) {
+            if let Ok(list) = &mut detections {
+                list.push(pair);
+            }
+            continue;
+        }
         let pair = fixed_array::<2>(lex, depth + 1)?;
         if let Ok(list) = &mut detections {
             match pair.map(|[o, r]| (small_int(o), small_int(r))) {
@@ -376,6 +465,12 @@ fn samples(lex: &mut Lexer<'_>, depth: u32) -> Result<Field<Samples>, ParseError
     let mut first = true;
     while lex.next_item(first)? {
         first = false;
+        if let Some(sample) = plain_sample(lex) {
+            if samples.bad.is_none() {
+                samples.read.push(sample);
+            }
+            continue;
+        }
         let entry = fixed_array::<3>(lex, depth + 1)?;
         if samples.bad.is_some() {
             continue;
