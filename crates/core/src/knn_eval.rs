@@ -27,7 +27,8 @@ use ripq_rfid::ObjectId;
 ///
 /// The query point is first "approximated to the nearest edge of the
 /// indoor walking graph" (§4.6). Returns the accumulated result set; its
-/// total probability is ≥ `min(k, total mass in the index)`.
+/// total probability, before each probability is clamped into [0, 1], is
+/// ≥ `min(k, total mass in the index)`.
 pub fn evaluate_knn(
     graph: &WalkingGraph,
     anchors: &AnchorSet,
@@ -46,8 +47,9 @@ pub fn evaluate_knn(
 }
 
 /// Algorithm 4 over `scan`, a scan from the query point on `graph` and
-/// `anchors`: reads anchors in ascending distance until Σp ≥ `k`, and
-/// adds to `counts` the effort a fresh scan spends to stop there.
+/// `anchors`: reads anchors in ascending distance until Σp ≥ `k`, adds to
+/// `counts` the effort a fresh scan spends to stop there, then clamps
+/// each probability into [0, 1].
 pub(crate) fn knn_over_scan(
     scan: &mut AnchorScan,
     graph: &WalkingGraph,
@@ -73,6 +75,7 @@ pub(crate) fn knn_over_scan(
         }
     }
     *counts += walk.counts();
+    result_set.clamp_probabilities();
     result_set
 }
 
@@ -271,6 +274,39 @@ mod tests {
         let (far, total) = pass(&index);
         assert!(far.settled > first.settled, "the object moved away");
         assert_eq!(far, total);
+    }
+
+    #[test]
+    fn masses_summing_past_one_report_one_after_the_stop() {
+        let (plan, graph, anchors) = setup();
+        let q = KnnQuery::new(QueryId::new(0), plan.hallways()[0].footprint().center(), 2).unwrap();
+        let mut scan = AnchorScan::new(&graph, &anchors, graph.project(q.point));
+        let order: Vec<_> = scan
+            .walk(&graph, &anchors)
+            .take(4)
+            .map(|(a, _)| a)
+            .collect();
+        let [a0, a1, a2, a3] = order[..] else {
+            panic!("four anchors in scan order: {order:?}")
+        };
+        // Object 0's masses sum to 1.0000000000000002, just past 1.
+        let (near, next) = (0.7, 0.300_000_000_000_000_2);
+        assert!(near + next > 1.0);
+        let mut index = AnchorObjectIndex::new();
+        index.set_object(o(0), vec![(a0, near), (a1, next)]);
+        index.set_object(o(1), vec![(a2, 0.999_999_999_999_999_8)]);
+        index.set_object(o(2), vec![(a3, 1.0)]);
+        let (rs, counts) = fresh(&graph, &anchors, &index, &q);
+        assert_eq!(rs.probability(o(0)).to_bits(), 1.0f64.to_bits());
+        assert!(rs.iter().all(|(_, p)| (0.0..=1.0).contains(&p)));
+        // The raw Σp reached k = 2 at the third anchor; clamped sums would
+        // fall short of 2 and read the fourth.
+        assert_eq!(rs.probability(o(2)), 0.0, "the stop did not move");
+        assert_eq!(rs.len(), 2);
+        let mut exact = index.clone();
+        exact.set_object(o(0), vec![(a0, 0.7), (a1, 0.3)]);
+        exact.set_object(o(1), vec![(a2, 1.0)]);
+        assert_eq!(fresh(&graph, &anchors, &exact, &q).1, counts);
     }
 
     #[test]

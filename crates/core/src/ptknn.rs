@@ -183,6 +183,7 @@ fn evaluate_ptknn_with<R: Rng>(
             out.add(objects[i], p);
         }
     }
+    out.clamp_probabilities();
     out
 }
 

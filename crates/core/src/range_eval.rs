@@ -99,6 +99,7 @@ impl RangeParts {
             result_set.merge(&partial);
             start = end;
         }
+        result_set.clamp_probabilities();
         result_set
     }
 }

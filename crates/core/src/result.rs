@@ -55,6 +55,16 @@ impl ResultSet {
         }
     }
 
+    /// Clamps every probability into [0, 1]. An object's probability is
+    /// a float sum of its per-anchor masses, and rounding can carry that
+    /// sum just past 1; the range, kNN and PTkNN evaluators clamp what
+    /// they hand back, after any stopping rule has read the raw sums.
+    pub fn clamp_probabilities(&mut self) {
+        for p in self.probs.values_mut() {
+            *p = p.clamp(0.0, 1.0);
+        }
+    }
+
     /// Merges another result set (used for the per-cell partial results).
     pub fn merge(&mut self, other: &ResultSet) {
         for (&o, &p) in &other.probs {

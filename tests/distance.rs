@@ -265,6 +265,8 @@ fn eager_knn(
             break;
         }
     }
+    // The stop reads the raw sums; the answer reports each in [0, 1].
+    rs.clamp_probabilities();
     rs
 }
 
