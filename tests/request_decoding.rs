@@ -23,6 +23,10 @@
 //!   with whitespace, exponents, `+`, `-0`, leading zeros, 15- and
 //!   16-digit times, ids around 2^32, the wrong item count, an item left
 //!   out, or a cut just past a plain prefix.
+//! * `accepted_numbers_equal_str_parse` checks the numbers themselves
+//!   against `str::parse`, which shares no code with the JSON lexer that
+//!   the decoder and the tree walk both read through: a fault in number
+//!   lexing moves both of them alike, but not this test.
 //! * `simulated_session_matches_the_tree_walk` decodes every `reading`
 //!   and `raw` frame of a simulated 200-object, 120 s session, samples
 //!   spelled `[61.05,123,4]` as the benchmark writes them, both ways.
@@ -1055,6 +1059,41 @@ proptest! {
             "frame {}",
             frame.escape_ascii()
         );
+    }
+
+    /// The decoder's numbers equal `str::parse`'s, which shares no code
+    /// with `json::Lexer`: whenever `parse_request` accepts a one-sample
+    /// `raw` frame spelled by `sample_time` and `id`, the time has the
+    /// bits `str::parse::<f64>` reads from its spelling and each id is
+    /// the integer it reads from its own. The second is sometimes in the
+    /// nineties, where a 14-digit fraction spells a 16-digit time above
+    /// 2^53.
+    #[test]
+    fn accepted_numbers_equal_str_parse(
+        choices in proptest::collection::vec(0u32..1_000_000, 0..16),
+    ) {
+        let mut c = Choices {
+            list: &choices,
+            at: 0,
+        };
+        let second = c.pick(4) + 90 * c.pick(2);
+        let spelled = [sample_time(&mut c, second), id(&mut c), id(&mut c)];
+        let frame = format!(
+            "{{\"op\":\"raw\",\"second\":{second},\"samples\":[[{}]]}}",
+            spelled.join(",")
+        );
+        let parsed: Vec<Option<f64>> = spelled.iter().map(|s| s.parse().ok()).collect();
+        match parse_request(frame.as_bytes()) {
+            Ok(Request::Raw { samples, .. }) => {
+                prop_assert_eq!(samples.len(), 1);
+                let sample = samples[0];
+                prop_assert_eq!(Some(bits(sample.time)), parsed[0].map(bits), "frame {}", &frame);
+                prop_assert_eq!(Some(f64::from(sample.object.raw())), parsed[1], "frame {}", &frame);
+                prop_assert_eq!(Some(f64::from(sample.reader.raw())), parsed[2], "frame {}", &frame);
+            }
+            Ok(other) => prop_assert!(false, "frame {} decoded as {:?}", frame, other),
+            Err(_) => {}
+        }
     }
 }
 
