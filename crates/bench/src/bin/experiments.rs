@@ -12,7 +12,7 @@
 
 use ripq_bench::{
     ablation, print_rows, print_table2, run_fig10, run_fig11, run_fig12, run_fig13, run_fig9,
-    run_perf, Scale, Series, FULL_SERIES,
+    Scale, Series, FULL_SERIES,
 };
 
 fn main() {
@@ -66,34 +66,6 @@ fn main() {
             &run_fig13(scale),
             FULL_SERIES,
         ),
-        "perf" => {
-            println!("\n== Performance: evaluation latency vs population ==");
-            println!(
-                "{:>10}{:>16}{:>16}{:>12}{:>12}{:>12}",
-                "objects", "evaluate", "preprocess", "candidates", "SIR iters", "settled"
-            );
-            let rows = run_perf(scale);
-            for r in &rows {
-                let sir = r.metrics.counters.get("pf.sir_iterations").copied();
-                let settled = r.metrics.counters.get("distance.scan_settled").copied();
-                println!(
-                    "{:>10}{:>16}{:>16}{:>12}{:>12}{:>12}",
-                    r.objects,
-                    format!("{:.2?}", r.evaluate),
-                    format!("{:.2?}", r.preprocessing),
-                    r.candidates,
-                    sir.unwrap_or(0),
-                    settled.unwrap_or(0),
-                );
-            }
-            if let Some(last) = rows.last() {
-                println!(
-                    "\n-- metrics snapshot at {} objects (shadow pass) --",
-                    last.objects
-                );
-                println!("{}", last.metrics.to_json());
-            }
-        }
         "ablations" => {
             print_rows(
                 "Ablation: negative evidence (1 = on, 0 = off)",
@@ -161,13 +133,13 @@ fn main() {
             }
             let (with_cache, without_cache) = ablation::cache(scale);
             println!("\n== Ablation: particle cache (§4.5) ==");
-            println!("preprocessing, cache ON : {with_cache:?}");
-            println!("preprocessing, cache OFF: {without_cache:?}");
+            println!("preprocessing, cache ON : {with_cache} SIR iterations");
+            println!("preprocessing, cache OFF: {without_cache} SIR iterations");
         }
         other => {
             eprintln!("unknown experiment '{other}'");
             eprintln!(
-                "usage: experiments [--paper] [table2|fig9|fig10|fig11|fig12|fig13|perf|ablations|all]"
+                "usage: experiments [--paper] [table2|fig9|fig10|fig11|fig12|fig13|ablations|all]"
             );
             std::process::exit(2);
         }
@@ -181,7 +153,6 @@ fn main() {
             "fig11",
             "fig12",
             "fig13",
-            "perf",
             "ablations",
         ] {
             run_one(name);

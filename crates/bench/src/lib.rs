@@ -13,9 +13,11 @@
 //! | Fig. 13 | [`run_fig13`] | range 0.5–2.5 m | KL, hit rate, top-1/2 |
 //!
 //! Each runner returns structured rows (and [`print_rows`] renders them),
-//! so the binary `experiments`, the `figures` bench target, and tests all
-//! share one implementation. Ablation runners for the design decisions
-//! called out in `DESIGN.md` live in [`ablation`].
+//! so the binary `experiments` and the tests share one implementation.
+//! Ablation runners for the design decisions called out in `DESIGN.md`
+//! live in [`ablation`]. Nothing here reads a clock: every printed number
+//! is an accuracy metric or a logical count, so a run's output repeats
+//! byte for byte. Speed is measured by `perfbench/` alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +34,8 @@ pub enum Scale {
     /// points, defaults from Table 2. A full figure takes seconds to low
     /// tens of seconds.
     Paper,
-    /// Reduced counts for CI / `cargo bench` smoke runs.
+    /// Reduced counts for CI smoke runs and the default `experiments`
+    /// invocation.
     Quick,
 }
 
@@ -265,101 +268,6 @@ pub fn run_fig13(scale: Scale) -> Vec<FigureRow> {
     )
 }
 
-/// One row of the performance-scaling sweep.
-#[derive(Debug, Clone)]
-pub struct PerfRow {
-    /// Number of tracked objects.
-    pub objects: usize,
-    /// Mean wall-clock of one full evaluation pass (pruning +
-    /// preprocessing + query evaluation).
-    pub evaluate: std::time::Duration,
-    /// Portion spent in particle-filter preprocessing.
-    pub preprocessing: std::time::Duration,
-    /// Candidates preprocessed in the measured pass.
-    pub candidates: usize,
-    /// Pipeline metrics snapshot from an untimed shadow pass with
-    /// observability enabled — the timed passes above run with the
-    /// recorder off, so the latency numbers stay free of the (small)
-    /// observability tax.
-    pub metrics: ripq_obs::MetricsSnapshot,
-}
-
-/// Measures end-to-end evaluation latency of the system facade as the
-/// population grows — the "efficiently" claim of the paper's abstract,
-/// quantified. Each object pings a reader for a few seconds; one range
-/// query and one kNN query are registered; we time `evaluate` passes on
-/// consecutive seconds (cache warm, as in production).
-pub fn run_perf(scale: Scale) -> Vec<PerfRow> {
-    use ripq_core::{IndoorQuerySystem, SystemConfig};
-    use ripq_floorplan::{office_building, OfficeParams};
-    use ripq_geom::Rect;
-    use ripq_rfid::ObjectId;
-    use std::time::Instant;
-
-    let counts: &[usize] = match scale {
-        Scale::Paper => &[200, 400, 600, 800, 1000],
-        Scale::Quick => &[50, 100, 200],
-    };
-    let mut rows = Vec::new();
-    for &n in counts {
-        let build_system = |observability: bool| {
-            let plan = office_building(&OfficeParams::default()).expect("valid");
-            let config = SystemConfig {
-                observability,
-                ..SystemConfig::default()
-            };
-            let mut sys = IndoorQuerySystem::new(plan, config, 17);
-            let reader_ids: Vec<_> = sys.readers().iter().map(|r| r.id()).collect();
-            for s in 0..20u64 {
-                let det: Vec<_> = (0..n as u32)
-                    .map(|i| (ObjectId::new(i), reader_ids[((i + s as u32) % 19) as usize]))
-                    .collect();
-                sys.ingest_detections(s, &det);
-            }
-            let center = sys.plan().bounds().center();
-            sys.register_range(Rect::centered(center, 12.0, 10.0))
-                .expect("valid window");
-            sys.register_knn(center, 3).expect("valid k");
-            sys
-        };
-
-        let mut sys = build_system(false);
-        // Warm the cache with one pass, then time a few.
-        let _ = sys.evaluate(20);
-        let reps = 5u64;
-        let mut total = std::time::Duration::ZERO;
-        let mut pre = std::time::Duration::ZERO;
-        let mut candidates = 0;
-        for i in 1..=reps {
-            sys.ingest_detections(20 + i, &[]);
-            let t0 = Instant::now();
-            let report = sys.evaluate(20 + i);
-            total += t0.elapsed();
-            pre += report.timings.preprocessing;
-            candidates = report.candidates_processed;
-        }
-
-        // Shadow pass with the recorder on: same workload, untimed, so the
-        // snapshot rides along without polluting the latency columns.
-        let mut shadow = build_system(true);
-        let _ = shadow.evaluate(20);
-        shadow.ingest_detections(21, &[]);
-        let metrics = shadow
-            .evaluate(21)
-            .metrics
-            .expect("observability on yields a snapshot");
-
-        rows.push(PerfRow {
-            objects: n,
-            evaluate: total / reps as u32,
-            preprocessing: pre / reps as u32,
-            candidates,
-            metrics,
-        });
-    }
-    rows
-}
-
 /// Prints **Table 2** (the default parameters) as the paper lists them.
 pub fn print_table2() {
     let p = ExperimentParams::default();
@@ -400,23 +308,6 @@ mod tests {
         for s in FULL_SERIES {
             assert!(!s.label().is_empty());
         }
-    }
-
-    #[test]
-    fn perf_harness_smoke() {
-        // Tiny but real: measures actual evaluate passes at quick scale.
-        let rows = run_perf(Scale::Quick);
-        assert_eq!(rows.len(), 3);
-        for r in &rows {
-            assert!(r.evaluate.as_nanos() > 0);
-            assert!(r.preprocessing <= r.evaluate);
-            assert!(r.candidates <= r.objects);
-            // The shadow pass delivers a populated snapshot.
-            assert!(r.metrics.counters.contains_key("pf.sir_iterations"));
-            assert!(r.metrics.spans.contains_key("evaluate"));
-        }
-        // Latency grows with population (within generous slack).
-        assert!(rows[2].evaluate >= rows[0].evaluate / 2);
     }
 
     #[test]

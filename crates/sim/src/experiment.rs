@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use ripq_core::checkpoint::Recovered;
 use ripq_core::{
-    evaluate_knn, evaluate_range, DegradationLevel, IndoorQuerySystem, KnnQuery, QueryId,
+    evaluate_knn, evaluate_range, Clock, DegradationLevel, IndoorQuerySystem, KnnQuery, QueryId,
     RecoveryOutcome, SystemConfig,
 };
 use ripq_geom::{Point2, Rect};
@@ -236,14 +236,51 @@ impl Experiment {
         self.run_inner(self.params.observability)
     }
 
+    /// The facade configuration of a run. Pruning is off: every known
+    /// object is preprocessed, in id order. With an active fault plan the
+    /// system ingests delivery-tagged batches behind a reorder window
+    /// matching the injector's jitter bound.
+    fn system_config(&self, observability: bool) -> SystemConfig {
+        let p = &self.params;
+        SystemConfig {
+            anchor_spacing: p.anchor_spacing,
+            max_speed: p.max_speed,
+            preprocess: PreprocessorConfig {
+                num_particles: p.num_particles,
+                negative_evidence: p.negative_evidence,
+                resample_threshold: p.resample_threshold,
+                coast_seconds: p.coast_seconds,
+                kde_bandwidth: p.kde_bandwidth,
+                adaptive: p.kld_adaptive.then(ripq_pf::KldConfig::default),
+                motion: ripq_pf::MotionModel {
+                    room_enter_probability: p.room_enter_probability,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            use_cache: true,
+            prune_candidates: false,
+            parallelism: p.parallelism,
+            reorder_window: if p.faults.is_active() {
+                p.faults.max_delay_seconds
+            } else {
+                0
+            },
+            observability,
+            query_budget: p.query_budget,
+            ..SystemConfig::default()
+        }
+    }
+
     fn run_inner(&self, observability: bool) -> (AccuracyReport, Option<MetricsSnapshot>) {
-        // Wall-clock spans are only taken when the recorder is live, so an
-        // observability-off run never records them. Span *durations* are
+        let config = self.system_config(observability);
+        // Spans read the system's clock, in its `timing` mode, and only
+        // while the recorder is live, so an observability-off run never
+        // records them. Under the default wall clock, span *durations* are
         // the one non-deterministic part of a sim snapshot (span counts
         // and every counter/gauge/histogram are exact).
-        use std::time::Instant;
-        // ripq-lint: allow(no-nondeterminism) -- wall-clock span timing, only taken when the recorder is live; accuracy results never read it
-        let t_run = observability.then(Instant::now);
+        let clock = Clock::new(config.timing);
+        let t_run = observability.then(|| clock.now());
         let p = &self.params;
         let w = &self.world;
         let mut rng_trace = StdRng::seed_from_u64(p.seed.wrapping_add(1));
@@ -264,44 +301,18 @@ impl Experiment {
         let knn_points = self.knn_points(&mut rng_query);
 
         // 2. The system under test: the facade over this world's plan and
-        // readers. Its master RNG is seeded `seed + 3`; with no PTkNN
-        // query registered, its only draw is the per-timestamp pass seed,
-        // and every object then filters on its own stream derived from
-        // it, so `parallelism` never changes the numbers. Pruning is off:
-        // every known object is preprocessed, in id order.
+        // readers, configured by `system_config`. Its master RNG is seeded
+        // `seed + 3`; with no PTkNN query registered, its only draw is the
+        // per-timestamp pass seed, and every object then filters on its
+        // own stream derived from it, so `parallelism` never changes the
+        // numbers.
         //
         // Fault layer (off by default). When active, readings pass through
-        // the injector and the system ingests delivery-tagged batches
-        // behind a reorder window matching the injector's jitter bound;
-        // evaluation then happens at the *watermark* (delivery second
-        // minus the window), the moment a logical second is final. With
-        // `W = 0` faults the watermark equals the second, and an inactive
-        // plan takes the exact classic path.
+        // the injector; evaluation then happens at the *watermark*
+        // (delivery second minus the reorder window), the moment a logical
+        // second is final. With `W = 0` faults the watermark equals the
+        // second, and an inactive plan takes the exact classic path.
         let jitter = p.faults.max_delay_seconds;
-        let config = SystemConfig {
-            anchor_spacing: p.anchor_spacing,
-            max_speed: p.max_speed,
-            preprocess: PreprocessorConfig {
-                num_particles: p.num_particles,
-                negative_evidence: p.negative_evidence,
-                resample_threshold: p.resample_threshold,
-                coast_seconds: p.coast_seconds,
-                kde_bandwidth: p.kde_bandwidth,
-                adaptive: p.kld_adaptive.then(ripq_pf::KldConfig::default),
-                motion: ripq_pf::MotionModel {
-                    room_enter_probability: p.room_enter_probability,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-            use_cache: true,
-            prune_candidates: false,
-            parallelism: p.parallelism,
-            reorder_window: if p.faults.is_active() { jitter } else { 0 },
-            observability,
-            query_budget: p.query_budget,
-            ..SystemConfig::default()
-        };
         let mut sys = IndoorQuerySystem::with_readers(
             w.plan.clone(),
             w.readers.clone(),
@@ -445,8 +456,7 @@ impl Experiment {
                 // facade's evaluation pass for PF (panic isolation and the
                 // deadline-budget ladder included), the symbolic model
                 // over the same collector for SM.
-                // ripq-lint: allow(no-nondeterminism) -- wall-clock span timing, recorder-gated, never feeds results
-                let t_pf = observability.then(Instant::now);
+                let t_pf = observability.then(|| clock.now());
                 let report = sys.evaluate(now);
                 // Lazily counted so budget-free runs never see the name.
                 let degraded = report
@@ -459,16 +469,14 @@ impl Experiment {
                 }
                 let pf_index = report.index;
                 if let Some(t) = t_pf {
-                    recorder.record_span("run/pf_index", t.elapsed());
+                    recorder.record_span("run/pf_index", clock.since(t));
                 }
-                // ripq-lint: allow(no-nondeterminism) -- wall-clock span timing, recorder-gated, never feeds results
-                let t_sm = observability.then(Instant::now);
+                let t_sm = observability.then(|| clock.now());
                 let sm_index = w.symbolic.build_index(sys.collector(), &objects, now);
                 if let Some(t) = t_sm {
-                    recorder.record_span("run/sm_index", t.elapsed());
+                    recorder.record_span("run/sm_index", clock.since(t));
                 }
-                // ripq-lint: allow(no-nondeterminism) -- wall-clock span timing, recorder-gated, never feeds results
-                let t_queries = observability.then(Instant::now);
+                let t_queries = observability.then(|| clock.now());
 
                 // Range queries.
                 recorder.add(
@@ -534,12 +542,12 @@ impl Experiment {
                     }
                 }
                 if let Some(t) = t_queries {
-                    recorder.record_span("run/queries", t.elapsed());
+                    recorder.record_span("run/queries", clock.since(t));
                 }
             }
         }
         if let Some(t) = t_run {
-            recorder.record_span("run", t.elapsed());
+            recorder.record_span("run", clock.since(t));
         }
         let report = AccuracyReport {
             range_kl_pf: kl_pf.value(),
@@ -647,8 +655,9 @@ mod tests {
         let s2 = s2.expect("observability on yields a snapshot");
         // All metric operations commute, so every counter, gauge and
         // histogram is identical regardless of worker scheduling. Span
-        // durations are wall-clock here (the sim harness has no logical
-        // clock) — only their keys and counts are checked.
+        // durations are wall-clock here (the experiment runs under the
+        // default `TimingMode::Wall`) — only their keys and counts are
+        // checked.
         assert_eq!(s1.counters, s2.counters);
         assert_eq!(s1.gauges, s2.gauges);
         assert_eq!(s1.histograms, s2.histograms);

@@ -5,7 +5,7 @@
 //! left after the burn-down, reviewed like code. Prefer an inline
 //! `// ripq-lint: allow(<rule>) -- reason` suppression for single sites;
 //! use an allowlist entry only when a file's exemption is structural
-//! (e.g. a benchmark harness whose whole purpose is wall-clock timing).
+//! (e.g. a CLI entry point that fails fast on malformed arguments).
 //!
 //! Entries that match no diagnostic are reported by `cargo xtask lint` so
 //! stale exemptions get pruned.

@@ -274,10 +274,8 @@ pub fn lint_file(crate_name: &str, file: &SourceFile) -> Vec<(&'static Rule, Hit
     if crate_name == "xtask" {
         return hits;
     }
-    if crate_name != "bench" {
-        for h in rules::check_no_nondeterminism(file) {
-            hits.push((&rules::NO_NONDETERMINISM, h));
-        }
+    for h in rules::check_no_nondeterminism(file) {
+        hits.push((&rules::NO_NONDETERMINISM, h));
     }
     for h in rules::check_no_panic_paths(file) {
         hits.push((&rules::NO_PANIC_PATHS, h));
@@ -417,4 +415,24 @@ pub fn run(root: &Path) -> Result<LintReport, String> {
         files_scanned,
         stale_allowlist,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn r1_holds_in_the_bench_crate_too() {
+        // The experiment harness prints only accuracy metrics and logical
+        // counts, so it gets no clock-access pass; only the tooling crate
+        // skips the line rules.
+        let file = SourceFile::parse("fn f() { let t = std::time::Instant::now(); }\n");
+        let fires = |krate: &str| {
+            lint_file(krate, &file)
+                .iter()
+                .any(|(rule, _)| rule.id == "R1")
+        };
+        assert!(fires("bench"));
+        assert!(!fires("xtask"));
+    }
 }
