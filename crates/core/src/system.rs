@@ -51,9 +51,12 @@ pub struct SystemConfig {
     pub prune_candidates: bool,
     /// Monte-Carlo rounds per PTkNN query evaluation.
     pub ptknn_rounds: usize,
-    /// Worker threads for particle-filter preprocessing. `None` (or
-    /// `Some(0|1)`) runs on the calling thread. Results are bit-identical
-    /// for every setting: each object draws from its own RNG stream (see
+    /// Worker threads for particle-filter preprocessing. `None` (default)
+    /// chooses per pass: every core ([`ripq_pf::available_cores`]) once
+    /// the pass plans [`ripq_pf::FAN_OUT_WORK`] particle-seconds, else the
+    /// calling thread alone. `Some(n)` forces `n` workers, and `Some(0|1)`
+    /// the calling thread. Results are bit-identical for every setting:
+    /// each object draws from its own RNG stream (see
     /// [`ripq_pf::derive_stream_seed`]).
     pub parallelism: Option<usize>,
     /// Out-of-order tolerance of the reading pipeline, in seconds:

@@ -73,8 +73,8 @@ pub use cache::{CacheStats, EpisodeKey, ParticleCache};
 pub use measurement::MeasurementModel;
 pub use motion::MotionModel;
 pub use preprocess::{
-    derive_stream_seed, DegradationLevel, ParticlePreprocessor, PreprocessorConfig,
-    SupervisionOptions,
+    available_cores, derive_stream_seed, DegradationLevel, ParticlePreprocessor,
+    PreprocessorConfig, SupervisionOptions, FAN_OUT_WORK,
 };
 pub use sir::{resample_systematic, FilterTables};
 pub use state::{Heading, IndoorState};

@@ -17,7 +17,10 @@
 //! worker count, each object draws from its own RNG stream, derived
 //! deterministically from `(pass_seed, object id, resume timestamp)` by
 //! [`derive_stream_seed`] — no draw ever depends on which objects were
-//! processed before it, or on which thread it ran.
+//! processed before it, or on which thread it ran. Unless the caller
+//! forces a worker count, each pass picks one with [`pass_workers`]:
+//! every core once its planned work reaches [`FAN_OUT_WORK`], else the
+//! calling thread alone.
 
 use crate::cache::EpisodeKey;
 use crate::sir::{Particles, Sir, SirModel, Update};
@@ -33,8 +36,45 @@ use ripq_rfid::{DataCollector, ObjectId, Reader, ReaderId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+/// Planned particle-seconds (Σ simulated seconds × `Ns` over a pass's
+/// runs) at which a pass with no forced worker count fans out over every
+/// core. 2^16 particle-seconds take about 3 ms to filter, and a helper
+/// thread costs about 50 µs to start and join, so below this a pass stays
+/// on the calling thread.
+pub const FAN_OUT_WORK: u64 = 1 << 16;
+
+/// The worker count of one pass. `Some(n)` forces `n`; `None` takes
+/// `cores()` once `planned_work` reaches [`FAN_OUT_WORK`], else one.
+/// Either way the count is clamped to `1..=runs`, so no worker starts
+/// without a run to take. `cores` is asked only when a pass fans out, so
+/// the first read of the machine's core count, which allocates, never
+/// lands in a small pass.
+fn pass_workers(
+    parallelism: Option<usize>,
+    planned_work: u64,
+    runs: usize,
+    cores: impl FnOnce() -> usize,
+) -> usize {
+    let wanted = match parallelism {
+        Some(n) => n,
+        None if planned_work >= FAN_OUT_WORK => cores(),
+        None => 1,
+    };
+    wanted.clamp(1, runs.max(1))
+}
+
+/// `std::thread::available_parallelism`, read once per process (1 when
+/// the platform cannot tell): the worker count of a large pass with no
+/// forced count.
+pub fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
 
 /// Derives the seed of one object's private RNG stream for one
 /// preprocessing pass.
@@ -578,14 +618,18 @@ impl<'a> ParticlePreprocessor<'a> {
     ///
     /// 1. **Plan** (sequential, candidate order): lines 1–6 of Algorithm 2
     ///    plus the cache lookup for every candidate. Every metric update
-    ///    commutes, so planning everything up front changes no total.
+    ///    commutes, so planning everything up front changes no total. The
+    ///    plans also give the pass's planned work: Σ (`tmin` − resume
+    ///    second) × `Ns`.
     /// 2. **Budget** (sequential, candidate order): each object's filter
     ///    cost is `simulated seconds × particle count` — a logical-clock
     ///    model, so the ladder decisions are reproducible. Objects run
     ///    full-size while [`SupervisionOptions::budget`] lasts, then at the
     ///    KLD floor, then degrade to the uniform pruning-circle fallback.
-    /// 3. **Filter** (fan-out over `parallelism` workers; `None` or
-    ///    `Some(0|1)` stays on the calling thread): each object runs under
+    /// 3. **Filter**: the calling thread and `workers − 1` scoped helpers
+    ///    take candidates from one atomic slot index. `Some(n)` forces
+    ///    `workers = n`; `None` takes every core once the planned work
+    ///    reaches [`FAN_OUT_WORK`], else one. Each object runs under
     ///    `catch_unwind` isolation with bounded retry; a persistently
     ///    panicking object is quarantined with a fallback answer instead
     ///    of aborting the pass. The sharded `cache` keeps commutative
@@ -629,6 +673,12 @@ impl<'a> ParticlePreprocessor<'a> {
                     .map(|p| (i, o, p))
             })
             .collect();
+        let planned_work = planned
+            .iter()
+            .fold(0u64, |sum, (_, _, p)| {
+                sum.saturating_add(p.tmin.saturating_sub(p.resume_timestamp))
+            })
+            .saturating_mul(self.config.num_particles as u64);
 
         // Phase 2: budget ladder.
         let mut remaining = options.budget;
@@ -638,7 +688,7 @@ impl<'a> ParticlePreprocessor<'a> {
             .unwrap_or_default()
             .min_particles
             .min(self.config.num_particles) as u64;
-        let items: Vec<(usize, ObjectId, Option<ObjectPlan>, DegradationLevel)> = planned
+        let items: Vec<Queued> = planned
             .into_iter()
             .map(|(i, o, plan)| {
                 let level = match remaining.as_mut() {
@@ -666,76 +716,53 @@ impl<'a> ParticlePreprocessor<'a> {
             })
             .collect();
 
-        // Phase 3: supervised filtering.
-        let workers = parallelism.unwrap_or(1).clamp(1, items.len().max(1));
-        let mut results: Vec<Answered> = if workers <= 1 {
+        // Phase 3: supervised filtering, one slot loop on the calling
+        // thread and on each helper.
+        let workers = pass_workers(parallelism, planned_work, items.len(), available_cores);
+        let slots: Vec<Mutex<Option<Queued>>> =
+            items.into_iter().map(|it| Mutex::new(Some(it))).collect();
+        let next = AtomicUsize::new(0);
+        let collected: Mutex<Vec<Answered>> = Mutex::new(Vec::new());
+        let worker = || {
             let mut particles = self.sir.particles();
-            items
-                .into_iter()
-                .filter_map(|(i, o, plan, level)| {
-                    self.run_supervised_object(
-                        &mut particles,
-                        pass_seed,
-                        collector,
-                        o,
-                        plan,
-                        level,
-                        now,
-                        cache,
-                        options,
-                    )
-                    .map(|(d, lv)| (i, o, d, lv))
-                })
-                .collect()
-        } else {
-            let slots: Vec<Mutex<Option<Queued>>> =
-                items.into_iter().map(|it| Mutex::new(Some(it))).collect();
-            let next = AtomicUsize::new(0);
-            let collected: Mutex<Vec<Answered>> = Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut particles = self.sir.particles();
-                            let mut local: Vec<Answered> = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= slots.len() {
-                                    break;
-                                }
-                                let Some((idx, o, plan, level)) = slots[i].lock().take() else {
-                                    continue;
-                                };
-                                if let Some((d, lv)) = self.run_supervised_object(
-                                    &mut particles,
-                                    pass_seed,
-                                    collector,
-                                    o,
-                                    plan,
-                                    level,
-                                    now,
-                                    cache,
-                                    options,
-                                ) {
-                                    local.push((idx, o, d, lv));
-                                }
-                            }
-                            collected.lock().extend(local);
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    // Per-object panics are already caught inside
-                    // run_supervised_object, so a worker thread dying is
-                    // out of model; its unfinished objects would simply be
-                    // absent from the merged answer set.
-                    let _ = h.join();
+            let mut local: Vec<Answered> = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= slots.len() {
+                    break;
                 }
-            });
-            let mut merged = collected.into_inner();
-            merged.sort_unstable_by_key(|&(i, _, _, _)| i);
-            merged
+                let Some((idx, o, plan, level)) = slots[i].lock().take() else {
+                    continue;
+                };
+                if let Some((d, lv)) = self.run_supervised_object(
+                    &mut particles,
+                    pass_seed,
+                    collector,
+                    o,
+                    plan,
+                    level,
+                    now,
+                    cache,
+                    options,
+                ) {
+                    local.push((idx, o, d, lv));
+                }
+            }
+            collected.lock().extend(local);
         };
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+            worker();
+            for h in helpers {
+                // Per-object panics are already caught inside
+                // run_supervised_object, so a helper thread dying is out
+                // of model; its unfinished objects would simply be absent
+                // from the merged answer set.
+                let _ = h.join();
+            }
+        });
+        let mut results = collected.into_inner();
+        results.sort_unstable_by_key(|&(i, _, _, _)| i);
 
         // Incremental maintenance: retract objects that fell out of the
         // answered set (pruned away, vanished, never seen this pass),
@@ -835,7 +862,7 @@ mod tests {
         (index, levels)
     }
 
-    /// [`fresh`] on the calling thread with default supervision.
+    /// [`fresh`] with no forced worker count and default supervision.
     fn pass(
         pre: &ParticlePreprocessor<'_>,
         pass_seed: u64,
@@ -1329,6 +1356,31 @@ mod tests {
         assert_eq!(counters.get("degrade.reduced"), Some(&2));
         assert_eq!(counters.get("degrade.fallback"), Some(&8));
         assert_eq!(counters.get("degrade.budget_exhausted"), Some(&8));
+    }
+
+    #[test]
+    fn forced_worker_counts_clamp_to_the_runs() {
+        assert_eq!(pass_workers(Some(4), 0, 10, || 1), 4);
+        assert_eq!(pass_workers(Some(4), u64::MAX, 3, || 8), 3);
+        assert_eq!(pass_workers(Some(1), u64::MAX, 10, || 8), 1);
+        assert_eq!(pass_workers(Some(0), FAN_OUT_WORK, 10, || 8), 1);
+        assert_eq!(pass_workers(Some(2), 0, 0, || 8), 1);
+    }
+
+    #[test]
+    fn unforced_passes_fan_out_from_the_planned_work_constant() {
+        assert_eq!(pass_workers(None, 0, 10, || 8), 1);
+        assert_eq!(pass_workers(None, FAN_OUT_WORK - 1, 10, || 8), 1);
+        assert_eq!(pass_workers(None, FAN_OUT_WORK, 10, || 8), 8);
+        assert_eq!(pass_workers(None, u64::MAX, 3, || 8), 3);
+        // A one-core machine never starts a helper.
+        assert_eq!(pass_workers(None, FAN_OUT_WORK, 10, || 1), 1);
+        assert_eq!(pass_workers(None, u64::MAX, 10, || 1), 1);
+        // Only a pass that fans out reads the core count.
+        let never = || -> usize { panic!("core count read") };
+        assert_eq!(pass_workers(None, FAN_OUT_WORK - 1, 10, never), 1);
+        assert_eq!(pass_workers(Some(3), u64::MAX, 10, never), 3);
+        assert!(available_cores() >= 1);
     }
 
     #[test]

@@ -28,8 +28,11 @@ use std::path::PathBuf;
 pub struct ServerConfig {
     /// Master seed for the underlying system's stochastic machinery.
     pub seed: u64,
-    /// Worker threads for particle-filter preprocessing; results are
-    /// bit-identical for every setting.
+    /// Worker threads for particle-filter preprocessing, as
+    /// [`SystemConfig::parallelism`]: `None` (default) fans a tick's pass
+    /// out over every core once it plans `ripq_pf::FAN_OUT_WORK`
+    /// particle-seconds, `Some(n)` forces `n`. Results are bit-identical
+    /// for every setting.
     pub workers: Option<usize>,
     /// Write a durable checkpoint after every N ticks (0 = only on
     /// explicit `checkpoint` frames). Needs a checkpoint directory.

@@ -67,9 +67,11 @@ pub struct ExperimentParams {
     /// Particle filter: KLD-adaptive particle counts (Fox 2001) instead of
     /// the paper's fixed `Ns`; ablation knob.
     pub kld_adaptive: bool,
-    /// Worker threads for particle-filter preprocessing (`None` =
-    /// sequential). Accuracy results are bit-identical for every setting:
-    /// each object filters on its own deterministic RNG stream.
+    /// Worker threads for particle-filter preprocessing, as
+    /// `SystemConfig::parallelism`: `None` (default) fans a pass out over
+    /// every core once it plans `ripq_pf::FAN_OUT_WORK` particle-seconds,
+    /// `Some(n)` forces `n`. Accuracy results are bit-identical for every
+    /// setting: each object filters on its own deterministic RNG stream.
     pub parallelism: Option<usize>,
     /// Fault injection applied between the reading generator and the
     /// collector (see [`FaultPlan`]). [`FaultPlan::none`] (the default)

@@ -54,7 +54,9 @@ fn main() {
                  \x20        [--fault-drop P] [--fault-dup P] [--fault-delay S]\n\
                  \x20        [--fault-outage-rate P] [--fault-outage-mean S] [--fault-seed N]\n\
                  trace [--object N] [--duration S] [--seed N] [--svg FILE]\n\
-                 defaults"
+                 defaults\n\
+                 \n\
+                 --parallelism default: every core for a large pass, else one"
             );
             std::process::exit(if cmd == "help" { 0 } else { 2 });
         }
@@ -171,7 +173,8 @@ fn cmd_simulate(args: &[String]) {
         duration: parse_flag(args, "--duration").unwrap_or(240),
         seed: parse_flag(args, "--seed").unwrap_or(0xED8_2013),
         // Preprocessing worker threads; results are bit-identical at any
-        // setting, so this is purely a wall-clock knob.
+        // setting, so this is purely a wall-clock knob. Without the flag
+        // each pass chooses: every core for a large pass, else one.
         parallelism: parse_flag(args, "--parallelism"),
         eval_timestamps: 10,
         range_queries_per_timestamp: 40,
@@ -186,12 +189,16 @@ fn cmd_simulate(args: &[String]) {
         query_budget,
         ..Default::default()
     };
+    let threads = match params.parallelism {
+        Some(n) => format!("{} preprocessing thread(s)", n.max(1)),
+        None => format!(
+            "preprocessing threads auto, up to {}",
+            ripq::pf::available_cores()
+        ),
+    };
     println!(
-        "simulating {} objects for {} s (seed {}, {} preprocessing thread(s))...",
-        params.num_objects,
-        params.duration,
-        params.seed,
-        params.parallelism.unwrap_or(1).max(1)
+        "simulating {} objects for {} s (seed {}, {threads})...",
+        params.num_objects, params.duration, params.seed,
     );
     if faults.is_active() {
         println!(

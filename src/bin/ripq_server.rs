@@ -47,7 +47,9 @@ fn main() {
                  \x20      [--max-frames-per-tick N] [--max-subscriptions N]\n\
                  \x20      [--query-budget N] [--retry] [--retry-seed N] [--retry-max-rounds N]\n\
                  send   (--uds PATH | --tcp ADDR) --transcript FILE\n\
-                 \x20      [--retry] [--retry-seed N] [--retry-max-rounds N]"
+                 \x20      [--retry] [--retry-seed N] [--retry-max-rounds N]\n\
+                 \n\
+                 --workers default: every core for a large tick, else one"
             );
             if cmd == "help" {
                 0

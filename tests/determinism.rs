@@ -1,8 +1,9 @@
 //! Reproducibility: the whole stack is a pure function of its seeds.
 
-use ripq::core::{IndoorQuerySystem, SystemConfig, TimingMode};
+use ripq::core::{EvaluationReport, IndoorQuerySystem, SystemConfig, TimingMode};
 use ripq::floorplan::{office_building, OfficeParams};
 use ripq::geom::Rect;
+use ripq::pf::FAN_OUT_WORK;
 use ripq::rfid::ObjectId;
 use ripq::sim::{Experiment, ExperimentParams};
 
@@ -51,19 +52,20 @@ fn system_facade_reproduces_under_fixed_seed() {
     assert_eq!(p1, p2);
 }
 
-/// Runs a fixed workload through the system facade under the given
-/// config and returns its evaluation report.
-fn evaluate_with_config(config: SystemConfig) -> ripq::core::EvaluationReport {
+/// Runs `objects` objects through the system facade under the given
+/// config: each pings a reader every second of `0..now`, moving on by
+/// `step` readers a second, then one pass evaluates a range, a kNN and a
+/// PTkNN query at `now`.
+fn evaluate_workload(config: SystemConfig, objects: u32, step: u32, now: u64) -> EvaluationReport {
     let plan = office_building(&OfficeParams::default()).unwrap();
     let mut sys = IndoorQuerySystem::new(plan, config, 4242);
     let reader_ids: Vec<_> = sys.readers().iter().map(|r| r.id()).collect();
-    // 12 objects pinging a rotating subset of readers for 16 seconds.
-    for s in 0..16u64 {
-        let det: Vec<_> = (0..12u32)
+    for s in 0..now {
+        let det: Vec<_> = (0..objects)
             .map(|i| {
                 (
                     ObjectId::new(i),
-                    reader_ids[((i + s as u32) % reader_ids.len() as u32) as usize],
+                    reader_ids[((i + step * s as u32) % reader_ids.len() as u32) as usize],
                 )
             })
             .collect();
@@ -74,16 +76,49 @@ fn evaluate_with_config(config: SystemConfig) -> ripq::core::EvaluationReport {
         .unwrap();
     sys.register_knn(center, 3).unwrap();
     sys.register_ptknn(center, 3, 0.2).unwrap();
-    sys.evaluate(16)
+    sys.evaluate(now)
+}
+
+/// 12 objects pinging a rotating subset of readers for 16 seconds. Its
+/// pass plans about 12 K particle-seconds, below `FAN_OUT_WORK`, so with
+/// no forced worker count it stays on the calling thread.
+fn evaluate_with_config(config: SystemConfig) -> EvaluationReport {
+    evaluate_workload(config, 12, 1, 16)
 }
 
 /// Runs a fixed workload through the system facade at the given
 /// preprocessing parallelism and returns its evaluation report.
-fn evaluate_with_parallelism(parallelism: Option<usize>) -> ripq::core::EvaluationReport {
+fn evaluate_with_parallelism(parallelism: Option<usize>) -> EvaluationReport {
     evaluate_with_config(SystemConfig {
         parallelism,
         ..SystemConfig::default()
     })
+}
+
+/// Asserts that two reports answer identically: exact f64 equality on
+/// every query result and every `APtoObjHT` distribution, not tolerance.
+fn assert_same_answers(baseline: &EvaluationReport, other: &EvaluationReport, what: &str) {
+    assert_eq!(
+        baseline.range_results, other.range_results,
+        "range results diverge at {what}"
+    );
+    assert_eq!(
+        baseline.knn_results, other.knn_results,
+        "kNN results diverge at {what}"
+    );
+    assert_eq!(
+        baseline.ptknn_results, other.ptknn_results,
+        "PTkNN results diverge at {what}"
+    );
+    assert_eq!(baseline.candidates_processed, other.candidates_processed);
+    assert_eq!(baseline.index.object_count(), other.index.object_count());
+    for o in baseline.index.objects() {
+        assert_eq!(
+            baseline.index.distribution(o),
+            other.index.distribution(o),
+            "index distribution for {o:?} diverges at {what}"
+        );
+    }
 }
 
 #[test]
@@ -94,31 +129,51 @@ fn parallel_evaluation_matches_sequential_bit_for_bit() {
         "workload must be non-trivial"
     );
     for workers in [1usize, 2, 4] {
+        // The parallel path must replay the sequential RNG streams
+        // verbatim.
         let parallel = evaluate_with_parallelism(Some(workers));
-        // Query answers: exact f64 equality, not tolerance — the parallel
-        // path must replay the sequential RNG streams verbatim.
+        assert_same_answers(&baseline, &parallel, &format!("{workers} workers"));
+    }
+}
+
+/// One pass large enough to fan out with no forced worker count: 48
+/// objects, each seen by one reader for 30 s and all filtered (pruning
+/// off), cold, at second 30. Logical timing and observability on, so the
+/// report carries a byte-stable metrics snapshot.
+fn large_pass(parallelism: Option<usize>) -> EvaluationReport {
+    let config = SystemConfig {
+        parallelism,
+        prune_candidates: false,
+        timing: TimingMode::Logical,
+        observability: true,
+        ..SystemConfig::default()
+    };
+    evaluate_workload(config, 48, 0, 30)
+}
+
+/// With no forced worker count a pass that plans at least `FAN_OUT_WORK`
+/// particle-seconds runs on every core of the machine. It must answer,
+/// and count, exactly as one worker and four workers do.
+#[test]
+fn large_default_pass_matches_forced_workers_bit_for_bit() {
+    let auto = large_pass(None);
+    let metrics = auto.metrics.as_ref().expect("observability on");
+    // A cold pass at full level simulates exactly its planned seconds.
+    let planned = metrics.counters["pf.sir_iterations"]
+        * SystemConfig::default().preprocess.num_particles as u64;
+    assert!(
+        planned >= FAN_OUT_WORK,
+        "the pass plans {planned} particle-seconds, below {FAN_OUT_WORK}"
+    );
+    let json = metrics.to_json();
+    for workers in [1usize, 4] {
+        let forced = large_pass(Some(workers));
+        assert_same_answers(&auto, &forced, &format!("{workers} forced workers"));
         assert_eq!(
-            baseline.range_results, parallel.range_results,
-            "range results diverge at {workers} workers"
+            json,
+            forced.metrics.expect("observability on").to_json(),
+            "snapshot JSON diverges at {workers} forced workers"
         );
-        assert_eq!(
-            baseline.knn_results, parallel.knn_results,
-            "kNN results diverge at {workers} workers"
-        );
-        assert_eq!(
-            baseline.ptknn_results, parallel.ptknn_results,
-            "PTkNN results diverge at {workers} workers"
-        );
-        assert_eq!(baseline.candidates_processed, parallel.candidates_processed);
-        // The APtoObjHT itself: every per-object distribution identical.
-        assert_eq!(baseline.index.object_count(), parallel.index.object_count());
-        for o in baseline.index.objects() {
-            assert_eq!(
-                baseline.index.distribution(o),
-                parallel.index.distribution(o),
-                "index distribution for {o:?} diverges at {workers} workers"
-            );
-        }
     }
 }
 
