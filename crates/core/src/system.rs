@@ -570,7 +570,7 @@ impl IndoorQuerySystem {
             self.config.preprocess,
         )
         .with_recorder(&self.recorder);
-        let cache = self.config.use_cache.then_some(&self.cache);
+        let cache = self.config.use_cache.then_some(&mut self.cache);
         let supervision = SupervisionOptions {
             budget,
             panic_object: self.injected_fault.map(|(o, _)| o),

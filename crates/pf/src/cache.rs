@@ -12,31 +12,32 @@
 //! device" — implemented by keying each entry with the identity of the
 //! detection episode it was filtered under.
 //!
-//! [`ParticleCache`] is sharded and internally synchronized (`&self`
-//! throughout), so the parallel preprocessing workers use it
-//! concurrently. Each object maps to exactly one shard, and the hit/miss/
-//! invalidation counters are atomics, so the statistics are the same
-//! whatever order objects are processed in.
+//! [`ParticleCache`] has one owner, the caller of
+//! [`ParticlePreprocessor::process`](crate::ParticlePreprocessor::process).
+//! A pass takes each candidate's entry out while it plans the object; the
+//! entry travels with the object to whichever worker filters it, and the
+//! pass puts back, in candidate order, the entry the object's slot holds
+//! afterwards. Workers never touch the map, so the statistics and the
+//! entries are the same whatever the worker count.
 
 use crate::{Heading, IndoorState};
-use parking_lot::Mutex;
 use ripq_graph::{EdgeId, GraphPos};
 use ripq_persist::{ByteReader, ByteWriter, PersistError};
 use ripq_rfid::{ObjectId, ReaderId};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeMap;
 
 /// An episode identity: the most recent detecting reader plus the second
 /// its episode began. A new episode (new device, or the same device after
 /// a long gap) produces a different key and therefore a cache miss.
 pub type EpisodeKey = (ReaderId, u64);
 
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    particles: Vec<IndoorState>,
+/// One object's cached particle states.
+#[derive(Debug, PartialEq)]
+pub(crate) struct CacheEntry {
+    pub(crate) particles: Vec<IndoorState>,
     /// The simulated second the particle states correspond to.
-    timestamp: u64,
-    episode: EpisodeKey,
+    pub(crate) timestamp: u64,
+    pub(crate) episode: EpisodeKey,
 }
 
 /// Hit/miss counters for cache effectiveness reporting.
@@ -46,7 +47,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that found nothing (or a stale episode).
     pub misses: u64,
-    /// Entries evicted because the object was detected by a new device.
+    /// Entries evicted because the object was detected by a new device,
+    /// or dropped with a panicking filter run.
     pub invalidations: u64,
 }
 
@@ -62,35 +64,12 @@ impl CacheStats {
     }
 }
 
-/// Number of independently locked shards. Objects hash to shards by id, so
-/// concurrent workers mostly touch different locks.
-const SHARDS: usize = 16;
-
-/// A concurrently usable particle-state cache, one entry per object.
-///
-/// All methods take `&self`: the entry map is split into 16 (`SHARDS`)
-/// mutex-protected shards and the statistics are atomic counters. Because
-/// every lookup/store touches only the shard of its own object, and the
-/// counters commute, the observable state after preprocessing a candidate
-/// set is independent of the order (or thread) the objects were processed
-/// on.
-#[derive(Debug)]
+/// The particle-state cache: one entry per object, kept in object-id
+/// order, plus the hit/miss/invalidation counters.
+#[derive(Debug, Default)]
 pub struct ParticleCache {
-    shards: Vec<Mutex<HashMap<ObjectId, CacheEntry>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidations: AtomicU64,
-}
-
-impl Default for ParticleCache {
-    fn default() -> Self {
-        ParticleCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-        }
-    }
+    entries: BTreeMap<ObjectId, CacheEntry>,
+    stats: CacheStats,
 }
 
 impl ParticleCache {
@@ -99,114 +78,66 @@ impl ParticleCache {
         Self::default()
     }
 
-    fn shard(&self, object: ObjectId) -> &Mutex<HashMap<ObjectId, CacheEntry>> {
-        &self.shards[object.raw() as usize % SHARDS]
-    }
-
-    /// Looks up reusable particles for `object`, valid only if they were
-    /// filtered under the same detection episode `current_episode`.
-    /// Returns the cached states and their timestamp on a hit.
-    pub fn lookup(
-        &self,
+    /// Takes `object`'s entry out for one pass and counts the lookup. `Ok`
+    /// holds an entry filtered under `episode`: a hit. A miss returns the
+    /// episode of the entry it found, if any; that entry predates the
+    /// object's detection by a new device, so it is discarded, per §4.5.
+    pub(crate) fn take(
+        &mut self,
         object: ObjectId,
-        current_episode: EpisodeKey,
-    ) -> Option<(Vec<IndoorState>, u64)> {
-        let mut shard = self.shard(object).lock();
-        match shard.get(&object) {
-            Some(e) if e.episode == current_episode => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some((e.particles.clone(), e.timestamp))
-            }
-            Some(_) => {
-                // Detected by a new device since this entry was stored:
-                // discard it, per §4.5.
-                shard.remove(&object);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.invalidations.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// The episode a cached entry (if any) was filtered under, without
-    /// touching the hit/miss statistics. A peek used by the preprocessor
-    /// to classify an upcoming invalidation: same reader, new episode =
-    /// an outage-style gap; different reader = a device handoff.
-    pub fn cached_episode(&self, object: ObjectId) -> Option<EpisodeKey> {
-        self.shard(object).lock().get(&object).map(|e| e.episode)
-    }
-
-    /// Stores the post-filtering particle states of `object` at simulated
-    /// second `timestamp`, tagged with the episode they were filtered
-    /// under.
-    pub fn store(
-        &self,
-        object: ObjectId,
-        particles: Vec<IndoorState>,
-        timestamp: u64,
         episode: EpisodeKey,
-    ) {
-        self.shard(object).lock().insert(
-            object,
-            CacheEntry {
-                particles,
-                timestamp,
-                episode,
-            },
-        );
+    ) -> Result<CacheEntry, Option<EpisodeKey>> {
+        match self.entries.remove(&object) {
+            Some(entry) if entry.episode == episode => {
+                self.stats.hits += 1;
+                Ok(entry)
+            }
+            stale => {
+                self.stats.misses += 1;
+                let stale = stale.map(|e| e.episode);
+                self.stats.invalidations += u64::from(stale.is_some());
+                Err(stale)
+            }
+        }
     }
 
-    /// Drops an object's entry.
-    pub fn invalidate(&self, object: ObjectId) {
-        if self.shard(object).lock().remove(&object).is_some() {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
+    /// Puts back the entry `object`'s slot holds after a pass, if any.
+    /// `dropped` counts the entry a panicking filter run took down with it
+    /// as an invalidation.
+    pub(crate) fn put_back(&mut self, object: ObjectId, entry: Option<CacheEntry>, dropped: bool) {
+        self.stats.invalidations += u64::from(dropped);
+        if let Some(entry) = entry {
+            self.entries.insert(object, entry);
         }
+    }
+
+    /// `object`'s entry, if cached.
+    #[cfg(test)]
+    pub(crate) fn entry(&self, object: ObjectId) -> Option<&CacheEntry> {
+        self.entries.get(&object)
     }
 
     /// Number of cached objects.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.entries.len()
     }
 
     /// `true` when no entries are cached.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().is_empty())
+        self.entries.is_empty()
     }
 
     /// Hit/miss counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Clears all entries (keeps statistics).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            s.lock().clear();
-        }
+        self.stats
     }
 
     /// Appends the cache's full state — every entry plus the hit/miss
     /// counters — to `w` in the canonical checkpoint encoding (entries
-    /// sorted by object id, so equal state always encodes identically
-    /// regardless of shard hash order).
+    /// sorted by object id, so equal state always encodes identically).
     pub fn encode_state(&self, w: &mut ByteWriter) {
-        let mut entries: Vec<(ObjectId, CacheEntry)> = Vec::new();
-        for shard in &self.shards {
-            for (&o, e) in shard.lock().iter() {
-                entries.push((o, e.clone()));
-            }
-        }
-        entries.sort_by_key(|(o, _)| *o);
-        w.put_seq_len(entries.len());
-        for (o, e) in entries {
+        w.put_seq_len(self.entries.len());
+        for (o, e) in &self.entries {
             w.put_u32(o.raw());
             w.put_u64(e.timestamp);
             w.put_u32(e.episode.0.raw());
@@ -219,16 +150,16 @@ impl ParticleCache {
                 w.put_f64(p.speed);
             }
         }
-        w.put_u64(self.hits.load(Ordering::Relaxed));
-        w.put_u64(self.misses.load(Ordering::Relaxed));
-        w.put_u64(self.invalidations.load(Ordering::Relaxed));
+        w.put_u64(self.stats.hits);
+        w.put_u64(self.stats.misses);
+        w.put_u64(self.stats.invalidations);
     }
 
     /// Rebuilds a cache from bytes written by
     /// [`ParticleCache::encode_state`]. Any truncation or invalid
     /// tag is [`PersistError::Torn`].
     pub fn decode_state(r: &mut ByteReader<'_>) -> Result<ParticleCache, PersistError> {
-        let cache = ParticleCache::new();
+        let mut cache = ParticleCache::new();
         let n_entries = r.get_seq_len(28)?;
         for _ in 0..n_entries {
             let object = ObjectId::new(r.get_u32()?);
@@ -251,11 +182,18 @@ impl ParticleCache {
                     speed,
                 });
             }
-            cache.store(object, particles, timestamp, episode);
+            let entry = CacheEntry {
+                particles,
+                timestamp,
+                episode,
+            };
+            cache.entries.insert(object, entry);
         }
-        cache.hits.store(r.get_u64()?, Ordering::Relaxed);
-        cache.misses.store(r.get_u64()?, Ordering::Relaxed);
-        cache.invalidations.store(r.get_u64()?, Ordering::Relaxed);
+        cache.stats = CacheStats {
+            hits: r.get_u64()?,
+            misses: r.get_u64()?,
+            invalidations: r.get_u64()?,
+        };
         Ok(cache)
     }
 }
@@ -263,8 +201,6 @@ impl ParticleCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Heading;
-    use ripq_graph::{EdgeId, GraphPos};
 
     fn particle(offset: f64) -> IndoorState {
         IndoorState {
@@ -274,128 +210,110 @@ mod tests {
         }
     }
 
+    /// An entry of `particles` at second `timestamp` under `episode`.
+    fn cached(
+        particles: Vec<IndoorState>,
+        timestamp: u64,
+        episode: EpisodeKey,
+    ) -> Option<CacheEntry> {
+        Some(CacheEntry {
+            particles,
+            timestamp,
+            episode,
+        })
+    }
+
     const O: ObjectId = ObjectId::new(1);
     const EP1: EpisodeKey = (ReaderId::new(3), 100);
     const EP2: EpisodeKey = (ReaderId::new(4), 120);
 
     #[test]
-    fn store_then_hit() {
-        let c = ParticleCache::new();
-        c.store(O, vec![particle(1.0)], 110, EP1);
-        let (states, t) = c.lookup(O, EP1).expect("hit");
-        assert_eq!(states.len(), 1);
-        assert_eq!(t, 110);
+    fn a_hit_takes_the_entry_out_until_it_is_put_back() {
+        let mut c = ParticleCache::new();
+        c.put_back(O, cached(vec![particle(1.0)], 110, EP1), false);
+        let e = c.take(O, EP1).expect("hit");
+        assert_eq!((e.particles.len(), e.timestamp), (1, 110));
+        assert!(c.is_empty(), "the pass owns a taken entry");
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 0);
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.stats().hits, 1, "clear keeps statistics");
+        // The pass puts back whatever the slot holds after it.
+        c.put_back(
+            O,
+            cached(vec![particle(9.0), particle(8.0)], 112, EP1),
+            false,
+        );
+        let e = c.take(O, EP1).expect("hit");
+        assert_eq!((e.particles.len(), e.timestamp), (2, 112));
+        assert_eq!(c.stats().hits, 2);
     }
 
     #[test]
     fn new_episode_invalidates() {
-        let c = ParticleCache::new();
-        c.store(O, vec![particle(1.0)], 110, EP1);
-        assert!(c.lookup(O, EP2).is_none());
+        let mut c = ParticleCache::new();
+        c.put_back(O, cached(vec![particle(1.0)], 110, EP1), false);
+        assert_eq!(c.take(O, EP2), Err(Some(EP1)));
         assert_eq!(c.stats().invalidations, 1);
         // Entry is gone entirely.
         assert!(c.is_empty());
-        assert!(c.lookup(O, EP1).is_none());
+        assert_eq!(c.take(O, EP1), Err(None));
         assert_eq!(c.stats().misses, 2);
     }
 
     #[test]
     fn unknown_object_misses() {
-        let c = ParticleCache::new();
-        assert!(c.lookup(O, EP1).is_none());
+        let mut c = ParticleCache::new();
+        assert_eq!(c.take(O, EP1), Err(None));
         assert_eq!(c.stats().misses, 1);
         assert_eq!(c.stats().hit_rate(), 0.0);
     }
 
     #[test]
     fn hit_rate_math() {
-        let c = ParticleCache::new();
-        c.store(O, vec![particle(0.0)], 5, EP1);
-        let _ = c.lookup(O, EP1);
-        let _ = c.lookup(O, EP1);
-        let _ = c.lookup(ObjectId::new(9), EP1);
+        let mut c = ParticleCache::new();
+        c.put_back(O, cached(vec![particle(0.0)], 5, EP1), false);
+        for _ in 0..2 {
+            let hit = c.take(O, EP1).ok();
+            c.put_back(O, hit, false);
+        }
+        let _ = c.take(ObjectId::new(9), EP1);
         assert!((c.stats().hit_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
-    fn explicit_invalidation() {
-        let c = ParticleCache::new();
-        c.store(O, vec![particle(0.0)], 5, EP1);
-        c.invalidate(O);
+    fn a_dropped_entry_counts_as_an_invalidation() {
+        let mut c = ParticleCache::new();
+        c.put_back(O, cached(vec![particle(0.0)], 5, EP1), false);
+        assert!(c.take(O, EP1).is_ok());
+        c.put_back(O, None, true);
         assert!(c.is_empty());
         assert_eq!(c.stats().invalidations, 1);
-        // Double-invalidation is a no-op.
-        c.invalidate(O);
-        assert_eq!(c.stats().invalidations, 1);
-    }
-
-    #[test]
-    fn store_overwrites() {
-        let c = ParticleCache::new();
-        c.store(O, vec![particle(0.0)], 5, EP1);
-        c.store(O, vec![particle(9.0), particle(8.0)], 7, EP1);
-        let (states, t) = c.lookup(O, EP1).unwrap();
-        assert_eq!(states.len(), 2);
-        assert_eq!(t, 7);
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn shared_cache_is_usable_from_many_threads() {
-        let c = ParticleCache::new();
-        std::thread::scope(|scope| {
-            for w in 0..4u32 {
-                let c = &c;
-                scope.spawn(move || {
-                    for i in 0..50u32 {
-                        let o = ObjectId::new(w * 50 + i);
-                        c.store(o, vec![particle(f64::from(i))], 10, EP1);
-                        assert!(c.lookup(o, EP1).is_some());
-                        assert!(c.lookup(o, EP2).is_none());
-                    }
-                });
-            }
-        });
-        // Each worker: 50 hits, then 50 invalidating misses.
-        let s = c.stats();
-        assert_eq!(s.hits, 200);
-        assert_eq!(s.misses, 200);
-        assert_eq!(s.invalidations, 200);
-        assert!(c.is_empty());
-        assert_eq!(c.len(), 0);
     }
 
     #[test]
     fn state_codec_round_trips_and_is_canonical() {
-        let build = || {
-            let c = ParticleCache::new();
-            // Objects across different shards, some traffic for counters.
-            for i in [0u32, 3, 16, 17, 40] {
-                let o = ObjectId::new(i);
-                c.store(
-                    o,
-                    vec![particle(f64::from(i)), particle(0.5)],
-                    100 + u64::from(i),
-                    EP1,
+        let build = |order: [u32; 5]| {
+            let mut c = ParticleCache::new();
+            for i in order {
+                let particles = vec![particle(f64::from(i)), particle(0.5)];
+                c.put_back(
+                    ObjectId::new(i),
+                    cached(particles, 100 + u64::from(i), EP1),
+                    false,
                 );
             }
-            let _ = c.lookup(ObjectId::new(0), EP1); // hit
-            let _ = c.lookup(ObjectId::new(3), EP2); // invalidating miss
-            let _ = c.lookup(ObjectId::new(99), EP1); // plain miss
+            let hit = c.take(ObjectId::new(0), EP1).ok();
+            c.put_back(ObjectId::new(0), hit, false);
+            let _ = c.take(ObjectId::new(3), EP2); // invalidating miss
+            let _ = c.take(ObjectId::new(99), EP1); // plain miss
             c
         };
-        let c = build();
+        let c = build([0, 3, 16, 17, 40]);
         let mut w = ByteWriter::new();
         c.encode_state(&mut w);
         let bytes = w.into_bytes();
 
         let mut w2 = ByteWriter::new();
-        build().encode_state(&mut w2);
+        build([40, 17, 16, 3, 0]).encode_state(&mut w2);
         assert_eq!(bytes, w2.into_bytes(), "encoding is not canonical");
 
         let mut r = ByteReader::new(&bytes);
@@ -403,24 +321,17 @@ mod tests {
         r.finish().unwrap();
 
         assert_eq!(d.stats(), c.stats());
-        assert_eq!(d.len(), c.len());
-        assert_eq!(
-            d.lookup(ObjectId::new(0), EP1),
-            c.lookup(ObjectId::new(0), EP1)
-        );
+        assert_eq!(d.len(), 4);
+        assert_eq!(d.entry(ObjectId::new(0)), c.entry(ObjectId::new(0)));
         let mut w3 = ByteWriter::new();
         d.encode_state(&mut w3);
-        // Both sides did one more identical hit above, so re-encode after
-        // mirroring traffic must still agree.
-        let mut w4 = ByteWriter::new();
-        c.encode_state(&mut w4);
-        assert_eq!(w3.into_bytes(), w4.into_bytes());
+        assert_eq!(w3.into_bytes(), bytes);
     }
 
     #[test]
     fn truncated_cache_state_is_torn_not_a_panic() {
-        let c = ParticleCache::new();
-        c.store(O, vec![particle(1.0), particle(2.0)], 9, EP1);
+        let mut c = ParticleCache::new();
+        c.put_back(O, cached(vec![particle(1.0), particle(2.0)], 9, EP1), false);
         let mut w = ByteWriter::new();
         c.encode_state(&mut w);
         let bytes = w.into_bytes();

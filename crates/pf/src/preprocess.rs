@@ -10,19 +10,19 @@
 //!
 //! # Parallel preprocessing
 //!
-//! Objects are independent once the shared world state (graph, anchors,
-//! readers, cache) is read-only or internally synchronized, so
+//! Objects are independent: the world state (graph, anchors, readers) is
+//! read-only, and each object's cache entry travels with the object, so
 //! [`ParticlePreprocessor::process`] can fan candidates out over worker
-//! threads. To keep the output *bit-identical* regardless of the
-//! worker count, each object draws from its own RNG stream, derived
-//! deterministically from `(pass_seed, object id, resume timestamp)` by
-//! [`derive_stream_seed`] — no draw ever depends on which objects were
-//! processed before it, or on which thread it ran. Unless the caller
-//! forces a worker count, each pass picks one with [`pass_workers`]:
-//! every core once its planned work reaches [`FAN_OUT_WORK`], else the
-//! calling thread alone.
+//! threads whose only shared pass state is their work queue. To keep the
+//! output *bit-identical* regardless of the worker count, each object
+//! draws from its own RNG stream, derived deterministically from
+//! `(pass_seed, object id, resume timestamp)` by [`derive_stream_seed`] —
+//! no draw ever depends on which objects were processed before it, or on
+//! which thread it ran. Unless the caller forces a worker count, each pass
+//! picks one with [`pass_workers`]: every core once its planned work
+//! reaches [`FAN_OUT_WORK`], else the calling thread alone.
 
-use crate::cache::EpisodeKey;
+use crate::cache::{CacheEntry, EpisodeKey};
 use crate::sir::{Particles, Sir, SirModel, Update};
 use crate::{FilterTables, IndoorState, KldConfig, MeasurementModel, MotionModel, ParticleCache};
 use parking_lot::Mutex;
@@ -38,7 +38,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Planned particle-seconds (Σ simulated seconds × `Ns` over a pass's
@@ -209,9 +208,9 @@ impl Default for SupervisionOptions {
 
 /// Everything [`ParticlePreprocessor::filter_object`] needs that was
 /// decided *before* any random draw: the episode identity, the simulation
-/// window, and the (already consumed) cache-lookup result. Splitting this
-/// out lets the pass derive the per-object RNG from the resume timestamp
-/// before the filter body runs.
+/// window, and the object's cache entry. Splitting this out lets the pass
+/// derive the per-object RNG from the resume timestamp before the filter
+/// body runs.
 struct ObjectPlan {
     episode_key: EpisodeKey,
     /// `tmin = min(td + coast, now)` — Algorithm 2 line 6.
@@ -220,13 +219,31 @@ struct ObjectPlan {
     seed_device: ReaderId,
     /// First retained second of the object's readings (`t0`).
     agg_start: u64,
-    /// The cache-lookup result (the lookup itself already happened and
-    /// counted toward the statistics).
-    cached: Option<(Vec<IndoorState>, u64)>,
+    /// On a cache hit, the entry the pass took out of the cache (the
+    /// lookup already counted toward the statistics).
+    cached: Option<CacheEntry>,
+    /// Whether the pass keeps a cache entry for the object.
+    caching: bool,
     /// The second this pass's filtering effectively starts from: the
     /// cached timestamp on a hit, the aggregation start on a miss. Feeds
     /// [`derive_stream_seed`].
     resume_timestamp: u64,
+    /// Seconds the filter simulates, `tmin − resume_timestamp` (0 when the
+    /// cached cloud is already past `tmin`). The budget ladder and the
+    /// fan-out decision both charge this figure.
+    work_seconds: u64,
+}
+
+/// What supervising one planned candidate hands back to the merge.
+struct Outcome {
+    /// The answered distribution and its level; `None` when the object has
+    /// no answer, not even the fallback.
+    answer: Option<(Vec<(AnchorId, f64)>, DegradationLevel)>,
+    /// The entry the object's cache slot holds after the pass.
+    entry: Option<CacheEntry>,
+    /// A panicking run took the planned entry down with it, which counts
+    /// as an invalidation.
+    dropped: bool,
 }
 
 /// Resolved `pf.*` metric handles. Every recording operation is
@@ -334,14 +351,15 @@ impl<'a> ParticlePreprocessor<'a> {
     }
 
     /// Lines 1–6 of Algorithm 2 plus the cache lookup (§4.5): everything
-    /// that happens before the first random draw. `None` when the
-    /// collector has never seen the object.
+    /// that happens before the first random draw. A hit takes the entry
+    /// out of `cache` into the plan. `None` when the collector has never
+    /// seen the object.
     fn plan_object(
         &self,
         collector: &DataCollector,
         object: ObjectId,
         now: u64,
-        cache: Option<&ParticleCache>,
+        cache: Option<&mut ParticleCache>,
     ) -> Option<ObjectPlan> {
         let &(agg_start, _) = collector.detections(object).first()?;
         let (_, td) = collector.last_detection(object)?;
@@ -356,70 +374,68 @@ impl<'a> ParticlePreprocessor<'a> {
             self.metrics.cutoff_seconds_skipped.add(now - tmin);
         }
 
-        let prior_episode = cache.and_then(|c| c.cached_episode(object));
-        let cached = cache.and_then(|c| c.lookup(object, episode_key));
-        if cached.is_none() {
+        let caching = cache.is_some();
+        let cached = match cache.map(|c| c.take(object, episode_key)) {
+            Some(Ok(entry)) => Some(entry),
             // Classify the invalidation: the same reader starting a new
             // episode means the stream went dark past the gap tolerance
             // (outage-style), not that the object moved to a new device.
-            if let Some(prev) = prior_episode {
-                if prev != episode_key && prev.0 == episode_key.0 {
-                    self.metrics.outage_resets.inc();
-                }
+            Some(Err(Some(stale))) if stale.0 == ep_reader => {
+                self.metrics.outage_resets.inc();
+                None
             }
-        }
-        let resume_timestamp = match &cached {
-            Some((_, t)) => *t,
-            None => agg_start,
+            _ => None,
         };
+        let resume_timestamp = cached.as_ref().map_or(agg_start, |e| e.timestamp);
         Some(ObjectPlan {
             episode_key,
             tmin,
             seed_device: di,
             agg_start,
             cached,
+            caching,
             resume_timestamp,
+            work_seconds: tmin.saturating_sub(resume_timestamp),
         })
     }
 
     /// Lines 7–36 of Algorithm 2: seed or resume the filter in
-    /// `particles`, replay the retained readings up to `tmin`, store
-    /// back into the cache, snap to anchors. All random draws of the
-    /// object happen here, in a fixed order independent of other objects.
-    /// `particles_override` runs the same filter with fewer particles on
-    /// the degraded-evaluation path.
-    #[allow(clippy::too_many_arguments)]
+    /// `particles`, replay the retained readings up to `tmin`, snap to
+    /// anchors. All random draws of the object happen here, in a fixed
+    /// order independent of other objects. `particles_override` runs the
+    /// same filter with fewer particles on the degraded-evaluation path.
+    ///
+    /// Also returns the entry the object's cache slot holds afterwards: the
+    /// cached entry untouched when its cloud is already past `tmin`;
+    /// otherwise, when the plan keeps an entry, the filtered cloud, written
+    /// into the cached entry's own buffer on a hit.
     fn filter_object<R: Rng>(
         &self,
         rng: &mut R,
         particles: &mut Particles,
         collector: &DataCollector,
         object: ObjectId,
-        mut plan: ObjectPlan,
-        cache: Option<&ParticleCache>,
+        plan: ObjectPlan,
         particles_override: Option<usize>,
-    ) -> Vec<(AnchorId, f64)> {
+    ) -> (Vec<(AnchorId, f64)>, Option<CacheEntry>) {
         let num_particles = particles_override.unwrap_or(self.config.num_particles);
-        if let (Some(n), Some((states, _))) = (particles_override, plan.cached.as_mut()) {
-            // A reduced-budget resume keeps (a deterministic prefix of)
-            // the cached cloud rather than discarding the prior entirely.
-            states.truncate(n);
-        }
-
-        if plan.cached.is_some() {
-            self.metrics.cache_resumes.inc();
-            self.metrics
-                .resume_depth
-                .observe(plan.resume_timestamp.saturating_sub(plan.agg_start));
-        }
         let start = match &plan.cached {
-            Some((states, t)) => {
-                particles.resume(states);
-                if *t > plan.tmin {
+            Some(entry) => {
+                self.metrics.cache_resumes.inc();
+                self.metrics
+                    .resume_depth
+                    .observe(entry.timestamp.saturating_sub(plan.agg_start));
+                // A reduced-budget resume keeps a deterministic prefix of
+                // the cached cloud rather than discarding the prior
+                // entirely.
+                let cloud: &[IndoorState] = &entry.particles;
+                let prefix = particles_override.and_then(|n| cloud.get(..n));
+                particles.resume(prefix.unwrap_or(cloud));
+                if entry.timestamp > plan.tmin {
                     // Cached states are already past tmin: reuse directly.
-                    return self.finish(particles, 0);
+                    return (self.finish(particles, 0), plan.cached);
                 }
-                t + 1
+                entry.timestamp + 1
             }
             None => {
                 // Fresh start: seed within the second-most-recent device's
@@ -457,16 +473,18 @@ impl<'a> ParticlePreprocessor<'a> {
             }
         }
 
-        let timestamp = plan.tmin.max(start.saturating_sub(1));
-        if let Some(c) = cache {
-            c.store(
-                object,
-                particles.states().to_vec(),
-                timestamp,
-                plan.episode_key,
-            );
-        }
-        self.finish(particles, simulated)
+        let entry = plan.caching.then(|| {
+            // A hit refills the buffer it resumed from: no allocation.
+            let mut states = plan.cached.map(|e| e.particles).unwrap_or_default();
+            states.clear();
+            states.extend_from_slice(particles.states());
+            CacheEntry {
+                particles: states,
+                timestamp: plan.tmin.max(start.saturating_sub(1)),
+                episode: plan.episode_key,
+            }
+        });
+        (self.finish(particles, simulated), entry)
     }
 
     /// Lines 32–36: snaps each particle to its nearest anchor point,
@@ -523,8 +541,10 @@ impl<'a> ParticlePreprocessor<'a> {
     /// One supervised candidate: run the (possibly budget-reduced) filter
     /// in the worker's `particles` under panic isolation with bounded
     /// retry, degrading to the uniform fallback when the filter is
-    /// persistently poisoned. Returns the answered distribution and the
-    /// level it was produced at.
+    /// persistently poisoned. Returns the answered distribution, the level
+    /// it was produced at, and the entry the object's cache slot holds
+    /// afterwards: untouched when nothing ran, none after a panic unless a
+    /// retry refilled it.
     #[allow(clippy::too_many_arguments)]
     fn run_supervised_object(
         &self,
@@ -532,16 +552,21 @@ impl<'a> ParticlePreprocessor<'a> {
         pass_seed: u64,
         collector: &DataCollector,
         object: ObjectId,
-        mut plan: Option<ObjectPlan>,
+        plan: ObjectPlan,
         level: DegradationLevel,
         now: u64,
-        cache: Option<&ParticleCache>,
         options: &SupervisionOptions,
-    ) -> Option<(Vec<(AnchorId, f64)>, DegradationLevel)> {
+    ) -> Outcome {
+        let fallback = |level| {
+            self.fallback_distribution(collector, object, now)
+                .map(|d| (d, level))
+        };
         if matches!(level, DegradationLevel::UniformFallback) {
-            return self
-                .fallback_distribution(collector, object, now)
-                .map(|d| (d, level));
+            return Outcome {
+                answer: fallback(level),
+                entry: plan.cached,
+                dropped: false,
+            };
         }
         let particles_override = match level {
             DegradationLevel::ReducedParticles => Some(
@@ -553,23 +578,22 @@ impl<'a> ParticlePreprocessor<'a> {
             ),
             _ => None,
         };
-        let mut attempt = 0usize;
-        loop {
-            let p = match plan.take() {
-                Some(p) => p,
-                // Retry path: replan with the cache disabled, so the
-                // filter reseeds from the last readings instead of
-                // resuming whatever states the panicking run left behind.
-                None => match self.plan_object(collector, object, now, None) {
-                    Some(p) => p,
-                    None => {
-                        return self
-                            .fallback_distribution(collector, object, now)
-                            .map(|d| (d, DegradationLevel::Quarantined))
-                    }
-                },
+        // A retry replans with no cached states, so the filter reseeds from
+        // the last readings instead of resuming whatever states the
+        // panicking run left behind.
+        let caching = plan.caching;
+        let replan = || {
+            self.plan_object(collector, object, now, None)
+                .map(|p| ObjectPlan { caching, ..p })
+        };
+        let mut plan = Some(plan);
+        let mut dropped = false;
+        for attempt in 0..=RETRY_LIMIT {
+            let Some(p) = plan.take().or_else(replan) else {
+                break;
             };
             let resume = p.resume_timestamp;
+            let carried = p.cached.is_some();
             let result = catch_unwind(AssertUnwindSafe(|| {
                 if options.panic_object == Some(object) && attempt < options.panic_attempts {
                     // ripq-lint: allow(no-panic-paths) -- deliberate fault injection: the panic is the supervision test fixture, caught by this catch_unwind
@@ -582,29 +606,31 @@ impl<'a> ParticlePreprocessor<'a> {
                     collector,
                     object,
                     p,
-                    cache,
                     particles_override,
                 )
             }));
-            match result {
-                Ok(out) => return Some((out, level)),
-                Err(_) => {
-                    self.recorder.add("degrade.pf_panics", 1);
-                    // Whatever half-updated states the panicking attempt
-                    // stored must not poison later passes.
-                    if let Some(c) = cache {
-                        c.invalidate(object);
-                    }
-                    if attempt >= RETRY_LIMIT {
-                        self.recorder.add("degrade.quarantined", 1);
-                        return self
-                            .fallback_distribution(collector, object, now)
-                            .map(|d| (d, DegradationLevel::Quarantined));
-                    }
-                    self.recorder.add("degrade.retries", 1);
-                    attempt += 1;
-                }
+            if let Ok((out, entry)) = result {
+                let answer = Some((out, level));
+                return Outcome {
+                    answer,
+                    entry,
+                    dropped,
+                };
             }
+            self.recorder.add("degrade.pf_panics", 1);
+            // The cached entry unwound with the panicking attempt, so its
+            // half-updated states never reach a later pass.
+            dropped |= carried;
+            if attempt < RETRY_LIMIT {
+                self.recorder.add("degrade.retries", 1);
+            } else {
+                self.recorder.add("degrade.quarantined", 1);
+            }
+        }
+        Outcome {
+            answer: fallback(DegradationLevel::Quarantined),
+            entry: None,
+            dropped,
         }
     }
 
@@ -614,26 +640,31 @@ impl<'a> ParticlePreprocessor<'a> {
     /// Each object draws from its own RNG stream, derived from
     /// `(pass_seed, object, resume timestamp)` by [`derive_stream_seed`],
     /// so the answers do not depend on the candidate order or on the
-    /// worker count. The pass runs in three deterministic phases:
+    /// worker count. `candidates` must be distinct: a pass takes each
+    /// object's cache entry once. The pass runs in three deterministic
+    /// phases:
     ///
     /// 1. **Plan** (sequential, candidate order): lines 1–6 of Algorithm 2
-    ///    plus the cache lookup for every candidate. Every metric update
-    ///    commutes, so planning everything up front changes no total. The
-    ///    plans also give the pass's planned work: Σ (`tmin` − resume
-    ///    second) × `Ns`.
+    ///    plus the cache lookup for every candidate, which takes a hit's
+    ///    entry out of `cache` into the object's plan. Every metric update
+    ///    commutes, so planning everything up front changes no total. Each
+    ///    plan knows the seconds its filter simulates, `tmin` − resume
+    ///    second, and the pass's planned work is their sum × `Ns`.
     /// 2. **Budget** (sequential, candidate order): each object's filter
-    ///    cost is `simulated seconds × particle count` — a logical-clock
-    ///    model, so the ladder decisions are reproducible. Objects run
-    ///    full-size while [`SupervisionOptions::budget`] lasts, then at the
-    ///    KLD floor, then degrade to the uniform pruning-circle fallback.
+    ///    costs its simulated seconds (at least one) × particle count — a
+    ///    logical-clock model, so the ladder decisions are reproducible.
+    ///    Objects run full-size while [`SupervisionOptions::budget`]
+    ///    lasts, then at the KLD floor, then degrade to the uniform
+    ///    pruning-circle fallback.
     /// 3. **Filter**: the calling thread and `workers − 1` scoped helpers
-    ///    take candidates from one atomic slot index. `Some(n)` forces
-    ///    `workers = n`; `None` takes every core once the planned work
-    ///    reaches [`FAN_OUT_WORK`], else one. Each object runs under
+    ///    pull plans from one queue, the only pass state they share, and
+    ///    return their answers through their join handles. `Some(n)`
+    ///    forces `workers = n`; `None` takes every core once the planned
+    ///    work reaches [`FAN_OUT_WORK`], else one. Each object runs under
     ///    `catch_unwind` isolation with bounded retry; a persistently
     ///    panicking object is quarantined with a fallback answer instead
-    ///    of aborting the pass. The sharded `cache` keeps commutative
-    ///    statistics, and results merge in candidate order.
+    ///    of aborting the pass. Answers merge in candidate order, and each
+    ///    object's entry goes back into `cache` beside its index delta.
     ///
     /// The index is maintained *incrementally*: objects that left the
     /// answered set are retracted, answered objects are applied as deltas
@@ -653,31 +684,23 @@ impl<'a> ParticlePreprocessor<'a> {
         collector: &DataCollector,
         candidates: &[ObjectId],
         now: u64,
-        cache: Option<&ParticleCache>,
+        mut cache: Option<&mut ParticleCache>,
         parallelism: Option<usize>,
         options: &SupervisionOptions,
         index: &mut AnchorObjectIndex<ObjectId>,
     ) -> (BTreeMap<ObjectId, DegradationLevel>, IndexDeltaStats) {
-        /// One answered candidate: its position in the candidate list (the
-        /// merge key), the object, its distribution, and its level.
-        type Answered = (usize, ObjectId, Vec<(AnchorId, f64)>, DegradationLevel);
-        /// One queued candidate awaiting its supervised filter run.
-        type Queued = (usize, ObjectId, Option<ObjectPlan>, DegradationLevel);
-
         // Phase 1: plan.
         let planned: Vec<(usize, ObjectId, ObjectPlan)> = candidates
             .iter()
             .enumerate()
             .filter_map(|(i, &o)| {
-                self.plan_object(collector, o, now, cache)
+                self.plan_object(collector, o, now, cache.as_deref_mut())
                     .map(|p| (i, o, p))
             })
             .collect();
         let planned_work = planned
             .iter()
-            .fold(0u64, |sum, (_, _, p)| {
-                sum.saturating_add(p.tmin.saturating_sub(p.resume_timestamp))
-            })
+            .fold(0u64, |sum, (_, _, p)| sum.saturating_add(p.work_seconds))
             .saturating_mul(self.config.num_particles as u64);
 
         // Phase 2: budget ladder.
@@ -688,13 +711,13 @@ impl<'a> ParticlePreprocessor<'a> {
             .unwrap_or_default()
             .min_particles
             .min(self.config.num_particles) as u64;
-        let items: Vec<Queued> = planned
+        let items: Vec<_> = planned
             .into_iter()
             .map(|(i, o, plan)| {
                 let level = match remaining.as_mut() {
                     None => DegradationLevel::Full,
                     Some(rem) => {
-                        let secs = now.saturating_sub(plan.resume_timestamp).max(1);
+                        let secs = plan.work_seconds.max(1);
                         let cost_full = secs.saturating_mul(self.config.num_particles as u64);
                         let cost_reduced = secs.saturating_mul(reduced_count);
                         if *rem >= cost_full {
@@ -712,29 +735,24 @@ impl<'a> ParticlePreprocessor<'a> {
                         }
                     }
                 };
-                (i, o, Some(plan), level)
+                (i, o, plan, level)
             })
             .collect();
 
-        // Phase 3: supervised filtering, one slot loop on the calling
+        // Phase 3: supervised filtering, one worker loop on the calling
         // thread and on each helper.
         let workers = pass_workers(parallelism, planned_work, items.len(), available_cores);
-        let slots: Vec<Mutex<Option<Queued>>> =
-            items.into_iter().map(|it| Mutex::new(Some(it))).collect();
-        let next = AtomicUsize::new(0);
-        let collected: Mutex<Vec<Answered>> = Mutex::new(Vec::new());
+        let queue = Mutex::new(items.into_iter());
         let worker = || {
             let mut particles = self.sir.particles();
-            let mut local: Vec<Answered> = Vec::new();
+            let mut outcomes = Vec::new();
             loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= slots.len() {
+                // `let else`, not `while let`: the guard drops with the
+                // statement instead of living through the object's run.
+                let Some((i, o, plan, level)) = queue.lock().next() else {
                     break;
-                }
-                let Some((idx, o, plan, level)) = slots[i].lock().take() else {
-                    continue;
                 };
-                if let Some((d, lv)) = self.run_supervised_object(
+                let outcome = self.run_supervised_object(
                     &mut particles,
                     pass_seed,
                     collector,
@@ -742,43 +760,53 @@ impl<'a> ParticlePreprocessor<'a> {
                     plan,
                     level,
                     now,
-                    cache,
                     options,
-                ) {
-                    local.push((idx, o, d, lv));
-                }
+                );
+                outcomes.push((i, o, outcome));
             }
-            collected.lock().extend(local);
+            outcomes
         };
-        std::thread::scope(|scope| {
+        let mut outcomes = std::thread::scope(|scope| {
             let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
-            worker();
+            let mut outcomes = worker();
             for h in helpers {
                 // Per-object panics are already caught inside
                 // run_supervised_object, so a helper thread dying is out
-                // of model; its unfinished objects would simply be absent
-                // from the merged answer set.
-                let _ = h.join();
+                // of model; its objects would simply be absent from the
+                // answer set and the cache.
+                if let Ok(theirs) = h.join() {
+                    outcomes.extend(theirs);
+                }
             }
+            outcomes
         });
-        let mut results = collected.into_inner();
-        results.sort_unstable_by_key(|&(i, _, _, _)| i);
+        outcomes.sort_unstable_by_key(|&(i, _, _)| i);
 
         // Incremental maintenance: retract objects that fell out of the
         // answered set (pruned away, vanished, never seen this pass),
-        // then apply each answered distribution as a delta.
-        let answered: BTreeSet<ObjectId> = results.iter().map(|&(_, o, _, _)| o).collect();
+        // then apply each answered distribution as a delta and put the
+        // object's cache entry back.
+        let answered: BTreeSet<ObjectId> = outcomes
+            .iter()
+            .filter(|(_, _, out)| out.answer.is_some())
+            .map(|&(_, o, _)| o)
+            .collect();
         let mut stats = IndexDeltaStats {
             retracted: index.retain_objects(|o| answered.contains(o)),
             ..IndexDeltaStats::default()
         };
         let mut degradation = BTreeMap::new();
-        for (_, o, distribution, level) in results.drain(..) {
-            match index.apply_object(o, distribution) {
-                DeltaOutcome::Inserted | DeltaOutcome::Updated => stats.applied += 1,
-                DeltaOutcome::Unchanged => stats.unchanged += 1,
+        for (_, o, outcome) in outcomes {
+            if let Some(c) = cache.as_deref_mut() {
+                c.put_back(o, outcome.entry, outcome.dropped);
             }
-            degradation.insert(o, level);
+            if let Some((distribution, level)) = outcome.answer {
+                match index.apply_object(o, distribution) {
+                    DeltaOutcome::Inserted | DeltaOutcome::Updated => stats.applied += 1,
+                    DeltaOutcome::Unchanged => stats.unchanged += 1,
+                }
+                degradation.insert(o, level);
+            }
         }
         (degradation, stats)
     }
@@ -790,6 +818,7 @@ mod tests {
     use ripq_floorplan::{office_building, OfficeParams};
     use ripq_graph::build_walking_graph;
     use ripq_obs::MetricsSnapshot;
+    use ripq_persist::ByteWriter;
     use ripq_rfid::deploy_uniform;
 
     struct World {
@@ -841,7 +870,7 @@ mod tests {
         c: &DataCollector,
         candidates: &[ObjectId],
         now: u64,
-        cache: Option<&ParticleCache>,
+        cache: Option<&mut ParticleCache>,
         parallelism: Option<usize>,
         options: &SupervisionOptions,
     ) -> (
@@ -869,10 +898,17 @@ mod tests {
         c: &DataCollector,
         candidates: &[ObjectId],
         now: u64,
-        cache: Option<&ParticleCache>,
+        cache: Option<&mut ParticleCache>,
     ) -> AnchorObjectIndex<ObjectId> {
         let opts = SupervisionOptions::default();
         fresh(pre, pass_seed, c, candidates, now, cache, None, &opts).0
+    }
+
+    /// The cache's canonical snapshot bytes: its entries, then its stats.
+    fn cache_bytes(cache: &ParticleCache) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        cache.encode_state(&mut w);
+        w.into_bytes()
     }
 
     fn counter(snap: &MetricsSnapshot, name: &str) -> u64 {
@@ -969,17 +1005,23 @@ mod tests {
             c.ingest_second(s, &[]);
         }
         let (pre, recorder) = observed(&w, PreprocessorConfig::default());
-        let cache = ParticleCache::new();
-        pass(&pre, 22, &c, &[O], 500, Some(&cache));
-        // td = 0, coast = 60 → at most 60 simulated seconds.
+        let mut cache = ParticleCache::new();
+        // td = 0, coast = 60 → 60 simulated seconds. The budget charges
+        // those alone: 60 × 64 = 3,840 units fit in 4,000, where the 500
+        // seconds since the detection would cost 32,000.
+        let opts = SupervisionOptions {
+            budget: Some(4_000),
+            ..Default::default()
+        };
+        let (_, levels) = fresh(&pre, 22, &c, &[O], 500, Some(&mut cache), None, &opts);
+        assert_eq!(levels.get(&O), Some(&DegradationLevel::Full));
         let snap = recorder.snapshot();
-        let simulated = counter(&snap, "pf.sir_iterations");
-        assert!(simulated <= 60, "{simulated}");
+        assert_eq!(counter(&snap, "pf.sir_iterations"), 60);
         assert_eq!(counter(&snap, "pf.coast_cutoff_hits"), 1);
         assert_eq!(counter(&snap, "pf.coast_seconds_skipped"), 440);
         // The cached states sit at the cutoff second.
-        let (_, t) = cache.lookup(O, (r0, 0)).expect("states cached");
-        assert_eq!(t, 60);
+        let entry = cache.entry(O).expect("states cached");
+        assert_eq!((entry.timestamp, entry.episode), (60, (r0, 0)));
     }
 
     #[test]
@@ -988,16 +1030,17 @@ mod tests {
         let mut c = DataCollector::new();
         let (_, _, now) = feed_two_reader_walk(&w, &mut c);
         let (pre, recorder) = observed(&w, PreprocessorConfig::default());
-        let cache = ParticleCache::new();
-        pass(&pre, 23, &c, &[O], now, Some(&cache));
+        let mut cache = ParticleCache::new();
+        pass(&pre, 23, &c, &[O], now, Some(&mut cache));
         let first = recorder.snapshot();
         assert_eq!(counter(&first, "pf.cache_resumes"), 0);
+        let buffer = cache.entry(O).expect("cached").particles.as_ptr();
         // Advance the world a little with no new readings.
         let later = now + 5;
         for s in now + 1..=later {
             c.ingest_second(s, &[]);
         }
-        pass(&pre, 24, &c, &[O], later, Some(&cache));
+        pass(&pre, 24, &c, &[O], later, Some(&mut cache));
         let second = recorder.snapshot();
         assert_eq!(counter(&second, "pf.cache_resumes"), 1);
         let simulated =
@@ -1007,6 +1050,45 @@ mod tests {
             "resume should only simulate the delta, got {simulated}"
         );
         assert_eq!(cache.stats().hits, 1);
+        // The hit refilled the cached buffer instead of allocating one.
+        let entry = cache.entry(O).expect("cached");
+        assert_eq!(entry.timestamp, later);
+        assert_eq!(entry.particles.as_ptr(), buffer);
+    }
+
+    #[test]
+    fn entries_the_pass_does_not_refilter_come_back_unchanged() {
+        let w = world();
+        let mut c = DataCollector::new();
+        let (_, _, now) = feed_two_reader_walk(&w, &mut c);
+        let pre = preprocessor(&w);
+        let mut cache = ParticleCache::new();
+        pass(&pre, 40, &c, &[O], now, Some(&mut cache));
+        let entry_bytes = |cache: &ParticleCache| {
+            let mut bytes = cache_bytes(cache);
+            // Drop the hit/miss/invalidation counters.
+            bytes.truncate(bytes.len() - 24);
+            bytes
+        };
+        let stored = entry_bytes(&cache);
+        // The cloud sits at `now`; a pass at `now − 1` finds it past tmin.
+        // A pass costs at least 64 units at full size and 16 reduced.
+        let cases = [
+            (now, Some(0), DegradationLevel::UniformFallback),
+            (now - 1, None, DegradationLevel::Full),
+            // Resumes from a 16-particle prefix of the cloud.
+            (now - 1, Some(32), DegradationLevel::ReducedParticles),
+        ];
+        for (at, budget, level) in cases {
+            let opts = SupervisionOptions {
+                budget,
+                ..Default::default()
+            };
+            let (_, levels) = fresh(&pre, 41, &c, &[O], at, Some(&mut cache), None, &opts);
+            assert_eq!(levels.get(&O), Some(&level));
+            assert_eq!(entry_bytes(&cache), stored, "{level} at second {at}");
+        }
+        assert_eq!(cache.stats().hits, 3);
     }
 
     #[test]
@@ -1015,12 +1097,12 @@ mod tests {
         let mut c = DataCollector::new();
         let (_, _, now) = feed_two_reader_walk(&w, &mut c);
         let (pre, recorder) = observed(&w, PreprocessorConfig::default());
-        let cache = ParticleCache::new();
-        pass(&pre, 24, &c, &[O], now, Some(&cache));
+        let mut cache = ParticleCache::new();
+        pass(&pre, 24, &c, &[O], now, Some(&mut cache));
         // A brand-new reader episode starts.
         let other = w.readers[10].id();
         c.ingest_second(now + 1, &[(O, other)]);
-        pass(&pre, 25, &c, &[O], now + 1, Some(&cache));
+        pass(&pre, 25, &c, &[O], now + 1, Some(&mut cache));
         assert_eq!(
             counter(&recorder.snapshot(), "pf.cache_resumes"),
             0,
@@ -1039,23 +1121,23 @@ mod tests {
         let mut c = DataCollector::new();
         let (_, _, now) = feed_two_reader_walk(&w, &mut c);
         let (pre, recorder) = observed(&w, PreprocessorConfig::default());
-        let cache = ParticleCache::new();
+        let mut cache = ParticleCache::new();
         let resumes = || counter(&recorder.snapshot(), "pf.cache_resumes");
 
-        pass(&pre, 11, &c, &[O], now, Some(&cache));
+        pass(&pre, 11, &c, &[O], now, Some(&mut cache));
         assert_eq!(resumes(), 0);
 
         // Mid-stream resume: silent seconds, same episode → cache hit.
         for s in now + 1..=now + 4 {
             c.ingest_second(s, &[]);
         }
-        pass(&pre, 12, &c, &[O], now + 4, Some(&cache));
+        pass(&pre, 12, &c, &[O], now + 4, Some(&mut cache));
         assert_eq!(resumes(), 1);
 
         // A new device detects the object before the next resume.
         let other = w.readers[10].id();
         c.ingest_second(now + 5, &[(O, other)]);
-        pass(&pre, 13, &c, &[O], now + 5, Some(&cache));
+        pass(&pre, 13, &c, &[O], now + 5, Some(&mut cache));
         assert_eq!(resumes(), 1, "new device must invalidate");
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().invalidations, 1);
@@ -1073,8 +1155,8 @@ mod tests {
             c.ingest_second(s, &[(O, r)]);
         }
         let (pre, recorder) = observed(&w, PreprocessorConfig::default());
-        let cache = ParticleCache::new();
-        pass(&pre, 21, &c, &[O], 3, Some(&cache));
+        let mut cache = ParticleCache::new();
+        pass(&pre, 21, &c, &[O], 3, Some(&mut cache));
 
         // Dark stream past the gap tolerance, then the *same* reader
         // re-detects: a new episode of the same device.
@@ -1082,7 +1164,7 @@ mod tests {
             c.ingest_second(s, &[]);
         }
         c.ingest_second(10, &[(O, r)]);
-        pass(&pre, 22, &c, &[O], 10, Some(&cache));
+        pass(&pre, 22, &c, &[O], 10, Some(&mut cache));
         let counters = recorder.snapshot().counters;
         assert_eq!(
             counters.get("pf.cache_resumes"),
@@ -1220,10 +1302,19 @@ mod tests {
         let objects: Vec<ObjectId> = (0..10u32).map(ObjectId::new).collect();
         let pre = preprocessor(&w);
         let opts = SupervisionOptions::default();
-        let a_cache = ParticleCache::new();
-        let (a, _) = fresh(&pre, 77, &c, &objects, 8, Some(&a_cache), None, &opts);
-        let b_cache = ParticleCache::new();
-        let (b, levels) = fresh(&pre, 77, &c, &objects, 8, Some(&b_cache), Some(2), &opts);
+        let mut a_cache = ParticleCache::new();
+        let (a, _) = fresh(&pre, 77, &c, &objects, 8, Some(&mut a_cache), None, &opts);
+        let mut b_cache = ParticleCache::new();
+        let (b, levels) = fresh(
+            &pre,
+            77,
+            &c,
+            &objects,
+            8,
+            Some(&mut b_cache),
+            Some(2),
+            &opts,
+        );
         for o in &objects {
             assert_eq!(a.distribution(o), b.distribution(o));
             assert_eq!(levels.get(o), Some(&DegradationLevel::Full));
@@ -1301,9 +1392,17 @@ mod tests {
             ..Default::default()
         };
         for workers in [1usize, 3] {
-            let cache = ParticleCache::new();
-            let (index, levels) =
-                fresh(&pre, 6, &c, &objects, 8, Some(&cache), Some(workers), &opts);
+            let mut cache = ParticleCache::new();
+            let (index, levels) = fresh(
+                &pre,
+                6,
+                &c,
+                &objects,
+                8,
+                Some(&mut cache),
+                Some(workers),
+                &opts,
+            );
             assert_eq!(
                 levels.get(&victim),
                 Some(&DegradationLevel::Quarantined),
@@ -1319,6 +1418,38 @@ mod tests {
         }
         let counters = recorder.snapshot().counters;
         assert_eq!(counters.get("degrade.quarantined"), Some(&2));
+    }
+
+    #[test]
+    fn a_panicking_run_drops_the_entry_it_resumed() {
+        let w = world();
+        let c = populated_collector(&w, 4);
+        let objects: Vec<ObjectId> = (0..4u32).map(ObjectId::new).collect();
+        let pre = preprocessor(&w);
+        let victim = ObjectId::new(2);
+        let clean = SupervisionOptions::default();
+        // A retry reseeds, so it stores what a cold cache would.
+        let mut cold = ParticleCache::new();
+        fresh(&pre, 6, &c, &objects, 9, Some(&mut cold), None, &clean);
+        for (panic_attempts, kept) in [(usize::MAX, false), (1, true)] {
+            let mut cache = ParticleCache::new();
+            fresh(&pre, 5, &c, &objects, 8, Some(&mut cache), None, &clean);
+            let opts = SupervisionOptions {
+                panic_object: Some(victim),
+                panic_attempts,
+                ..Default::default()
+            };
+            fresh(&pre, 6, &c, &objects, 9, Some(&mut cache), None, &opts);
+            let stats = cache.stats();
+            assert_eq!(
+                (stats.hits, stats.invalidations),
+                (4, 1),
+                "{panic_attempts}"
+            );
+            let expected = if kept { cold.entry(victim) } else { None };
+            assert_eq!(cache.entry(victim), expected, "{panic_attempts}");
+            assert_eq!(cache.len(), 3 + usize::from(kept));
+        }
     }
 
     #[test]
@@ -1433,17 +1564,26 @@ mod tests {
         }
         let pre = preprocessor(&w);
         let opts = SupervisionOptions::default();
-        let seq_cache = ParticleCache::new();
-        let (sequential, _) = fresh(&pre, 1234, &c, &objects, 8, Some(&seq_cache), None, &opts);
+        let mut seq_cache = ParticleCache::new();
+        let (sequential, _) = fresh(
+            &pre,
+            1234,
+            &c,
+            &objects,
+            8,
+            Some(&mut seq_cache),
+            None,
+            &opts,
+        );
         for workers in [1usize, 2, 4] {
-            let par_cache = ParticleCache::new();
+            let mut par_cache = ParticleCache::new();
             let (parallel, _) = fresh(
                 &pre,
                 1234,
                 &c,
                 &objects,
                 8,
-                Some(&par_cache),
+                Some(&mut par_cache),
                 Some(workers),
                 &opts,
             );
@@ -1454,8 +1594,11 @@ mod tests {
                     "distribution of {o} differs at {workers} workers"
                 );
             }
-            assert_eq!(seq_cache.stats(), par_cache.stats());
-            assert_eq!(seq_cache.len(), par_cache.len());
+            assert_eq!(
+                cache_bytes(&seq_cache),
+                cache_bytes(&par_cache),
+                "cache differs at {workers} workers"
+            );
         }
     }
 }
