@@ -258,64 +258,23 @@ pub fn fault_severity(scale: Scale) -> Vec<FigureRow> {
     .collect()
 }
 
-/// Work saved by the particle cache (§4.5): the evaluation passes of the
-/// base experiment through the system facade, with
-/// [`ripq_core::SystemConfig::use_cache`] on vs. off. Returns `(with_cache,
+/// Work saved by the particle cache (§4.5): the base experiment with
+/// [`ExperimentParams::use_cache`] on vs. off. Returns `(with_cache,
 /// without_cache)` as each run's `pf.sir_iterations` count, a logical
 /// measure of preprocessing effort that repeats exactly run to run.
 pub fn cache(scale: Scale) -> (u64, u64) {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use ripq_core::{IndoorQuerySystem, SystemConfig};
-    use ripq_pf::PreprocessorConfig;
-    use ripq_sim::{ReadingGenerator, TraceGenerator};
-
-    let p = scale.base_params();
-    let w = SimWorld::build(&p);
-    let mut rng_trace = StdRng::seed_from_u64(p.seed + 1);
-    let mut rng_sense = StdRng::seed_from_u64(p.seed + 2);
-    let traces = TraceGenerator::new(p.room_dwell_mean).generate(
-        &mut rng_trace,
-        &w.graph,
-        w.plan.rooms().len(),
-        p.num_objects,
-        p.duration,
-    );
-    let gen = ReadingGenerator::new(&w.graph, &w.readers, p.sensing);
-    let detections = gen.detections_all(&mut rng_sense, &traces, p.duration);
-    let timestamps = p.timestamps();
-
-    let run = |use_cache: bool| {
-        let config = SystemConfig {
-            preprocess: PreprocessorConfig {
-                num_particles: p.num_particles,
-                ..Default::default()
-            },
-            use_cache,
-            prune_candidates: false,
-            observability: true,
-            ..SystemConfig::default()
-        };
-        let mut sys =
-            IndoorQuerySystem::with_readers(w.plan.clone(), w.readers.clone(), config, p.seed + 3);
-        let mut ti = 0;
-        for second in 0..=p.duration {
-            sys.ingest_detections(second, &detections[second as usize]);
-            while ti < timestamps.len() && timestamps[ti] == second {
-                ti += 1;
-                let _ = sys.evaluate(second);
-            }
-        }
-        let snapshot = sys.recorder().snapshot();
+    let base = ExperimentParams {
+        observability: true,
+        ..scale.base_params()
+    };
+    let sir_iterations = |use_cache: bool| {
+        let (_, snapshot) =
+            Experiment::new(ExperimentParams { use_cache, ..base }).run_with_metrics();
         snapshot
-            .counters
-            .get("pf.sir_iterations")
-            .copied()
+            .and_then(|s| s.counters.get("pf.sir_iterations").copied())
             .unwrap_or(0)
     };
-    let with_cache = run(true);
-    let without_cache = run(false);
-    (with_cache, without_cache)
+    (sir_iterations(true), sir_iterations(false))
 }
 
 #[cfg(test)]
@@ -376,12 +335,8 @@ mod tests {
     fn cache_runs_fewer_sir_iterations() {
         // Resuming cached particles replays only the seconds since the
         // last evaluation; without the cache every timestamp refilters
-        // each object's whole history.
-        let (with_cache, without_cache) = cache(Scale::Quick);
-        assert!(with_cache > 0, "the cached run must filter at all");
-        assert!(
-            with_cache < without_cache,
-            "cache must save SIR iterations: {with_cache} vs {without_cache}"
-        );
+        // each object's whole history. The counts are pinned, so any
+        // drift between this ablation and the figures' pipeline fails.
+        assert_eq!(cache(Scale::Quick), (12_733, 14_701));
     }
 }

@@ -7,29 +7,34 @@
 //! ```
 //!
 //! Subcommands: `table2`, `fig9`, `fig10`, `fig11`, `fig12`, `fig13`,
-//! `ablations`, `all`. Scale via `RIPQ_SCALE=quick|paper` (default quick)
-//! or a `--paper` flag.
+//! `ablations`, `all` (the default). The scale comes from
+//! `RIPQ_SCALE=quick|paper` alone (default quick). Every measured number
+//! it prints comes from a `ripq_sim::Experiment` run. An unknown
+//! subcommand or a second argument is a usage error (exit 2).
 
 use ripq_bench::{
     ablation, print_rows, print_table2, run_fig10, run_fig11, run_fig12, run_fig13, run_fig9,
     Scale, Series, FULL_SERIES,
 };
 
+const USAGE: &str = "usage: experiments [table2|fig9|fig10|fig11|fig12|fig13|ablations|all]";
+
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let paper_flag = args.iter().any(|a| a == "--paper");
-    let scale = if paper_flag {
-        Scale::Paper
-    } else {
-        Scale::from_env()
+    let what = match args.as_slice() {
+        [] => "all",
+        [one] => one.as_str(),
+        _ => usage_error("expected at most one subcommand"),
     };
-    let what = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all");
+    let scale = Scale::from_env();
 
-    eprintln!("# scale: {scale:?} (RIPQ_SCALE=paper or --paper for the full sweep)");
+    eprintln!("# scale: {scale:?} (RIPQ_SCALE=paper for the full sweep)");
 
     let kl_series = [Series::KlPf, Series::KlSm];
     let hit_series = [Series::HitPf, Series::HitSm];
@@ -136,13 +141,7 @@ fn main() {
             println!("preprocessing, cache ON : {with_cache} SIR iterations");
             println!("preprocessing, cache OFF: {without_cache} SIR iterations");
         }
-        other => {
-            eprintln!("unknown experiment '{other}'");
-            eprintln!(
-                "usage: experiments [--paper] [table2|fig9|fig10|fig11|fig12|fig13|ablations|all]"
-            );
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown experiment '{other}'")),
     };
 
     if what == "all" {

@@ -34,8 +34,8 @@ pub enum Scale {
     /// points, defaults from Table 2. A full figure takes seconds to low
     /// tens of seconds.
     Paper,
-    /// Reduced counts for CI smoke runs and the default `experiments`
-    /// invocation.
+    /// [`ExperimentParams::quick`]'s reduced counts, for CI smoke runs
+    /// and the default `experiments` invocation.
     Quick,
 }
 
@@ -53,15 +53,7 @@ impl Scale {
     pub fn base_params(self) -> ExperimentParams {
         match self {
             Scale::Paper => ExperimentParams::default(),
-            Scale::Quick => ExperimentParams {
-                num_objects: 60,
-                duration: 240,
-                warmup: 60,
-                eval_timestamps: 10,
-                range_queries_per_timestamp: 40,
-                knn_query_points: 12,
-                ..Default::default()
-            },
+            Scale::Quick => ExperimentParams::quick(),
         }
     }
 }

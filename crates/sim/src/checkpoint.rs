@@ -76,7 +76,6 @@ pub(crate) fn params_fingerprint(p: &ExperimentParams) -> u32 {
         }
     }
     w.put_f64(p.anchor_spacing);
-    w.put_f64(p.max_speed);
     w.put_u32(p.sensing.samples_per_second);
     w.put_f64(p.sensing.detection_probability);
     w.put_f64(p.sensing.false_positive_rate);
@@ -89,9 +88,9 @@ pub(crate) fn params_fingerprint(p: &ExperimentParams) -> u32 {
     w.put_bool(p.negative_evidence);
     w.put_f64(p.resample_threshold);
     w.put_f64(p.room_enter_probability);
-    w.put_u64(p.coast_seconds);
     w.put_f64(p.kde_bandwidth);
     w.put_bool(p.kld_adaptive);
+    w.put_bool(p.use_cache);
     w.put_f64(p.faults.drop_probability);
     w.put_f64(p.faults.duplicate_probability);
     w.put_u64(p.faults.max_delay_seconds);
@@ -295,6 +294,14 @@ mod tests {
             fp,
             params_fingerprint(&ExperimentParams {
                 query_budget: Some(1000),
+                ..base
+            })
+        );
+        // A cache-off snapshot must never resume into a cache-on run.
+        assert_ne!(
+            fp,
+            params_fingerprint(&ExperimentParams {
+                use_cache: false,
                 ..base
             })
         );

@@ -58,53 +58,6 @@ pub struct AccuracyReport {
     pub knn_queries_evaluated: u64,
 }
 
-/// Streaming accumulator for [`AccuracyReport`]s across repeated runs.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct AccuracyAccumulator {
-    kl_pf: Mean,
-    kl_sm: Mean,
-    hit_pf: Mean,
-    hit_sm: Mean,
-    top1: Mean,
-    top2: Mean,
-    err_pf: Mean,
-    err_sm: Mean,
-    range_n: u64,
-    knn_n: u64,
-}
-
-impl AccuracyAccumulator {
-    /// Adds one run's report.
-    pub fn push(&mut self, r: &AccuracyReport) {
-        self.kl_pf.push(r.range_kl_pf);
-        self.kl_sm.push(r.range_kl_sm);
-        self.hit_pf.push(r.knn_hit_pf);
-        self.hit_sm.push(r.knn_hit_sm);
-        self.top1.push(r.top1_success);
-        self.top2.push(r.top2_success);
-        self.err_pf.push(r.mean_error_pf);
-        self.err_sm.push(r.mean_error_sm);
-        self.range_n += r.range_queries_evaluated;
-        self.knn_n += r.knn_queries_evaluated;
-    }
-
-    /// The averaged report.
-    pub fn report(&self) -> AccuracyReport {
-        AccuracyReport {
-            range_kl_pf: self.kl_pf.value(),
-            range_kl_sm: self.kl_sm.value(),
-            knn_hit_pf: self.hit_pf.value(),
-            knn_hit_sm: self.hit_sm.value(),
-            top1_success: self.top1.value(),
-            top2_success: self.top2.value(),
-            mean_error_pf: self.err_pf.value(),
-            mean_error_sm: self.err_sm.value(),
-            range_queries_evaluated: self.range_n,
-            knn_queries_evaluated: self.knn_n,
-        }
-    }
-}
-
 /// One fully-specified accuracy experiment.
 pub struct Experiment {
     params: ExperimentParams,
@@ -239,17 +192,16 @@ impl Experiment {
     /// The facade configuration of a run. Pruning is off: every known
     /// object is preprocessed, in id order. With an active fault plan the
     /// system ingests delivery-tagged batches behind a reorder window
-    /// matching the injector's jitter bound.
+    /// matching the injector's jitter bound. The walking-speed bound and
+    /// the coast cutoff are the facade's defaults.
     fn system_config(&self, observability: bool) -> SystemConfig {
         let p = &self.params;
         SystemConfig {
             anchor_spacing: p.anchor_spacing,
-            max_speed: p.max_speed,
             preprocess: PreprocessorConfig {
                 num_particles: p.num_particles,
                 negative_evidence: p.negative_evidence,
                 resample_threshold: p.resample_threshold,
-                coast_seconds: p.coast_seconds,
                 kde_bandwidth: p.kde_bandwidth,
                 adaptive: p.kld_adaptive.then(ripq_pf::KldConfig::default),
                 motion: ripq_pf::MotionModel {
@@ -258,7 +210,7 @@ impl Experiment {
                 },
                 ..Default::default()
             },
-            use_cache: true,
+            use_cache: p.use_cache,
             prune_candidates: false,
             parallelism: p.parallelism,
             reorder_window: if p.faults.is_active() {
@@ -982,23 +934,5 @@ mod tests {
         let free = free.unwrap();
         assert!(free.counters["pf.objects_processed"] > 0);
         assert_eq!(free.counters.get("sim.objects_degraded"), None);
-    }
-
-    #[test]
-    fn accumulator_averages() {
-        let mut acc = AccuracyAccumulator::default();
-        acc.push(&AccuracyReport {
-            range_kl_pf: 1.0,
-            knn_hit_pf: 0.5,
-            ..Default::default()
-        });
-        acc.push(&AccuracyReport {
-            range_kl_pf: 3.0,
-            knn_hit_pf: 1.0,
-            ..Default::default()
-        });
-        let r = acc.report();
-        assert_eq!(r.range_kl_pf, 2.0);
-        assert_eq!(r.knn_hit_pf, 0.75);
     }
 }

@@ -19,13 +19,26 @@
 //! preprocessing worker count, so a faulted run is bit-for-bit
 //! reproducible everywhere the clean run is.
 
-use crate::ReaderOutage;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ripq_obs::{Counter, Recorder};
 use ripq_rfid::{ObjectId, ReaderId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+
+/// A reader outage: the injector drops every reading of `reader` during
+/// `[from, until]` (inclusive), counting each as
+/// `faults.injected.outage_losses`. Models hardware failures and
+/// maintenance windows for robustness testing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReaderOutage {
+    /// The failed reader.
+    pub reader: ReaderId,
+    /// First silent second.
+    pub from: u64,
+    /// Last silent second.
+    pub until: u64,
+}
 
 /// A reading tagged with the logical second it was generated at. Delivery
 /// may happen up to [`FaultPlan::max_delay_seconds`] later.
@@ -469,6 +482,8 @@ mod tests {
             from: 5,
             until: 10,
         }]);
+        let recorder = Recorder::enabled();
+        inj.set_recorder(&recorder);
         for s in 0..=20u64 {
             let delivered = inj.step(s, &[(O1, R1), (O2, R2)]);
             let r1_delivered = delivered.iter().filter(|&&(_, _, r)| r == R1).count();
@@ -479,6 +494,8 @@ mod tests {
             }
             assert_eq!(delivered.iter().filter(|&&(_, _, r)| r == R2).count(), 1);
         }
+        let counters = recorder.snapshot().counters;
+        assert_eq!(counters.get("faults.injected.outage_losses"), Some(&6));
     }
 
     #[test]

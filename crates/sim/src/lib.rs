@@ -39,11 +39,13 @@ pub mod viz;
 mod world;
 
 pub use checkpoint::RecoveryOutcome;
-pub use experiment::{AccuracyAccumulator, AccuracyReport, Experiment};
-pub use faults::{derive_fault_seed, random_outages, FaultInjector, FaultPlan, TaggedReading};
+pub use experiment::{AccuracyReport, Experiment};
+pub use faults::{
+    derive_fault_seed, random_outages, FaultInjector, FaultPlan, ReaderOutage, TaggedReading,
+};
 pub use ground_truth::GroundTruth;
 pub use params::ExperimentParams;
-pub use readings::{ReaderOutage, ReadingGenerator};
+pub use readings::ReadingGenerator;
 pub use trace::{TraceGenerator, TrueTrace};
 pub use transcript::{record_transcript, Transcript, TranscriptSpec};
 pub use viz::SvgScene;

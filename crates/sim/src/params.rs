@@ -29,10 +29,6 @@ pub struct ExperimentParams {
     pub deployment: DeploymentStrategy,
     /// Anchor-point spacing in meters (§4.2: 1 m).
     pub anchor_spacing: f64,
-    /// Maximum walking speed `u_max` used by the symbolic model's
-    /// reachability bound and by candidate pruning. The trace speeds are
-    /// N(1, 0.1), so 1.5 m/s is an ~5σ upper bound.
-    pub max_speed: f64,
     /// Sensing model (sample rate / per-sample detection probability).
     pub sensing: SensingModel,
     /// Simulated duration in seconds.
@@ -58,15 +54,16 @@ pub struct ExperimentParams {
     /// Particle filter: probability of turning into a room at a door
     /// portal; ablation knob.
     pub room_enter_probability: f64,
-    /// Particle filter: maximum coasting seconds past the last reading
-    /// (Algorithm 2 uses 60); ablation knob.
-    pub coast_seconds: u64,
     /// Particle filter: KDE bandwidth for the particle→anchor conversion
     /// (0 = the paper's raw nearest-anchor snap); ablation knob.
     pub kde_bandwidth: f64,
     /// Particle filter: KLD-adaptive particle counts (Fox 2001) instead of
     /// the paper's fixed `Ns`; ablation knob.
     pub kld_adaptive: bool,
+    /// Particle filter: resume each object's cached particles across
+    /// evaluation passes (§4.5's cache management module), as
+    /// `SystemConfig::use_cache`; ablation knob.
+    pub use_cache: bool,
     /// Worker threads for particle-filter preprocessing, as
     /// `SystemConfig::parallelism`: `None` (default) fans a pass out over
     /// every core once it plans `ripq_pf::FAN_OUT_WORK` particle-seconds,
@@ -111,7 +108,6 @@ impl Default for ExperimentParams {
             reader_count: 19,
             deployment: DeploymentStrategy::Uniform,
             anchor_spacing: 1.0,
-            max_speed: 1.5,
             sensing: SensingModel::default(),
             duration: 400,
             warmup: 60,
@@ -122,9 +118,9 @@ impl Default for ExperimentParams {
             negative_evidence: true,
             resample_threshold: 0.5,
             room_enter_probability: 0.3,
-            coast_seconds: 60,
             kde_bandwidth: 2.0,
             kld_adaptive: false,
+            use_cache: true,
             parallelism: None,
             faults: FaultPlan::none(),
             checkpoint_every: 0,
@@ -147,6 +143,20 @@ impl ExperimentParams {
             eval_timestamps: 5,
             range_queries_per_timestamp: 20,
             knn_query_points: 8,
+            ..Default::default()
+        }
+    }
+
+    /// Table 2's defaults at reduced counts: the default scale of
+    /// `experiments` and of `ripq simulate`.
+    pub fn quick() -> Self {
+        ExperimentParams {
+            num_objects: 60,
+            duration: 240,
+            warmup: 60,
+            eval_timestamps: 10,
+            range_queries_per_timestamp: 40,
+            knn_query_points: 12,
             ..Default::default()
         }
     }

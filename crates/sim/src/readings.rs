@@ -11,26 +11,12 @@ use rand::Rng;
 use ripq_graph::WalkingGraph;
 use ripq_rfid::{ObjectId, Reader, ReaderId, SensingModel};
 
-/// A reader outage: `reader` produces no readings during
-/// `[from, until]` (inclusive). Models hardware failures and maintenance
-/// windows for robustness testing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReaderOutage {
-    /// The failed reader.
-    pub reader: ReaderId,
-    /// First silent second.
-    pub from: u64,
-    /// Last silent second.
-    pub until: u64,
-}
-
 /// Generates per-second detections from true traces through the stochastic
 /// sensing model.
 pub struct ReadingGenerator<'a> {
     graph: &'a WalkingGraph,
     readers: &'a [Reader],
     sensing: SensingModel,
-    outages: Vec<ReaderOutage>,
 }
 
 impl<'a> ReadingGenerator<'a> {
@@ -40,20 +26,7 @@ impl<'a> ReadingGenerator<'a> {
             graph,
             readers,
             sensing,
-            outages: Vec::new(),
         }
-    }
-
-    /// Adds reader outages (failure injection).
-    pub fn with_outages(mut self, outages: Vec<ReaderOutage>) -> Self {
-        self.outages = outages;
-        self
-    }
-
-    fn is_down(&self, reader: ReaderId, second: u64) -> bool {
-        self.outages
-            .iter()
-            .any(|o| o.reader == reader && (o.from..=o.until).contains(&second))
     }
 
     /// The aggregated detections of one second: for each object whose true
@@ -69,9 +42,7 @@ impl<'a> ReadingGenerator<'a> {
         for trace in traces {
             let p = trace.point_at(self.graph, second);
             if let Some(reader) = self.sensing.detect_second(rng, p, self.readers) {
-                if !self.is_down(reader, second) {
-                    out.push((trace.object, reader));
-                }
+                out.push((trace.object, reader));
             }
         }
         out
@@ -129,39 +100,6 @@ mod tests {
         let gen = ReadingGenerator::new(&w.graph, &w.readers, params.sensing);
         let all = gen.detections_all(&mut rng, &traces, 60);
         assert_eq!(all.len(), 61);
-    }
-
-    #[test]
-    fn outages_silence_the_failed_reader_only() {
-        let params = ExperimentParams::smoke();
-        let w = SimWorld::build(&params);
-        let mut rng = StdRng::seed_from_u64(9);
-        let traces =
-            TraceGenerator::new(5.0).generate(&mut rng, &w.graph, w.plan.rooms().len(), 20, 150);
-        let dead = w.readers[3].id();
-        let gen = ReadingGenerator::new(&w.graph, &w.readers, params.sensing).with_outages(vec![
-            ReaderOutage {
-                reader: dead,
-                from: 50,
-                until: 100,
-            },
-        ]);
-        let mut dead_before = 0;
-        let mut dead_during = 0;
-        let mut others_during = 0;
-        for s in 0..=150u64 {
-            for (_, r) in gen.detections_at(&mut rng, &traces, s) {
-                match (r == dead, (50..=100).contains(&s)) {
-                    (true, true) => dead_during += 1,
-                    (true, false) => dead_before += 1,
-                    (false, true) => others_during += 1,
-                    _ => {}
-                }
-            }
-        }
-        assert_eq!(dead_during, 0, "failed reader silent during the outage");
-        assert!(dead_before > 0, "reader works outside the outage window");
-        assert!(others_during > 0, "other readers unaffected");
     }
 
     #[test]

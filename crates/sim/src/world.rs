@@ -1,6 +1,7 @@
 //! The static simulated world shared by every experiment component.
 
 use crate::ExperimentParams;
+use ripq_core::SystemConfig;
 use ripq_floorplan::{office_building, FloorPlan, OfficeParams};
 use ripq_graph::{build_walking_graph, AnchorSet, WalkingGraph};
 use ripq_rfid::{deploy, Reader};
@@ -42,7 +43,11 @@ impl SimWorld {
             params.reader_count,
             params.activation_range,
         );
-        let symbolic = SymbolicModel::new(&graph, &anchors, &readers, params.max_speed);
+        // The facade's walking-speed bound, so the baseline's reachability
+        // and candidate pruning read one value. The traces walk at
+        // N(1, 0.1) m/s, so its 1.5 m/s is an ~5σ upper bound.
+        let max_speed = SystemConfig::default().max_speed;
+        let symbolic = SymbolicModel::new(&graph, &anchors, &readers, max_speed);
         SimWorld {
             plan,
             graph,

@@ -168,17 +168,15 @@ fn cmd_simulate(args: &[String]) {
     let checkpoint_dir = flag(args, "--checkpoint-dir");
     let checkpoint_every: u64 = parse_flag(args, "--checkpoint-every").unwrap_or(30);
     let query_budget: Option<u64> = parse_flag(args, "--query-budget");
+    let quick = ExperimentParams::quick();
     let params = ExperimentParams {
-        num_objects: parse_flag(args, "--objects").unwrap_or(60),
-        duration: parse_flag(args, "--duration").unwrap_or(240),
-        seed: parse_flag(args, "--seed").unwrap_or(0xED8_2013),
+        num_objects: parse_flag(args, "--objects").unwrap_or(quick.num_objects),
+        duration: parse_flag(args, "--duration").unwrap_or(quick.duration),
+        seed: parse_flag(args, "--seed").unwrap_or(quick.seed),
         // Preprocessing worker threads; results are bit-identical at any
         // setting, so this is purely a wall-clock knob. Without the flag
         // each pass chooses: every core for a large pass, else one.
         parallelism: parse_flag(args, "--parallelism"),
-        eval_timestamps: 10,
-        range_queries_per_timestamp: 40,
-        knn_query_points: 12,
         observability: metrics_json.is_some() || trace_spans,
         faults,
         checkpoint_every: if checkpoint_dir.is_some() {
@@ -187,7 +185,7 @@ fn cmd_simulate(args: &[String]) {
             0
         },
         query_budget,
-        ..Default::default()
+        ..quick
     };
     let threads = match params.parallelism {
         Some(n) => format!("{} preprocessing thread(s)", n.max(1)),
