@@ -75,10 +75,11 @@ pub fn save(
         std::fs::create_dir_all(dir)
             .map_err(|e| RipqError::Io(format!("{}: {e}", dir.display())))?;
     }
-    let mut w = ByteWriter::new();
-    section(&mut w);
-    sys.encode_state(&mut w);
-    write_atomic(path, &seal_snapshot(&w.into_bytes())).map_err(|e| persist_io(&e))?;
+    let frame = seal_snapshot(|w| {
+        section(w);
+        sys.encode_state(w);
+    });
+    write_atomic(path, &frame).map_err(|e| persist_io(&e))?;
     sys.recorder().add("recovery.checkpoints_written", 1);
     Ok(())
 }

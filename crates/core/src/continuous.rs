@@ -13,6 +13,7 @@ use crate::{QueryId, ResultSet, RipqError};
 use ripq_geom::{Point2, Rect};
 use ripq_rfid::ObjectId;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Probability movements below this threshold are not reported as changes.
@@ -38,26 +39,44 @@ impl ResultDelta {
 
     /// Computes the delta that turns `old` into `new`. Output vectors are
     /// sorted by object id, so a delta renders identically on every run.
+    ///
+    /// One merge walk over the two id-ordered sets: an object only in
+    /// `new`, or stored at exactly zero in `old`, appeared; one only in
+    /// `old`, or stored at exactly zero in `new`, disappeared; one in
+    /// both changed when its probability moved by more than
+    /// [`CHANGE_EPSILON`].
     pub fn between(old: &ResultSet, new: &ResultSet) -> ResultDelta {
         let mut delta = ResultDelta::default();
-        for (o, p_new) in new.iter() {
-            let p_old = old.probability(o);
-            // ripq-lint: allow(prob-hygiene) -- exact zero is ResultSet's absent-object sentinel, not a float tolerance
-            if p_old == 0.0 {
-                delta.appeared.push((o, p_new));
-            } else if (p_new - p_old).abs() > CHANGE_EPSILON {
-                delta.changed.push((o, p_old, p_new));
+        let (mut old, mut new) = (old.iter().peekable(), new.iter().peekable());
+        loop {
+            let order = match (old.peek(), new.peek()) {
+                (None, None) => break,
+                (Some(a), Some(b)) => a.0.cmp(&b.0),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+            };
+            // The smaller id goes first; an id in both steps both.
+            let was = (order != Ordering::Greater).then(|| old.next()).flatten();
+            let is = (order != Ordering::Less).then(|| new.next()).flatten();
+            let (o, p_old, p_new) = match (was, is) {
+                (Some((o, p_old)), Some((_, p_new))) => (o, p_old, p_new),
+                (Some((o, p_old)), None) => (o, p_old, 0.0),
+                (None, Some((o, p_new))) => (o, 0.0, p_new),
+                (None, None) => break,
+            };
+            if is.is_some() {
+                // ripq-lint: allow(prob-hygiene) -- exact zero is ResultSet's absent-object sentinel, not a float tolerance
+                if p_old == 0.0 {
+                    delta.appeared.push((o, p_new));
+                } else if (p_new - p_old).abs() > CHANGE_EPSILON {
+                    delta.changed.push((o, p_old, p_new));
+                }
             }
-        }
-        for (o, _) in old.iter() {
             // ripq-lint: allow(prob-hygiene) -- exact zero is ResultSet's absent-object sentinel, not a float tolerance
-            if new.probability(o) == 0.0 {
+            if was.is_some() && p_new == 0.0 {
                 delta.disappeared.push(o);
             }
         }
-        delta.appeared.sort_by_key(|&(o, _)| o);
-        delta.disappeared.sort_unstable();
-        delta.changed.sort_by_key(|&(o, _, _)| o);
         delta
     }
 
@@ -231,7 +250,7 @@ mod tests {
             knn_results: BTreeMap::new(),
             ptknn_results: BTreeMap::new(),
             closest_pairs_results: BTreeMap::new(),
-            index: ripq_graph::AnchorObjectIndex::new(),
+            index: Default::default(),
             candidates_processed: 0,
             objects_known: 0,
             cache_stats: Default::default(),
@@ -251,6 +270,63 @@ mod tests {
         assert_eq!(d.disappeared, vec![o(1)]);
         assert_eq!(d.changed, vec![(o(2), 0.5, 0.8)]);
         assert!(!d.is_empty());
+    }
+
+    /// The delta as [`ResultDelta::between`] computed it before the merge
+    /// walk: a lookup in the other set for every object of each, then
+    /// sorted.
+    fn between_by_lookup(old: &ResultSet, new: &ResultSet) -> ResultDelta {
+        let mut delta = ResultDelta::default();
+        for (o, p_new) in new.iter() {
+            let p_old = old.probability(o);
+            if p_old == 0.0 {
+                delta.appeared.push((o, p_new));
+            } else if (p_new - p_old).abs() > CHANGE_EPSILON {
+                delta.changed.push((o, p_old, p_new));
+            }
+        }
+        for (o, _) in old.iter() {
+            if new.probability(o) == 0.0 {
+                delta.disappeared.push(o);
+            }
+        }
+        delta.appeared.sort_by_key(|&(o, _)| o);
+        delta.disappeared.sort_unstable();
+        delta.changed.sort_by_key(|&(o, _, _)| o);
+        delta
+    }
+
+    /// A result set over ids below 12: probabilities that repeat across
+    /// the two sides, move by less than the epsilon, or are stored at
+    /// exactly zero (an entry whose sum cancelled).
+    fn result_set(entries: &[(u32, u8, u8)]) -> ResultSet {
+        let mut rs = ResultSet::new();
+        for &(id, value, kind) in entries {
+            let p = f64::from(value) / 8.0 + 0.01;
+            match kind {
+                0 => {
+                    rs.add(o(id), p);
+                    rs.add(o(id), -p);
+                }
+                1 => rs.set(o(id), p + CHANGE_EPSILON / 2.0),
+                _ => rs.set(o(id), p),
+            }
+        }
+        rs
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn merge_walk_matches_the_lookups(
+            old in proptest::collection::vec((0u32..12, 0u8..4, 0u8..4), 0..10),
+            new in proptest::collection::vec((0u32..12, 0u8..4, 0u8..4), 0..10),
+        ) {
+            let (old, new) = (result_set(&old), result_set(&new));
+            proptest::prop_assert_eq!(
+                ResultDelta::between(&old, &new),
+                between_by_lookup(&old, &new)
+            );
+        }
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! ```
 //!
 //! * [`RangeQuery`] / [`KnnQuery`] — registered probabilistic queries;
-//! * [`prune_range_candidates`] / [`prune_knn_candidates`] — the
-//!   query-aware optimization module (§4.3): uncertain-region filtering for
-//!   range queries and `sᵢ / lᵢ` network-distance pruning for kNN queries;
+//! * [`PruningTable`] — the query-aware optimization module (§4.3):
+//!   uncertain-region filtering for range queries and `sᵢ / lᵢ`
+//!   network-distance pruning for kNN queries, over one table per pass;
 //! * [`evaluate_range`] — **Algorithm 3**, with the hallway width-ratio and
 //!   room area-ratio dimensional compensation of Fig. 6;
 //! * [`evaluate_knn`] — **Algorithm 4**, expanding anchors outward from the
@@ -51,13 +51,11 @@ pub use closest_pairs::{evaluate_closest_pairs, ClosestPairsQuery, ObjectPair};
 pub use error::RipqError;
 pub use knn_eval::evaluate_knn;
 pub use occupancy::{room_occupancy, OccupancyReport, RoomOccupancy};
-pub use optimizer::{
-    prune_knn_candidates, prune_range_candidates, reader_distances, uncertain_region_radius,
-};
+pub use optimizer::{reader_distances, uncertain_region_radius, PruningTable};
 pub use ptknn::{evaluate_ptknn, PtknnQuery};
 pub use query::{KnnQuery, QueryId, RangeQuery};
 pub use range_eval::evaluate_range;
 pub use result::{ProbResult, ResultSet};
-pub use ripq_obs::{MetricsSnapshot, Recorder};
+pub use ripq_obs::{Counter, MetricsSnapshot, Recorder};
 pub use ripq_pf::DegradationLevel;
 pub use system::{EvaluationReport, EvaluationTimings, IndoorQuerySystem, SystemConfig};

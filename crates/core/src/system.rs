@@ -7,8 +7,8 @@ use crate::knn_eval::knn_over_scan;
 use crate::ptknn::ptknn_over_scan;
 use crate::range_eval::RangeParts;
 use crate::{
-    prune_knn_candidates, prune_range_candidates, reader_distances, ClosestPairsQuery, KnnQuery,
-    ObjectPair, PtknnQuery, QueryId, RangeQuery, ResultSet, RipqError,
+    reader_distances, ClosestPairsQuery, KnnQuery, ObjectPair, PruningTable, PtknnQuery, QueryId,
+    RangeQuery, ResultSet, RipqError,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,16 +18,17 @@ use ripq_graph::{
     build_walking_graph, AnchorObjectIndex, AnchorScan, AnchorSet, GraphPos, ScanCounts,
     WalkingGraph,
 };
-use ripq_obs::{MetricsSnapshot, Recorder};
+use ripq_obs::{Counter, Gauge, MetricsSnapshot, Recorder, Span};
 use ripq_persist::{crc32, ByteReader, ByteWriter, PersistError};
 use ripq_pf::{
-    CacheStats, DegradationLevel, FilterTables, ParticleCache, ParticlePreprocessor,
+    CacheStats, DegradationLevel, FilterTables, ParticleCache, ParticlePreprocessor, PfMetrics,
     PreprocessorConfig, SupervisionOptions,
 };
 use ripq_rfid::{deploy_uniform, DataCollector, ObjectId, RawReading, Reader, ReaderId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Configuration of an [`IndoorQuerySystem`]. Defaults match Table 2 of
@@ -134,8 +135,10 @@ pub struct EvaluationReport {
     /// Result pairs per registered closest-pairs query.
     pub closest_pairs_results: BTreeMap<QueryId, Vec<ObjectPair>>,
     /// The filtered probabilistic index (`APtoObjHT`) the results came
-    /// from — exposed for accuracy metrics and debugging.
-    pub index: AnchorObjectIndex<ObjectId>,
+    /// from — exposed for accuracy metrics and debugging. It shares the
+    /// system's live index: the next pass copies it only while this
+    /// report is still held.
+    pub index: Arc<AnchorObjectIndex<ObjectId>>,
     /// How many objects survived candidate pruning and were preprocessed.
     pub candidates_processed: usize,
     /// How many objects the collector knows in total.
@@ -185,8 +188,11 @@ pub struct IndoorQuerySystem {
     /// The *incrementally maintained* `APtoObjHT`: each evaluation pass
     /// retracts objects that left the answered candidate set and applies
     /// fresh distributions as deltas, instead of rebuilding from scratch.
-    /// Reports clone it, so its content always equals a rebuild.
-    live_index: AnchorObjectIndex<ObjectId>,
+    /// Its content always equals a rebuild. Reports share it; a pass
+    /// edits it in place unless an older report still holds it.
+    live_index: Arc<AnchorObjectIndex<ObjectId>>,
+    /// The handles every pass records through, resolved by the first.
+    metrics: Option<PassMetrics>,
     // Query registries are ordered maps: evaluation visits queries in
     // registration (QueryId) order, so shared state touched per query —
     // most importantly the master RNG consumed by PTkNN sampling — sees
@@ -205,6 +211,79 @@ pub struct IndoorQuerySystem {
     /// Test-support fault injection: panic the particle filter of this
     /// object for its first N attempts per pass.
     injected_fault: Option<(ObjectId, usize)>,
+}
+
+/// Handles of the metrics an evaluation pass records, resolved by the
+/// system's first pass: a system that never evaluates registers none of
+/// them, and rules it never runs register nothing. Names only some passes
+/// record stay lazy: a query family's span until a pass evaluates such a
+/// query, the closest-pairs rule and `degrade.*` by name.
+struct PassMetrics {
+    rule_range: Counter,
+    rule_knn: Counter,
+    rule_ptknn: Counter,
+    objects_known: Gauge,
+    candidates: Gauge,
+    pruned: Gauge,
+    delta_applied: Counter,
+    delta_retracted: Counter,
+    delta_unchanged: Counter,
+    scan_settled: Counter,
+    scan_anchor_candidates: Counter,
+    cache_hits: Gauge,
+    cache_misses: Gauge,
+    cache_invalidations: Gauge,
+    cache_entries: Gauge,
+    prune: Span,
+    preprocess: Span,
+    queries: Span,
+    evaluate: Span,
+    pf: PfMetrics,
+    /// Per-query spans of each query family.
+    range_query: Option<Span>,
+    knn_query: Option<Span>,
+    ptknn_query: Option<Span>,
+    closest_pairs_query: Option<Span>,
+}
+
+impl PassMetrics {
+    fn new(recorder: &Recorder, pruning: bool) -> Self {
+        let (rule_range, rule_knn, rule_ptknn) = if pruning {
+            (
+                recorder.counter("optimizer.candidates_rule_range"),
+                recorder.counter("optimizer.candidates_rule_knn"),
+                recorder.counter("optimizer.candidates_rule_ptknn"),
+            )
+        } else {
+            Default::default()
+        };
+        PassMetrics {
+            rule_range,
+            rule_knn,
+            rule_ptknn,
+            objects_known: recorder.gauge("optimizer.objects_known"),
+            candidates: recorder.gauge("optimizer.candidates"),
+            pruned: recorder.gauge("optimizer.pruned"),
+            delta_applied: recorder.counter("index.delta_applied"),
+            delta_retracted: recorder.counter("index.delta_retracted"),
+            delta_unchanged: recorder.counter("index.delta_unchanged"),
+            scan_settled: recorder.counter("distance.scan_settled"),
+            scan_anchor_candidates: recorder.counter("distance.scan_anchor_candidates"),
+            cache_hits: recorder.gauge("cache.hits"),
+            cache_misses: recorder.gauge("cache.misses"),
+            cache_invalidations: recorder.gauge("cache.invalidations"),
+            cache_entries: recorder.gauge("cache.entries"),
+            prune: recorder.span("evaluate/prune"),
+            preprocess: recorder.span("evaluate/preprocess"),
+            queries: recorder.span("evaluate/queries"),
+            evaluate: recorder.span("evaluate"),
+            pf: PfMetrics::new(recorder),
+            range_query: None,
+            knn_query: None,
+            ptknn_query: None,
+            closest_pairs_query: None,
+        }
+    }
 }
 
 /// What a registered kNN or PTkNN query keeps between passes.
@@ -291,7 +370,8 @@ impl IndoorQuerySystem {
             config,
             recorder,
             rng: StdRng::seed_from_u64(seed),
-            live_index: AnchorObjectIndex::new(),
+            live_index: Arc::default(),
+            metrics: None,
             range_queries: BTreeMap::new(),
             knn_queries: BTreeMap::new(),
             ptknn_queries: BTreeMap::new(),
@@ -476,84 +556,57 @@ impl IndoorQuerySystem {
     pub fn evaluate_budgeted(&mut self, now: u64, budget: Option<u64>) -> EvaluationReport {
         let clock = Clock::new(self.config.timing);
         let t_start = clock.now();
+        let recorder = &self.recorder;
+        let pruning = self.config.prune_candidates;
+        let metrics = self
+            .metrics
+            .get_or_insert_with(|| PassMetrics::new(recorder, pruning));
         let objects_known = self.collector.objects().count();
-        // 1. Query-aware optimization (§4.3). Per-rule counters record
-        // how many candidates each pruning rule admitted (pre-dedup).
+        // 1. Query-aware optimization (§4.3), over one table of uncertain
+        // regions. Per-rule counters record how many candidates each
+        // pruning rule admitted (pre-dedup).
         let t_prune = clock.now();
-        let candidates: Vec<ObjectId> = if self.config.prune_candidates {
-            let windows: Vec<Rect> = self.range_queries.values().map(|(q, _)| q.window).collect();
-            let mut c = prune_range_candidates(
-                &self.collector,
-                &self.readers,
-                &windows,
-                now,
-                self.config.max_speed,
-            );
-            self.recorder
-                .add("optimizer.candidates_rule_range", c.len() as u64);
-            let mut from_knn = 0u64;
-            for (q, frontier) in self.knn_queries.values() {
-                let picked = prune_knn_candidates(
-                    &self.collector,
-                    &self.readers,
-                    q,
-                    now,
-                    self.config.max_speed,
-                    &frontier.reader_row,
-                );
-                from_knn += picked.len() as u64;
-                c.extend(picked);
-            }
-            self.recorder.add("optimizer.candidates_rule_knn", from_knn);
-            // PTkNN pruning reuses the kNN bound; closest-pairs queries
-            // are global and keep every object.
-            let mut from_ptknn = 0u64;
-            for (id, (q, frontier)) in &self.ptknn_queries {
-                let as_knn = KnnQuery {
-                    id: *id,
-                    point: q.point,
-                    k: q.k,
-                };
-                let picked = prune_knn_candidates(
-                    &self.collector,
-                    &self.readers,
-                    &as_knn,
-                    now,
-                    self.config.max_speed,
-                    &frontier.reader_row,
-                );
-                from_ptknn += picked.len() as u64;
-                c.extend(picked);
-            }
-            self.recorder
-                .add("optimizer.candidates_rule_ptknn", from_ptknn);
-            if !self.closest_pairs_queries.is_empty() {
-                let before = c.len();
-                c.extend(self.collector.objects());
-                self.recorder.add(
-                    "optimizer.candidates_rule_closest_pairs",
-                    (c.len() - before) as u64,
-                );
-            }
-            c.sort_unstable();
-            c.dedup();
-            c
-        } else {
+        let candidates: Vec<ObjectId> = if !pruning {
             let mut c: Vec<ObjectId> = self.collector.objects().collect();
             c.sort_unstable();
             c
+        } else {
+            let (collector, readers) = (&self.collector, &self.readers[..]);
+            let mut table = PruningTable::new(collector, readers, now, self.config.max_speed);
+            let windows: Vec<Rect> = self.range_queries.values().map(|(q, _)| q.window).collect();
+            let from_range = table.admit_range(readers, &windows);
+            metrics.rule_range.add(from_range as u64);
+            let mut from_knn = 0;
+            for (q, frontier) in self.knn_queries.values() {
+                from_knn += table.admit_knn(q.k, &frontier.reader_row);
+            }
+            metrics.rule_knn.add(from_knn as u64);
+            // PTkNN pruning reuses the kNN bound; closest-pairs queries
+            // are global and keep every object.
+            let mut from_ptknn = 0;
+            for (q, frontier) in self.ptknn_queries.values() {
+                from_ptknn += table.admit_knn(q.k, &frontier.reader_row);
+            }
+            metrics.rule_ptknn.add(from_ptknn as u64);
+            if self.closest_pairs_queries.is_empty() {
+                table.admitted()
+            } else {
+                recorder.add(
+                    "optimizer.candidates_rule_closest_pairs",
+                    objects_known as u64,
+                );
+                let mut c: Vec<ObjectId> = collector.objects().collect();
+                c.sort_unstable();
+                c
+            }
         };
-        self.recorder
-            .set_gauge("optimizer.objects_known", objects_known as u64);
-        self.recorder
-            .set_gauge("optimizer.candidates", candidates.len() as u64);
-        self.recorder.set_gauge(
-            "optimizer.pruned",
-            objects_known.saturating_sub(candidates.len()) as u64,
-        );
+        metrics.objects_known.set(objects_known as u64);
+        metrics.candidates.set(candidates.len() as u64);
+        let pruned = objects_known.saturating_sub(candidates.len());
+        metrics.pruned.set(pruned as u64);
 
         let pruning = clock.since(t_prune);
-        self.recorder.record_span("evaluate/prune", pruning);
+        metrics.prune.record(pruning);
 
         // 2. Particle-filter preprocessing (§4.4) + cache (§4.5).
         // One pass seed is drawn from the master RNG; every candidate then
@@ -569,7 +622,7 @@ impl IndoorQuerySystem {
             &self.tables,
             self.config.preprocess,
         )
-        .with_recorder(&self.recorder);
+        .with_metrics(&metrics.pf);
         let cache = self.config.use_cache.then_some(&mut self.cache);
         let supervision = SupervisionOptions {
             budget,
@@ -584,30 +637,30 @@ impl IndoorQuerySystem {
             cache,
             self.config.parallelism,
             &supervision,
-            &mut self.live_index,
+            Arc::make_mut(&mut self.live_index),
         );
-        self.recorder.add("index.delta_applied", delta.applied);
-        self.recorder.add("index.delta_retracted", delta.retracted);
-        self.recorder.add("index.delta_unchanged", delta.unchanged);
-        let index = self.live_index.clone();
+        metrics.delta_applied.add(delta.applied);
+        metrics.delta_retracted.add(delta.retracted);
+        metrics.delta_unchanged.add(delta.unchanged);
+        let index = Arc::clone(&self.live_index);
         let preprocessing = clock.since(t_pre);
-        self.recorder
-            .record_span("evaluate/preprocess", preprocessing);
+        metrics.preprocess.record(preprocessing);
 
         // 3. Query evaluation (§4.6). With observability on, each query
         // records a span under its algorithm's path — Algorithm 3 is
         // `range`, Algorithm 4 is `knn` — timed by the same clock as the
         // coarse timings (extra clock reads only happen when enabled, so
         // the disabled hot path is untouched).
-        let obs_on = self.recorder.is_enabled();
+        let obs_on = recorder.is_enabled();
         let t_eval = clock.now();
         let mut range_results = BTreeMap::new();
         for (id, (_, parts)) in &self.range_queries {
             let t_q = obs_on.then(|| clock.now());
             range_results.insert(*id, parts.evaluate(&index));
             if let Some(t_q) = t_q {
-                self.recorder
-                    .record_span("evaluate/queries/range", clock.since(t_q));
+                let span = (metrics.range_query)
+                    .get_or_insert_with(|| recorder.span("evaluate/queries/range"));
+                span.record(clock.since(t_q));
             }
         }
         // Search effort of every distance scan in this pass.
@@ -620,8 +673,9 @@ impl IndoorQuerySystem {
             let rs = knn_over_scan(scan, graph, anchors, &index, q.k, &mut scans);
             knn_results.insert(*id, rs);
             if let Some(t_q) = t_q {
-                self.recorder
-                    .record_span("evaluate/queries/knn", clock.since(t_q));
+                let span = (metrics.knn_query)
+                    .get_or_insert_with(|| recorder.span("evaluate/queries/knn"));
+                span.record(clock.since(t_q));
             }
         }
         let mut ptknn_results = BTreeMap::new();
@@ -639,8 +693,9 @@ impl IndoorQuerySystem {
             );
             ptknn_results.insert(*id, rs);
             if let Some(t_q) = t_q {
-                self.recorder
-                    .record_span("evaluate/queries/ptknn", clock.since(t_q));
+                let span = (metrics.ptknn_query)
+                    .get_or_insert_with(|| recorder.span("evaluate/queries/ptknn"));
+                span.record(clock.since(t_q));
             }
         }
         let mut closest_pairs_results = BTreeMap::new();
@@ -649,40 +704,41 @@ impl IndoorQuerySystem {
             let pairs = evaluate_closest_pairs_counted(graph, anchors, &index, q, &mut scans);
             closest_pairs_results.insert(*id, pairs);
             if let Some(t_q) = t_q {
-                self.recorder
-                    .record_span("evaluate/queries/closest_pairs", clock.since(t_q));
+                let span = (metrics.closest_pairs_query)
+                    .get_or_insert_with(|| recorder.span("evaluate/queries/closest_pairs"));
+                span.record(clock.since(t_q));
             }
         }
 
         let evaluation = clock.since(t_eval);
-        self.recorder.record_span("evaluate/queries", evaluation);
-        self.recorder.add("distance.scan_settled", scans.settled);
-        self.recorder
-            .add("distance.scan_anchor_candidates", scans.anchor_candidates);
+        metrics.queries.record(evaluation);
+        metrics.scan_settled.add(scans.settled);
+        metrics.scan_anchor_candidates.add(scans.anchor_candidates);
 
         // Cache-manager levels, mirrored as gauges from this
         // single-threaded point.
         let cache_stats = self.cache.stats();
         if obs_on {
-            self.recorder.set_gauge("cache.hits", cache_stats.hits);
-            self.recorder.set_gauge("cache.misses", cache_stats.misses);
-            self.recorder
-                .set_gauge("cache.invalidations", cache_stats.invalidations);
-            self.recorder
-                .set_gauge("cache.entries", self.cache.len() as u64);
+            metrics.cache_hits.set(cache_stats.hits);
+            metrics.cache_misses.set(cache_stats.misses);
+            metrics.cache_invalidations.set(cache_stats.invalidations);
+            metrics.cache_entries.set(self.cache.len() as u64);
         }
 
         let total = clock.since(t_start);
-        self.recorder.record_span("evaluate", total);
+        metrics.evaluate.record(total);
 
         // Tag every answer with the worst degradation level among the
         // objects it reports — a query whose results only involve fully
-        // filtered objects stays `Full` even if others degraded.
+        // filtered objects stays `Full` even if others degraded. When no
+        // object degraded, every tag is `Full` without a lookup.
+        let degraded = object_degradation
+            .values()
+            .any(|&level| level > DegradationLevel::Full);
         let tag = |objects: &mut dyn Iterator<Item = ObjectId>| -> DegradationLevel {
-            objects
-                .filter_map(|o| object_degradation.get(&o).copied())
-                .max()
-                .unwrap_or(DegradationLevel::Full)
+            let levels = objects.filter_map(|o| object_degradation.get(&o).copied());
+            let worst = degraded.then(|| levels.max()).flatten();
+            worst.unwrap_or(DegradationLevel::Full)
         };
         let mut degradation = BTreeMap::new();
         for (id, rs) in range_results
@@ -833,7 +889,7 @@ impl IndoorQuerySystem {
         self.cache = cache;
         self.rng = StdRng::from_state(rng_state);
         self.recorder.restore(&metrics);
-        self.live_index = live_index;
+        self.live_index = Arc::new(live_index);
         self.last_ingest_second = last_ingest;
         Ok(last_ingest.map_or(0, |s| s + 1))
     }

@@ -188,11 +188,7 @@ impl AnchorSet {
         &self,
         positions: impl IntoIterator<Item = (GraphPos, f64)>,
     ) -> Vec<(AnchorId, f64)> {
-        let mut acc = DenseAccumulator::new(self.anchors.len());
-        for (pos, w) in positions {
-            acc.add(self.nearest(pos), w);
-        }
-        acc.into_sorted()
+        self.kde_distribution(&mut KdeScratch::default(), positions, 0.0)
     }
 
     /// Kernel-density variant of [`AnchorSet::snap_distribution`]: each
@@ -204,84 +200,161 @@ impl AnchorSet {
     /// KDE smoothing is the standard particle→density conversion and
     /// keeps the total mass unchanged. `bandwidth <= 0` falls back to
     /// nearest-anchor snapping.
+    ///
+    /// A cloud repeats positions: resampled copies sit next to each other
+    /// until they move, and particles park on room nodes. So a run of
+    /// consecutive bit-equal (position, weight) pairs gets one kernel,
+    /// whose anchors a binary search over the edge's offsets finds, and
+    /// each of its anchors sums the run's share once per copy, in a
+    /// register. Per-anchor sums follow the position order, so the output
+    /// is the same, bit for bit, as one kernel per position. `scratch`
+    /// keeps the sums and the kernel between calls, so a call allocates
+    /// only its output.
     pub fn kde_distribution(
         &self,
+        scratch: &mut KdeScratch,
         positions: impl IntoIterator<Item = (GraphPos, f64)>,
         bandwidth: f64,
     ) -> Vec<(AnchorId, f64)> {
-        if bandwidth <= 0.0 {
-            return self.snap_distribution(positions);
-        }
-        let mut acc = DenseAccumulator::new(self.anchors.len());
-        // Kernel scratch reused across positions to avoid re-allocating.
-        let mut kernel: Vec<(AnchorId, f64)> = Vec::new();
+        let KdeScratch { sums, kernel } = scratch;
+        sums.reset(self.anchors.len());
+        // The current run's (edge, offset bits, weight bits) and length;
+        // its kernel is in `kernel`.
+        let mut run: Option<((EdgeId, u64, u64), usize)> = None;
         for (pos, w) in positions {
-            let list = &self.per_edge[pos.edge.index()];
-            // Collect kernel weights over in-bandwidth anchors.
-            kernel.clear();
-            let mut total = 0.0;
-            for &a in list {
-                let d = (self.anchors[a.index()].pos.offset - pos.offset).abs();
-                if d < bandwidth {
-                    let k = 1.0 - d / bandwidth;
-                    kernel.push((a, k));
-                    total += k;
+            let key = (pos.edge, pos.offset.to_bits(), w.to_bits());
+            match &mut run {
+                Some((k, copies)) if *k == key => {
+                    *copies += 1;
+                    continue;
                 }
+                Some((_, copies)) => sums.add_run(kernel, *copies),
+                None => {}
             }
-            if total <= 0.0 {
-                // No anchor in reach (very coarse anchor grids): snap.
-                acc.add(self.nearest(pos), w);
-            } else {
-                for &(a, k) in &kernel {
-                    acc.add(a, w * k / total);
-                }
-            }
+            self.fill_kernel(kernel, pos, w, bandwidth);
+            run = Some((key, 1));
         }
-        acc.into_sorted()
+        if let Some((_, copies)) = run {
+            sums.add_run(kernel, copies);
+        }
+        sums.drain_sorted()
+    }
+
+    /// Fills `kernel` with the share of weight `w` at `pos` that each
+    /// anchor receives: the triangular kernel over the edge's anchors
+    /// within `bandwidth`, normalized, or all of it at the nearest anchor.
+    fn fill_kernel(
+        &self,
+        kernel: &mut Vec<(AnchorId, f64)>,
+        pos: GraphPos,
+        w: f64,
+        bandwidth: f64,
+    ) {
+        kernel.clear();
+        if bandwidth > 0.0 {
+            // `offset - pos.offset` rises along the edge's list, so the
+            // anchors within reach are one run, starting past those at
+            // or below `-bandwidth`.
+            let list = self.on_edge(pos.edge);
+            let from =
+                list.partition_point(|&a| self.anchor(a).pos.offset - pos.offset <= -bandwidth);
+            let mut total = 0.0;
+            let reach = list
+                .iter()
+                .skip(from)
+                .map(|&a| (a, (self.anchor(a).pos.offset - pos.offset).abs()))
+                .take_while(|&(_, d)| d < bandwidth);
+            for (a, d) in reach {
+                let k = 1.0 - d / bandwidth;
+                kernel.push((a, k));
+                total += k;
+            }
+            if total > 0.0 {
+                for (_, k) in kernel.iter_mut() {
+                    *k = w * *k / total;
+                }
+                return;
+            }
+            kernel.clear();
+        }
+        // No anchor in reach (very coarse anchor grids), or no kernel.
+        kernel.push((self.nearest(pos), w));
     }
 }
 
-/// Dense weight accumulator used by the snap/KDE conversions.
-///
-/// Replaces the former per-call `HashMap<AnchorId, f64>`: a flat `f64`
-/// slot per anchor plus a first-touch list. Per-anchor sums are built in
-/// the exact position-iteration order (f64 addition is not associative,
-/// so the order is part of the bit-for-bit determinism contract), and the
-/// output is sorted by anchor id like before — only the hashing cost is
-/// gone. `AnchorSet` itself stays read-only (`&self`) during conversion,
-/// so parallel preprocessing workers share it without synchronization.
-struct DenseAccumulator {
+/// Reusable buffers of [`AnchorSet::kde_distribution`]: the per-anchor
+/// sums of one conversion and the kernel of its current run. A
+/// particle-filter worker keeps one beside its particle buffers.
+#[derive(Debug, Clone, Default)]
+pub struct KdeScratch {
+    sums: AnchorSums,
+    /// The current run's `(anchor, share)` entries.
+    kernel: Vec<(AnchorId, f64)>,
+}
+
+/// Dense per-anchor weight sums: a flat `f64` slot per anchor plus a
+/// first-touch list. Sums are built in the exact position-iteration
+/// order (f64 addition is not associative, so the order is part of the
+/// bit-for-bit determinism contract), and the output is sorted by anchor
+/// id. Draining resets only the touched slots, so the slots are zeroed
+/// once per owner rather than once per conversion.
+#[derive(Debug, Clone, Default)]
+struct AnchorSums {
     weight: Vec<f64>,
     seen: Vec<bool>,
     /// Touched anchors in first-touch order.
     touched: Vec<AnchorId>,
 }
 
-impl DenseAccumulator {
-    fn new(anchor_count: usize) -> Self {
-        DenseAccumulator {
-            weight: vec![0.0; anchor_count],
-            seen: vec![false; anchor_count],
-            touched: Vec::new(),
+impl AnchorSums {
+    /// Makes room for `anchors` slots, all zero and unseen. Draining
+    /// leaves them so; a conversion that unwound midway left its touched
+    /// slots set, so those are cleared first.
+    fn reset(&mut self, anchors: usize) {
+        for a in self.touched.drain(..) {
+            if let Some(seen) = self.seen.get_mut(a.index()) {
+                *seen = false;
+            }
+            if let Some(sum) = self.weight.get_mut(a.index()) {
+                *sum = 0.0;
+            }
+        }
+        if self.weight.len() < anchors {
+            self.weight.resize(anchors, 0.0);
+            self.seen.resize(anchors, false);
         }
     }
 
+    /// Adds each `(anchor, share)` of `kernel` `copies` times in a row,
+    /// as that many consecutive copies of its position would.
     #[inline]
-    fn add(&mut self, a: AnchorId, w: f64) {
-        let i = a.index();
-        if !self.seen[i] {
-            self.seen[i] = true;
-            self.touched.push(a);
+    fn add_run(&mut self, kernel: &[(AnchorId, f64)], copies: usize) {
+        for &(a, share) in kernel {
+            let i = a.index();
+            if let (Some(seen), Some(sum)) = (self.seen.get_mut(i), self.weight.get_mut(i)) {
+                if !*seen {
+                    *seen = true;
+                    self.touched.push(a);
+                }
+                *sum = (0..copies).fold(*sum, |total, _| total + share);
+            }
         }
-        self.weight[i] += w;
     }
 
-    fn into_sorted(mut self) -> Vec<(AnchorId, f64)> {
+    /// The touched anchors' sums in anchor order; every slot is zero and
+    /// unseen again afterwards.
+    fn drain_sorted(&mut self) -> Vec<(AnchorId, f64)> {
         self.touched.sort_unstable();
-        self.touched
-            .into_iter()
-            .map(|a| (a, self.weight[a.index()]))
-            .collect()
+        let mut out = Vec::with_capacity(self.touched.len());
+        for &a in &self.touched {
+            let i = a.index();
+            if let (Some(seen), Some(sum)) = (self.seen.get_mut(i), self.weight.get_mut(i)) {
+                *seen = false;
+                out.push((a, std::mem::take(sum)));
+            }
+        }
+        self.touched.clear();
+        out
     }
 }
 
@@ -289,6 +362,7 @@ impl DenseAccumulator {
 mod tests {
     use super::*;
     use crate::build_walking_graph;
+    use proptest::prelude::*;
     use ripq_floorplan::{office_building, OfficeParams};
 
     fn setup() -> (FloorPlan, WalkingGraph, AnchorSet) {
@@ -382,6 +456,109 @@ mod tests {
         // Sorted by id, no duplicates.
         for w in snapped.windows(2) {
             assert!(w[0].0 < w[1].0);
+        }
+    }
+
+    /// The conversion [`AnchorSet::kde_distribution`] replaced: one kernel
+    /// per position over every anchor of its edge, summed into fresh
+    /// dense slots.
+    fn kde_reference(
+        anchors: &AnchorSet,
+        positions: &[(GraphPos, f64)],
+        bandwidth: f64,
+    ) -> Vec<(AnchorId, f64)> {
+        let mut weight = vec![0.0; anchors.anchors().len()];
+        let mut touched: Vec<AnchorId> = Vec::new();
+        let mut add = |a: AnchorId, w: f64| {
+            if !touched.contains(&a) {
+                touched.push(a);
+            }
+            weight[a.index()] += w;
+        };
+        for &(pos, w) in positions {
+            if bandwidth <= 0.0 {
+                add(anchors.nearest(pos), w);
+                continue;
+            }
+            let mut kernel = Vec::new();
+            let mut total = 0.0;
+            for &a in anchors.on_edge(pos.edge) {
+                let d = (anchors.anchor(a).pos.offset - pos.offset).abs();
+                if d < bandwidth {
+                    let k = 1.0 - d / bandwidth;
+                    kernel.push((a, k));
+                    total += k;
+                }
+            }
+            if total <= 0.0 {
+                add(anchors.nearest(pos), w);
+            } else {
+                for (a, k) in kernel {
+                    add(a, w * k / total);
+                }
+            }
+        }
+        touched.sort_unstable();
+        touched
+            .into_iter()
+            .map(|a| (a, weight[a.index()]))
+            .collect()
+    }
+
+    fn bits(dist: &[(AnchorId, f64)]) -> Vec<(AnchorId, u64)> {
+        dist.iter().map(|&(a, p)| (a, p.to_bits())).collect()
+    }
+
+    proptest! {
+        /// Clouds with runs of copies and scattered repeats, positions on
+        /// nodes (a room edge's end is its room node), on anchors, and at
+        /// an anchor ± the bandwidth ± 1 ulp, weighted evenly or not.
+        #[test]
+        fn kde_matches_one_kernel_per_position(
+            bandwidth_pick in 0usize..4,
+            even in 0u8..2,
+            specs in proptest::collection::vec(
+                (0usize..1_000_000, 0u8..10, 0.0f64..1.0, 1usize..6, 0.01f64..1.0),
+                1..40,
+            ),
+        ) {
+            let (_, g, anchors) = setup();
+            let bandwidth = [0.0, 0.3, 2.0, 50.0][bandwidth_pick];
+            let mut cloud: Vec<(GraphPos, f64)> = Vec::new();
+            for (i, &(pick, kind, frac, run, weight)) in specs.iter().enumerate() {
+                let edge = &g.edges()[pick % g.edges().len()];
+                let on_edge = anchors.on_edge(edge.id);
+                let anchor = anchors.anchor(on_edge[pick / 7 % on_edge.len()]).pos.offset;
+                let offset = match kind {
+                    0 => edge.length() * frac,
+                    1 => 0.0,
+                    2 => edge.length(),
+                    3 => anchor,
+                    4 => anchor - bandwidth,
+                    5 => anchor + bandwidth,
+                    6 => (anchor - bandwidth).next_up(),
+                    7 => (anchor - bandwidth).next_down(),
+                    8 => (anchor + bandwidth).next_up(),
+                    _ => (anchor + bandwidth).next_down(),
+                };
+                let w = if even == 1 { 1.0 / 64.0 } else { weight };
+                for _ in 0..run {
+                    cloud.push((GraphPos::new(edge.id, offset), w));
+                }
+                if i % 3 == 2 {
+                    cloud.push(cloud[i / 2]);
+                }
+            }
+            let want = bits(&kde_reference(&anchors, &cloud, bandwidth));
+            // A scratch that already ran another conversion gives the same
+            // answer as a fresh one.
+            let mut scratch = KdeScratch::default();
+            let reversed = cloud.iter().rev().copied();
+            anchors.kde_distribution(&mut scratch, reversed, bandwidth);
+            let got = anchors.kde_distribution(&mut scratch, cloud.iter().copied(), bandwidth);
+            prop_assert_eq!(bits(&got), want);
+            let fresh = anchors.kde_distribution(&mut KdeScratch::default(), cloud, bandwidth);
+            prop_assert_eq!(bits(&fresh), bits(&got));
         }
     }
 

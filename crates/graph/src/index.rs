@@ -11,6 +11,7 @@
 //! accuracy metrics (object → anchors) need fast access.
 
 use crate::AnchorId;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Bidirectional anchor ↔ object probability index, generic over the
@@ -121,25 +122,34 @@ impl<K: Copy + Ord> AnchorObjectIndex<K> {
     /// bit-identical to the incoming one (compared after the same
     /// non-positive-probability filtering [`Self::set_object`] performs).
     ///
-    /// Because per-anchor lists are sorted by key, any sequence of
-    /// [`Self::apply_object`] / [`Self::remove_object`] calls leaves the
-    /// index equal to a from-scratch rebuild of the same final state.
-    pub fn apply_object(&mut self, object: K, dist: Vec<(AnchorId, f64)>) -> DeltaOutcome {
-        let dist: Vec<(AnchorId, f64)> = dist.into_iter().filter(|&(_, p)| p > 0.0).collect();
-        match self.by_object.get(&object) {
-            Some(old) if old == &dist => DeltaOutcome::Unchanged,
-            Some(_) => {
-                self.set_object(object, dist);
-                DeltaOutcome::Updated
+    /// When the stored and the incoming distribution are both strictly
+    /// ascending by anchor, as every particle-filter answer is, one merge
+    /// walk over the two edits the affected rows in place: a probability
+    /// is overwritten where the object stays, and its entry is removed or
+    /// inserted only where it leaves or arrives. Other deltas go through
+    /// [`Self::set_object`]. Either way, because per-anchor lists are
+    /// sorted by key, any sequence of [`Self::apply_object`] /
+    /// [`Self::remove_object`] calls leaves the index equal to a
+    /// from-scratch rebuild of the same final state.
+    pub fn apply_object(&mut self, object: K, mut dist: Vec<(AnchorId, f64)>) -> DeltaOutcome {
+        dist.retain(|&(_, p)| p > 0.0);
+        let Some(old) = self.by_object.get_mut(&object) else {
+            if dist.is_empty() {
+                return DeltaOutcome::Unchanged;
             }
-            None => {
-                if dist.is_empty() {
-                    return DeltaOutcome::Unchanged;
-                }
-                self.set_object(object, dist);
-                DeltaOutcome::Inserted
-            }
+            self.set_object(object, dist);
+            return DeltaOutcome::Inserted;
+        };
+        if *old == dist {
+            return DeltaOutcome::Unchanged;
         }
+        if dist.is_empty() || !ascending(old) || !ascending(&dist) {
+            self.set_object(object, dist);
+        } else {
+            edit_rows(&mut self.by_anchor, object, old, &dist);
+            *old = dist;
+        }
+        DeltaOutcome::Updated
     }
 
     /// Retracts every object whose key fails `keep`, returning how many
@@ -208,9 +218,68 @@ impl<K: Copy + Ord> AnchorObjectIndex<K> {
     }
 }
 
+/// Whether `dist` names each anchor once, in ascending order.
+fn ascending(dist: &[(AnchorId, f64)]) -> bool {
+    dist.iter().zip(dist.iter().skip(1)).all(|(a, b)| a.0 < b.0)
+}
+
+/// Moves `object`'s entries in the anchor rows from `old` to `new`, two
+/// strictly ascending distributions, by one merge walk: rows in both get
+/// the new probability in place, rows only in `old` lose the entry, rows
+/// only in `new` gain it at its key position.
+fn edit_rows<K: Copy + Ord>(
+    rows: &mut Vec<Vec<(K, f64)>>,
+    object: K,
+    old: &[(AnchorId, f64)],
+    new: &[(AnchorId, f64)],
+) {
+    let slot = |row: &[(K, f64)]| row.partition_point(|&(k, _)| k < object);
+    let (mut old, mut new) = (old.iter().peekable(), new.iter().peekable());
+    loop {
+        let order = match (old.peek(), new.peek()) {
+            (None, None) => break,
+            (Some(a), Some(b)) => a.0.cmp(&b.0),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+        };
+        // The smaller anchor goes first; an anchor in both steps both.
+        let leaving = (order != Ordering::Greater).then(|| old.next()).flatten();
+        let arriving = (order != Ordering::Less).then(|| new.next()).flatten();
+        match (leaving, arriving) {
+            (Some(_), Some(&(anchor, p))) => {
+                if let Some(row) = rows.get_mut(anchor.index()) {
+                    let at = slot(row);
+                    if let Some(entry) = row.get_mut(at).filter(|e| e.0 == object) {
+                        entry.1 = p;
+                    }
+                }
+            }
+            (Some(&(anchor, _)), None) => {
+                if let Some(row) = rows.get_mut(anchor.index()) {
+                    let at = slot(row);
+                    if row.get(at).is_some_and(|e| e.0 == object) {
+                        row.remove(at);
+                    }
+                }
+            }
+            (None, Some(&(anchor, p))) => {
+                if anchor.index() >= rows.len() {
+                    rows.resize_with(anchor.index() + 1, Vec::new);
+                }
+                if let Some(row) = rows.get_mut(anchor.index()) {
+                    let at = slot(row);
+                    row.insert(at, (object, p));
+                }
+            }
+            (None, None) => break,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ap(i: u32) -> AnchorId {
         AnchorId::new(i)
@@ -333,6 +402,72 @@ mod tests {
         fresh.set_object(4, vec![(ap(0), 0.9)]);
         fresh.set_object(5, vec![(ap(2), 1.0)]);
         assert_eq!(inc, fresh);
+    }
+
+    /// What [`AnchorObjectIndex::apply_object`] did before rows were
+    /// edited in place: filter, compare, then [`AnchorObjectIndex::set_object`].
+    fn apply_by_rebuild(
+        idx: &mut AnchorObjectIndex<u64>,
+        object: u64,
+        dist: Vec<(AnchorId, f64)>,
+    ) -> DeltaOutcome {
+        let dist: Vec<(AnchorId, f64)> = dist.into_iter().filter(|&(_, p)| p > 0.0).collect();
+        match idx.by_object.get(&object) {
+            Some(old) if old == &dist => DeltaOutcome::Unchanged,
+            Some(_) => {
+                idx.set_object(object, dist);
+                DeltaOutcome::Updated
+            }
+            None if dist.is_empty() => DeltaOutcome::Unchanged,
+            None => {
+                idx.set_object(object, dist);
+                DeltaOutcome::Inserted
+            }
+        }
+    }
+
+    proptest! {
+        /// Random delta sequences over a few objects and anchors: mostly
+        /// ascending distributions (the in-place path), some unsorted or
+        /// with repeated anchors, some with non-positive entries or none,
+        /// repeats of the stored distribution, and retractions.
+        #[test]
+        fn in_place_rows_match_set_object_rebuilds(
+            steps in proptest::collection::vec(
+                (0u64..6, proptest::collection::vec((0u32..12, -0.2f64..1.0), 0..8), 0u8..8),
+                1..60,
+            ),
+        ) {
+            let mut in_place: AnchorObjectIndex<u64> = AnchorObjectIndex::new();
+            let mut rebuilt: AnchorObjectIndex<u64> = AnchorObjectIndex::new();
+            for (object, mut dist, mode) in steps {
+                match mode {
+                    0 => {
+                        let kept = in_place.retain_objects(|&k| k != object);
+                        prop_assert_eq!(kept, rebuilt.retain_objects(|&k| k != object));
+                        prop_assert_eq!(&in_place, &rebuilt);
+                        continue;
+                    }
+                    1 => {
+                        if let Some(stored) = rebuilt.distribution(&object) {
+                            dist = stored.iter().map(|&(a, p)| (a.index() as u32, p)).collect();
+                        }
+                    }
+                    2 => {}
+                    _ => {
+                        dist.sort_by_key(|&(a, _)| a);
+                        dist.dedup_by_key(|&mut (a, _)| a);
+                    }
+                }
+                let dist: Vec<(AnchorId, f64)> = dist.into_iter().map(|(a, p)| (ap(a), p)).collect();
+                let got = in_place.apply_object(object, dist.clone());
+                prop_assert_eq!(got, apply_by_rebuild(&mut rebuilt, object, dist));
+                prop_assert_eq!(&in_place, &rebuilt);
+                for a in 0..12 {
+                    prop_assert_eq!(in_place.at_anchor(ap(a)), rebuilt.at_anchor(ap(a)));
+                }
+            }
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ mod path;
 mod scan;
 mod shortest;
 
-pub use anchor::{AnchorPoint, AnchorSet};
+pub use anchor::{AnchorPoint, AnchorSet, KdeScratch};
 pub use builder::build_walking_graph;
 pub use edge::{Edge, EdgeKind, Polyline};
 pub use graph::{GraphPos, Incidence, WalkingGraph};

@@ -95,6 +95,14 @@ fn bucket_lower_bound(index: usize) -> u64 {
     }
 }
 
+/// Shared span state: how often the span was recorded and its total in
+/// whole microseconds (saturating).
+#[derive(Debug, Default)]
+struct SpanCore {
+    count: AtomicU64,
+    total_micros: AtomicU64,
+}
+
 /// Metric families, each a name-ordered map so snapshots iterate (and
 /// serialize) in one canonical order.
 #[derive(Debug, Default)]
@@ -102,7 +110,19 @@ struct Registry {
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     histograms: Mutex<BTreeMap<String, Arc<HistogramCore>>>,
-    spans: Mutex<BTreeMap<String, SpanStat>>,
+    spans: Mutex<BTreeMap<String, Arc<SpanCore>>>,
+}
+
+/// The cell registered under `name` in `family`, registering `new()` on
+/// first use. A name already registered costs a lookup, no allocation.
+fn resolve<T>(family: &Mutex<BTreeMap<String, Arc<T>>>, name: &str, new: fn() -> T) -> Arc<T> {
+    let mut cells = lock(family);
+    if let Some(cell) = cells.get(name) {
+        return Arc::clone(cell);
+    }
+    let cell = Arc::new(new());
+    cells.insert(name.to_string(), Arc::clone(&cell));
+    cell
 }
 
 /// Handle to one monotone counter. Cheap to clone; a handle resolved
@@ -169,6 +189,27 @@ impl Histogram {
     }
 }
 
+/// Handle to one span path. Cheap to clone; a handle resolved from a
+/// disabled [`Recorder`] is a no-op.
+#[derive(Debug, Clone, Default)]
+pub struct Span(Option<Arc<SpanCore>>);
+
+impl Span {
+    /// Accumulates one caller-measured duration, stored as whole
+    /// microseconds (see [`Recorder::record_span`]).
+    #[inline]
+    pub fn record(&self, elapsed: Duration) {
+        if let Some(core) = &self.0 {
+            let micros = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
+            core.count.fetch_add(1, Ordering::Relaxed);
+            let add = |total: u64| Some(total.saturating_add(micros));
+            let _ = core
+                .total_micros
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
+        }
+    }
+}
+
 /// Entry point of the metrics layer. Clone freely — clones share one
 /// registry. A disabled recorder (the default) records nothing and
 /// allocates nothing.
@@ -207,35 +248,38 @@ impl Recorder {
     /// Resolves (registering on first use) the counter `name`. Resolve
     /// once outside hot loops and reuse the handle.
     pub fn counter(&self, name: &str) -> Counter {
-        Counter(self.inner.as_ref().map(|reg| {
-            Arc::clone(
-                lock(&reg.counters)
-                    .entry(name.to_string())
-                    .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-            )
-        }))
+        Counter(
+            self.inner
+                .as_ref()
+                .map(|reg| resolve(&reg.counters, name, AtomicU64::default)),
+        )
     }
 
     /// Resolves (registering on first use) the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        Gauge(self.inner.as_ref().map(|reg| {
-            Arc::clone(
-                lock(&reg.gauges)
-                    .entry(name.to_string())
-                    .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-            )
-        }))
+        Gauge(
+            self.inner
+                .as_ref()
+                .map(|reg| resolve(&reg.gauges, name, AtomicU64::default)),
+        )
     }
 
     /// Resolves (registering on first use) the histogram `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
-        Histogram(self.inner.as_ref().map(|reg| {
-            Arc::clone(
-                lock(&reg.histograms)
-                    .entry(name.to_string())
-                    .or_insert_with(|| Arc::new(HistogramCore::new())),
-            )
-        }))
+        Histogram(
+            self.inner
+                .as_ref()
+                .map(|reg| resolve(&reg.histograms, name, HistogramCore::new)),
+        )
+    }
+
+    /// Resolves (registering on first use) the span `path`.
+    pub fn span(&self, path: &str) -> Span {
+        Span(
+            self.inner
+                .as_ref()
+                .map(|reg| resolve(&reg.spans, path, SpanCore::default)),
+        )
     }
 
     /// Adds `delta` to counter `name` (one-shot convenience; hot paths
@@ -266,13 +310,7 @@ impl Recorder {
     /// so logical timing keeps span totals reproducible. Spans nest by
     /// path: `a/b` renders as a child of `a` in the trace tree.
     pub fn record_span(&self, path: &str, elapsed: Duration) {
-        if let Some(reg) = &self.inner {
-            let micros = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-            let mut spans = lock(&reg.spans);
-            let stat = spans.entry(path.to_string()).or_default();
-            stat.count += 1;
-            stat.total_micros = stat.total_micros.saturating_add(micros);
-        }
+        self.span(path).record(elapsed);
     }
 
     /// Takes a point-in-time snapshot of every registered metric. Call
@@ -317,7 +355,16 @@ impl Recorder {
                 (name.clone(), snap)
             })
             .collect();
-        let spans = lock(&reg.spans).clone();
+        let spans = lock(&reg.spans)
+            .iter()
+            .map(|(path, core)| {
+                let stat = SpanStat {
+                    count: core.count.load(Ordering::Relaxed),
+                    total_micros: core.total_micros.load(Ordering::Relaxed),
+                };
+                (path.clone(), stat)
+            })
+            .collect();
         MetricsSnapshot {
             counters,
             gauges,
@@ -337,23 +384,13 @@ impl Recorder {
             return;
         };
         for (name, value) in &snapshot.counters {
-            lock(&reg.counters)
-                .entry(name.clone())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-                .store(*value, Ordering::Relaxed);
+            resolve(&reg.counters, name, AtomicU64::default).store(*value, Ordering::Relaxed);
         }
         for (name, value) in &snapshot.gauges {
-            lock(&reg.gauges)
-                .entry(name.clone())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-                .store(*value, Ordering::Relaxed);
+            resolve(&reg.gauges, name, AtomicU64::default).store(*value, Ordering::Relaxed);
         }
         for (name, h) in &snapshot.histograms {
-            let core = Arc::clone(
-                lock(&reg.histograms)
-                    .entry(name.clone())
-                    .or_insert_with(|| Arc::new(HistogramCore::new())),
-            );
+            let core = resolve(&reg.histograms, name, HistogramCore::new);
             core.count.store(h.count, Ordering::Relaxed);
             core.sum.store(h.sum, Ordering::Relaxed);
             // Snapshots render the min of an empty histogram as 0; the
@@ -376,9 +413,11 @@ impl Recorder {
                 core.buckets[index].store(hits, Ordering::Relaxed);
             }
         }
-        let mut spans = lock(&reg.spans);
         for (path, stat) in &snapshot.spans {
-            spans.insert(path.clone(), *stat);
+            let core = resolve(&reg.spans, path, SpanCore::default);
+            core.count.store(stat.count, Ordering::Relaxed);
+            core.total_micros
+                .store(stat.total_micros, Ordering::Relaxed);
         }
     }
 }
@@ -452,6 +491,27 @@ mod tests {
         assert_eq!(snap.spans["evaluate"].count, 1);
         let range = &snap.spans["evaluate/queries/range"];
         assert_eq!((range.count, range.total_micros), (2, 42));
+    }
+
+    #[test]
+    fn span_handles_accumulate_like_record_span() {
+        let rec = Recorder::enabled();
+        let span = rec.span("evaluate/queries/knn");
+        span.record(Duration::from_micros(30));
+        rec.record_span("evaluate/queries/knn", Duration::from_micros(12));
+        span.record(Duration::MAX);
+        let stat = rec.snapshot().spans["evaluate/queries/knn"];
+        assert_eq!((stat.count, stat.total_micros), (3, u64::MAX));
+        // A handle resolved before a restore records into the restored cell.
+        let snap = rec.snapshot();
+        let other = Recorder::enabled();
+        let early = other.span("evaluate/queries/knn");
+        other.restore(&snap);
+        early.record(Duration::ZERO);
+        assert_eq!(other.snapshot().spans["evaluate/queries/knn"].count, 4);
+        Recorder::disabled()
+            .span("x")
+            .record(Duration::from_micros(1));
     }
 
     #[test]

@@ -91,16 +91,28 @@ impl fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-/// Frames `payload` into a self-checking snapshot: magic, version,
-/// length, CRC32, payload.
-pub fn seal_snapshot(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// Frames the payload `encode` writes into a self-checking snapshot:
+/// magic, version, length, CRC32, payload. The payload is encoded after
+/// room left for the header, which is filled in last, so the body is
+/// written once and never copied.
+pub fn seal_snapshot(encode: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    for _ in 0..HEADER_LEN {
+        w.put_u8(0);
+    }
+    encode(&mut w);
+    let mut frame = w.into_bytes();
+    if let Some((header, payload)) = frame.split_at_mut_checked(HEADER_LEN) {
+        let fields = MAGIC
+            .into_iter()
+            .chain(FORMAT_VERSION.to_le_bytes())
+            .chain((payload.len() as u64).to_le_bytes())
+            .chain(crc32(payload).to_le_bytes());
+        for (slot, byte) in header.iter_mut().zip(fields) {
+            *slot = byte;
+        }
+    }
+    frame
 }
 
 /// Validates a framed snapshot and returns its payload slice. Every
@@ -216,23 +228,28 @@ pub fn format_spec() -> String {
 mod tests {
     use super::*;
 
+    /// The sealed frame of a raw payload.
+    fn sealed(payload: &[u8]) -> Vec<u8> {
+        seal_snapshot(|w| payload.iter().for_each(|&b| w.put_u8(b)))
+    }
+
     #[test]
     fn seal_open_round_trip() {
         let payload = b"hello snapshot".to_vec();
-        let framed = seal_snapshot(&payload);
+        let framed = sealed(&payload);
         assert_eq!(open_snapshot(&framed).unwrap(), &payload[..]);
         assert_eq!(framed.len(), HEADER_LEN + payload.len());
     }
 
     #[test]
     fn empty_payload_is_valid() {
-        let framed = seal_snapshot(&[]);
+        let framed = sealed(&[]);
         assert_eq!(open_snapshot(&framed).unwrap(), &[] as &[u8]);
     }
 
     #[test]
     fn every_single_bit_flip_is_detected() {
-        let framed = seal_snapshot(b"determinism is a feature");
+        let framed = sealed(b"determinism is a feature");
         for byte in 0..framed.len() {
             for bit in 0..8 {
                 let mut bad = framed.clone();
@@ -247,7 +264,7 @@ mod tests {
 
     #[test]
     fn truncation_is_torn_or_bad_magic() {
-        let framed = seal_snapshot(b"payload bytes");
+        let framed = sealed(b"payload bytes");
         for cut in 0..framed.len() {
             let err = open_snapshot(&framed[..cut]).unwrap_err();
             assert!(
@@ -259,7 +276,7 @@ mod tests {
 
     #[test]
     fn stale_version_is_reported() {
-        let mut framed = seal_snapshot(b"x");
+        let mut framed = sealed(b"x");
         framed[8..12].copy_from_slice(&99u32.to_le_bytes());
         assert_eq!(
             open_snapshot(&framed).unwrap_err(),
@@ -272,7 +289,7 @@ mod tests {
 
     #[test]
     fn wrong_magic_is_reported() {
-        let mut framed = seal_snapshot(b"x");
+        let mut framed = sealed(b"x");
         framed[0] = b'X';
         assert_eq!(open_snapshot(&framed).unwrap_err(), PersistError::BadMagic);
         assert_eq!(
@@ -288,10 +305,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("state.ckpt");
         assert_eq!(load_snapshot(&path).unwrap_err(), PersistError::Missing);
-        write_atomic(&path, &seal_snapshot(b"alpha")).unwrap();
+        write_atomic(&path, &sealed(b"alpha")).unwrap();
         assert_eq!(load_snapshot(&path).unwrap(), b"alpha");
         // Replacement is atomic: the temp sibling never survives.
-        write_atomic(&path, &seal_snapshot(b"beta")).unwrap();
+        write_atomic(&path, &sealed(b"beta")).unwrap();
         assert_eq!(load_snapshot(&path).unwrap(), b"beta");
         assert!(!dir.join("state.ckpt.tmp").exists());
         // Corrupt in place, then quarantine.

@@ -73,7 +73,7 @@ pub use cache::{CacheStats, EpisodeKey, ParticleCache};
 pub use measurement::MeasurementModel;
 pub use motion::MotionModel;
 pub use preprocess::{
-    available_cores, derive_stream_seed, DegradationLevel, ParticlePreprocessor,
+    available_cores, derive_stream_seed, DegradationLevel, ParticlePreprocessor, PfMetrics,
     PreprocessorConfig, SupervisionOptions, FAN_OUT_WORK,
 };
 pub use sir::{resample_systematic, FilterTables};

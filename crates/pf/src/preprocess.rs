@@ -246,12 +246,14 @@ struct Outcome {
     dropped: bool,
 }
 
-/// Resolved `pf.*` metric handles. Every recording operation is
+/// Resolved `pf.*` metric handles: resolving registers every name at
+/// zero, so a system resolves them once, on its first pass, and hands
+/// them to each pass's preprocessor. Every recording operation is
 /// commutative (atomic adds, histogram bucket counts), so worker threads
 /// sharing one preprocessor produce interleaving-independent totals.
-/// All handles default to no-ops until a recorder is attached.
+/// The default is all no-ops.
 #[derive(Debug, Clone, Default)]
-struct PfMetrics {
+pub struct PfMetrics {
     /// Objects run through Algorithm 2.
     objects: Counter,
     /// SIR main-loop seconds simulated (Algorithm 2 lines 7–31).
@@ -277,6 +279,30 @@ struct PfMetrics {
     /// burst) to break the episode even though the same reader re-detected
     /// the object, forcing a fresh reseed.
     outage_resets: Counter,
+    /// Kept for lazily registered `degrade.*` counters: unlike the
+    /// handles above, degradation counters only appear in snapshots once
+    /// degradation actually happens.
+    recorder: Recorder,
+}
+
+impl PfMetrics {
+    /// Resolves the `pf.*` handles in `recorder`.
+    pub fn new(recorder: &Recorder) -> Self {
+        PfMetrics {
+            objects: recorder.counter("pf.objects_processed"),
+            sir_iterations: recorder.counter("pf.sir_iterations"),
+            ess: recorder.histogram("pf.ess"),
+            resamples: recorder.counter("pf.resamples"),
+            sensor_resets: recorder.counter("pf.sensor_resets"),
+            cache_resumes: recorder.counter("pf.cache_resumes"),
+            resume_depth: recorder.histogram("pf.resume_depth_seconds"),
+            cutoff_hits: recorder.counter("pf.coast_cutoff_hits"),
+            cutoff_seconds_skipped: recorder.counter("pf.coast_seconds_skipped"),
+            final_particles: recorder.histogram("pf.final_particles"),
+            outage_resets: recorder.counter("pf.outage_resets"),
+            recorder: recorder.clone(),
+        }
+    }
 }
 
 /// Algorithm 2 runner, borrowing the static world description.
@@ -287,11 +313,6 @@ pub struct ParticlePreprocessor<'a> {
     sir: Sir<'a>,
     config: PreprocessorConfig,
     metrics: PfMetrics,
-    /// Kept for lazily registered `degrade.*` counters: unlike the
-    /// pre-resolved [`PfMetrics`] handles (which register their names at
-    /// zero the moment a recorder is attached), degradation counters only
-    /// appear in snapshots once degradation actually happens.
-    recorder: Recorder,
 }
 
 impl<'a> ParticlePreprocessor<'a> {
@@ -319,29 +340,15 @@ impl<'a> ParticlePreprocessor<'a> {
             sir: Sir::new(graph, anchors, readers, tables, model),
             config,
             metrics: PfMetrics::default(),
-            recorder: Recorder::default(),
         }
     }
 
-    /// Attaches an observability recorder: `pf.*` counters and histograms
-    /// are recorded from now on. Handles are resolved once here, so the
-    /// per-step cost is an atomic add (or a no-op branch when the
-    /// recorder is disabled).
-    pub fn with_recorder(mut self, recorder: &Recorder) -> Self {
-        self.metrics = PfMetrics {
-            objects: recorder.counter("pf.objects_processed"),
-            sir_iterations: recorder.counter("pf.sir_iterations"),
-            ess: recorder.histogram("pf.ess"),
-            resamples: recorder.counter("pf.resamples"),
-            sensor_resets: recorder.counter("pf.sensor_resets"),
-            cache_resumes: recorder.counter("pf.cache_resumes"),
-            resume_depth: recorder.histogram("pf.resume_depth_seconds"),
-            cutoff_hits: recorder.counter("pf.coast_cutoff_hits"),
-            cutoff_seconds_skipped: recorder.counter("pf.coast_seconds_skipped"),
-            final_particles: recorder.histogram("pf.final_particles"),
-            outage_resets: recorder.counter("pf.outage_resets"),
-        };
-        self.recorder = recorder.clone();
+    /// Records `pf.*` counters and histograms (and `degrade.*` ones when
+    /// they happen) through `metrics` from now on, so the per-step cost
+    /// is an atomic add (or a no-op branch when the recorder is
+    /// disabled).
+    pub fn with_metrics(mut self, metrics: &PfMetrics) -> Self {
+        self.metrics = metrics.clone();
         self
     }
 
@@ -489,16 +496,12 @@ impl<'a> ParticlePreprocessor<'a> {
 
     /// Lines 32–36: snaps each particle to its nearest anchor point,
     /// `p(o at ap) = n/Ns`, smoothed by the configured kernel.
-    fn finish(&self, particles: &Particles, simulated: u64) -> Vec<(AnchorId, f64)> {
-        let states = particles.states();
+    fn finish(&self, particles: &mut Particles, simulated: u64) -> Vec<(AnchorId, f64)> {
         self.metrics.objects.inc();
         self.metrics.sir_iterations.add(simulated);
-        self.metrics.final_particles.observe(states.len() as u64);
-        let n = states.len() as f64;
-        self.anchors.kde_distribution(
-            states.iter().map(|s| (s.pos, 1.0 / n)),
-            self.config.kde_bandwidth,
-        )
+        let kept = particles.states().len() as u64;
+        self.metrics.final_particles.observe(kept);
+        particles.distribution(self.anchors, self.config.kde_bandwidth)
     }
 
     /// The weakest answer the readings still support: a uniform
@@ -617,14 +620,14 @@ impl<'a> ParticlePreprocessor<'a> {
                     dropped,
                 };
             }
-            self.recorder.add("degrade.pf_panics", 1);
+            self.metrics.recorder.add("degrade.pf_panics", 1);
             // The cached entry unwound with the panicking attempt, so its
             // half-updated states never reach a later pass.
             dropped |= carried;
             if attempt < RETRY_LIMIT {
-                self.recorder.add("degrade.retries", 1);
+                self.metrics.recorder.add("degrade.retries", 1);
             } else {
-                self.recorder.add("degrade.quarantined", 1);
+                self.metrics.recorder.add("degrade.quarantined", 1);
             }
         }
         Outcome {
@@ -725,12 +728,12 @@ impl<'a> ParticlePreprocessor<'a> {
                             DegradationLevel::Full
                         } else if *rem >= cost_reduced {
                             *rem -= cost_reduced;
-                            self.recorder.add("degrade.reduced", 1);
+                            self.metrics.recorder.add("degrade.reduced", 1);
                             DegradationLevel::ReducedParticles
                         } else {
                             *rem = rem.saturating_sub(1);
-                            self.recorder.add("degrade.fallback", 1);
-                            self.recorder.add("degrade.budget_exhausted", 1);
+                            self.metrics.recorder.add("degrade.fallback", 1);
+                            self.metrics.recorder.add("degrade.budget_exhausted", 1);
                             DegradationLevel::UniformFallback
                         }
                     }
@@ -858,7 +861,7 @@ mod tests {
     fn observed(w: &World, config: PreprocessorConfig) -> (ParticlePreprocessor<'_>, Recorder) {
         let recorder = Recorder::enabled();
         let pre = ParticlePreprocessor::new(&w.graph, &w.anchors, &w.readers, &w.tables, config)
-            .with_recorder(&recorder);
+            .with_metrics(&PfMetrics::new(&recorder));
         (pre, recorder)
     }
 

@@ -20,7 +20,7 @@ use crate::measurement::ReaderReach;
 use crate::seed::{seed_intervals, seed_particles};
 use crate::{IndoorState, KldConfig, MeasurementModel, MotionModel};
 use rand::Rng;
-use ripq_graph::{AnchorId, AnchorSet, EdgeId, WalkingGraph};
+use ripq_graph::{AnchorId, AnchorSet, EdgeId, GraphPos, KdeScratch, WalkingGraph};
 use ripq_rfid::{Reader, ReaderId};
 
 /// Systematic resampling — **Algorithm 1** of the paper.
@@ -172,6 +172,7 @@ impl<'a> Sir<'a> {
             indices: Vec::with_capacity(n),
             inside: Vec::with_capacity(n),
             bins: Vec::with_capacity(n),
+            kde: KdeScratch::default(),
         }
     }
 
@@ -200,11 +201,9 @@ impl<'a> Sir<'a> {
         p.inside.clear();
         match reading {
             Some(device) => {
-                let flags = p
-                    .states
-                    .iter()
-                    .map(|s| reach.covered_by(graph, device, s.pos));
-                p.inside.extend(flags);
+                flag_runs(&p.states, &mut p.inside, |pos| {
+                    reach.covered_by(graph, device, pos)
+                });
                 if !p.inside.contains(&true) {
                     // Sensor reset: the reading contradicts every
                     // hypothesis (the cloud drifted the wrong way), so
@@ -220,8 +219,7 @@ impl<'a> Sir<'a> {
             // activation range (per-second misses are ~impossible after
             // aggregation). Down-weight particles inside one.
             None if self.model.negative_evidence => {
-                let flags = p.states.iter().map(|s| reach.any_covers(graph, s.pos));
-                p.inside.extend(flags);
+                flag_runs(&p.states, &mut p.inside, |pos| reach.any_covers(graph, pos));
             }
             None => return Update::Coasted,
         }
@@ -261,6 +259,29 @@ impl<'a> Sir<'a> {
     }
 }
 
+/// Appends `covered` at each particle's position to `flags`, asking once
+/// per run of bit-equal consecutive positions: after a motion step about
+/// half of a cloud sits where its predecessor does (resampled copies that
+/// drew no move, particles parked on one room node).
+fn flag_runs(
+    states: &[IndoorState],
+    flags: &mut Vec<bool>,
+    mut covered: impl FnMut(GraphPos) -> bool,
+) {
+    let mut last: Option<((EdgeId, u64), bool)> = None;
+    flags.extend(states.iter().map(|s| {
+        let key = (s.pos.edge, s.pos.offset.to_bits());
+        match last {
+            Some((k, flag)) if k == key => flag,
+            _ => {
+                let flag = covered(s.pos);
+                last = Some((key, flag));
+                flag
+            }
+        }
+    }));
+}
+
 /// One weighted particle cloud and the scratch buffers of an iteration.
 #[derive(Debug, Default)]
 pub(crate) struct Particles {
@@ -274,6 +295,9 @@ pub(crate) struct Particles {
     inside: Vec<bool>,
     /// Nearest anchor of each particle, for KLD bin counting.
     bins: Vec<AnchorId>,
+    /// The anchor conversion's sums and kernels, kept across the objects
+    /// a worker runs.
+    kde: KdeScratch,
 }
 
 impl Particles {
@@ -287,6 +311,19 @@ impl Particles {
     /// The particle states.
     pub(crate) fn states(&self) -> &[IndoorState] {
         &self.states
+    }
+
+    /// The cloud's anchor distribution (Algorithm 2 lines 32–36): each
+    /// particle carries `1/n`, smoothed by a triangular kernel of
+    /// `bandwidth` meters (plain nearest-anchor snapping when `<= 0`).
+    pub(crate) fn distribution(
+        &mut self,
+        anchors: &AnchorSet,
+        bandwidth: f64,
+    ) -> Vec<(AnchorId, f64)> {
+        let n = self.states.len() as f64;
+        let cloud = self.states.iter().map(|s| (s.pos, 1.0 / n));
+        anchors.kde_distribution(&mut self.kde, cloud, bandwidth)
     }
 
     /// The weights, normalized after every reweighting step.
@@ -357,6 +394,38 @@ mod tests {
         assert_eq!(count(0), 5);
         assert_eq!(count(1), 3);
         assert_eq!(count(2), 2);
+    }
+
+    #[test]
+    fn flag_runs_ask_once_per_run_and_match_every_particle() {
+        let at = |edge: u32, offset: f64| IndoorState {
+            pos: GraphPos::new(EdgeId::new(edge), offset),
+            heading: crate::Heading::TowardB,
+            speed: 1.0,
+        };
+        // Runs of copies, a repeat after another position, -0.0 beside
+        // 0.0 (equal, but not bit-equal) and the same offset on two edges.
+        let states = [
+            at(0, 1.5),
+            at(0, 1.5),
+            at(0, 2.0),
+            at(0, 1.5),
+            at(1, 1.5),
+            at(1, 0.0),
+            at(1, -0.0),
+            at(1, -0.0),
+        ];
+        let covered =
+            |pos: GraphPos| pos.offset.to_bits().is_multiple_of(3) || pos.edge.index() == 1;
+        let mut asked = 0;
+        let mut flags = Vec::new();
+        flag_runs(&states, &mut flags, |pos| {
+            asked += 1;
+            covered(pos)
+        });
+        let want: Vec<bool> = states.iter().map(|s| covered(s.pos)).collect();
+        assert_eq!(flags, want);
+        assert_eq!(asked, 6);
     }
 
     #[test]

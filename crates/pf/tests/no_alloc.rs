@@ -16,7 +16,9 @@
 use ripq_floorplan::{office_building, OfficeParams};
 use ripq_graph::{build_walking_graph, AnchorObjectIndex, AnchorSet, GraphPos, WalkingGraph};
 use ripq_obs::Recorder;
-use ripq_pf::{FilterTables, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
+use ripq_pf::{
+    FilterTables, ParticlePreprocessor, PfMetrics, PreprocessorConfig, SupervisionOptions,
+};
 use ripq_rfid::{deploy_uniform, DataCollector, ObjectId, Reader, ReaderId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -149,7 +151,7 @@ fn sir_iterations_allocate_nothing() {
     let pre = ParticlePreprocessor::new(&w.graph, &w.anchors, &w.readers, &w.tables, config);
     let recorder = Recorder::enabled();
     let observed = ParticlePreprocessor::new(&w.graph, &w.anchors, &w.readers, &w.tables, config)
-        .with_recorder(&recorder);
+        .with_metrics(&PfMetrics::new(&recorder));
     let counter = |name: &str| recorder.snapshot().counters.get(name).copied().unwrap_or(0);
 
     for middle in [Middle::Silent, Middle::Resample, Middle::Reset] {

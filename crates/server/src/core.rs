@@ -16,7 +16,7 @@ use crate::protocol::{
 use ripq_core::checkpoint::{self, Recovered};
 use ripq_core::clock::TimingMode;
 use ripq_core::continuous::{SubscriptionKind, SubscriptionRegistry};
-use ripq_core::{DegradationLevel, IndoorQuerySystem, Recorder, RipqError, SystemConfig};
+use ripq_core::{Counter, DegradationLevel, IndoorQuerySystem, Recorder, RipqError, SystemConfig};
 use ripq_floorplan::FloorPlan;
 use ripq_rfid::{ObjectId, ReaderId};
 use std::collections::BTreeSet;
@@ -130,6 +130,17 @@ pub struct ServerCore {
     /// Framed response bytes emitted on the current byte-stream
     /// connection (for `max_conn_response_bytes`).
     conn_response_bytes: u64,
+    /// `server.frames_ingested`, resolved by the first ingested frame.
+    frames_ingested: Option<Counter>,
+    /// What every evaluated tick records, resolved by the first.
+    tick_counters: Option<TickCounters>,
+}
+
+/// The counters of an evaluated tick.
+struct TickCounters {
+    ticks: Counter,
+    deltas_emitted: Counter,
+    events_fired: Counter,
 }
 
 impl ServerCore {
@@ -154,6 +165,8 @@ impl ServerCore {
             frames_this_interval: 0,
             shed_since_tick: false,
             conn_response_bytes: 0,
+            frames_ingested: None,
+            tick_counters: None,
         }
     }
 
@@ -300,7 +313,10 @@ impl ServerCore {
                 out.push(render_error(&message));
             }
             Ok(request) => {
-                self.recorder.add("server.frames_ingested", 1);
+                let recorder = &self.recorder;
+                (self.frames_ingested)
+                    .get_or_insert_with(|| recorder.counter("server.frames_ingested"))
+                    .inc();
                 self.dispatch(request, &mut out);
             }
         }
@@ -544,11 +560,15 @@ impl ServerCore {
                 self.unseen_alerted.remove(&object);
             }
         }
-        self.recorder.add("server.ticks", 1);
-        self.recorder
-            .add("server.deltas_emitted", deltas.len() as u64);
-        self.recorder
-            .add("server.events_fired", events.len() as u64);
+        let recorder = &self.recorder;
+        let counters = self.tick_counters.get_or_insert_with(|| TickCounters {
+            ticks: recorder.counter("server.ticks"),
+            deltas_emitted: recorder.counter("server.deltas_emitted"),
+            events_fired: recorder.counter("server.events_fired"),
+        });
+        counters.ticks.inc();
+        counters.deltas_emitted.add(deltas.len() as u64);
+        counters.events_fired.add(events.len() as u64);
         let mut ack_fields = vec![
             ("second", second.to_string()),
             ("deltas", deltas.len().to_string()),
@@ -1130,7 +1150,8 @@ mod tests {
         ];
         for (case, payload) in cases {
             let dir = temp_dir("invalid_case");
-            write_atomic(&dir.join(SNAPSHOT_FILE), &seal_snapshot(&payload)).unwrap();
+            let frame = seal_snapshot(|w| payload.iter().for_each(|&b| w.put_u8(b)));
+            write_atomic(&dir.join(SNAPSHOT_FILE), &frame).unwrap();
             let mut fresh = core();
             let outcome = fresh.recover(&dir).unwrap();
             assert!(
@@ -1148,7 +1169,8 @@ mod tests {
         // The untampered payload still resumes, so each case above failed
         // for its own defect.
         let dir = temp_dir("invalid_case");
-        write_atomic(&dir.join(SNAPSHOT_FILE), &seal_snapshot(payload)).unwrap();
+        let frame = seal_snapshot(|w| payload.iter().for_each(|&b| w.put_u8(b)));
+        write_atomic(&dir.join(SNAPSHOT_FILE), &frame).unwrap();
         assert!(matches!(
             core().recover(&dir).unwrap(),
             ServerRecovery::Resumed { .. }

@@ -510,38 +510,78 @@ pub fn from_hex_bits(s: &str) -> Option<f64> {
         .map(f64::from_bits)
 }
 
+/// Appends `v` to `out` as [`hex_bits`] renders it, in quotes, without
+/// an intermediate `String`.
+fn push_hex_bits(out: &mut String, v: f64) {
+    let bits = v.to_bits();
+    let mut quoted = [b'"'; 18];
+    for (slot, shift) in quoted.iter_mut().skip(1).zip((0..16u32).rev()) {
+        let nibble = ((bits >> (4 * shift)) & 0xF) as u8;
+        *slot = if nibble < 10 {
+            b'0' + nibble
+        } else {
+            b'a' - 10 + nibble
+        };
+    }
+    out.push_str(std::str::from_utf8(&quoted).unwrap_or_default());
+}
+
+/// Appends `v` to `out` in decimal, as `{}` formats it, without the
+/// formatting machinery.
+fn push_uint(out: &mut String, mut v: u64) {
+    let mut digits = [b'0'; 20];
+    let mut len = 0;
+    for slot in digits.iter_mut().rev() {
+        *slot = b'0' + (v % 10) as u8;
+        v /= 10;
+        len += 1;
+        if v == 0 {
+            break;
+        }
+    }
+    let text = digits.get(digits.len() - len..).unwrap_or_default();
+    out.push_str(std::str::from_utf8(text).unwrap_or_default());
+}
+
 /// Renders one subscription delta as a response frame.
 pub fn render_delta(sub: u64, second: u64, delta: &ResultDelta) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"delta\":{{\"sub\":{sub},\"second\":{second},\"appeared\":["
-    );
+    // Room for the frame with ten-digit ids: one allocation per line.
+    let entries = 32 * delta.appeared.len() + 11 * delta.disappeared.len();
+    let mut out = String::with_capacity(112 + entries + 51 * delta.changed.len());
+    out.push_str("{\"delta\":{\"sub\":");
+    push_uint(&mut out, sub);
+    out.push_str(",\"second\":");
+    push_uint(&mut out, second);
+    out.push_str(",\"appeared\":[");
     for (i, (o, pr)) in delta.appeared.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "[{},\"{}\"]", o.raw(), hex_bits(*pr));
+        out.push('[');
+        push_uint(&mut out, u64::from(o.raw()));
+        out.push(',');
+        push_hex_bits(&mut out, *pr);
+        out.push(']');
     }
     out.push_str("],\"disappeared\":[");
     for (i, o) in delta.disappeared.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{}", o.raw());
+        push_uint(&mut out, u64::from(o.raw()));
     }
     out.push_str("],\"changed\":[");
     for (i, (o, old, new)) in delta.changed.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(
-            out,
-            "[{},\"{}\",\"{}\"]",
-            o.raw(),
-            hex_bits(*old),
-            hex_bits(*new)
-        );
+        out.push('[');
+        push_uint(&mut out, u64::from(o.raw()));
+        out.push(',');
+        push_hex_bits(&mut out, *old);
+        out.push(',');
+        push_hex_bits(&mut out, *new);
+        out.push(']');
     }
     out.push_str("]}}");
     out
@@ -596,6 +636,7 @@ pub fn render_error(message: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_every_op() {
@@ -698,6 +739,74 @@ mod tests {
         }
         assert_eq!(from_hex_bits("xyz"), None);
         assert_eq!(from_hex_bits("00"), None);
+    }
+
+    /// How [`render_delta`] rendered a delta before it wrote digits in
+    /// place: every probability through [`hex_bits`], every integer
+    /// through the formatter.
+    fn render_delta_with_hex_bits(sub: u64, second: u64, delta: &ResultDelta) -> String {
+        let appeared: Vec<String> = (delta.appeared.iter())
+            .map(|(o, pr)| format!("[{},\"{}\"]", o.raw(), hex_bits(*pr)))
+            .collect();
+        let disappeared: Vec<String> = (delta.disappeared.iter())
+            .map(|o| o.raw().to_string())
+            .collect();
+        let changed: Vec<String> = (delta.changed.iter())
+            .map(|(o, old, new)| {
+                format!(
+                    "[{},\"{}\",\"{}\"]",
+                    o.raw(),
+                    hex_bits(*old),
+                    hex_bits(*new)
+                )
+            })
+            .collect();
+        format!(
+            "{{\"delta\":{{\"sub\":{sub},\"second\":{second},\"appeared\":[{}],\
+             \"disappeared\":[{}],\"changed\":[{}]}}}}",
+            appeared.join(","),
+            disappeared.join(","),
+            changed.join(",")
+        )
+    }
+
+    #[test]
+    fn push_uint_matches_display() {
+        for v in [0, 1, 9, 10, 99, 100, 4_294_967_295, u64::MAX - 1, u64::MAX] {
+            let mut out = String::from("x");
+            push_uint(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
+        }
+    }
+
+    proptest! {
+        /// Any bit pattern, special values included, renders as through
+        /// `hex_bits`, and any id as the formatter writes it.
+        #[test]
+        fn render_delta_matches_hex_bits(
+            sub in 0u64..u64::MAX,
+            second in 0u64..u64::MAX,
+            appeared in proptest::collection::vec((0u32..u32::MAX, 0u64..u64::MAX), 0..6),
+            disappeared in proptest::collection::vec(0u32..u32::MAX, 0..6),
+            changed in proptest::collection::vec((0u32..u32::MAX, 0u64..u64::MAX, 0u8..8), 0..6),
+        ) {
+            let special = [0.0, -0.0, 1.0, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE, 0.5, 1e-300];
+            let delta = ResultDelta {
+                appeared: (appeared.iter())
+                    .map(|&(o, bits)| (ObjectId::new(o), f64::from_bits(bits)))
+                    .collect(),
+                disappeared: disappeared.iter().map(|&o| ObjectId::new(o)).collect(),
+                changed: (changed.iter())
+                    .map(|&(o, bits, pick)| {
+                        (ObjectId::new(o), f64::from_bits(bits), special[usize::from(pick)])
+                    })
+                    .collect(),
+            };
+            prop_assert_eq!(
+                render_delta(sub, second, &delta),
+                render_delta_with_hex_bits(sub, second, &delta)
+            );
+        }
     }
 
     #[test]

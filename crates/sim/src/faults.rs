@@ -116,7 +116,7 @@ impl FaultPlan {
 /// the same reading, and `(ident, second)` pins the decision to one
 /// reading identity. Order-independence of the result is what makes
 /// faulted runs bit-identical at every worker count.
-pub fn derive_fault_seed(seed: u64, kind: u64, ident: u64, second: u64) -> u64 {
+fn derive_fault_seed(seed: u64, kind: u64, ident: u64, second: u64) -> u64 {
     let mut state = seed;
     let mut out = rand::split_mix64(&mut state);
     state ^= kind.rotate_left(48);
@@ -179,9 +179,10 @@ impl FaultInjector {
         }
     }
 
-    /// Replaces the derived outage schedule with an explicit one (for
-    /// scenario scripts that need exact downtime windows).
-    pub fn with_outages(mut self, outages: Vec<ReaderOutage>) -> Self {
+    /// Replaces the derived outage schedule with an explicit one, for
+    /// tests that need exact downtime windows.
+    #[cfg(test)]
+    fn with_outages(mut self, outages: Vec<ReaderOutage>) -> Self {
         self.outages = outages;
         self
     }
@@ -195,11 +196,6 @@ impl FaultInjector {
             delayed: recorder.counter("faults.injected.delayed"),
             outage_losses: recorder.counter("faults.injected.outage_losses"),
         };
-    }
-
-    /// The plan in force.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// The outage schedule (derived or explicit), for telling outage-aware
@@ -289,7 +285,7 @@ impl FaultInjector {
 /// walks its own RNG stream second by second; with probability
 /// [`FaultPlan::outage_rate`] an outage starts, lasting a uniform
 /// `1..=2·mean−1` seconds. Windows of one reader never overlap.
-pub fn random_outages(plan: &FaultPlan, reader_count: usize, duration: u64) -> Vec<ReaderOutage> {
+fn random_outages(plan: &FaultPlan, reader_count: usize, duration: u64) -> Vec<ReaderOutage> {
     let mut out = Vec::new();
     if plan.outage_rate <= 0.0 {
         return out;

@@ -40,9 +40,7 @@ mod world;
 
 pub use checkpoint::RecoveryOutcome;
 pub use experiment::{AccuracyReport, Experiment};
-pub use faults::{
-    derive_fault_seed, random_outages, FaultInjector, FaultPlan, ReaderOutage, TaggedReading,
-};
+pub use faults::{FaultInjector, FaultPlan, ReaderOutage, TaggedReading};
 pub use ground_truth::GroundTruth;
 pub use params::ExperimentParams;
 pub use readings::ReadingGenerator;

@@ -23,8 +23,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ripq::core::{
-    evaluate_knn, evaluate_ptknn, evaluate_range, prune_knn_candidates, reader_distances,
-    uncertain_region_radius, EvaluationReport, IndoorQuerySystem, KnnQuery, PtknnQuery, QueryId,
+    evaluate_knn, evaluate_ptknn, evaluate_range, reader_distances, uncertain_region_radius,
+    EvaluationReport, IndoorQuerySystem, KnnQuery, PruningTable, PtknnQuery, QueryId,
     RecoveryOutcome, ResultSet, SystemConfig, TimingMode,
 };
 use ripq::floorplan::{office_building, FloorPlan, FloorPlanBuilder, OfficeParams};
@@ -453,7 +453,9 @@ fn knn_pruning_matches_full_tree_bounds() {
             let row = reader_distances(&graph, &readers, point);
             for (k, now) in [(1usize, 10u64), (3, 14), (5, 30)] {
                 let q = KnnQuery::new(QueryId::new(0), point, k).expect("k >= 1");
-                let got = prune_knn_candidates(&collector, &readers, &q, now, MAX_SPEED, &row);
+                let mut table = PruningTable::new(&collector, &readers, now, MAX_SPEED);
+                table.admit_knn(q.k, &row);
+                let got = table.admitted();
                 let want = full_tree_prune(&graph, &collector, &readers, point, k, now);
                 pruned_somewhere |= got.len() < detections.len();
                 assert_eq!(got, want, "plan {pi}, round {round}, k={k}, now={now}");

@@ -6,7 +6,7 @@ use ripq::core::{evaluate_knn, evaluate_range, KnnQuery, QueryId};
 use ripq::floorplan::FloorPlanBuilder;
 use ripq::geom::{Point2, Rect};
 use ripq::graph::{
-    build_walking_graph, AnchorId, AnchorObjectIndex, AnchorSet, DeltaOutcome, GraphPos,
+    build_walking_graph, AnchorId, AnchorObjectIndex, AnchorSet, DeltaOutcome, GraphPos, KdeScratch,
 };
 use ripq::persist::{ByteReader, ByteWriter};
 use ripq::pf::{FilterTables, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
@@ -120,7 +120,7 @@ proptest! {
             .iter()
             .map(|&f| (GraphPos::new(e.id, e.length() * f), 1.0 / n))
             .collect();
-        let dist = anchors.kde_distribution(cloud, bandwidth);
+        let dist = anchors.kde_distribution(&mut KdeScratch::default(), cloud, bandwidth);
         let total: f64 = dist.iter().map(|(_, p)| p).sum();
         prop_assert!((total - 1.0).abs() < 1e-9, "mass {total}");
         // All probabilities positive, anchors unique and sorted.

@@ -429,7 +429,8 @@ fn snapshot_naming_an_unknown_anchor_is_quarantined() {
     let mut payload = load_snapshot(&path).expect("a sealed snapshot");
     let at = payload.len() - 12;
     payload[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-    write_atomic(&path, &seal_snapshot(&payload)).expect("rewrite");
+    let frame = seal_snapshot(|w| payload.iter().for_each(|&b| w.put_u8(b)));
+    write_atomic(&path, &frame).expect("rewrite");
 
     let mut life2 = new_system(Some(1), true);
     let outcome = life2.recover(&dir).expect("recover never errors on damage");

@@ -205,13 +205,14 @@ pub struct UseSite {
 }
 
 /// Methods that take an instrument name as their first (literal) argument.
-const METHODS: [(&str, Kind); 7] = [
+const METHODS: [(&str, Kind); 8] = [
     ("counter", Kind::Counter),
     ("add", Kind::Counter),
     ("gauge", Kind::Gauge),
     ("set_gauge", Kind::Gauge),
     ("histogram", Kind::Histogram),
     ("observe", Kind::Histogram),
+    ("span", Kind::Span),
     ("record_span", Kind::Span),
 ];
 
