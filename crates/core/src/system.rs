@@ -21,7 +21,7 @@ use ripq_graph::{
 use ripq_obs::{Counter, Gauge, MetricsSnapshot, Recorder, Span};
 use ripq_persist::{crc32, ByteReader, ByteWriter, PersistError};
 use ripq_pf::{
-    CacheStats, DegradationLevel, FilterTables, ParticleCache, ParticlePreprocessor, PfMetrics,
+    CacheStats, DegradationLevel, FilterWorld, ParticleCache, ParticlePreprocessor, PfMetrics,
     PreprocessorConfig, SupervisionOptions,
 };
 use ripq_rfid::{deploy_uniform, DataCollector, ObjectId, RawReading, Reader, ReaderId};
@@ -52,12 +52,14 @@ pub struct SystemConfig {
     pub prune_candidates: bool,
     /// Monte-Carlo rounds per PTkNN query evaluation.
     pub ptknn_rounds: usize,
-    /// Worker threads for particle-filter preprocessing. `None` (default)
-    /// chooses per pass: every core ([`ripq_pf::available_cores`]) once
-    /// the pass plans [`ripq_pf::FAN_OUT_WORK`] particle-seconds, else the
-    /// calling thread alone. `Some(n)` forces `n` workers, and `Some(0|1)`
-    /// the calling thread. Results are bit-identical for every setting:
-    /// each object draws from its own RNG stream (see
+    /// Worker threads for particle-filter preprocessing. Every pass with
+    /// more than one run filters on the calling thread and on helpers of
+    /// the process's pool, at most one worker per run. `None` (default)
+    /// caps a pass at every core ([`ripq_pf::available_cores`]);
+    /// `Some(n)` caps it at `n` workers, the calling thread included, and
+    /// `Some(0|1)` keeps it on the calling thread. No setting starts more
+    /// threads than the machine has cores. Results are bit-identical for
+    /// every setting: each object draws from its own RNG stream (see
     /// [`ripq_pf::derive_stream_seed`]).
     pub parallelism: Option<usize>,
     /// Out-of-order tolerance of the reading pipeline, in seconds:
@@ -171,11 +173,10 @@ pub struct EvaluationReport {
 /// 3. register queries; call [`IndoorQuerySystem::evaluate`].
 pub struct IndoorQuerySystem {
     plan: FloorPlan,
-    graph: WalkingGraph,
-    anchors: AnchorSet,
-    readers: Vec<Reader>,
-    /// What the particle filter reads of the deployment, built once.
-    tables: FilterTables,
+    /// The walking graph, anchors and reader deployment, with the tables
+    /// the particle filter keeps of them: built once, and shared with
+    /// every pass's preprocessing helpers.
+    world: Arc<FilterWorld>,
     /// CRC32 of the deployment (see [`world_fingerprint`]), written at the
     /// front of every snapshot so a snapshot is only ever restored into
     /// the world it was taken in.
@@ -353,17 +354,14 @@ impl IndoorQuerySystem {
     ) -> Self {
         let anchors = AnchorSet::generate(&graph, &plan, config.anchor_spacing);
         let world_crc = world_fingerprint(&graph, &anchors, &readers);
-        let tables = FilterTables::new(&graph, &readers);
+        let world = Arc::new(FilterWorld::new(graph, anchors, readers));
         let recorder = Recorder::from_flag(config.observability);
         let mut collector = DataCollector::new();
         collector.set_recorder(&recorder);
         collector.set_reorder_window(config.reorder_window);
         IndoorQuerySystem {
             plan,
-            graph,
-            anchors,
-            readers,
-            tables,
+            world,
             world_crc,
             collector,
             cache: ParticleCache::new(),
@@ -390,17 +388,17 @@ impl IndoorQuerySystem {
 
     /// The walking graph.
     pub fn graph(&self) -> &WalkingGraph {
-        &self.graph
+        self.world.graph()
     }
 
     /// The anchor set.
     pub fn anchors(&self) -> &AnchorSet {
-        &self.anchors
+        self.world.anchors()
     }
 
     /// The reader deployment.
     pub fn readers(&self) -> &[Reader] {
-        &self.readers
+        self.world.readers()
     }
 
     /// The data collector (read access).
@@ -469,7 +467,7 @@ impl IndoorQuerySystem {
         let id = QueryId::new(self.next_query);
         let q = RangeQuery::new(id, window)?;
         self.next_query += 1;
-        let parts = RangeParts::new(&self.plan, &self.anchors, &window);
+        let parts = RangeParts::new(&self.plan, self.world.anchors(), &window);
         self.range_queries.insert(id, (q, parts));
         Ok(id)
     }
@@ -484,7 +482,7 @@ impl IndoorQuerySystem {
         let id = QueryId::new(self.next_query);
         let q = KnnQuery::new(id, point, k)?;
         self.next_query += 1;
-        let frontier = Frontier::new(&self.graph, &self.readers, point);
+        let frontier = Frontier::new(self.world.graph(), self.world.readers(), point);
         self.knn_queries.insert(id, (q, frontier));
         Ok(id)
     }
@@ -502,7 +500,7 @@ impl IndoorQuerySystem {
         let q = PtknnQuery::new(point, k, threshold)?;
         let id = QueryId::new(self.next_query);
         self.next_query += 1;
-        let frontier = Frontier::new(&self.graph, &self.readers, point);
+        let frontier = Frontier::new(self.world.graph(), self.world.readers(), point);
         self.ptknn_queries.insert(id, (q, frontier));
         Ok(id)
     }
@@ -571,7 +569,7 @@ impl IndoorQuerySystem {
             c.sort_unstable();
             c
         } else {
-            let (collector, readers) = (&self.collector, &self.readers[..]);
+            let (collector, readers) = (&self.collector, self.world.readers());
             let mut table = PruningTable::new(collector, readers, now, self.config.max_speed);
             let windows: Vec<Rect> = self.range_queries.values().map(|(q, _)| q.window).collect();
             let from_range = table.admit_range(readers, &windows);
@@ -615,14 +613,9 @@ impl IndoorQuerySystem {
         // `config.parallelism` says.
         let t_pre = clock.now();
         let pass_seed: u64 = self.rng.random();
-        let preprocessor = ParticlePreprocessor::new(
-            &self.graph,
-            &self.anchors,
-            &self.readers,
-            &self.tables,
-            self.config.preprocess,
-        )
-        .with_metrics(&metrics.pf);
+        let preprocessor =
+            ParticlePreprocessor::new(Arc::clone(&self.world), self.config.preprocess)
+                .with_metrics(&metrics.pf);
         let cache = self.config.use_cache.then_some(&mut self.cache);
         let supervision = SupervisionOptions {
             budget,
@@ -666,7 +659,7 @@ impl IndoorQuerySystem {
         // Search effort of every distance scan in this pass.
         let mut scans = ScanCounts::default();
         let mut knn_results = BTreeMap::new();
-        let (graph, anchors) = (&self.graph, &self.anchors);
+        let (graph, anchors) = (self.world.graph(), self.world.anchors());
         for (id, (q, frontier)) in &mut self.knn_queries {
             let t_q = obs_on.then(|| clock.now());
             let scan = frontier.scan(graph, anchors);
@@ -875,11 +868,11 @@ impl IndoorQuerySystem {
             });
         }
         let last_ingest = r.get_opt_u64()?;
-        let mut collector = DataCollector::decode_state(r, self.readers.len())?;
+        let mut collector = DataCollector::decode_state(r, self.world.readers().len())?;
         let cache = ParticleCache::decode_state(r)?;
         let rng_state = [r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?];
         let metrics = checkpoint::decode_metrics(r)?;
-        let live_index = checkpoint::decode_index(r, self.anchors.anchors().len())?;
+        let live_index = checkpoint::decode_index(r, self.world.anchors().anchors().len())?;
         if r.remaining() != 0 {
             return Err(PersistError::Torn);
         }

@@ -29,8 +29,12 @@ pub struct AnchorPoint {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AnchorSet {
     anchors: Vec<AnchorPoint>,
-    /// Anchor ids per edge, ordered by increasing offset.
+    /// Anchor ids per edge, ordered by increasing offset. Each edge's ids
+    /// are one consecutive run.
     per_edge: Vec<Vec<AnchorId>>,
+    /// Every anchor's offset on its edge, by anchor id: each edge's
+    /// offsets, ascending, are the slice its id run spans.
+    offsets: Vec<f64>,
     /// Anchor ids whose point lies inside each room (dense by room index).
     per_room: Vec<Vec<AnchorId>>,
     /// Anchor ids whose point lies inside each hallway (dense by hallway
@@ -78,9 +82,11 @@ impl AnchorSet {
             }
         }
 
+        let offsets = anchors.iter().map(|a| a.pos.offset).collect();
         AnchorSet {
             anchors,
             per_edge,
+            offsets,
             per_room,
             per_hallway,
             spacing,
@@ -109,6 +115,15 @@ impl AnchorSet {
     #[inline]
     pub fn on_edge(&self, e: EdgeId) -> &[AnchorId] {
         &self.per_edge[e.index()]
+    }
+
+    /// The offsets of [`AnchorSet::on_edge`]'s anchors, in the same
+    /// order, read from one flat array.
+    fn offsets_on_edge(&self, list: &[AnchorId]) -> &[f64] {
+        let first = list.first().map_or(0, |a| a.index());
+        self.offsets
+            .get(first..first + list.len())
+            .unwrap_or_default()
     }
 
     /// Anchors inside a room.
@@ -256,13 +271,14 @@ impl AnchorSet {
             // anchors within reach are one run, starting past those at
             // or below `-bandwidth`.
             let list = self.on_edge(pos.edge);
-            let from =
-                list.partition_point(|&a| self.anchor(a).pos.offset - pos.offset <= -bandwidth);
+            let offsets = self.offsets_on_edge(list);
+            let from = offsets.partition_point(|&o| o - pos.offset <= -bandwidth);
             let mut total = 0.0;
             let reach = list
                 .iter()
+                .zip(offsets)
                 .skip(from)
-                .map(|&a| (a, (self.anchor(a).pos.offset - pos.offset).abs()))
+                .map(|(&a, &o)| (a, (o - pos.offset).abs()))
                 .take_while(|&(_, d)| d < bandwidth);
             for (a, d) in reach {
                 let k = 1.0 - d / bandwidth;

@@ -29,8 +29,9 @@
 //! ```
 //! use ripq_floorplan::{office_building, OfficeParams};
 //! use ripq_graph::{build_walking_graph, AnchorObjectIndex, AnchorSet};
-//! use ripq_pf::{FilterTables, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
+//! use ripq_pf::{FilterWorld, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
 //! use ripq_rfid::{deploy_uniform, DataCollector, ObjectId};
+//! use std::sync::Arc;
 //!
 //! let plan = office_building(&OfficeParams::default()).unwrap();
 //! let graph = build_walking_graph(&plan);
@@ -45,9 +46,9 @@
 //!     collector.ingest_second(second, &seen);
 //! }
 //!
-//! let tables = FilterTables::new(&graph, &readers);
+//! let world = Arc::new(FilterWorld::new(graph, anchors, readers));
 //! let config = PreprocessorConfig::default();
-//! let pre = ParticlePreprocessor::new(&graph, &anchors, &readers, &tables, config);
+//! let pre = ParticlePreprocessor::new(world, config);
 //! let mut index = AnchorObjectIndex::new();
 //! let options = SupervisionOptions::default();
 //! pre.process(7, &collector, &[object], 9, None, None, &options, &mut index);
@@ -62,6 +63,7 @@ mod adaptive;
 mod cache;
 mod measurement;
 mod motion;
+mod pool;
 mod preprocess;
 mod seed;
 mod sir;
@@ -72,10 +74,11 @@ pub use adaptive::KldConfig;
 pub use cache::{CacheStats, EpisodeKey, ParticleCache};
 pub use measurement::MeasurementModel;
 pub use motion::MotionModel;
+pub use pool::{available_cores, jobs_published};
 pub use preprocess::{
-    available_cores, derive_stream_seed, DegradationLevel, ParticlePreprocessor, PfMetrics,
-    PreprocessorConfig, SupervisionOptions, FAN_OUT_WORK,
+    derive_stream_seed, DegradationLevel, ParticlePreprocessor, PfMetrics, PreprocessorConfig,
+    SupervisionOptions,
 };
-pub use sir::{resample_systematic, FilterTables};
+pub use sir::{resample_systematic, FilterWorld};
 pub use state::{Heading, IndoorState};
 pub use trajectory::{reconstruct_trajectory, TrajectoryConfig, TrajectoryPoint};

@@ -11,68 +11,45 @@
 //! # Parallel preprocessing
 //!
 //! Objects are independent: the world state (graph, anchors, readers) is
-//! read-only, and each object's cache entry travels with the object, so
-//! [`ParticlePreprocessor::process`] can fan candidates out over worker
-//! threads whose only shared pass state is their work queue. To keep the
+//! read-only, and each object's run owns its plan, its cache entry and a
+//! copy of its readings, so [`ParticlePreprocessor::process`] can hand
+//! runs to the process's helper threads (the `pool` module), which share
+//! nothing with the calling thread but the pass's work queue. To keep the
 //! output *bit-identical* regardless of the worker count, each object
 //! draws from its own RNG stream, derived deterministically from
 //! `(pass_seed, object id, resume timestamp)` by [`derive_stream_seed`] —
 //! no draw ever depends on which objects were processed before it, or on
-//! which thread it ran. Unless the caller forces a worker count, each pass
-//! picks one with [`pass_workers`]: every core once its planned work
-//! reaches [`FAN_OUT_WORK`], else the calling thread alone.
+//! which thread it ran. Every pass with more than one run fans out, up to
+//! one worker per core ([`pass_workers`]), and merges each run as it
+//! finishes: the merge's every step commutes.
 
 use crate::cache::{CacheEntry, EpisodeKey};
+use crate::pool::{available_cores, lock, Help, Pool};
 use crate::sir::{Particles, Sir, SirModel, Update};
-use crate::{FilterTables, IndoorState, KldConfig, MeasurementModel, MotionModel, ParticleCache};
-use parking_lot::Mutex;
+use crate::{FilterWorld, IndoorState, KldConfig, MeasurementModel, MotionModel, ParticleCache};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ripq_graph::{
-    AnchorId, AnchorObjectIndex, AnchorSet, DeltaOutcome, IndexDeltaStats, WalkingGraph,
-};
+use ripq_graph::{AnchorId, AnchorObjectIndex, DeltaOutcome, IndexDeltaStats};
 use ripq_obs::{Counter, Histogram, Recorder};
-use ripq_rfid::{DataCollector, ObjectId, Reader, ReaderId};
+use ripq_rfid::{DataCollector, ObjectId, ReaderId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::fmt;
-use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, PoisonError};
 
-/// Planned particle-seconds (Σ simulated seconds × `Ns` over a pass's
-/// runs) at which a pass with no forced worker count fans out over every
-/// core. 2^16 particle-seconds take about 3 ms to filter, and a helper
-/// thread costs about 50 µs to start and join, so below this a pass stays
-/// on the calling thread.
-pub const FAN_OUT_WORK: u64 = 1 << 16;
-
-/// The worker count of one pass. `Some(n)` forces `n`; `None` takes
-/// `cores()` once `planned_work` reaches [`FAN_OUT_WORK`], else one.
-/// Either way the count is clamped to `1..=runs`, so no worker starts
-/// without a run to take. `cores` is asked only when a pass fans out, so
-/// the first read of the machine's core count, which allocates, never
-/// lands in a small pass.
-fn pass_workers(
-    parallelism: Option<usize>,
-    planned_work: u64,
-    runs: usize,
-    cores: impl FnOnce() -> usize,
-) -> usize {
-    let wanted = match parallelism {
-        Some(n) => n,
-        None if planned_work >= FAN_OUT_WORK => cores(),
-        None => 1,
-    };
-    wanted.clamp(1, runs.max(1))
-}
-
-/// `std::thread::available_parallelism`, read once per process (1 when
-/// the platform cannot tell): the worker count of a large pass with no
-/// forced count.
-pub fn available_cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+/// The worker count of one pass, the calling thread included: `Some(n)`
+/// caps it at `n` and `None` at `cores()`, and either way at one worker
+/// per run and at least one. A pass of one run never asks `cores`, so the
+/// first read of the machine's core count, which allocates, never lands
+/// in it.
+fn pass_workers(parallelism: Option<usize>, runs: usize, cores: impl FnOnce() -> usize) -> usize {
+    if runs <= 1 {
+        return 1;
+    }
+    parallelism.unwrap_or_else(cores).clamp(1, runs)
 }
 
 /// Derives the seed of one object's private RNG stream for one
@@ -206,11 +183,10 @@ impl Default for SupervisionOptions {
     }
 }
 
-/// Everything [`ParticlePreprocessor::filter_object`] needs that was
-/// decided *before* any random draw: the episode identity, the simulation
-/// window, and the object's cache entry. Splitting this out lets the pass
-/// derive the per-object RNG from the resume timestamp before the filter
-/// body runs.
+/// Everything [`Job::filter_object`] needs that was decided *before* any
+/// random draw: the episode identity, the simulation window, and the
+/// object's cache entry. Splitting this out lets the pass derive the
+/// per-object RNG from the resume timestamp before the filter body runs.
 struct ObjectPlan {
     episode_key: EpisodeKey,
     /// `tmin = min(td + coast, now)` — Algorithm 2 line 6.
@@ -219,6 +195,9 @@ struct ObjectPlan {
     seed_device: ReaderId,
     /// First retained second of the object's readings (`t0`).
     agg_start: u64,
+    /// The last detecting reader and the second it last detected the
+    /// object: the center and age of the fallback's pruning circle.
+    last_detection: (ReaderId, u64),
     /// On a cache hit, the entry the pass took out of the cache (the
     /// lookup already counted toward the statistics).
     cached: Option<CacheEntry>,
@@ -229,16 +208,40 @@ struct ObjectPlan {
     /// [`derive_stream_seed`].
     resume_timestamp: u64,
     /// Seconds the filter simulates, `tmin − resume_timestamp` (0 when the
-    /// cached cloud is already past `tmin`). The budget ladder and the
-    /// fan-out decision both charge this figure.
+    /// cached cloud is already past `tmin`). The budget ladder charges
+    /// this figure, and the work queue runs the longest first.
     work_seconds: u64,
 }
 
-/// What supervising one planned candidate hands back to the merge.
+impl ObjectPlan {
+    /// The plan of a retry: the same window with no cached states, so the
+    /// filter reseeds from the last readings instead of resuming whatever
+    /// states a panicking run left behind.
+    fn reseeded(&self) -> ObjectPlan {
+        ObjectPlan {
+            cached: None,
+            resume_timestamp: self.agg_start,
+            work_seconds: self.tmin.saturating_sub(self.agg_start),
+            ..*self
+        }
+    }
+}
+
+/// One planned candidate as a worker takes it from the queue: its plan,
+/// its level, and its readings as a range of the job's copy, so that no
+/// helper ever reads the collector.
+struct Run {
+    object: ObjectId,
+    plan: ObjectPlan,
+    level: DegradationLevel,
+    detections: Range<usize>,
+}
+
+/// What supervising one run hands back to the merge.
 struct Outcome {
-    /// The answered distribution and its level; `None` when the object has
-    /// no answer, not even the fallback.
-    answer: Option<(Vec<(AnchorId, f64)>, DegradationLevel)>,
+    object: ObjectId,
+    /// The answered distribution, and the level it was produced at.
+    answer: (Vec<(AnchorId, f64)>, DegradationLevel),
     /// The entry the object's cache slot holds after the pass.
     entry: Option<CacheEntry>,
     /// A panicking run took the planned entry down with it, which counts
@@ -246,12 +249,80 @@ struct Outcome {
     dropped: bool,
 }
 
+/// What one worker's runs counted, recorded by the pass's calling thread
+/// once the pass is over, so that no helper touches a shared metric.
+/// Every recording commutes, so the totals are those of recording each
+/// step as it happens. Raw histogram observations are kept only while
+/// the recorder is on.
+#[derive(Debug, Default)]
+struct Tally {
+    observe: bool,
+    objects: u64,
+    sir_iterations: u64,
+    resamples: u64,
+    sensor_resets: u64,
+    cache_resumes: u64,
+    cutoff_hits: u64,
+    cutoff_seconds_skipped: u64,
+    panics: u64,
+    retries: u64,
+    quarantined: u64,
+    ess: Vec<f64>,
+    resume_depth: Vec<u64>,
+    final_particles: Vec<u64>,
+}
+
+impl Tally {
+    fn new(observe: bool) -> Self {
+        Tally {
+            observe,
+            ..Tally::default()
+        }
+    }
+
+    /// Counts the 60 s coast cutoff when it truncates the window.
+    fn cutoff(&mut self, tmin: u64, now: u64) {
+        if tmin < now {
+            self.cutoff_hits += 1;
+            self.cutoff_seconds_skipped += now - tmin;
+        }
+    }
+
+    fn record(&self, m: &PfMetrics) {
+        m.objects.add(self.objects);
+        m.sir_iterations.add(self.sir_iterations);
+        m.resamples.add(self.resamples);
+        m.sensor_resets.add(self.sensor_resets);
+        m.cache_resumes.add(self.cache_resumes);
+        m.cutoff_hits.add(self.cutoff_hits);
+        m.cutoff_seconds_skipped.add(self.cutoff_seconds_skipped);
+        for &ess in &self.ess {
+            m.ess.observe_f64(ess);
+        }
+        for &depth in &self.resume_depth {
+            m.resume_depth.observe(depth);
+        }
+        for &kept in &self.final_particles {
+            m.final_particles.observe(kept);
+        }
+        // `degrade.*` names appear only once degradation happens.
+        if self.panics > 0 {
+            m.recorder.add("degrade.pf_panics", self.panics);
+        }
+        if self.retries > 0 {
+            m.recorder.add("degrade.retries", self.retries);
+        }
+        if self.quarantined > 0 {
+            m.recorder.add("degrade.quarantined", self.quarantined);
+        }
+    }
+}
+
 /// Resolved `pf.*` metric handles: resolving registers every name at
 /// zero, so a system resolves them once, on its first pass, and hands
-/// them to each pass's preprocessor. Every recording operation is
-/// commutative (atomic adds, histogram bucket counts), so worker threads
-/// sharing one preprocessor produce interleaving-independent totals.
-/// The default is all no-ops.
+/// them to each pass's preprocessor. Only the pass's calling thread
+/// records through them, from the runs' tallies. The default is all
+/// no-ops.
 #[derive(Debug, Clone, Default)]
 pub struct PfMetrics {
     /// Objects run through Algorithm 2.
@@ -305,48 +376,434 @@ impl PfMetrics {
     }
 }
 
-/// Algorithm 2 runner, borrowing the static world description.
-pub struct ParticlePreprocessor<'a> {
-    anchors: &'a AnchorSet,
-    /// The SIR filter every object runs, over the borrowed graph and
-    /// readers.
-    sir: Sir<'a>,
+/// The model the filter of `config` applies.
+fn sir_model(config: &PreprocessorConfig) -> SirModel {
+    SirModel {
+        motion: config.motion,
+        measurement: config.measurement,
+        negative_evidence: config.negative_evidence,
+        resample_threshold: config.resample_threshold,
+        adaptive: config.adaptive,
+        num_particles: config.num_particles,
+    }
+}
+
+/// Where one pass's runs stand.
+struct Progress {
+    /// The runs no worker has taken yet, longest first.
+    queue: std::vec::IntoIter<Run>,
+    /// Runs a helper holds.
+    held: usize,
+    /// Runs helpers finished that the calling thread has not merged.
+    finished: Vec<Outcome>,
+    /// The tallies of helpers that found the queue empty.
+    tallies: Vec<Tally>,
+}
+
+/// One pass's runs and everything they read, shared by the calling
+/// thread and the helpers that take the pass's tickets.
+struct Job {
+    world: Arc<FilterWorld>,
+    config: PreprocessorConfig,
+    pass_seed: u64,
+    now: u64,
+    options: SupervisionOptions,
+    /// Whether tallies keep raw histogram observations.
+    observe: bool,
+    /// Every run's retained detections, copied from the collector on the
+    /// calling thread: a retry replays them from the first.
+    detections: Vec<(u64, ReaderId)>,
+    progress: Mutex<Progress>,
+}
+
+/// A run a helper holds. Should the helper unwind past the run's own
+/// isolation, dropping this releases the run, absent from the merge, so
+/// the calling thread never waits on it.
+struct Held<'j> {
+    job: &'j Job,
+    released: bool,
+}
+
+impl Held<'_> {
+    /// Hands `outcome` in and takes the next run, if any.
+    fn finish(mut self, outcome: Outcome, tally: &mut Tally) -> Option<Run> {
+        self.released = true;
+        self.job.hand_in(Some(outcome), tally)
+    }
+}
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        if !self.released {
+            let mut progress = lock(&self.job.progress);
+            progress.held = progress.held.saturating_sub(1);
+        }
+    }
+}
+
+impl Help for Job {
+    fn help(&self, particles: &mut Particles) {
+        let sir = self.sir();
+        sir.reserve(particles);
+        let mut tally = Tally::new(self.observe);
+        let mut next = self.hand_in(None, &mut tally);
+        while let Some(run) = next {
+            let held = Held {
+                job: self,
+                released: false,
+            };
+            let outcome = self.run_supervised(&sir, particles, &mut tally, run);
+            next = held.finish(outcome, &mut tally);
+        }
+    }
+}
+
+impl Job {
+    fn sir(&self) -> Sir<'_> {
+        self.world.sir(sir_model(&self.config))
+    }
+
+    /// A helper's one critical section per run: hands in the outcome of
+    /// the run it held, if any, and takes the next run; when none is
+    /// left, it leaves its tally instead, in the same section, so a pass
+    /// that sees no run held has every helper's tally.
+    fn hand_in(&self, outcome: Option<Outcome>, tally: &mut Tally) -> Option<Run> {
+        let mut progress = lock(&self.progress);
+        if let Some(outcome) = outcome {
+            progress.finished.push(outcome);
+            progress.held -= 1;
+        }
+        let next = progress.queue.next();
+        match next {
+            Some(_) => progress.held += 1,
+            None => progress.tallies.push(std::mem::take(tally)),
+        }
+        next
+    }
+
+    /// The calling thread's turn: swaps the outcomes helpers finished into
+    /// the empty `finished`, and takes the next run. Also tells whether a
+    /// helper still holds a run.
+    fn take_for_caller(&self, finished: &mut Vec<Outcome>) -> (Option<Run>, bool) {
+        let mut progress = lock(&self.progress);
+        std::mem::swap(&mut progress.finished, finished);
+        (progress.queue.next(), progress.held > 0)
+    }
+
+    /// Lines 7–36 of Algorithm 2: seed or resume the filter in
+    /// `particles`, replay the retained `detections` up to `tmin`, snap to
+    /// anchors. All random draws of the object happen here, in a fixed
+    /// order independent of other objects. `particles_override` runs the
+    /// same filter with fewer particles on the degraded-evaluation path.
+    ///
+    /// Also returns the entry the object's cache slot holds afterwards: the
+    /// cached entry untouched when its cloud is already past `tmin`;
+    /// otherwise, when the plan keeps an entry, the filtered cloud, written
+    /// into the cached entry's own buffer on a hit.
+    #[allow(clippy::too_many_arguments)]
+    fn filter_object<R: Rng>(
+        &self,
+        sir: &Sir<'_>,
+        rng: &mut R,
+        particles: &mut Particles,
+        tally: &mut Tally,
+        detections: &[(u64, ReaderId)],
+        plan: ObjectPlan,
+        particles_override: Option<usize>,
+    ) -> (Vec<(AnchorId, f64)>, Option<CacheEntry>) {
+        let num_particles = particles_override.unwrap_or(self.config.num_particles);
+        let start = match &plan.cached {
+            Some(entry) => {
+                tally.cache_resumes += 1;
+                if tally.observe {
+                    let depth = entry.timestamp.saturating_sub(plan.agg_start);
+                    tally.resume_depth.push(depth);
+                }
+                // A reduced-budget resume keeps a deterministic prefix of
+                // the cached cloud rather than discarding the prior
+                // entirely.
+                let cloud: &[IndoorState] = &entry.particles;
+                let prefix = particles_override.and_then(|n| cloud.get(..n));
+                particles.resume(prefix.unwrap_or(cloud));
+                if entry.timestamp > plan.tmin {
+                    // Cached states are already past tmin: reuse directly.
+                    return (self.finish(particles, tally, 0), plan.cached);
+                }
+                entry.timestamp + 1
+            }
+            None => {
+                // Fresh start: seed within the second-most-recent device's
+                // activation range at the first retained second (line 5).
+                let reader = sir.reader(plan.seed_device);
+                sir.seed(particles, rng, reader, num_particles);
+                plan.agg_start + 1
+            }
+        };
+
+        // Main loop — lines 7..31. Line 17: the reading of tj, the next
+        // retained detection if it falls on tj, else None (silent).
+        let mut next = detections.partition_point(|&(s, _)| s < start);
+        let mut simulated = 0u64;
+        for tj in start..=plan.tmin {
+            let reading = match detections.get(next) {
+                Some(&(s, reader)) if s == tj => {
+                    next += 1;
+                    Some(reader)
+                }
+                _ => None,
+            };
+            let update = sir.iterate(particles, rng, reading);
+            simulated += 1;
+            match update {
+                Update::Coasted => {}
+                Update::Reweighted { ess, resampled } => {
+                    if tally.observe {
+                        tally.ess.push(ess);
+                    }
+                    tally.resamples += u64::from(resampled);
+                }
+                Update::Reset => tally.sensor_resets += 1,
+            }
+        }
+
+        let entry = plan.caching.then(|| {
+            // A hit refills the buffer it resumed from: no allocation.
+            let mut states = plan.cached.map(|e| e.particles).unwrap_or_default();
+            states.clear();
+            states.extend_from_slice(particles.states());
+            CacheEntry {
+                particles: states,
+                timestamp: plan.tmin.max(start.saturating_sub(1)),
+                episode: plan.episode_key,
+            }
+        });
+        (self.finish(particles, tally, simulated), entry)
+    }
+
+    /// Lines 32–36: snaps each particle to its nearest anchor point,
+    /// `p(o at ap) = n/Ns`, smoothed by the configured kernel.
+    fn finish(
+        &self,
+        particles: &mut Particles,
+        tally: &mut Tally,
+        simulated: u64,
+    ) -> Vec<(AnchorId, f64)> {
+        tally.objects += 1;
+        tally.sir_iterations += simulated;
+        if tally.observe {
+            tally.final_particles.push(particles.states().len() as u64);
+        }
+        particles.distribution(self.world.anchors(), self.config.kde_bandwidth)
+    }
+
+    /// The weakest answer the readings still support: a uniform
+    /// distribution over the anchors inside the object's pruning circle
+    /// (§4.3), centered at the last detecting reader with radius
+    /// `activation_range + v_max · (now − t_last)`.
+    fn fallback_distribution(&self, sir: &Sir<'_>, last: (ReaderId, u64)) -> Vec<(AnchorId, f64)> {
+        let (reader, t_last) = last;
+        let r = sir.reader(reader);
+        let center = r.position();
+        // The motion model draws speeds from N(μ, σ²); μ + 3σ bounds the
+        // population for the same purpose SystemConfig::max_speed serves
+        // in query pruning.
+        let v_max = self.config.motion.speed_mean + 3.0 * self.config.motion.speed_std;
+        let radius = r.activation_range() + v_max * self.now.saturating_sub(t_last) as f64;
+        let anchors = self.world.anchors();
+        let inside: Vec<AnchorId> = anchors
+            .anchors()
+            .iter()
+            .filter(|a| a.point.distance(center) <= radius)
+            .map(|a| a.id)
+            .collect();
+        let ids = if inside.is_empty() {
+            // Degenerate circle (no anchor inside): the nearest anchor to
+            // the reader carries all the mass.
+            vec![anchors.nearest(r.graph_pos())]
+        } else {
+            inside
+        };
+        let mass = 1.0 / ids.len() as f64;
+        ids.into_iter().map(|a| (a, mass)).collect()
+    }
+
+    /// One supervised run: the (possibly budget-reduced) filter in the
+    /// worker's `particles` under panic isolation with bounded retry,
+    /// degrading to the uniform fallback when the filter is persistently
+    /// poisoned. The outcome holds the answered distribution, the level it
+    /// was produced at, and the entry the object's cache slot holds
+    /// afterwards: untouched when nothing ran, none after a panic unless a
+    /// retry refilled it.
+    fn run_supervised(
+        &self,
+        sir: &Sir<'_>,
+        particles: &mut Particles,
+        tally: &mut Tally,
+        run: Run,
+    ) -> Outcome {
+        let Run {
+            object,
+            plan,
+            level,
+            detections,
+        } = run;
+        let last = plan.last_detection;
+        if matches!(level, DegradationLevel::UniformFallback) {
+            return Outcome {
+                object,
+                answer: (self.fallback_distribution(sir, last), level),
+                entry: plan.cached,
+                dropped: false,
+            };
+        }
+        let detections = self.detections.get(detections).unwrap_or_default();
+        let particles_override = match level {
+            DegradationLevel::ReducedParticles => Some(
+                self.config
+                    .adaptive
+                    .unwrap_or_default()
+                    .min_particles
+                    .min(self.config.num_particles),
+            ),
+            _ => None,
+        };
+        let options = &self.options;
+        let fresh = plan.reseeded();
+        let mut plan = Some(plan);
+        let mut dropped = false;
+        for attempt in 0..=RETRY_LIMIT {
+            let p = plan.take().unwrap_or_else(|| {
+                // A retry plans the same window again, as the first
+                // attempt's planning did.
+                tally.cutoff(fresh.tmin, self.now);
+                fresh.reseeded()
+            });
+            let resume = p.resume_timestamp;
+            let carried = p.cached.is_some();
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                if options.panic_object == Some(object) && attempt < options.panic_attempts {
+                    // ripq-lint: allow(no-panic-paths) -- deliberate fault injection: the panic is the supervision test fixture, caught by this catch_unwind
+                    panic!("injected particle-filter fault (attempt {attempt})");
+                }
+                let seed = derive_stream_seed(self.pass_seed, object, resume);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let override_ = particles_override;
+                self.filter_object(sir, &mut rng, particles, tally, detections, p, override_)
+            }));
+            if let Ok((out, entry)) = result {
+                return Outcome {
+                    object,
+                    answer: (out, level),
+                    entry,
+                    dropped,
+                };
+            }
+            tally.panics += 1;
+            // The cached entry unwound with the panicking attempt, so its
+            // half-updated states never reach a later pass.
+            dropped |= carried;
+            if attempt < RETRY_LIMIT {
+                tally.retries += 1;
+            } else {
+                tally.quarantined += 1;
+            }
+        }
+        Outcome {
+            object,
+            answer: (
+                self.fallback_distribution(sir, last),
+                DegradationLevel::Quarantined,
+            ),
+            entry: None,
+            dropped,
+        }
+    }
+}
+
+/// The merge of one pass's outcomes into the caller's cache and
+/// `APtoObjHT`, one outcome at a time as runs finish. Every step commutes:
+/// each outcome touches only its own object's cache slot and index rows,
+/// rows stay sorted by object, the cache is an ordered map and the
+/// statistics are sums, so any completion order leaves the same index,
+/// cache, statistics and levels.
+struct Merge<'a> {
+    cache: Option<&'a mut ParticleCache>,
+    index: &'a mut AnchorObjectIndex<ObjectId>,
+    stats: IndexDeltaStats,
+    degradation: BTreeMap<ObjectId, DegradationLevel>,
+    /// Objects answered so far; sorted before the retraction.
+    answered: Vec<ObjectId>,
+}
+
+impl<'a> Merge<'a> {
+    fn new(
+        cache: Option<&'a mut ParticleCache>,
+        index: &'a mut AnchorObjectIndex<ObjectId>,
+        runs: usize,
+    ) -> Self {
+        Merge {
+            cache,
+            index,
+            stats: IndexDeltaStats::default(),
+            degradation: BTreeMap::new(),
+            answered: Vec::with_capacity(runs),
+        }
+    }
+
+    /// Puts the object's cache entry back and applies its answer as a
+    /// delta ([`AnchorObjectIndex::apply_object`]).
+    fn apply(&mut self, outcome: Outcome) {
+        let Outcome {
+            object,
+            answer: (distribution, level),
+            entry,
+            dropped,
+        } = outcome;
+        if let Some(cache) = self.cache.as_deref_mut() {
+            cache.put_back(object, entry, dropped);
+        }
+        match self.index.apply_object(object, distribution) {
+            DeltaOutcome::Inserted | DeltaOutcome::Updated => self.stats.applied += 1,
+            DeltaOutcome::Unchanged => self.stats.unchanged += 1,
+        }
+        self.degradation.insert(object, level);
+        self.answered.push(object);
+    }
+
+    /// Retracts the objects that fell out of the answered set (pruned
+    /// away, vanished, never seen this pass).
+    fn finish(mut self) -> (BTreeMap<ObjectId, DegradationLevel>, IndexDeltaStats) {
+        self.answered.sort_unstable();
+        let answered = &self.answered;
+        self.stats.retracted = self
+            .index
+            .retain_objects(|o| answered.binary_search(o).is_ok());
+        (self.degradation, self.stats)
+    }
+}
+
+/// Algorithm 2 runner over a shared [`FilterWorld`].
+pub struct ParticlePreprocessor {
+    world: Arc<FilterWorld>,
     config: PreprocessorConfig,
     metrics: PfMetrics,
 }
 
-impl<'a> ParticlePreprocessor<'a> {
+impl ParticlePreprocessor {
     /// Creates a preprocessor over a fixed graph / anchor set / reader
-    /// deployment and that deployment's [`FilterTables`], built once from
-    /// the same `graph` and `readers`. `readers` must be dense:
-    /// `readers[id.index()].id() == id`.
-    pub fn new(
-        graph: &'a WalkingGraph,
-        anchors: &'a AnchorSet,
-        readers: &'a [Reader],
-        tables: &'a FilterTables,
-        config: PreprocessorConfig,
-    ) -> Self {
-        let model = SirModel {
-            motion: config.motion,
-            measurement: config.measurement,
-            negative_evidence: config.negative_evidence,
-            resample_threshold: config.resample_threshold,
-            adaptive: config.adaptive,
-            num_particles: config.num_particles,
-        };
+    /// deployment. Every pass and every helper it fans out to shares
+    /// `world`.
+    pub fn new(world: Arc<FilterWorld>, config: PreprocessorConfig) -> Self {
         ParticlePreprocessor {
-            anchors,
-            sir: Sir::new(graph, anchors, readers, tables, model),
+            world,
             config,
             metrics: PfMetrics::default(),
         }
     }
 
     /// Records `pf.*` counters and histograms (and `degrade.*` ones when
-    /// they happen) through `metrics` from now on, so the per-step cost
-    /// is an atomic add (or a no-op branch when the recorder is
-    /// disabled).
+    /// they happen) through `metrics` from now on; the pass's calling
+    /// thread records each worker's tally once the pass is over.
     pub fn with_metrics(mut self, metrics: &PfMetrics) -> Self {
         self.metrics = metrics.clone();
         self
@@ -359,23 +816,25 @@ impl<'a> ParticlePreprocessor<'a> {
 
     /// Lines 1–6 of Algorithm 2 plus the cache lookup (§4.5): everything
     /// that happens before the first random draw. A hit takes the entry
-    /// out of `cache` into the plan. `None` when the collector has never
-    /// seen the object.
-    fn plan_object(
+    /// out of `cache` into the plan. Returns the plan with the object's
+    /// retained detections; `None` when the collector has never seen the
+    /// object.
+    fn plan_object<'c>(
         &self,
-        collector: &DataCollector,
+        collector: &'c DataCollector,
         object: ObjectId,
         now: u64,
         cache: Option<&mut ParticleCache>,
-    ) -> Option<ObjectPlan> {
-        let &(agg_start, _) = collector.detections(object).first()?;
-        let (_, td) = collector.last_detection(object)?;
+    ) -> Option<(ObjectPlan, &'c [(u64, ReaderId)])> {
+        let detections = collector.detections(object);
+        let &(agg_start, _) = detections.first()?;
+        let last_detection = collector.last_detection(object)?;
         let (di, _) = collector.last_two_devices(object)?;
         let (ep_reader, ep_first, _) = collector.last_episode(object)?;
         let episode_key = (ep_reader, ep_first);
 
         // `tmin = min(td + 60, tcurrent)` — line 6.
-        let tmin = (td + self.config.coast_seconds).min(now);
+        let tmin = (last_detection.1 + self.config.coast_seconds).min(now);
         if tmin < now {
             self.metrics.cutoff_hits.inc();
             self.metrics.cutoff_seconds_skipped.add(now - tmin);
@@ -394,247 +853,18 @@ impl<'a> ParticlePreprocessor<'a> {
             _ => None,
         };
         let resume_timestamp = cached.as_ref().map_or(agg_start, |e| e.timestamp);
-        Some(ObjectPlan {
+        let plan = ObjectPlan {
             episode_key,
             tmin,
             seed_device: di,
             agg_start,
+            last_detection,
             cached,
             caching,
             resume_timestamp,
             work_seconds: tmin.saturating_sub(resume_timestamp),
-        })
-    }
-
-    /// Lines 7–36 of Algorithm 2: seed or resume the filter in
-    /// `particles`, replay the retained readings up to `tmin`, snap to
-    /// anchors. All random draws of the object happen here, in a fixed
-    /// order independent of other objects. `particles_override` runs the
-    /// same filter with fewer particles on the degraded-evaluation path.
-    ///
-    /// Also returns the entry the object's cache slot holds afterwards: the
-    /// cached entry untouched when its cloud is already past `tmin`;
-    /// otherwise, when the plan keeps an entry, the filtered cloud, written
-    /// into the cached entry's own buffer on a hit.
-    fn filter_object<R: Rng>(
-        &self,
-        rng: &mut R,
-        particles: &mut Particles,
-        collector: &DataCollector,
-        object: ObjectId,
-        plan: ObjectPlan,
-        particles_override: Option<usize>,
-    ) -> (Vec<(AnchorId, f64)>, Option<CacheEntry>) {
-        let num_particles = particles_override.unwrap_or(self.config.num_particles);
-        let start = match &plan.cached {
-            Some(entry) => {
-                self.metrics.cache_resumes.inc();
-                self.metrics
-                    .resume_depth
-                    .observe(entry.timestamp.saturating_sub(plan.agg_start));
-                // A reduced-budget resume keeps a deterministic prefix of
-                // the cached cloud rather than discarding the prior
-                // entirely.
-                let cloud: &[IndoorState] = &entry.particles;
-                let prefix = particles_override.and_then(|n| cloud.get(..n));
-                particles.resume(prefix.unwrap_or(cloud));
-                if entry.timestamp > plan.tmin {
-                    // Cached states are already past tmin: reuse directly.
-                    return (self.finish(particles, 0), plan.cached);
-                }
-                entry.timestamp + 1
-            }
-            None => {
-                // Fresh start: seed within the second-most-recent device's
-                // activation range at the first retained second (line 5).
-                let reader = self.sir.reader(plan.seed_device);
-                self.sir.seed(particles, rng, reader, num_particles);
-                plan.agg_start + 1
-            }
         };
-
-        // Main loop — lines 7..31. Line 17: the reading of tj, the next
-        // retained detection if it falls on tj, else None (silent).
-        let detections = collector.detections(object);
-        let mut next = detections.partition_point(|&(s, _)| s < start);
-        let mut simulated = 0u64;
-        for tj in start..=plan.tmin {
-            let reading = match detections.get(next) {
-                Some(&(s, reader)) if s == tj => {
-                    next += 1;
-                    Some(reader)
-                }
-                _ => None,
-            };
-            let update = self.sir.iterate(particles, rng, reading);
-            simulated += 1;
-            match update {
-                Update::Coasted => {}
-                Update::Reweighted { ess, resampled } => {
-                    self.metrics.ess.observe_f64(ess);
-                    if resampled {
-                        self.metrics.resamples.inc();
-                    }
-                }
-                Update::Reset => self.metrics.sensor_resets.inc(),
-            }
-        }
-
-        let entry = plan.caching.then(|| {
-            // A hit refills the buffer it resumed from: no allocation.
-            let mut states = plan.cached.map(|e| e.particles).unwrap_or_default();
-            states.clear();
-            states.extend_from_slice(particles.states());
-            CacheEntry {
-                particles: states,
-                timestamp: plan.tmin.max(start.saturating_sub(1)),
-                episode: plan.episode_key,
-            }
-        });
-        (self.finish(particles, simulated), entry)
-    }
-
-    /// Lines 32–36: snaps each particle to its nearest anchor point,
-    /// `p(o at ap) = n/Ns`, smoothed by the configured kernel.
-    fn finish(&self, particles: &mut Particles, simulated: u64) -> Vec<(AnchorId, f64)> {
-        self.metrics.objects.inc();
-        self.metrics.sir_iterations.add(simulated);
-        let kept = particles.states().len() as u64;
-        self.metrics.final_particles.observe(kept);
-        particles.distribution(self.anchors, self.config.kde_bandwidth)
-    }
-
-    /// The weakest answer the readings still support: a uniform
-    /// distribution over the anchors inside the object's pruning circle
-    /// (§4.3), centered at the last detecting reader with radius
-    /// `activation_range + v_max · (now − t_last)`. `None` when the
-    /// collector has never detected the object (or no anchors exist).
-    fn fallback_distribution(
-        &self,
-        collector: &DataCollector,
-        object: ObjectId,
-        now: u64,
-    ) -> Option<Vec<(AnchorId, f64)>> {
-        let (reader, t_last) = collector.last_detection(object)?;
-        let r = self.sir.reader(reader);
-        let center = r.position();
-        // The motion model draws speeds from N(μ, σ²); μ + 3σ bounds the
-        // population for the same purpose SystemConfig::max_speed serves
-        // in query pruning.
-        let v_max = self.config.motion.speed_mean + 3.0 * self.config.motion.speed_std;
-        let radius = r.activation_range() + v_max * now.saturating_sub(t_last) as f64;
-        let inside: Vec<AnchorId> = self
-            .anchors
-            .anchors()
-            .iter()
-            .filter(|a| a.point.distance(center) <= radius)
-            .map(|a| a.id)
-            .collect();
-        let ids = if inside.is_empty() {
-            // Degenerate circle (no anchor inside): the nearest anchor to
-            // the reader carries all the mass.
-            vec![self.anchors.nearest(r.graph_pos())]
-        } else {
-            inside
-        };
-        let mass = 1.0 / ids.len() as f64;
-        Some(ids.into_iter().map(|a| (a, mass)).collect())
-    }
-
-    /// One supervised candidate: run the (possibly budget-reduced) filter
-    /// in the worker's `particles` under panic isolation with bounded
-    /// retry, degrading to the uniform fallback when the filter is
-    /// persistently poisoned. Returns the answered distribution, the level
-    /// it was produced at, and the entry the object's cache slot holds
-    /// afterwards: untouched when nothing ran, none after a panic unless a
-    /// retry refilled it.
-    #[allow(clippy::too_many_arguments)]
-    fn run_supervised_object(
-        &self,
-        particles: &mut Particles,
-        pass_seed: u64,
-        collector: &DataCollector,
-        object: ObjectId,
-        plan: ObjectPlan,
-        level: DegradationLevel,
-        now: u64,
-        options: &SupervisionOptions,
-    ) -> Outcome {
-        let fallback = |level| {
-            self.fallback_distribution(collector, object, now)
-                .map(|d| (d, level))
-        };
-        if matches!(level, DegradationLevel::UniformFallback) {
-            return Outcome {
-                answer: fallback(level),
-                entry: plan.cached,
-                dropped: false,
-            };
-        }
-        let particles_override = match level {
-            DegradationLevel::ReducedParticles => Some(
-                self.config
-                    .adaptive
-                    .unwrap_or_default()
-                    .min_particles
-                    .min(self.config.num_particles),
-            ),
-            _ => None,
-        };
-        // A retry replans with no cached states, so the filter reseeds from
-        // the last readings instead of resuming whatever states the
-        // panicking run left behind.
-        let caching = plan.caching;
-        let replan = || {
-            self.plan_object(collector, object, now, None)
-                .map(|p| ObjectPlan { caching, ..p })
-        };
-        let mut plan = Some(plan);
-        let mut dropped = false;
-        for attempt in 0..=RETRY_LIMIT {
-            let Some(p) = plan.take().or_else(replan) else {
-                break;
-            };
-            let resume = p.resume_timestamp;
-            let carried = p.cached.is_some();
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if options.panic_object == Some(object) && attempt < options.panic_attempts {
-                    // ripq-lint: allow(no-panic-paths) -- deliberate fault injection: the panic is the supervision test fixture, caught by this catch_unwind
-                    panic!("injected particle-filter fault (attempt {attempt})");
-                }
-                let mut rng = StdRng::seed_from_u64(derive_stream_seed(pass_seed, object, resume));
-                self.filter_object(
-                    &mut rng,
-                    particles,
-                    collector,
-                    object,
-                    p,
-                    particles_override,
-                )
-            }));
-            if let Ok((out, entry)) = result {
-                let answer = Some((out, level));
-                return Outcome {
-                    answer,
-                    entry,
-                    dropped,
-                };
-            }
-            self.metrics.recorder.add("degrade.pf_panics", 1);
-            // The cached entry unwound with the panicking attempt, so its
-            // half-updated states never reach a later pass.
-            dropped |= carried;
-            if attempt < RETRY_LIMIT {
-                self.metrics.recorder.add("degrade.retries", 1);
-            } else {
-                self.metrics.recorder.add("degrade.quarantined", 1);
-            }
-        }
-        Outcome {
-            answer: fallback(DegradationLevel::Quarantined),
-            entry: None,
-            dropped,
-        }
+        Some((plan, detections))
     }
 
     /// Runs Algorithm 2 for every candidate — the one preprocessing pass —
@@ -644,37 +874,46 @@ impl<'a> ParticlePreprocessor<'a> {
     /// `(pass_seed, object, resume timestamp)` by [`derive_stream_seed`],
     /// so the answers do not depend on the candidate order or on the
     /// worker count. `candidates` must be distinct: a pass takes each
-    /// object's cache entry once. The pass runs in three deterministic
-    /// phases:
+    /// object's cache entry once. The pass runs in three phases:
     ///
     /// 1. **Plan** (sequential, candidate order): lines 1–6 of Algorithm 2
     ///    plus the cache lookup for every candidate, which takes a hit's
     ///    entry out of `cache` into the object's plan. Every metric update
     ///    commutes, so planning everything up front changes no total. Each
     ///    plan knows the seconds its filter simulates, `tmin` − resume
-    ///    second, and the pass's planned work is their sum × `Ns`.
+    ///    second, and the object's retained detections are copied beside
+    ///    it, so no helper reads the collector.
     /// 2. **Budget** (sequential, candidate order): each object's filter
     ///    costs its simulated seconds (at least one) × particle count — a
     ///    logical-clock model, so the ladder decisions are reproducible.
     ///    Objects run full-size while [`SupervisionOptions::budget`]
     ///    lasts, then at the KLD floor, then degrade to the uniform
     ///    pruning-circle fallback.
-    /// 3. **Filter**: the calling thread and `workers − 1` scoped helpers
-    ///    pull plans from one queue, the only pass state they share, and
-    ///    return their answers through their join handles. `Some(n)`
-    ///    forces `workers = n`; `None` takes every core once the planned
-    ///    work reaches [`FAN_OUT_WORK`], else one. Each object runs under
-    ///    `catch_unwind` isolation with bounded retry; a persistently
-    ///    panicking object is quarantined with a fallback answer instead
-    ///    of aborting the pass. Answers merge in candidate order, and each
-    ///    object's entry goes back into `cache` beside its index delta.
+    /// 3. **Filter and merge**: the runs queue longest first (ties in
+    ///    candidate order). A pass of more than one run publishes them to
+    ///    the process's helper pool, to at most `workers − 1` helpers;
+    ///    `Some(n)` caps `workers` at `n`, `None` at every core, and no
+    ///    pass takes more than one worker per run. The calling thread
+    ///    filters beside the helpers and never waits for one to start; it
+    ///    waits only for runs a helper already holds. Once no run is left,
+    ///    it takes back the tickets no helper took and waits for the
+    ///    helpers that took one to let go of the pass, so no helper works
+    ///    on the pass, or frees it, after the call returns. Each object runs
+    ///    under `catch_unwind` isolation with bounded retry; a
+    ///    persistently panicking object is quarantined with a fallback
+    ///    answer instead of aborting the pass. As each run finishes, the
+    ///    calling thread puts its entry back into `cache` and applies its
+    ///    answer as a delta; objects that left the answered set are
+    ///    retracted last. Workers count into private tallies, which the
+    ///    calling thread records once the pass is over.
     ///
-    /// The index is maintained *incrementally*: objects that left the
-    /// answered set are retracted, answered objects are applied as deltas
-    /// ([`AnchorObjectIndex::apply_object`]), and a bit-identical stored
-    /// distribution costs no structural work. Per-anchor lists stay sorted
+    /// The index is maintained *incrementally*: answered objects are
+    /// applied as deltas ([`AnchorObjectIndex::apply_object`]), a
+    /// bit-identical stored distribution costs no structural work, and
+    /// objects that fell out are retracted. Per-anchor lists stay sorted
     /// by object key, so the index after any delta sequence equals a
-    /// rebuild of the same answer set on an empty index.
+    /// rebuild of the same answer set on an empty index, whatever order
+    /// the runs finished in.
     ///
     /// Returns the degradation level of every answered object (objects the
     /// collector has never seen are absent, as they are from the index)
@@ -693,20 +932,15 @@ impl<'a> ParticlePreprocessor<'a> {
         index: &mut AnchorObjectIndex<ObjectId>,
     ) -> (BTreeMap<ObjectId, DegradationLevel>, IndexDeltaStats) {
         // Phase 1: plan.
-        let planned: Vec<(usize, ObjectId, ObjectPlan)> = candidates
+        let planned: Vec<_> = candidates
             .iter()
-            .enumerate()
-            .filter_map(|(i, &o)| {
+            .filter_map(|&o| {
                 self.plan_object(collector, o, now, cache.as_deref_mut())
-                    .map(|p| (i, o, p))
+                    .map(|(plan, detections)| (o, plan, detections))
             })
             .collect();
-        let planned_work = planned
-            .iter()
-            .fold(0u64, |sum, (_, _, p)| sum.saturating_add(p.work_seconds))
-            .saturating_mul(self.config.num_particles as u64);
 
-        // Phase 2: budget ladder.
+        // Phase 2: budget ladder, and the readings each run replays.
         let mut remaining = options.budget;
         let reduced_count = self
             .config
@@ -714,9 +948,11 @@ impl<'a> ParticlePreprocessor<'a> {
             .unwrap_or_default()
             .min_particles
             .min(self.config.num_particles) as u64;
-        let items: Vec<_> = planned
+        let copied = planned.iter().map(|(_, _, d)| d.len()).sum();
+        let mut detections = Vec::with_capacity(copied);
+        let mut runs: Vec<Run> = planned
             .into_iter()
-            .map(|(i, o, plan)| {
+            .map(|(object, plan, readings)| {
                 let level = match remaining.as_mut() {
                     None => DegradationLevel::Full,
                     Some(rem) => {
@@ -738,80 +974,92 @@ impl<'a> ParticlePreprocessor<'a> {
                         }
                     }
                 };
-                (i, o, plan, level)
+                let from = detections.len();
+                detections.extend_from_slice(readings);
+                Run {
+                    object,
+                    plan,
+                    level,
+                    detections: from..detections.len(),
+                }
             })
             .collect();
 
-        // Phase 3: supervised filtering, one worker loop on the calling
-        // thread and on each helper.
-        let workers = pass_workers(parallelism, planned_work, items.len(), available_cores);
-        let queue = Mutex::new(items.into_iter());
-        let worker = || {
-            let mut particles = self.sir.particles();
-            let mut outcomes = Vec::new();
-            loop {
-                // `let else`, not `while let`: the guard drops with the
-                // statement instead of living through the object's run.
-                let Some((i, o, plan, level)) = queue.lock().next() else {
-                    break;
-                };
-                let outcome = self.run_supervised_object(
-                    &mut particles,
-                    pass_seed,
-                    collector,
-                    o,
-                    plan,
-                    level,
-                    now,
-                    options,
-                );
-                outcomes.push((i, o, outcome));
-            }
-            outcomes
-        };
-        let mut outcomes = std::thread::scope(|scope| {
-            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
-            let mut outcomes = worker();
-            for h in helpers {
-                // Per-object panics are already caught inside
-                // run_supervised_object, so a helper thread dying is out
-                // of model; its objects would simply be absent from the
-                // answer set and the cache.
-                if let Ok(theirs) = h.join() {
-                    outcomes.extend(theirs);
-                }
-            }
-            outcomes
+        // Phase 3: filter, longest first, on the calling thread and the
+        // helpers, merging each run as it finishes. The sort is stable, so
+        // equal runs keep candidate order.
+        runs.sort_by_key(|run| Reverse(run.plan.work_seconds));
+        let workers = pass_workers(parallelism, runs.len(), available_cores);
+        let mut merge = Merge::new(cache, index, runs.len());
+        let observe = self.metrics.recorder.is_enabled();
+        let job = Arc::new(Job {
+            world: Arc::clone(&self.world),
+            config: self.config,
+            pass_seed,
+            now,
+            options: *options,
+            observe,
+            detections,
+            progress: Mutex::new(Progress {
+                queue: runs.into_iter(),
+                held: 0,
+                finished: Vec::new(),
+                tallies: Vec::new(),
+            }),
         });
-        outcomes.sort_unstable_by_key(|&(i, _, _)| i);
-
-        // Incremental maintenance: retract objects that fell out of the
-        // answered set (pruned away, vanished, never seen this pass),
-        // then apply each answered distribution as a delta and put the
-        // object's cache entry back.
-        let answered: BTreeSet<ObjectId> = outcomes
-            .iter()
-            .filter(|(_, _, out)| out.answer.is_some())
-            .map(|&(_, o, _)| o)
-            .collect();
-        let mut stats = IndexDeltaStats {
-            retracted: index.retain_objects(|o| answered.contains(o)),
-            ..IndexDeltaStats::default()
-        };
-        let mut degradation = BTreeMap::new();
-        for (_, o, outcome) in outcomes {
-            if let Some(c) = cache.as_deref_mut() {
-                c.put_back(o, outcome.entry, outcome.dropped);
+        let help: Option<Arc<dyn Help>> = (workers > 1).then(|| {
+            let help: Arc<dyn Help> = job.clone();
+            Pool::get().publish(&help, workers - 1);
+            help
+        });
+        let sir = job.sir();
+        let mut particles = sir.particles();
+        let mut tally = Tally::new(observe);
+        let mut finished = Vec::new();
+        loop {
+            let (run, helpers_busy) = job.take_for_caller(&mut finished);
+            for outcome in finished.drain(..) {
+                merge.apply(outcome);
             }
-            if let Some((distribution, level)) = outcome.answer {
-                match index.apply_object(o, distribution) {
-                    DeltaOutcome::Inserted | DeltaOutcome::Updated => stats.applied += 1,
-                    DeltaOutcome::Unchanged => stats.unchanged += 1,
-                }
-                degradation.insert(o, level);
+            match run {
+                Some(run) => merge.apply(job.run_supervised(&sir, &mut particles, &mut tally, run)),
+                // A helper still filters a run of this pass: wait for it
+                // without sleeping.
+                None if helpers_busy => std::thread::yield_now(),
+                None => break,
             }
         }
-        (degradation, stats)
+        // The pass ends here for the helpers too: tickets no helper took
+        // are taken back, and the calling thread waits for the helpers
+        // that took one to let go, so none of them touches the job, or
+        // frees it, after the call returns.
+        if let Some(help) = help {
+            Pool::get().retract(&help);
+        }
+        let progress = (reclaim(job).progress)
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        tally.record(&self.metrics);
+        for helper in &progress.tallies {
+            helper.record(&self.metrics);
+        }
+        merge.finish()
+    }
+}
+
+/// Waits, without sleeping, until `job` has no holder but the calling
+/// thread, and takes it. Once the job's queue is empty and its ticket
+/// taken back, a helper holding it is at most one critical section from
+/// letting go.
+fn reclaim(mut job: Arc<Job>) -> Job {
+    loop {
+        match Arc::try_unwrap(job) {
+            Ok(job) => return job,
+            Err(shared) => {
+                job = shared;
+                std::thread::yield_now();
+            }
+        }
     }
 }
 
@@ -819,48 +1067,31 @@ impl<'a> ParticlePreprocessor<'a> {
 mod tests {
     use super::*;
     use ripq_floorplan::{office_building, OfficeParams};
-    use ripq_graph::build_walking_graph;
+    use ripq_graph::{build_walking_graph, AnchorSet};
     use ripq_obs::MetricsSnapshot;
     use ripq_persist::ByteWriter;
     use ripq_rfid::deploy_uniform;
 
-    struct World {
-        graph: WalkingGraph,
-        anchors: AnchorSet,
-        readers: Vec<Reader>,
-        tables: FilterTables,
-    }
+    type World = Arc<FilterWorld>;
 
     fn world() -> World {
         let plan = office_building(&OfficeParams::default()).unwrap();
         let graph = build_walking_graph(&plan);
         let anchors = AnchorSet::generate(&graph, &plan, 1.0);
         let readers = deploy_uniform(&plan, &graph, 19, 2.0);
-        let tables = FilterTables::new(&graph, &readers);
-        World {
-            graph,
-            anchors,
-            readers,
-            tables,
-        }
+        Arc::new(FilterWorld::new(graph, anchors, readers))
     }
 
     const O: ObjectId = ObjectId::new(0);
 
-    fn preprocessor(w: &World) -> ParticlePreprocessor<'_> {
-        ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            &w.tables,
-            PreprocessorConfig::default(),
-        )
+    fn preprocessor(w: &World) -> ParticlePreprocessor {
+        ParticlePreprocessor::new(Arc::clone(w), PreprocessorConfig::default())
     }
 
     /// A preprocessor recording into a fresh enabled recorder.
-    fn observed(w: &World, config: PreprocessorConfig) -> (ParticlePreprocessor<'_>, Recorder) {
+    fn observed(w: &World, config: PreprocessorConfig) -> (ParticlePreprocessor, Recorder) {
         let recorder = Recorder::enabled();
-        let pre = ParticlePreprocessor::new(&w.graph, &w.anchors, &w.readers, &w.tables, config)
+        let pre = ParticlePreprocessor::new(Arc::clone(w), config)
             .with_metrics(&PfMetrics::new(&recorder));
         (pre, recorder)
     }
@@ -868,7 +1099,7 @@ mod tests {
     /// Runs one pass into an empty index; returns it with the levels.
     #[allow(clippy::too_many_arguments)]
     fn fresh(
-        pre: &ParticlePreprocessor<'_>,
+        pre: &ParticlePreprocessor,
         pass_seed: u64,
         c: &DataCollector,
         candidates: &[ObjectId],
@@ -896,7 +1127,7 @@ mod tests {
 
     /// [`fresh`] with no forced worker count and default supervision.
     fn pass(
-        pre: &ParticlePreprocessor<'_>,
+        pre: &ParticlePreprocessor,
         pass_seed: u64,
         c: &DataCollector,
         candidates: &[ObjectId],
@@ -929,7 +1160,7 @@ mod tests {
         // Two readers on hallway 0 (same y), adjacent in deployment order.
         let (r1, r2) = {
             let mut found = None;
-            for pair in w.readers.windows(2) {
+            for pair in w.readers().windows(2) {
                 if (pair[0].position().y - pair[1].position().y).abs() < 1e-9 {
                     found = Some((pair[0], pair[1]));
                     break;
@@ -981,12 +1212,12 @@ mod tests {
         let (r1, r2, now) = feed_two_reader_walk(&w, &mut c);
         let pre = preprocessor(&w);
         let index = pass(&pre, 21, &c, &[O], now, None);
-        let p1 = w.readers[r1.index()].position();
-        let p2 = w.readers[r2.index()].position();
+        let p1 = w.readers()[r1.index()].position();
+        let p2 = w.readers()[r2.index()].position();
         // Probability mass closer to r2 than to r1:
         let mut near_r2 = 0.0;
         for &(a, p) in index.distribution(&O).unwrap() {
-            let pt = w.anchors.anchor(a).point;
+            let pt = w.anchors().anchor(a).point;
             if pt.distance(p2) < pt.distance(p1) {
                 near_r2 += p;
             }
@@ -1002,7 +1233,7 @@ mod tests {
         let w = world();
         let mut c = DataCollector::new();
         // One short detection, then a very long silence.
-        let r0 = w.readers[0].id();
+        let r0 = w.readers()[0].id();
         c.ingest_second(0, &[(O, r0)]);
         for s in 1..=500 {
             c.ingest_second(s, &[]);
@@ -1103,7 +1334,7 @@ mod tests {
         let mut cache = ParticleCache::new();
         pass(&pre, 24, &c, &[O], now, Some(&mut cache));
         // A brand-new reader episode starts.
-        let other = w.readers[10].id();
+        let other = w.readers()[10].id();
         c.ingest_second(now + 1, &[(O, other)]);
         pass(&pre, 25, &c, &[O], now + 1, Some(&mut cache));
         assert_eq!(
@@ -1138,7 +1369,7 @@ mod tests {
         assert_eq!(resumes(), 1);
 
         // A new device detects the object before the next resume.
-        let other = w.readers[10].id();
+        let other = w.readers()[10].id();
         c.ingest_second(now + 5, &[(O, other)]);
         pass(&pre, 13, &c, &[O], now + 5, Some(&mut cache));
         assert_eq!(resumes(), 1, "new device must invalidate");
@@ -1153,7 +1384,7 @@ mod tests {
     fn same_device_episode_split_counts_as_outage_reset() {
         let w = world();
         let mut c = DataCollector::new();
-        let r = w.readers[2].id();
+        let r = w.readers()[2].id();
         for s in 0..3u64 {
             c.ingest_second(s, &[(O, r)]);
         }
@@ -1194,8 +1425,8 @@ mod tests {
         let w = world();
         let mut c = DataCollector::new();
         let o2 = ObjectId::new(7);
-        c.ingest_second(0, &[(O, w.readers[0].id()), (o2, w.readers[5].id())]);
-        c.ingest_second(1, &[(O, w.readers[0].id()), (o2, w.readers[5].id())]);
+        c.ingest_second(0, &[(O, w.readers()[0].id()), (o2, w.readers()[5].id())]);
+        c.ingest_second(1, &[(O, w.readers()[0].id()), (o2, w.readers()[5].id())]);
         let pre = preprocessor(&w);
         let index = pass(&pre, 26, &c, &[O, o2, ObjectId::new(99)], 5, None);
         assert_eq!(index.object_count(), 2, "unknown candidate skipped");
@@ -1210,15 +1441,15 @@ mod tests {
         // the object's moving direction".
         let w = world();
         let mut c = DataCollector::new();
-        c.ingest_second(0, &[(O, w.readers[3].id())]);
+        c.ingest_second(0, &[(O, w.readers()[3].id())]);
         let pre = preprocessor(&w);
         let index = pass(&pre, 27, &c, &[O], 3, None);
         let total = distribution_total(&index, O);
         assert!((total - 1.0).abs() < 1e-9);
         // Mass is spread around reader 3 within ~3 s of walking.
-        let rp = w.readers[3].position();
+        let rp = w.readers()[3].position();
         for &(a, _) in index.distribution(&O).unwrap() {
-            let d = w.anchors.anchor(a).point.distance(rp);
+            let d = w.anchors().anchor(a).point.distance(rp);
             assert!(d < 2.0 + 3.0 * 1.5 + 3.0, "anchor too far: {d}");
         }
     }
@@ -1231,7 +1462,7 @@ mod tests {
         let w = world();
         let mut c = DataCollector::new();
         for s in 0..6u64 {
-            c.ingest_second(s, &[(O, w.readers[4].id())]);
+            c.ingest_second(s, &[(O, w.readers()[4].id())]);
         }
         let cfg = PreprocessorConfig {
             adaptive: Some(crate::KldConfig::default()),
@@ -1272,7 +1503,7 @@ mod tests {
         let mut c = DataCollector::new();
         let o2 = ObjectId::new(7);
         for s in 0..4u64 {
-            c.ingest_second(s, &[(O, w.readers[0].id()), (o2, w.readers[5].id())]);
+            c.ingest_second(s, &[(O, w.readers()[0].id()), (o2, w.readers()[5].id())]);
         }
         let pre = preprocessor(&w);
         let fwd = pass(&pre, 99, &c, &[O, o2], 6, None);
@@ -1289,7 +1520,7 @@ mod tests {
                 .map(|i| {
                     (
                         ObjectId::new(i),
-                        w.readers[i as usize % w.readers.len()].id(),
+                        w.readers()[i as usize % w.readers().len()].id(),
                     )
                 })
                 .collect();
@@ -1493,27 +1724,21 @@ mod tests {
     }
 
     #[test]
-    fn forced_worker_counts_clamp_to_the_runs() {
-        assert_eq!(pass_workers(Some(4), 0, 10, || 1), 4);
-        assert_eq!(pass_workers(Some(4), u64::MAX, 3, || 8), 3);
-        assert_eq!(pass_workers(Some(1), u64::MAX, 10, || 8), 1);
-        assert_eq!(pass_workers(Some(0), FAN_OUT_WORK, 10, || 8), 1);
-        assert_eq!(pass_workers(Some(2), 0, 0, || 8), 1);
-    }
-
-    #[test]
-    fn unforced_passes_fan_out_from_the_planned_work_constant() {
-        assert_eq!(pass_workers(None, 0, 10, || 8), 1);
-        assert_eq!(pass_workers(None, FAN_OUT_WORK - 1, 10, || 8), 1);
-        assert_eq!(pass_workers(None, FAN_OUT_WORK, 10, || 8), 8);
-        assert_eq!(pass_workers(None, u64::MAX, 3, || 8), 3);
-        // A one-core machine never starts a helper.
-        assert_eq!(pass_workers(None, FAN_OUT_WORK, 10, || 1), 1);
-        assert_eq!(pass_workers(None, u64::MAX, 10, || 1), 1);
-        // Only a pass that fans out reads the core count.
+    fn passes_of_more_than_one_run_take_up_to_one_worker_per_run() {
+        // A forced count caps the pass, the calling thread included.
+        assert_eq!(pass_workers(Some(4), 10, || 1), 4);
+        assert_eq!(pass_workers(Some(4), 3, || 8), 3);
+        assert_eq!(pass_workers(Some(1), 10, || 8), 1);
+        assert_eq!(pass_workers(Some(0), 10, || 8), 1);
+        // No forced count: every core, at most one per run.
+        assert_eq!(pass_workers(None, 10, || 8), 8);
+        assert_eq!(pass_workers(None, 2, || 8), 2);
+        assert_eq!(pass_workers(None, 10, || 1), 1);
+        // A pass of one run stays on the calling thread and never reads
+        // the core count.
         let never = || -> usize { panic!("core count read") };
-        assert_eq!(pass_workers(None, FAN_OUT_WORK - 1, 10, never), 1);
-        assert_eq!(pass_workers(Some(3), u64::MAX, 10, never), 3);
+        assert_eq!(pass_workers(None, 1, never), 1);
+        assert_eq!(pass_workers(Some(4), 0, never), 1);
         assert!(available_cores() >= 1);
     }
 
@@ -1532,7 +1757,7 @@ mod tests {
     fn fallback_distribution_stays_near_last_reader() {
         let w = world();
         let mut c = DataCollector::new();
-        let r = &w.readers[6];
+        let r = &w.readers()[6];
         for s in 0..3u64 {
             c.ingest_second(s, &[(O, r.id())]);
         }
@@ -1547,7 +1772,7 @@ mod tests {
         assert!((total - 1.0).abs() < 1e-9);
         // now=4, t_last=2 → radius = 2.0 + (1.0+0.3)·2 = 4.6.
         for &(a, _) in index.distribution(&O).unwrap() {
-            let d = w.anchors.anchor(a).point.distance(r.position());
+            let d = w.anchors().anchor(a).point.distance(r.position());
             assert!(d <= 4.6 + 1e-9, "anchor {a} at distance {d} outside circle");
         }
     }
@@ -1561,7 +1786,7 @@ mod tests {
             let det: Vec<_> = objects
                 .iter()
                 .enumerate()
-                .map(|(i, &o)| (o, w.readers[i % w.readers.len()].id()))
+                .map(|(i, &o)| (o, w.readers()[i % w.readers().len()].id()))
                 .collect();
             c.ingest_second(s, &det);
         }
@@ -1602,6 +1827,152 @@ mod tests {
                 cache_bytes(&par_cache),
                 "cache differs at {workers} workers"
             );
+        }
+    }
+
+    /// The merge as passes made it before runs merged in completion
+    /// order: retract the objects missing from a `BTreeSet` of the
+    /// answered ones first, then put each entry back and apply each delta
+    /// in candidate order.
+    fn candidate_order_merge(
+        outcomes: Vec<Outcome>,
+        cache: &mut ParticleCache,
+        index: &mut AnchorObjectIndex<ObjectId>,
+    ) -> (BTreeMap<ObjectId, DegradationLevel>, IndexDeltaStats) {
+        let answered: std::collections::BTreeSet<ObjectId> =
+            outcomes.iter().map(|out| out.object).collect();
+        let mut stats = IndexDeltaStats {
+            retracted: index.retain_objects(|o| answered.contains(o)),
+            ..IndexDeltaStats::default()
+        };
+        let mut degradation = BTreeMap::new();
+        for out in outcomes {
+            cache.put_back(out.object, out.entry, out.dropped);
+            let (distribution, level) = out.answer;
+            match index.apply_object(out.object, distribution) {
+                DeltaOutcome::Inserted | DeltaOutcome::Updated => stats.applied += 1,
+                DeltaOutcome::Unchanged => stats.unchanged += 1,
+            }
+            degradation.insert(out.object, level);
+        }
+        (degradation, stats)
+    }
+
+    /// A small distribution over ascending anchors, picked by `seed`.
+    fn some_distribution(seed: u64) -> Vec<(AnchorId, f64)> {
+        let n = 1 + seed % 4;
+        (0..n)
+            .map(|k| (AnchorId::new((seed % 40 + 3 * k) as u32), 1.0 / n as f64))
+            .collect()
+    }
+
+    fn some_entry(seed: u64, episode: EpisodeKey) -> CacheEntry {
+        let state = IndoorState {
+            pos: ripq_graph::GraphPos::new(ripq_graph::EdgeId::new(seed as u32 % 9), 0.5),
+            heading: crate::Heading::TowardB,
+            speed: 1.0 + seed as f64 / 64.0,
+        };
+        CacheEntry {
+            particles: vec![state; 1 + seed as usize % 3],
+            timestamp: seed % 100,
+            episode,
+        }
+    }
+
+    /// `(pass object, in the earlier index: 0 no / 1 other / 2 same
+    /// distribution, distribution seed, level + 4 × entry kind + 12 ×
+    /// dropped, completion key)`.
+    type MergeSpec = (u32, u8, u64, u8, u64);
+
+    /// The index and cache after an earlier pass, with the pass's plans
+    /// already taken out of the cache, and the pass's outcomes in
+    /// candidate order. Objects 100.. sit in the earlier index and cache
+    /// but not in the pass, so the merge retracts them.
+    fn merge_case(
+        specs: &[MergeSpec],
+        stale: &[u64],
+    ) -> (
+        AnchorObjectIndex<ObjectId>,
+        ParticleCache,
+        Vec<(u64, Outcome)>,
+    ) {
+        let mut index = AnchorObjectIndex::new();
+        let mut cache = ParticleCache::new();
+        let episode = |o: u32, k: u64| (ReaderId::new(o % 5), k);
+        for (i, &seed) in stale.iter().enumerate() {
+            let o = ObjectId::new(100 + i as u32);
+            index.apply_object(o, some_distribution(seed));
+            cache.put_back(o, Some(some_entry(seed, episode(o.raw(), 1))), false);
+        }
+        let mut seen = std::collections::BTreeSet::new();
+        let mut outcomes = Vec::new();
+        for &(pick, earlier, seed, packed, key) in specs {
+            let (level, entry, dropped) = (packed % 4, packed / 4 % 3, packed / 12 % 2);
+            if !seen.insert(pick) {
+                continue;
+            }
+            let o = ObjectId::new(pick);
+            let fresh = some_distribution(seed);
+            match earlier {
+                1 => drop(index.apply_object(o, some_distribution(seed + 1))),
+                2 => drop(index.apply_object(o, fresh.clone())),
+                _ => {}
+            }
+            // Entry kinds: none cached; a hit planning takes and the run
+            // refills; a stale episode planning discards.
+            if entry > 0 {
+                cache.put_back(o, Some(some_entry(seed, episode(pick, 1))), false);
+                let wanted = episode(pick, u64::from(entry));
+                let _ = cache.take(o, wanted);
+            }
+            let level = [
+                DegradationLevel::Full,
+                DegradationLevel::ReducedParticles,
+                DegradationLevel::UniformFallback,
+                DegradationLevel::Quarantined,
+            ][usize::from(level)];
+            let refill = (entry % 2 == 1).then(|| some_entry(seed + 7, episode(pick, 1)));
+            outcomes.push((
+                key,
+                Outcome {
+                    object: o,
+                    answer: (fresh, level),
+                    entry: refill,
+                    dropped: dropped == 1,
+                },
+            ));
+        }
+        (index, cache, outcomes)
+    }
+
+    proptest::proptest! {
+        /// Merging one pass's outcomes as runs finish, in any order,
+        /// leaves the index, statistics, cache bytes and levels that the
+        /// candidate-order merge leaves.
+        #[test]
+        fn completion_order_merge_matches_candidate_order(
+            specs in proptest::collection::vec(
+                (0u32..24, 0u8..3, 0u64..1_000, 0u8..24, 0u64..1_000_000),
+                0..16,
+            ),
+            stale in proptest::collection::vec(0u64..1_000, 0..4),
+        ) {
+            let (mut ref_index, mut ref_cache, outcomes) = merge_case(&specs, &stale);
+            let reference = candidate_order_merge(
+                outcomes.into_iter().map(|(_, out)| out).collect(),
+                &mut ref_cache,
+                &mut ref_index,
+            );
+            let (mut index, mut cache, mut outcomes) = merge_case(&specs, &stale);
+            outcomes.sort_by_key(|&(key, _)| key);
+            let mut merge = Merge::new(Some(&mut cache), &mut index, outcomes.len());
+            for (_, out) in outcomes {
+                merge.apply(out);
+            }
+            let merged = merge.finish();
+            proptest::prop_assert_eq!(&merged, &reference);
+            proptest::prop_assert_eq!(&index, &ref_index);
+            proptest::prop_assert_eq!(cache_bytes(&cache), cache_bytes(&ref_cache));
         }
     }
 }

@@ -57,7 +57,7 @@ pub fn resample_systematic<R: Rng>(rng: &mut R, weights: &[f64], n: usize, out: 
 }
 
 /// The model one SIR run applies.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct SirModel {
     /// Object motion model (Equation 3).
     pub(crate) motion: MotionModel,
@@ -109,7 +109,7 @@ pub struct FilterTables {
 impl FilterTables {
     /// Builds the tables of `readers` on `graph`. `readers` must be
     /// dense: `readers[id.index()].id() == id`.
-    pub fn new(graph: &WalkingGraph, readers: &[Reader]) -> Self {
+    pub(crate) fn new(graph: &WalkingGraph, readers: &[Reader]) -> Self {
         debug_assert!(readers.iter().enumerate().all(|(i, r)| r.id().index() == i));
         FilterTables {
             reach: ReaderReach::new(graph, readers),
@@ -120,6 +120,59 @@ impl FilterTables {
     /// The seed intervals of reader `id` (empty for an unknown id).
     fn seeds(&self, id: ReaderId) -> &[(EdgeId, f64, f64)] {
         self.seeds.get(id.index()).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// What every run of a deployment's filter reads and no pass changes: the
+/// walking graph, its anchors, the reader deployment and the tables the
+/// filter keeps of them. A system builds one and shares it by `Arc` with
+/// every pass's [`crate::ParticlePreprocessor`] and, through a pass, with
+/// the helper threads that filter beside it.
+#[derive(Debug)]
+pub struct FilterWorld {
+    graph: WalkingGraph,
+    anchors: AnchorSet,
+    readers: Vec<Reader>,
+    tables: FilterTables,
+}
+
+impl FilterWorld {
+    /// The world of `readers` deployed on `graph` with `anchors`.
+    /// `readers` must be dense: `readers[id.index()].id() == id`.
+    pub fn new(graph: WalkingGraph, anchors: AnchorSet, readers: Vec<Reader>) -> Self {
+        let tables = FilterTables::new(&graph, &readers);
+        FilterWorld {
+            graph,
+            anchors,
+            readers,
+            tables,
+        }
+    }
+
+    /// The walking graph.
+    pub fn graph(&self) -> &WalkingGraph {
+        &self.graph
+    }
+
+    /// The anchor set.
+    pub fn anchors(&self) -> &AnchorSet {
+        &self.anchors
+    }
+
+    /// The reader deployment.
+    pub fn readers(&self) -> &[Reader] {
+        &self.readers
+    }
+
+    /// The filter over this world under `model`.
+    pub(crate) fn sir(&self, model: SirModel) -> Sir<'_> {
+        Sir::new(
+            &self.graph,
+            &self.anchors,
+            &self.readers,
+            &self.tables,
+            model,
+        )
     }
 }
 
@@ -161,19 +214,27 @@ impl<'a> Sir<'a> {
     /// Empty buffers for one worker, reserved so that no iteration of this
     /// filter reallocates them.
     pub(crate) fn particles(&self) -> Particles {
+        let mut p = Particles::default();
+        self.reserve(&mut p);
+        p
+    }
+
+    /// Grows a worker's buffers, kept from earlier runs, so that no
+    /// iteration of this filter reallocates them.
+    pub(crate) fn reserve(&self, p: &mut Particles) {
         let n = match self.model.adaptive {
             Some(kld) => self.model.num_particles.max(kld.max_particles),
             None => self.model.num_particles,
         };
-        Particles {
-            states: Vec::with_capacity(n),
-            weights: Vec::with_capacity(n),
-            spare: Vec::with_capacity(n),
-            indices: Vec::with_capacity(n),
-            inside: Vec::with_capacity(n),
-            bins: Vec::with_capacity(n),
-            kde: KdeScratch::default(),
+        fn grow<T>(v: &mut Vec<T>, n: usize) {
+            v.reserve_exact(n.saturating_sub(v.len()));
         }
+        grow(&mut p.states, n);
+        grow(&mut p.weights, n);
+        grow(&mut p.spare, n);
+        grow(&mut p.indices, n);
+        grow(&mut p.inside, n);
+        grow(&mut p.bins, n);
     }
 
     /// Replaces the cloud with `n` equally weighted particles spread over

@@ -14,14 +14,15 @@
 #![allow(unsafe_code)] // a counting `GlobalAlloc` needs `unsafe impl`
 
 use ripq_floorplan::{office_building, OfficeParams};
-use ripq_graph::{build_walking_graph, AnchorObjectIndex, AnchorSet, GraphPos, WalkingGraph};
+use ripq_graph::{build_walking_graph, AnchorObjectIndex, AnchorSet, GraphPos};
 use ripq_obs::Recorder;
 use ripq_pf::{
-    FilterTables, ParticlePreprocessor, PfMetrics, PreprocessorConfig, SupervisionOptions,
+    FilterWorld, ParticlePreprocessor, PfMetrics, PreprocessorConfig, SupervisionOptions,
 };
 use ripq_rfid::{deploy_uniform, DataCollector, ObjectId, Reader, ReaderId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Counts every allocation and reallocation.
 struct Counting;
@@ -69,10 +70,7 @@ enum Middle {
 }
 
 struct World {
-    graph: WalkingGraph,
-    anchors: AnchorSet,
-    readers: Vec<Reader>,
-    tables: FilterTables,
+    world: Arc<FilterWorld>,
 }
 
 impl World {
@@ -101,28 +99,28 @@ impl World {
         let pos = GraphPos::new(edge.id, offset);
         let id = ReaderId::new(readers.len() as u32);
         readers.push(Reader::new(id, graph.point_of(pos), pos, 0.01));
-        let tables = FilterTables::new(&graph, &readers);
         World {
-            graph,
-            anchors,
-            readers,
-            tables,
+            world: Arc::new(FilterWorld::new(graph, anchors, readers)),
         }
     }
 
+    fn readers(&self) -> &[Reader] {
+        self.world.readers()
+    }
+
     fn tiny(&self) -> ReaderId {
-        self.readers.last().unwrap().id()
+        self.readers().last().unwrap().id()
     }
 
     /// Reader 0 detects at second 0, `middle` fills seconds 1..=k, and the
     /// 1 cm reader detects at second k + 1.
     fn collector(&self, middle: Middle, k: u64) -> DataCollector {
         let mut c = DataCollector::new();
-        c.ingest_second(0, &[(O, self.readers[0].id())]);
+        c.ingest_second(0, &[(O, self.readers()[0].id())]);
         for s in 1..=k {
             match middle {
                 Middle::Silent => c.ingest_second(s, &[]),
-                Middle::Resample => c.ingest_second(s, &[(O, self.readers[0].id())]),
+                Middle::Resample => c.ingest_second(s, &[(O, self.readers()[0].id())]),
                 Middle::Reset => c.ingest_second(s, &[(O, self.tiny())]),
             }
         }
@@ -132,7 +130,7 @@ impl World {
 
     /// One pass over the object at second k + 1; returns the allocations
     /// `process` made.
-    fn allocations(&self, pre: &ParticlePreprocessor<'_>, middle: Middle, k: u64) -> usize {
+    fn allocations(&self, pre: &ParticlePreprocessor, middle: Middle, k: u64) -> usize {
         let collector = self.collector(middle, k);
         let options = SupervisionOptions::default();
         let mut index = AnchorObjectIndex::new();
@@ -148,9 +146,9 @@ impl World {
 fn sir_iterations_allocate_nothing() {
     let w = World::new();
     let config = PreprocessorConfig::default();
-    let pre = ParticlePreprocessor::new(&w.graph, &w.anchors, &w.readers, &w.tables, config);
+    let pre = ParticlePreprocessor::new(Arc::clone(&w.world), config);
     let recorder = Recorder::enabled();
-    let observed = ParticlePreprocessor::new(&w.graph, &w.anchors, &w.readers, &w.tables, config)
+    let observed = ParticlePreprocessor::new(Arc::clone(&w.world), config)
         .with_metrics(&PfMetrics::new(&recorder));
     let counter = |name: &str| recorder.snapshot().counters.get(name).copied().unwrap_or(0);
 

@@ -29,10 +29,11 @@ pub struct ServerConfig {
     /// Master seed for the underlying system's stochastic machinery.
     pub seed: u64,
     /// Worker threads for particle-filter preprocessing, as
-    /// [`SystemConfig::parallelism`]: `None` (default) fans a tick's pass
-    /// out over every core once it plans `ripq_pf::FAN_OUT_WORK`
-    /// particle-seconds, `Some(n)` forces `n`. Results are bit-identical
-    /// for every setting.
+    /// [`SystemConfig::parallelism`]: a tick's pass of more than one
+    /// object fans out over the process's helper pool, up to every core
+    /// with `None` (default) and up to `n` workers, the calling thread
+    /// included, with `Some(n)`. Results are bit-identical for every
+    /// setting.
     pub workers: Option<usize>,
     /// Write a durable checkpoint after every N ticks (0 = only on
     /// explicit `checkpoint` frames). Needs a checkpoint directory.

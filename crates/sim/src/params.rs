@@ -65,10 +65,11 @@ pub struct ExperimentParams {
     /// `SystemConfig::use_cache`; ablation knob.
     pub use_cache: bool,
     /// Worker threads for particle-filter preprocessing, as
-    /// `SystemConfig::parallelism`: `None` (default) fans a pass out over
-    /// every core once it plans `ripq_pf::FAN_OUT_WORK` particle-seconds,
-    /// `Some(n)` forces `n`. Accuracy results are bit-identical for every
-    /// setting: each object filters on its own deterministic RNG stream.
+    /// `SystemConfig::parallelism`: a pass of more than one object fans
+    /// out over the process's helper pool, up to every core with `None`
+    /// (default) and up to `n` workers, the calling thread included, with
+    /// `Some(n)`. Accuracy results are bit-identical for every setting:
+    /// each object filters on its own deterministic RNG stream.
     pub parallelism: Option<usize>,
     /// Fault injection applied between the reading generator and the
     /// collector (see [`FaultPlan`]). [`FaultPlan::none`] (the default)

@@ -14,9 +14,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ripq::core::{evaluate_closest_pairs, evaluate_range, ClosestPairsQuery};
 use ripq::graph::AnchorObjectIndex;
-use ripq::pf::{FilterTables, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
+use ripq::pf::{FilterWorld, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
 use ripq::rfid::HistoryCollector;
 use ripq::sim::{ExperimentParams, ReadingGenerator, SimWorld, TraceGenerator};
+use std::sync::Arc;
 
 fn main() {
     let params = ExperimentParams {
@@ -49,14 +50,12 @@ fn main() {
         params.duration
     );
 
-    let tables = FilterTables::new(&world.graph, &world.readers);
-    let preprocessor = ParticlePreprocessor::new(
-        &world.graph,
-        &world.anchors,
-        &world.readers,
-        &tables,
-        PreprocessorConfig::default(),
+    let shared = FilterWorld::new(
+        world.graph.clone(),
+        world.anchors.clone(),
+        world.readers.clone(),
     );
+    let preprocessor = ParticlePreprocessor::new(Arc::new(shared), PreprocessorConfig::default());
     // Treat room 0 as the "server room".
     let server_room = &world.plan.rooms()[0];
     println!(

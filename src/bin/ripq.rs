@@ -56,7 +56,7 @@ fn main() {
                  trace [--object N] [--duration S] [--seed N] [--svg FILE]\n\
                  defaults\n\
                  \n\
-                 --parallelism default: every core for a large pass, else one"
+                 --parallelism default: every core for a pass of more than one object"
             );
             std::process::exit(if cmd == "help" { 0 } else { 2 });
         }
@@ -175,7 +175,7 @@ fn cmd_simulate(args: &[String]) {
         seed: parse_flag(args, "--seed").unwrap_or(quick.seed),
         // Preprocessing worker threads; results are bit-identical at any
         // setting, so this is purely a wall-clock knob. Without the flag
-        // each pass chooses: every core for a large pass, else one.
+        // a pass of more than one object takes every core.
         parallelism: parse_flag(args, "--parallelism"),
         observability: metrics_json.is_some() || trace_spans,
         faults,
@@ -187,13 +187,10 @@ fn cmd_simulate(args: &[String]) {
         query_budget,
         ..quick
     };
-    let threads = match params.parallelism {
-        Some(n) => format!("{} preprocessing thread(s)", n.max(1)),
-        None => format!(
-            "preprocessing threads auto, up to {}",
-            ripq::pf::available_cores()
-        ),
-    };
+    // A pass never takes more workers than the machine has cores.
+    let cores = ripq::pf::available_cores();
+    let threads = params.parallelism.map_or(cores, |n| n.clamp(1, cores));
+    let threads = format!("preprocessing threads up to {threads}");
     println!(
         "simulating {} objects for {} s (seed {}, {threads})...",
         params.num_objects, params.duration, params.seed,

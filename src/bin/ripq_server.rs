@@ -49,7 +49,7 @@ fn main() {
                  send   (--uds PATH | --tcp ADDR) --transcript FILE\n\
                  \x20      [--retry] [--retry-seed N] [--retry-max-rounds N]\n\
                  \n\
-                 --workers default: every core for a large tick, else one"
+                 --workers default: every core for a tick of more than one object"
             );
             if cmd == "help" {
                 0

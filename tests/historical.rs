@@ -7,11 +7,12 @@ use ripq::core::{evaluate_range, KnnQuery, QueryId};
 use ripq::graph::AnchorObjectIndex;
 use ripq::persist::crc32;
 use ripq::pf::{
-    reconstruct_trajectory, FilterTables, ParticlePreprocessor, PreprocessorConfig,
+    reconstruct_trajectory, FilterWorld, ParticlePreprocessor, PreprocessorConfig,
     SupervisionOptions, TrajectoryConfig,
 };
 use ripq::rfid::{DataCollector, HistoryCollector, ObjectId, RawReading, ReaderId};
 use ripq::sim::{ExperimentParams, GroundTruth, ReadingGenerator, SimWorld, TraceGenerator};
+use std::sync::Arc;
 
 /// Every object a view knows, sorted by id.
 fn known_objects(view: &DataCollector) -> Vec<ObjectId> {
@@ -22,7 +23,7 @@ fn known_objects(view: &DataCollector) -> Vec<ObjectId> {
 
 /// One preprocessing pass over a history view into a fresh index.
 fn process_view(
-    pre: &ParticlePreprocessor<'_>,
+    pre: &ParticlePreprocessor,
     pass_seed: u64,
     view: &DataCollector,
     objects: &[ObjectId],
@@ -57,14 +58,8 @@ fn historical_inference_reflects_only_past_readings() {
         let det = gen.detections_at(&mut rng_sense, &traces, s);
         history.ingest_second(s, &det);
     }
-    let tables = FilterTables::new(&w.graph, &w.readers);
-    let pre = ParticlePreprocessor::new(
-        &w.graph,
-        &w.anchors,
-        &w.readers,
-        &tables,
-        PreprocessorConfig::default(),
-    );
+    let world = FilterWorld::new(w.graph.clone(), w.anchors.clone(), w.readers.clone());
+    let pre = ParticlePreprocessor::new(Arc::new(world), PreprocessorConfig::default());
 
     // Evaluate "where was o at t = 80?" from the full history.
     let t = 80u64;
@@ -147,14 +142,8 @@ fn historical_range_and_knn_queries_run() {
         let det = gen.detections_at(&mut rng_sense, &traces, s);
         history.ingest_second(s, &det);
     }
-    let tables = FilterTables::new(&w.graph, &w.readers);
-    let pre = ParticlePreprocessor::new(
-        &w.graph,
-        &w.anchors,
-        &w.readers,
-        &tables,
-        PreprocessorConfig::default(),
-    );
+    let world = FilterWorld::new(w.graph.clone(), w.anchors.clone(), w.readers.clone());
+    let pre = ParticlePreprocessor::new(Arc::new(world), PreprocessorConfig::default());
     for t in [60u64, 90, 120] {
         let view = history.view_at(t);
         let objects = known_objects(&view);
@@ -191,14 +180,8 @@ fn historical_answers_are_pinned() {
         let det = gen.detections_at(&mut rng_sense, &traces, s);
         history.ingest_second(s, &det);
     }
-    let tables = FilterTables::new(&w.graph, &w.readers);
-    let pre = ParticlePreprocessor::new(
-        &w.graph,
-        &w.anchors,
-        &w.readers,
-        &tables,
-        PreprocessorConfig::default(),
-    );
+    let world = FilterWorld::new(w.graph.clone(), w.anchors.clone(), w.readers.clone());
+    let pre = ParticlePreprocessor::new(Arc::new(world), PreprocessorConfig::default());
     let none = u32::MAX.to_le_bytes();
 
     let (mut index_bytes, mut device_bytes) = (Vec::new(), Vec::new());

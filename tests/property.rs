@@ -9,13 +9,14 @@ use ripq::graph::{
     build_walking_graph, AnchorId, AnchorObjectIndex, AnchorSet, DeltaOutcome, GraphPos, KdeScratch,
 };
 use ripq::persist::{ByteReader, ByteWriter};
-use ripq::pf::{FilterTables, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
+use ripq::pf::{FilterWorld, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
 use ripq::rfid::{deploy_uniform, DataCollector, HistoryCollector, ObjectId, ReaderId};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One default-supervision preprocessing pass into a fresh index.
 fn fresh_pass(
-    pre: &ParticlePreprocessor<'_>,
+    pre: &ParticlePreprocessor,
     pass_seed: u64,
     collector: &DataCollector,
     candidates: &[ObjectId],
@@ -197,14 +198,8 @@ proptest! {
             collector.ingest_second(s as u64, &det);
         }
         prop_assume!(any);
-        let tables = FilterTables::new(&graph, &readers);
-        let pre = ParticlePreprocessor::new(
-            &graph,
-            &anchors,
-            &readers,
-            &tables,
-            PreprocessorConfig::default(),
-        );
+        let world = FilterWorld::new(graph.clone(), anchors.clone(), readers.clone());
+        let pre = ParticlePreprocessor::new(Arc::new(world), PreprocessorConfig::default());
         let now = pattern.len() as u64;
         let index = fresh_pass(&pre, seed, &collector, &[o], now, None);
         let distribution = index.distribution(&o).expect("object was detected");
@@ -244,14 +239,8 @@ proptest! {
             collector.ingest_second(s as u64, &det);
         }
         prop_assume!(any);
-        let tables = FilterTables::new(&graph, &readers);
-        let pre = ParticlePreprocessor::new(
-            &graph,
-            &anchors,
-            &readers,
-            &tables,
-            PreprocessorConfig::default(),
-        );
+        let world = FilterWorld::new(graph.clone(), anchors.clone(), readers.clone());
+        let pre = ParticlePreprocessor::new(Arc::new(world), PreprocessorConfig::default());
         let candidates: Vec<ObjectId> = (0..4).map(ObjectId::new).collect();
         let now = detections.len() as u64;
         let index = fresh_pass(&pre, pass_seed, &collector, &candidates, now, Some(workers));
@@ -294,14 +283,8 @@ proptest! {
             collector.ingest_second(s as u64, &det);
         }
         prop_assume!(any);
-        let tables = FilterTables::new(&graph, &readers);
-        let pre = ParticlePreprocessor::new(
-            &graph,
-            &anchors,
-            &readers,
-            &tables,
-            PreprocessorConfig::default(),
-        );
+        let world = FilterWorld::new(graph.clone(), anchors.clone(), readers.clone());
+        let pre = ParticlePreprocessor::new(Arc::new(world), PreprocessorConfig::default());
         let options = SupervisionOptions::default();
         let mut live = AnchorObjectIndex::new();
         for (i, &(seed, mask)) in passes.iter().enumerate() {
